@@ -2,8 +2,10 @@
 
 The cache is a JSON-lines file keyed by (config hash, z, rho); density grids
 and rho-derivatives revisit nearby spectral points, so warm reuse across CLI
-invocations is nearly free.  Every output artifact embeds the config hash it
-was produced from.
+invocations is nearly free.  A writer killed mid-line leaves a torn line;
+loading skips (and counts) lines that do not parse, and the next write starts
+on a fresh line.  Every output artifact embeds the config hash it was
+produced from.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ def _key(config_hash: str, z: complex, rho: tuple) -> str:
 
 
 class FixedPointCache:
-    """Append-only JSONL store of converged fixed points."""
+    """Append-only JSONL store of converged fixed points; `torn_lines` counts skipped unparsable lines."""
 
     def __init__(self, path: Path | str, config_hash: str):
         self.path = Path(path)
@@ -30,13 +32,20 @@ class FixedPointCache:
         self._entries: dict = {}
         self.hits = 0
         self.misses = 0
+        self.torn_lines = 0
+        self._open_line = False  # the file ends without a newline
         if self.path.exists():
             with self.path.open() as fh:
                 for line in fh:
+                    self._open_line = not line.endswith("\n")
                     line = line.strip()
                     if not line:
                         continue
-                    rec = json.loads(line)
+                    try:
+                        rec = json.loads(line)
+                    except json.JSONDecodeError:
+                        self.torn_lines += 1
+                        continue
                     self._entries[rec["key"]] = rec["state"]
 
     def get(self, z: complex, rho: tuple = (0.0, 0.0)) -> FixedPointState | None:
@@ -55,6 +64,9 @@ class FixedPointCache:
         self._entries[key] = rec
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
+            if self._open_line:
+                fh.write("\n")
+                self._open_line = False
             fh.write(json.dumps({"key": key, "state": rec}) + "\n")
 
 

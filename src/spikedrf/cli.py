@@ -1,8 +1,9 @@
 """Command-line front end: simulations, theory solves, and comparison reports.
 
 Exit codes are a stable contract: 0 success, 1 tolerance failure in a
-comparison, 2 usage or configuration error.  All randomness flows from the
-config seed; plotting is out of scope, every artifact is JSON or CSV.
+comparison, 2 usage or configuration error, 3 unexpected crash (traceback on
+stderr).  All randomness flows from the config seed; plotting is out of
+scope, every artifact is JSON or CSV.
 """
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -25,6 +27,7 @@ DEFAULT_GENERROR_TOL = 0.05
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
 EXIT_USAGE = 2
+EXIT_CRASH = 3
 
 
 class UsageError(Exception):
@@ -117,10 +120,10 @@ def _run_seeds(config: ExperimentConfig, seeds: int, compute_spectrum: bool, job
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config, for_theory=False)
+    manifest = RunManifest(config_hash=config.config_hash(), command="simulate")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = _run_seeds(config, args.seeds, args.spectrum, args.jobs or _default_jobs())
-    manifest = RunManifest(config_hash=config.config_hash(), command="simulate")
     for res in results:
         path = out / f"run_seed{res['seed_index']:03d}.json"
         path.write_text(json.dumps(res, indent=2) + "\n")
@@ -165,6 +168,7 @@ def _spectrum_csv(path: Path, curve: spectrum.DensityCurve, config_hash: str) ->
 
 def cmd_theory_spectrum(args) -> int:
     config = _load_config(args.config, for_theory=True)
+    manifest = RunManifest(config_hash=config.config_hash(), command="theory-spectrum")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lo, hi, pts = _parse_grid(args.grid)
@@ -180,10 +184,11 @@ def cmd_theory_spectrum(args) -> int:
     )
     csv_path = out / "theory_spectrum.csv"
     _spectrum_csv(csv_path, curve, config.config_hash())
-    manifest = RunManifest(config_hash=config.config_hash(), command="theory-spectrum", outputs=[csv_path])
+    manifest.outputs.append(csv_path)
     if cache:
         manifest.extra["cache_hits"] = cache.hits
         manifest.extra["cache_misses"] = cache.misses
+        manifest.extra["cache_torn_lines"] = cache.torn_lines
     manifest.write(out / "manifest.json")
     print(f"wrote {csv_path} ({pts} rows); bulk mass {curve.mass:.4f} + atom {curve.atom_mass:.4f}")
     return EXIT_OK
@@ -221,13 +226,15 @@ def _theory_row(config: ExperimentConfig, alpha: float) -> dict:
 
 def cmd_theory_generror(args) -> int:
     config = _load_config(args.config, for_theory=True)
+    manifest = RunManifest(config_hash=config.config_hash(), command="theory-generror")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     alphas = _parse_sweep(args.alpha_sweep) if args.alpha_sweep else np.array([config.alpha])
     rows = [_theory_row(config, a) for a in alphas]
     csv_path = out / "theory_generror.csv"
     _sweep_csv(csv_path, rows, config.vocab.k, config.config_hash())
-    RunManifest(config_hash=config.config_hash(), command="theory-generror", outputs=[csv_path]).write(out / "manifest.json")
+    manifest.outputs.append(csv_path)
+    manifest.write(out / "manifest.json")
     print(f"wrote {csv_path} ({len(rows)} rows)")
     return EXIT_OK
 
@@ -348,6 +355,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

@@ -34,21 +34,13 @@ order parameters of the test-error formula.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .model import ActivationSpec, ExperimentConfig, LinkSpec, VocabularySpec
-from .quadrature import (
-    DEFAULT_INNER_NODES,
-    DEFAULT_OUTER_NODES,
-    QuadratureRule,
-    cached_rule,
-    residual_table,
-    shifted_coeffs,
-)
+from .model import ActivationSpec, ExperimentConfig, LinkSpec
+from .quadrature import DEFAULT_INNER_NODES, DEFAULT_OUTER_NODES, QuadratureRule, cached_rule, hermite_tables
 
 NORMALIZATION_SPECTRAL = "spectral"
 NORMALIZATION_PRINTED = "printed"
@@ -155,15 +147,7 @@ def build_problem(
         raise ValueError("zeta_u and pi must have matching shapes")
     inner_rule = inner_rule or cached_rule(DEFAULT_INNER_NODES)
     outer = cached_rule(n_outer)
-    m, k = len(outer.nodes), len(zeta_u)
-    c0 = np.empty((m, k))
-    c1 = np.empty((m, k))
-    resid = np.empty((m, k))
-    for q in range(k):
-        shifts = outer.nodes * zeta_u[q]
-        coeffs = shifted_coeffs(activation.fn, shifts, 1, inner_rule)
-        c0[:, q], c1[:, q] = coeffs[:, 0], coeffs[:, 1]
-        resid[:, q] = residual_table(activation.fn, shifts, inner_rule)
+    c0, c1, resid = hermite_tables(activation.fn, outer.nodes, zeta_u, inner_rule)
     return DetEquivProblem(
         alpha=float(alpha),
         beta=float(beta),
@@ -224,9 +208,6 @@ class FixedPointState:
     residual: float = np.inf
     iterations: int = 0
 
-    def copy(self) -> "FixedPointState":
-        return FixedPointState(self.z, tuple(self.rho), self.V.copy(), self.nu.copy(), self.b.copy(), self.residual, self.iterations)
-
     def conjugate(self) -> "FixedPointState":
         return FixedPointState(
             np.conj(self.z), tuple(self.rho), np.conj(self.V), np.conj(self.nu), np.conj(self.b), self.residual, self.iterations
@@ -263,14 +244,6 @@ class FixedPointState:
             iterations=int(data["iterations"]),
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json(cls, blob: str) -> "FixedPointState":
-        return cls.from_json_dict(json.loads(blob))
-
-
 def _solve_L(V_eff: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L = (V_eff^{-1} + diag(b))^{-1} = (I + V_eff diag(b))^{-1} V_eff; valid for singular V_eff."""
     k = len(b)
@@ -296,16 +269,21 @@ def _effective(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray, rho: tup
     return V_eff, nu_eff
 
 
-def fixed_point_map(problem: DetEquivProblem, state: FixedPointState) -> FixedPointState:
-    """One application of the self-consistent map at state.z, state.rho."""
-    z, rho = state.z, state.rho
-    V_eff, _ = _effective(problem, state.V, state.nu, rho)
+def _kernels(problem: DetEquivProblem, state: FixedPointState):
+    """(V_eff, nu_eff, L, psi, chi, wd) of a state; wd = kappa_w / (1 + chi) on the kappa nodes."""
+    V_eff, nu_eff = _effective(problem, state.V, state.nu, state.rho)
     b = state.b
     L = _solve_L(V_eff, b)
     psi = np.diag(b) - L * np.outer(b, b)
     chi = _chi_nodes(problem, psi, b)
-    denom = 1.0 + chi
-    wd = problem.kappa_w / denom
+    wd = problem.kappa_w / (1.0 + chi)
+    return V_eff, nu_eff, L, psi, chi, wd
+
+
+def fixed_point_map(problem: DetEquivProblem, state: FixedPointState) -> FixedPointState:
+    """One application of the self-consistent map at state.z, state.rho."""
+    z, rho, b = state.z, state.rho, state.b
+    wd = _kernels(problem, state)[-1]
     sf = problem.sample_factor
     V_new = sf * (problem.c1.T @ (problem.c1 * wd[:, None]))
     nu_new = sf * (problem.resid.T @ wd)
@@ -379,26 +357,22 @@ def solve_fixed_point(
     warm_start: FixedPointState | None = None,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    init_state: FixedPointState | None = None,
 ) -> FixedPointState:
     """Solve the self-consistent equations at z (off R+) by damped iteration.
 
     Cold starts at small Im z reach the target by analytic continuation: a
     geometric ladder in Im z from LADDER_TOP down, warm-starting each rung.
-    `warm_start` (a solution at a nearby point) or `init_state` (an explicit
-    initial iterate, e.g. for uniqueness tests) both skip the ladder.
+    `warm_start` (a solution at a nearby point, or any explicit initial
+    iterate) skips the ladder.
     """
     z = complex(z)
     rho = (float(rho[0]), float(rho[1]))
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError(f"z must lie off the positive real axis, got {z}")
     if z.imag < 0.0:
-        flipped = solve_fixed_point(problem, np.conj(z), rho, warm_start.conjugate() if warm_start else None, tol, max_iter,
-                                    init_state.conjugate() if init_state else None)
+        flipped = solve_fixed_point(problem, np.conj(z), rho, warm_start.conjugate() if warm_start else None, tol, max_iter)
         return flipped.conjugate()
 
-    if init_state is not None:
-        return _damped_iterate(problem, _retarget(init_state, z, rho), tol, max_iter)
     if warm_start is not None:
         return _damped_iterate(problem, _retarget(warm_start, z, rho), tol, max_iter)
     if z.imag >= LADDER_TOP or abs(z) >= LADDER_TOP:
@@ -417,35 +391,6 @@ def solve_fixed_point(
     return _damped_iterate(problem, _retarget(state, z, rho), tol, max_iter)
 
 
-def solve_grid(
-    problem: DetEquivProblem,
-    zs: Iterable[complex],
-    rho: tuple = (0.0, 0.0),
-    warm_start: FixedPointState | None = None,
-    tol: float = 1e-10,
-    cache_get: Callable[[complex], FixedPointState | None] | None = None,
-    cache_put: Callable[[FixedPointState], None] | None = None,
-) -> list:
-    """Solve along a grid, chaining warm starts; per-point failures yield None."""
-    out = []
-    state = warm_start
-    for z in zs:
-        cached = cache_get(z) if cache_get else None
-        if cached is not None:
-            state = cached
-            out.append(cached)
-            continue
-        try:
-            state = solve_fixed_point(problem, z, rho, warm_start=state, tol=tol)
-            if cache_put:
-                cache_put(state)
-            out.append(state)
-        except FixedPointError:
-            out.append(None)
-            state = None
-    return out
-
-
 def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> complex:
     """m(z) = prefactor * sum_q b_q(z) under the frozen normalization convention."""
     return complex(problem.stieltjes_prefactor * np.sum(state.b))
@@ -462,7 +407,8 @@ class DerivedKernels:
 
     A11 is (k+1)x(k+1) over (label, mean_1..mean_k); A21t is the reduced
     k x (k+1) cross block (one row per vocabulary entry); bulk_diag_inv[q] =
-    L_qq + nu_q - z is the inverse of the within-group bulk resolvent entry.
+    L_qq + nu_q - z is the inverse of the within-group bulk resolvent entry;
+    chi is chi(kappa) on the outer quadrature nodes.
     """
 
     L: np.ndarray
@@ -471,81 +417,19 @@ class DerivedKernels:
     A11: np.ndarray
     A21t: np.ndarray
     bulk_diag_inv: np.ndarray
-    chi_at: Callable[[float], complex]
+    chi: np.ndarray
 
 
-def blocks(problem: DetEquivProblem, state: FixedPointState, sigma: ActivationSpec | None = None) -> DerivedKernels:
-    """Assemble the derived kernels of a converged state.
-
-    `sigma` is only needed for the chi evaluator at off-grid kappa; on-grid
-    evaluation uses the cached tables.
-    """
-    V_eff, nu_eff = _effective(problem, state.V, state.nu, state.rho)
-    b = state.b
-    L = _solve_L(V_eff, b)
-    psi = np.diag(b) - L * np.outer(b, b)
-    chi = _chi_nodes(problem, psi, b)
-    denom = 1.0 + chi
-    wd = problem.kappa_w / denom
+def blocks(problem: DetEquivProblem, state: FixedPointState) -> DerivedKernels:
+    """Assemble the derived kernels of a converged state."""
+    _, nu_eff, L, psi, chi, wd = _kernels(problem, state)
     sf = problem.sample_factor
     iota = problem.iota
     A11 = sf * (iota.T @ (iota * wd[:, None]))
     A21t = sf * np.einsum("m,m,mq,mj->qj", wd, problem.kappa, problem.c1, iota)
     S = problem.c1.T @ (problem.c1 * ((problem.kappa**2 - 1.0) * wd)[:, None])
     bulk_diag_inv = np.diag(L) + nu_eff - state.z
-
-    def chi_at(kappa: float) -> complex:
-        act = sigma or problem.sigma
-        if act is None:
-            idx = int(np.argmin(np.abs(problem.kappa - kappa)))
-            if abs(problem.kappa[idx] - kappa) > 1e-12:
-                raise ValueError("chi evaluator needs the activation for off-grid kappa")
-            c1_row, r_row = problem.c1[idx], problem.resid[idx]
-        else:
-            shifts = kappa * problem.zeta_u
-            c1_row = shifted_coeffs(act.fn, shifts, 1)[:, 1]
-            r_row = residual_table(act.fn, shifts)
-        return complex((c1_row @ psi @ c1_row + b @ r_row) / problem.beta)
-
-    return DerivedKernels(L=L, psi=psi, S=S, A11=A11, A21t=A21t, bulk_diag_inv=bulk_diag_inv, chi_at=chi_at)
-
-
-def assemble_ge(
-    problem: DetEquivProblem,
-    state: FixedPointState,
-    theta: np.ndarray,
-    groups: np.ndarray,
-    kernels: DerivedKernels | None = None,
-) -> np.ndarray:
-    """Dense deterministic-equivalent extended resolvent, (k+1+p) square.
-
-    Block layout: coordinates 0..k are (label, group means); the remaining p
-    are the centered features.  Intended for desk-scale p; the functional
-    route `ge_trace` avoids the dense inverse.
-    """
-    kern = kernels or blocks(problem, state)
-    k = problem.k
-    p = len(theta)
-    sf = problem.sample_factor
-    V_eff, _ = _effective(problem, state.V, state.nu, state.rho)
-    K = V_eff + sf * kern.S
-    dim = k + 1 + p
-    M = np.zeros((dim, dim), dtype=complex)
-    M[: k + 1, : k + 1] = kern.A11 - state.z * np.eye(k + 1)
-    M21 = theta[:, None] * kern.A21t[groups]
-    M[k + 1 :, : k + 1] = M21
-    M[: k + 1, k + 1 :] = M21.T
-    U = np.zeros((p, k))
-    U[np.arange(p), groups] = theta
-    M[k + 1 :, k + 1 :] = np.diag(kern.bulk_diag_inv[groups]) + (U @ K @ U.T).astype(complex)
-    try:
-        return np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        conds = {
-            "A11": np.linalg.cond(M[: k + 1, : k + 1]),
-            "bulk": np.linalg.cond(M[k + 1 :, k + 1 :]),
-        }
-        raise FixedPointError(f"singular deterministic-equivalent assembly at z={state.z}; conditioning {conds}") from exc
+    return DerivedKernels(L=L, psi=psi, S=S, A11=A11, A21t=A21t, bulk_diag_inv=bulk_diag_inv, chi=chi)
 
 
 @dataclass
@@ -576,7 +460,8 @@ def ge_functionals(
     """Top-left block, bulk diagonal, and trace of the equivalent resolvent.
 
     Uses the disjoint-support structure of the group indicators: every p x p
-    object in the Schur complement reduces to k x k algebra plus diagonals.
+    object in the Schur complement reduces to k x k algebra plus diagonals,
+    so no dense (k+1+p)-square inverse is formed.
     """
     kern = kernels or blocks(problem, state)
     k = problem.k

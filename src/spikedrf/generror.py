@@ -30,7 +30,7 @@ from .detequiv import (
     blocks,
     solve_fixed_point,
 )
-from .quadrature import shifted_coeffs
+from .quadrature import hermite_tables
 from .simulate import TauSet
 
 DEFAULT_RHO_STEP = 1e-4
@@ -164,12 +164,7 @@ def lambda_kappa(tau: TauSet, kappa, problem: DetEquivProblem) -> np.ndarray:
     if problem.sigma is None or problem.link is None:
         raise ValueError("lambda_kappa needs a problem built with activation and link specs")
     kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-    k = problem.k
-    c0 = np.empty((len(kappa), k))
-    c1 = np.empty((len(kappa), k))
-    for q, z in enumerate(problem.zeta_u):
-        coeffs = shifted_coeffs(problem.sigma.fn, kappa * z, 1)
-        c0[:, q], c1[:, q] = coeffs[:, 0], coeffs[:, 1]
+    c0, c1, _ = hermite_tables(problem.sigma.fn, kappa, problem.zeta_u)
     g = problem.link.fn(kappa)
     mean_part = g - c0 @ tau.tau0 - kappa * (c1 @ tau.tau1)
     spike_var = c1 @ tau.tau1

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 from scipy.special import erf as _erf
 
-from .quadrature import DEFAULT_INNER_NODES, QuadratureRule, cached_rule, shifted_coeffs
+from .quadrature import DEFAULT_INNER_NODES, QuadratureRule, cached_rule, hermite_tables
 
 
 class ConfigError(ValueError):
@@ -84,10 +84,6 @@ class LinkSpec:
     def mean(self, rule: QuadratureRule | None = None) -> float:
         rule = rule or cached_rule(DEFAULT_INNER_NODES)
         return float(rule.weights @ self.fn(rule.nodes))
-
-    def second_moment(self, rule: QuadratureRule | None = None) -> float:
-        rule = rule or cached_rule(DEFAULT_INNER_NODES)
-        return float(rule.weights @ self.fn(rule.nodes) ** 2)
 
 
 _SQRT6 = math.sqrt(6.0)
@@ -272,18 +268,6 @@ class ExperimentConfig:
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
-    def replace(self, **kwargs) -> "ExperimentConfig":
-        data = self.to_dict()
-        vocab = kwargs.pop("vocab", None)
-        lam = kwargs.pop("lam", None)
-        if lam is not None:
-            data["lambda"] = lam
-        data.update(kwargs)
-        cfg = ExperimentConfig.from_dict(data)
-        if vocab is not None:
-            cfg = ExperimentConfig.from_dict({**data, "vocab": {"zeta": list(vocab.zeta), "pi": list(vocab.pi)}})
-        return cfg
-
 
 # --------------------------------------------------------------------------- #
 # validation
@@ -346,10 +330,7 @@ def check_nondegeneracy(
     m = m or max(DEFAULT_INNER_NODES, 4 * k)
     if m < k:
         raise ConfigError(f"need at least k={k} sample points, got {m}")
-    kappas = cached_rule(m).nodes
-    mat = np.empty((m, k))
-    for q, z in enumerate(zetas):
-        mat[:, q] = shifted_coeffs(activation.fn, kappas * z, 1)[:, 1]
+    _, mat, _ = hermite_tables(activation.fn, cached_rule(m).nodes, zetas)
     sv = np.linalg.svd(mat, compute_uv=False)
     return bool(sv[-1] > sv_threshold * sv[0])
 

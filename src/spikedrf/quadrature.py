@@ -25,8 +25,8 @@ the test suite).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 from scipy.special import roots_hermitenorm
@@ -45,10 +45,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-    def expect(self, values: np.ndarray) -> np.ndarray:
-        """Contract `values` (nodes along axis 0) against the weights."""
-        return np.tensordot(self.weights, np.asarray(values), axes=(0, 0))
 
     def expect_fn(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         return float(self.weights @ fn(self.nodes))
@@ -94,17 +90,6 @@ def hermite_basis(x: np.ndarray, max_order: int) -> np.ndarray:
     return out
 
 
-def hermite_polynomial(order: int, x) -> np.ndarray | float:
-    """Orthonormal probabilists' Hermite polynomial h_order evaluated at x."""
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    arr = np.asarray(x, dtype=float)
-    val = hermite_basis(arr, order)[..., order]
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(val)
-    return val
-
-
 def _check_finite(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise QuadratureError(f"{what} produced non-finite values on the quadrature nodes")
@@ -128,17 +113,6 @@ def shifted_coeffs(
     return (vals * rule.weights[None, :]) @ basis
 
 
-def shifted_hermite_coeff(
-    sigma: Callable[[np.ndarray], np.ndarray],
-    order: int,
-    kappa: float,
-    zeta: float,
-    rule: QuadratureRule | None = None,
-) -> float:
-    """c_order(kappa, zeta) = E_z[sigma(z + kappa*zeta) h_order(z)]."""
-    return float(shifted_coeffs(sigma, np.array([kappa * zeta]), order, rule)[0, order])
-
-
 def shifted_second_moment(
     sigma: Callable[[np.ndarray], np.ndarray],
     shifts: np.ndarray,
@@ -150,22 +124,6 @@ def shifted_second_moment(
     vals = sigma(rule.nodes[None, :] + shifts[:, None])
     _check_finite(vals, "activation")
     return (vals * vals) @ rule.weights
-
-
-def residual_second_moment(
-    sigma: Callable[[np.ndarray], np.ndarray],
-    kappa: float,
-    zeta: float,
-    rule: QuadratureRule | None = None,
-) -> float:
-    """Order->=2 Hermite mass of sigma(. + kappa*zeta), by Parseval difference."""
-    shift = np.array([kappa * zeta], dtype=float)
-    c = shifted_coeffs(sigma, shift, 1, rule)[0]
-    m2 = shifted_second_moment(sigma, shift, rule)[0]
-    r = float(m2 - c[0] ** 2 - c[1] ** 2)
-    if r < -1e-10:
-        raise QuadratureError(f"negative residual second moment {r:.3e}; quadrature failure")
-    return max(r, 0.0)
 
 
 def residual_table(
@@ -180,6 +138,27 @@ def residual_table(
     if np.min(r) < -1e-10:
         raise QuadratureError(f"negative residual second moment {np.min(r):.3e}; quadrature failure")
     return np.clip(r, 0.0, None)
+
+
+def hermite_tables(
+    sigma: Callable[[np.ndarray], np.ndarray],
+    kappa: np.ndarray,
+    zeta_u: Sequence[float],
+    rule: QuadratureRule | None = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Tables (c0, c1, r) at every (kappa_i, zeta_q), each of shape (len(kappa), len(zeta_u)).
+
+    One evaluation per vocabulary entry: a single batched evaluation over all
+    shifts rounds differently in the last bit.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    c0, c1, resid = (np.empty((len(kappa), len(zeta_u))) for _ in range(3))
+    for q, zeta in enumerate(zeta_u):
+        shifts = kappa * zeta
+        coeffs = shifted_coeffs(sigma, shifts, 1, rule)
+        c0[:, q], c1[:, q] = coeffs[:, 0], coeffs[:, 1]
+        resid[:, q] = residual_table(sigma, shifts, rule)
+    return c0, c1, resid
 
 
 @dataclass
@@ -212,35 +191,3 @@ def hermite_tail_check(
     tail = max(tail, 0.0)
     return TailReport(max_order=max_order, tail_mass=tail, threshold=threshold, passed=tail < threshold)
 
-
-@dataclass
-class HermiteCoeffTable:
-    """Per-(kappa, zeta) cache of shifted coefficients and Parseval residuals.
-
-    `coeffs` returns (c_0, ..., c_max_order); `residual` the order->=2 mass.
-    """
-
-    activation_id: str
-    sigma: Callable[[np.ndarray], np.ndarray]
-    max_order: int = 1
-    rule: QuadratureRule = field(default_factory=lambda: cached_rule(DEFAULT_INNER_NODES))
-    _cache: Dict[Tuple[float, float], Tuple[np.ndarray, float]] = field(default_factory=dict, repr=False)
-
-    def _entry(self, kappa: float, zeta: float) -> Tuple[np.ndarray, float]:
-        key = (float(kappa), float(zeta))
-        hit = self._cache.get(key)
-        if hit is None:
-            shift = np.array([kappa * zeta], dtype=float)
-            c = shifted_coeffs(self.sigma, shift, self.max_order, self.rule)[0]
-            c01 = c if self.max_order >= 1 else shifted_coeffs(self.sigma, shift, 1, self.rule)[0]
-            m2 = shifted_second_moment(self.sigma, shift, self.rule)[0]
-            r = max(float(m2 - c01[0] ** 2 - c01[1] ** 2), 0.0)
-            hit = (c, r)
-            self._cache[key] = hit
-        return hit
-
-    def coeffs(self, kappa: float, zeta: float) -> np.ndarray:
-        return self._entry(kappa, zeta)[0]
-
-    def residual(self, kappa: float, zeta: float) -> float:
-        return self._entry(kappa, zeta)[1]

@@ -12,13 +12,12 @@ bit-identical runs regardless of thread schedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
 from .model import ActivationSpec, ExperimentConfig, LinkSpec, SecondLayer, make_rng, sample_second_layer
-from .quadrature import cached_rule, residual_table, shifted_coeffs
+from .quadrature import cached_rule, hermite_tables, shifted_coeffs
 
 DEFAULT_TEST_POINTS = 10_000
 
@@ -273,11 +272,7 @@ def empirical_tau(
     p = len(a_hat)
     k = len(zeta_u)
     rule = cached_rule(n_kappa)
-    c1 = np.empty((len(rule.nodes), k))
-    resid = np.empty((len(rule.nodes), k))
-    for q, z in enumerate(zeta_u):
-        c1[:, q] = shifted_coeffs(sigma.fn, rule.nodes * z, 1)[:, 1]
-        resid[:, q] = residual_table(sigma.fn, rule.nodes * z)
+    _, c1, resid = hermite_tables(sigma.fn, rule.nodes, zeta_u)
     cbar = c1.T @ (c1 * rule.weights[:, None])
     rbar = resid.T @ rule.weights
 
@@ -370,11 +365,6 @@ class EmpiricalExtendedResolvent:
             val = np.sum(pv * res * pu) + (A.v @ A.u - pv @ pu) * (-1.0 / z)
             return complex(val)
         raise ValueError(f"unknown functional kind {A.kind!r}")
-
-
-def extended_resolvent_trace(phi_e: np.ndarray, p: int, A: TraceFunctional, z: complex) -> complex:
-    """Tr(A G_e(z)) for one functional; build EmpiricalExtendedResolvent to reuse work."""
-    return EmpiricalExtendedResolvent(phi_e, p).trace_functional(A, z)
 
 
 # --------------------------------------------------------------------------- #

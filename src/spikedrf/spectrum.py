@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .detequiv import DetEquivProblem, FixedPointState, solve_fixed_point, solve_grid, stieltjes_from_state
+from .detequiv import DetEquivProblem, FixedPointError, FixedPointState, solve_fixed_point, stieltjes_from_state
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 
@@ -79,7 +79,8 @@ def density_grid(
 
     Each eps level sweeps the grid left to right with warm starts; each grid
     point is additionally warm-started from its own state at the previous
-    (larger) eps.  Per-point failures mark the point and leave the sweep alive.
+    (larger) eps.  A point whose solve raises FixedPointError is marked
+    unconverged and the sweep goes on; any other exception propagates.
     """
     if lam_max <= lam_min:
         raise ValueError("need lam_max > lam_min")
@@ -101,7 +102,7 @@ def density_grid(
             cached = cache_get(z) if cache_get else None
             try:
                 state = cached or solve_fixed_point(problem, z, warm_start=warm, tol=tol)
-            except Exception:
+            except FixedPointError:
                 carry = None
                 continue
             if cached is None and cache_put:

@@ -436,7 +436,7 @@ def test_criterion_7_invariant_suite():
             nu=0.1 * (rng.standard_normal(2) + 0j),
             b=prob.pi * prob.beta / (-z) * (1 + 0.3 * rng.standard_normal(2)),
         )
-        sols.append(de.solve_fixed_point(prob, z, init_state=init))
+        sols.append(de.solve_fixed_point(prob, z, warm_start=init))
     checks["uniqueness"] = (
         max(np.max(np.abs(sols[0].V - sols[1].V)), np.max(np.abs(sols[0].b - sols[1].b))) < 1e-8
     )

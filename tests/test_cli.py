@@ -1,10 +1,11 @@
 import json
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spikedrf import cli
+from spikedrf import cli, generror, simulate, spectrum
 
 TINY = {
     "d": 60,
@@ -133,3 +134,49 @@ def test_compare_pass_and_tolerance_override(tmp_path):
     assert rc2 == cli.EXIT_TOLERANCE
     assert json.loads((out2 / "summary.json").read_text())["passed"] is False
     assert (out2 / "theory_spectrum.csv").exists()
+
+
+def test_torn_cache_line_is_skipped(config_path, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    grid = ("--grid", "0.02:2.0:20", "--cache", cache)
+    assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / "cold") == 0
+    cold = (tmp_path / "cold" / "theory_spectrum.csv").read_bytes()
+    cache.write_bytes(cache.read_bytes()[:-40])  # a writer killed mid-line
+    for name, misses in (("torn", 1), ("mended", 0)):
+        assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / name) == cli.EXIT_OK
+        assert (tmp_path / name / "theory_spectrum.csv").read_bytes() == cold
+        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifest["cache_torn_lines"] == 1 and manifest["cache_misses"] == misses
+
+
+def test_crash_exits_3(config_path, tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(generror, "asymptotic_tau", boom)
+    assert run("theory-generror", config_path, "--out", tmp_path / "g") == cli.EXIT_CRASH
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "boom" in err
+
+
+@pytest.mark.parametrize(
+    "module, work, argv",
+    [
+        (simulate, "run_experiment", ("simulate", "--seeds", 1)),
+        (spectrum, "density_grid", ("theory-spectrum", "--grid", "0.1:1:4")),
+        (generror, "asymptotic_tau", ("theory-generror",)),
+    ],
+)
+def test_manifest_started_before_the_work(module, work, argv, config_path, tmp_path, monkeypatch):
+    original = getattr(module, work)
+    work_started = []
+
+    def timed(*args, **kwargs):
+        work_started.append(time.time())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, work, timed)
+    before = time.time()
+    assert run(argv[0], config_path, *argv[1:], "--out", tmp_path / "o") == 0
+    started = json.loads((tmp_path / "o" / "manifest.json").read_text())["started"]
+    assert before <= started <= work_started[0]

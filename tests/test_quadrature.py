@@ -5,19 +5,17 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import hermite_polynomial, residual_second_moment, shifted_hermite_coeff
 from spikedrf.model import ACTIVATIONS, get_activation
 from spikedrf.quadrature import (
-    HermiteCoeffTable,
     QuadratureError,
     cached_rule,
     gauss_hermite_rule,
     hermite_basis,
-    hermite_polynomial,
+    hermite_tables,
     hermite_tail_check,
-    residual_second_moment,
     residual_table,
     shifted_coeffs,
-    shifted_hermite_coeff,
     shifted_second_moment,
 )
 
@@ -165,13 +163,16 @@ def test_node_doubling_stability():
         assert abs(vals[0] - vals[1]) < 1e-9
 
 
-def test_coeff_table_cache():
+def test_hermite_tables_match_per_entry_evaluation():
     tanh = get_activation("tanh")
-    table = HermiteCoeffTable("tanh", tanh.fn, max_order=3)
-    c = table.coeffs(0.5, 1.2)
-    assert len(c) == 4
-    assert table.coeffs(0.5, 1.2) is c  # cached
-    r = table.residual(0.5, 1.2)
-    assert abs(r - residual_second_moment(tanh.fn, 0.5, 1.2)) < 1e-14
+    kappa = cached_rule(31).nodes
+    zeta_u = [0.8, 0.0, -1.7]
+    c0, c1, resid = hermite_tables(tanh.fn, kappa, zeta_u)
+    assert c0.shape == c1.shape == resid.shape == (31, 3)
+    for q, zeta in enumerate(zeta_u):
+        coeffs = shifted_coeffs(tanh.fn, kappa * zeta, 1)
+        assert np.array_equal(c0[:, q], coeffs[:, 0]) and np.array_equal(c1[:, q], coeffs[:, 1])
+        assert np.array_equal(resid[:, q], residual_table(tanh.fn, kappa * zeta))
     # zeta = 0 entries are kappa-independent (plain coefficients)
-    assert np.allclose(table.coeffs(0.3, 0.0), table.coeffs(-2.0, 0.0), atol=1e-15)
+    assert np.ptp(c1[:, 1]) < 1e-15 and np.ptp(resid[:, 1]) < 1e-15
+    assert abs(resid[5, 0] - residual_second_moment(tanh.fn, kappa[5], 0.8)) < 1e-14

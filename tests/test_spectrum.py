@@ -118,6 +118,28 @@ def test_density_grid_input_validation():
         sp.density_grid(prob, 0.1, 1.0, 50, eps_schedule=(1e-2, 1e-6))
 
 
+def test_density_grid_zero_fills_only_fixed_point_failures(monkeypatch):
+    prob = rf_problem()
+    solve = sp.solve_fixed_point
+
+    def failing_at_one(problem, z, **kw):
+        if abs(z.real - 1.0) < 1e-12:
+            raise de.NonConvergenceError("forced", residual=1.0, iterations=1)
+        return solve(problem, z, **kw)
+
+    monkeypatch.setattr(sp, "solve_fixed_point", failing_at_one)
+    curve = sp.density_grid(prob, 0.5, 1.5, 5)
+    assert list(curve.converged) == [True, True, False, True, True]
+    assert curve.density[2] == 0.0
+
+    def broken(problem, z, **kw):
+        raise ZeroDivisionError("programming error inside the solve")
+
+    monkeypatch.setattr(sp, "solve_fixed_point", broken)
+    with pytest.raises(ZeroDivisionError):
+        sp.density_grid(prob, 0.5, 1.5, 5)
+
+
 def test_rf_finite_size_overlay_small():
     # eta = 0 random features at moderate size: sup-norm Stieltjes agreement
     d, beta, alpha = 800, 1.5, 0.8

@@ -1,39 +1,54 @@
 """Fixed-point cache and run manifests.
 
-The cache is a JSON-lines file keyed by (config hash, z, rho); density grids
-and rho-derivatives revisit nearby spectral points, so warm reuse across CLI
-invocations is nearly free.  A writer killed mid-line leaves a torn line;
+The cache is a JSON-lines file keyed by (problem digest, z).  The digest
+covers everything the fixed-point map reads (alpha, beta, normalization, rho,
+pi, the kappa weights, the c1 and residual tables) plus the solver settings
+that shape a converged state (continuation ladder, default tolerance, package
+version); so a rerun of the same theory under another seed or n0 reuses the
+file, and a changed theory or solver never reads a stale state.  Density grid
+reruns hit it for every point.  A writer killed mid-line leaves a torn line;
 loading skips (and counts) lines that do not parse, and the next write starts
 on a fresh line.  Every output artifact embeds the config hash it was
 produced from.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .detequiv import FixedPointState
+import numpy as np
+
+from .detequiv import DEFAULT_TOL, LADDER_FACTOR, LADDER_FLOOR, LADDER_TOP, DetEquivProblem, FixedPointState
 
 _VERSION = "spikedrf-0.1.0"
 
 
-def _key(config_hash: str, z: complex, rho: tuple) -> str:
-    return f"{config_hash}|{z.real:.12e}|{z.imag:.12e}|{rho[0]:.12e}|{rho[1]:.12e}"
+def _problem_digest(problem: DetEquivProblem) -> str:
+    """Digest of the theory content the fixed-point map reads, plus the solver settings."""
+    h = hashlib.sha256()
+    settings = [_VERSION, LADDER_TOP, LADDER_FACTOR, LADDER_FLOOR, DEFAULT_TOL]
+    scalars = [problem.alpha, problem.beta, problem.normalization, list(problem.rho), list(problem.c1.shape)]
+    h.update(json.dumps(settings + scalars).encode())
+    for arr in (problem.pi, problem.kappa_w, problem.c1, problem.resid):
+        h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+    return h.hexdigest()[:16]
 
 
 class FixedPointCache:
     """Append-only JSONL store of converged fixed points; `torn_lines` counts skipped unparsable lines."""
 
-    def __init__(self, path: Path | str, config_hash: str):
+    def __init__(self, path: Path | str, problem: DetEquivProblem):
         self.path = Path(path)
-        self.config_hash = config_hash
+        self.digest = _problem_digest(problem)
         self._entries: dict = {}
         self.hits = 0
         self.misses = 0
         self.torn_lines = 0
         self._open_line = False  # the file ends without a newline
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
             with self.path.open() as fh:
                 for line in fh:
@@ -48,8 +63,11 @@ class FixedPointCache:
                         continue
                     self._entries[rec["key"]] = rec["state"]
 
-    def get(self, z: complex, rho: tuple = (0.0, 0.0)) -> FixedPointState | None:
-        rec = self._entries.get(_key(self.config_hash, complex(z), rho))
+    def _key(self, z: complex) -> str:
+        return f"{self.digest}|{z.real:.12e}|{z.imag:.12e}"
+
+    def get(self, z: complex) -> FixedPointState | None:
+        rec = self._entries.get(self._key(complex(z)))
         if rec is None:
             self.misses += 1
             return None
@@ -57,12 +75,11 @@ class FixedPointCache:
         return FixedPointState.from_json_dict(rec)
 
     def put(self, state: FixedPointState) -> None:
-        key = _key(self.config_hash, complex(state.z), state.rho)
+        key = self._key(complex(state.z))
         if key in self._entries:
             return
         rec = state.to_json_dict()
         self._entries[key] = rec
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as fh:
             if self._open_line:
                 fh.write("\n")

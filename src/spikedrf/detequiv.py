@@ -28,19 +28,23 @@ the mismatch.
 A perturbation pair rho = (rho1, rho2) tilts the quadratic form by
 rho1 * (E[c1 c1^T])_e o WW^T + rho2 * diag(E[r])_e; inside the equations this
 is exactly V -> V + rho1*Cbar and nu -> nu + rho2*rbar wherever (V, nu) feed
-the W-average.  Derivatives in rho at z = -lambda generate the variance-type
-order parameters of the test-error formula.
+the W-average.  The perturbation belongs to the theory instance, not to a
+spectral point: `problem.perturbed(rho)` is the tilted problem, and every
+solve, kernel and functional of it sees the tilt.  Derivatives in rho at
+z = -lambda generate the variance-type order parameters of the test-error
+formula.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .model import ActivationSpec, ExperimentConfig, LinkSpec
-from .quadrature import DEFAULT_INNER_NODES, DEFAULT_OUTER_NODES, QuadratureRule, cached_rule, hermite_tables
+from .quadrature import DEFAULT_OUTER_NODES, cached_rule, hermite_tables
 
 NORMALIZATION_SPECTRAL = "spectral"
 NORMALIZATION_PRINTED = "printed"
@@ -48,6 +52,7 @@ NORMALIZATION_PRINTED = "printed"
 LADDER_TOP = 10.0
 LADDER_FACTOR = 0.7
 LADDER_FLOOR = 5e-2  # below this the final hop lands on the exact target
+DEFAULT_TOL = 1e-10
 
 
 class FixedPointError(RuntimeError):
@@ -72,6 +77,8 @@ class DetEquivProblem:
 
     c0/c1/resid have shape (m, k): shifted coefficients and Parseval residual
     of the activation at every outer kappa node, for every vocabulary entry.
+    rho = (rho1, rho2) is the quadratic-form perturbation (see the module
+    docstring); it is (0, 0) except on problems made by `perturbed`.
     """
 
     alpha: float
@@ -87,6 +94,7 @@ class DetEquivProblem:
     sigma: ActivationSpec | None = None
     link: LinkSpec | None = None
     normalization: str = NORMALIZATION_SPECTRAL
+    rho: tuple = (0.0, 0.0)
 
     @property
     def k(self) -> int:
@@ -103,12 +111,12 @@ class DetEquivProblem:
     def stieltjes_prefactor(self) -> float:
         return 1.0 / self.beta if self.normalization == NORMALIZATION_SPECTRAL else self.beta
 
-    @property
+    @functools.cached_property
     def cbar(self) -> np.ndarray:
         """E_kappa[c1 c1^T], the rho1 perturbation kernel."""
         return self.c1.T @ (self.c1 * self.kappa_w[:, None])
 
-    @property
+    @functools.cached_property
     def rbar(self) -> np.ndarray:
         """E_kappa[r], the rho2 perturbation kernel."""
         return self.resid.T @ self.kappa_w
@@ -125,6 +133,9 @@ class DetEquivProblem:
     def with_alpha(self, alpha: float) -> "DetEquivProblem":
         return dataclasses.replace(self, alpha=float(alpha))
 
+    def perturbed(self, rho: tuple) -> "DetEquivProblem":
+        return dataclasses.replace(self, rho=(float(rho[0]), float(rho[1])))
+
     def atom_mass(self) -> float:
         """Mass of the exact zero eigenvalues of the bulk covariance (p > n case)."""
         return max(0.0, 1.0 - self.alpha / self.beta)
@@ -137,17 +148,14 @@ def build_problem(
     pi: Sequence[float],
     alpha: float,
     beta: float,
-    n_outer: int = DEFAULT_OUTER_NODES,
-    inner_rule: QuadratureRule | None = None,
     normalization: str = NORMALIZATION_SPECTRAL,
 ) -> DetEquivProblem:
     zeta_u = np.asarray(zeta_u, dtype=float)
     pi = np.asarray(pi, dtype=float)
     if zeta_u.shape != pi.shape:
         raise ValueError("zeta_u and pi must have matching shapes")
-    inner_rule = inner_rule or cached_rule(DEFAULT_INNER_NODES)
-    outer = cached_rule(n_outer)
-    c0, c1, resid = hermite_tables(activation.fn, outer.nodes, zeta_u, inner_rule)
+    outer = cached_rule(DEFAULT_OUTER_NODES)
+    c0, c1, resid = hermite_tables(activation.fn, outer.nodes, zeta_u)
     return DetEquivProblem(
         alpha=float(alpha),
         beta=float(beta),
@@ -165,28 +173,18 @@ def build_problem(
     )
 
 
-def spike_vocabulary(config: ExperimentConfig) -> np.ndarray:
-    """Spike coefficient values zeta_u = (eta_tilde/beta) c1 c1* zeta implied by one gradient step."""
-    c1 = config.activation_spec().first_coeff()
-    cstar1 = config.link_spec().first_coeff()
-    zeta_a, _ = config.vocab.as_arrays()
-    return (config.eta_tilde / config.beta) * c1 * cstar1 * zeta_a
-
-
 def problem_from_config(
     config: ExperimentConfig,
-    n_outer: int = DEFAULT_OUTER_NODES,
     normalization: str = NORMALIZATION_SPECTRAL,
 ) -> DetEquivProblem:
     _, pi = config.vocab.as_arrays()
     return build_problem(
         config.activation_spec(),
         config.link_spec(),
-        spike_vocabulary(config),
+        config.spike_vocabulary(),
         pi,
         alpha=config.alpha,
         beta=config.beta,
-        n_outer=n_outer,
         normalization=normalization,
     )
 
@@ -201,7 +199,6 @@ class FixedPointState:
     """Converged (or in-progress) order parameters at one spectral point."""
 
     z: complex
-    rho: tuple
     V: np.ndarray
     nu: np.ndarray
     b: np.ndarray
@@ -210,7 +207,7 @@ class FixedPointState:
 
     def conjugate(self) -> "FixedPointState":
         return FixedPointState(
-            np.conj(self.z), tuple(self.rho), np.conj(self.V), np.conj(self.nu), np.conj(self.b), self.residual, self.iterations
+            np.conj(self.z), np.conj(self.V), np.conj(self.nu), np.conj(self.b), self.residual, self.iterations
         )
 
     def to_json_dict(self) -> dict:
@@ -220,7 +217,6 @@ class FixedPointState:
 
         return {
             "z": [self.z.real, self.z.imag],
-            "rho": [self.rho[0], self.rho[1]],
             "V": c2l(self.V),
             "nu": c2l(self.nu),
             "b": c2l(self.b),
@@ -236,7 +232,6 @@ class FixedPointState:
 
         return cls(
             z=complex(data["z"][0], data["z"][1]),
-            rho=(float(data["rho"][0]), float(data["rho"][1])),
             V=l2c(data["V"]),
             nu=l2c(data["nu"]),
             b=l2c(data["b"]),
@@ -262,8 +257,8 @@ def _chi_nodes(problem: DetEquivProblem, psi: np.ndarray, b: np.ndarray) -> np.n
     return (quad + problem.resid @ b) / problem.beta
 
 
-def _effective(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray, rho: tuple):
-    rho1, rho2 = rho
+def _effective(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray):
+    rho1, rho2 = problem.rho
     V_eff = V + rho1 * problem.cbar if rho1 else V
     nu_eff = nu + rho2 * problem.rbar if rho2 else nu
     return V_eff, nu_eff
@@ -271,7 +266,7 @@ def _effective(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray, rho: tup
 
 def _kernels(problem: DetEquivProblem, state: FixedPointState):
     """(V_eff, nu_eff, L, psi, chi, wd) of a state; wd = kappa_w / (1 + chi) on the kappa nodes."""
-    V_eff, nu_eff = _effective(problem, state.V, state.nu, state.rho)
+    V_eff, nu_eff = _effective(problem, state.V, state.nu)
     b = state.b
     L = _solve_L(V_eff, b)
     psi = np.diag(b) - L * np.outer(b, b)
@@ -281,13 +276,13 @@ def _kernels(problem: DetEquivProblem, state: FixedPointState):
 
 
 def fixed_point_map(problem: DetEquivProblem, state: FixedPointState) -> FixedPointState:
-    """One application of the self-consistent map at state.z, state.rho."""
-    z, rho, b = state.z, state.rho, state.b
+    """One application of the self-consistent map at state.z."""
+    z, b = state.z, state.b
     wd = _kernels(problem, state)[-1]
     sf = problem.sample_factor
     V_new = sf * (problem.c1.T @ (problem.c1 * wd[:, None]))
     nu_new = sf * (problem.resid.T @ wd)
-    V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new, rho)
+    V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new)
     L_new = _solve_L(V_new_eff, b)
     if problem.normalization == NORMALIZATION_SPECTRAL:
         b_new = problem.pi * problem.beta / (np.diag(L_new) + nu_new_eff - z)
@@ -297,13 +292,13 @@ def fixed_point_map(problem: DetEquivProblem, state: FixedPointState) -> FixedPo
     for name, arr in (("V", V_new), ("nu", nu_new), ("b", b_new)):
         if not np.all(np.isfinite(arr)):
             raise FixedPointError(f"non-finite {name} in fixed-point map at z={z}; state: b={state.b}, V={state.V}")
-    return FixedPointState(z=z, rho=rho, V=V_new, nu=nu_new, b=b_new)
+    return FixedPointState(z=z, V=V_new, nu=nu_new, b=b_new)
 
 
-def _cold_state(problem: DetEquivProblem, z: complex, rho: tuple) -> FixedPointState:
+def _cold_state(problem: DetEquivProblem, z: complex) -> FixedPointState:
     k = problem.k
     b0 = problem.pi.astype(complex) * problem.beta / (-z)
-    return FixedPointState(z=z, rho=rho, V=np.zeros((k, k), dtype=complex), nu=np.zeros(k, dtype=complex), b=b0)
+    return FixedPointState(z=z, V=np.zeros((k, k), dtype=complex), nu=np.zeros(k, dtype=complex), b=b0)
 
 
 def _residual(a: FixedPointState, b: FixedPointState) -> float:
@@ -334,7 +329,6 @@ def _damped_iterate(
         prev_res = res
         state = FixedPointState(
             z=state.z,
-            rho=state.rho,
             V=state.V + gamma * (new.V - state.V),
             nu=state.nu + gamma * (new.nu - state.nu),
             b=state.b + gamma * (new.b - state.b),
@@ -346,16 +340,15 @@ def _damped_iterate(
     )
 
 
-def _retarget(state: FixedPointState, z: complex, rho: tuple) -> FixedPointState:
-    return FixedPointState(z=z, rho=tuple(rho), V=state.V.copy(), nu=state.nu.copy(), b=state.b.copy())
+def _retarget(state: FixedPointState, z: complex) -> FixedPointState:
+    return FixedPointState(z=z, V=state.V.copy(), nu=state.nu.copy(), b=state.b.copy())
 
 
 def solve_fixed_point(
     problem: DetEquivProblem,
     z: complex,
-    rho: tuple = (0.0, 0.0),
     warm_start: FixedPointState | None = None,
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
     max_iter: int = 10_000,
 ) -> FixedPointState:
     """Solve the self-consistent equations at z (off R+) by damped iteration.
@@ -366,17 +359,16 @@ def solve_fixed_point(
     iterate) skips the ladder.
     """
     z = complex(z)
-    rho = (float(rho[0]), float(rho[1]))
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError(f"z must lie off the positive real axis, got {z}")
     if z.imag < 0.0:
-        flipped = solve_fixed_point(problem, np.conj(z), rho, warm_start.conjugate() if warm_start else None, tol, max_iter)
+        flipped = solve_fixed_point(problem, np.conj(z), warm_start.conjugate() if warm_start else None, tol, max_iter)
         return flipped.conjugate()
 
     if warm_start is not None:
-        return _damped_iterate(problem, _retarget(warm_start, z, rho), tol, max_iter)
+        return _damped_iterate(problem, _retarget(warm_start, z), tol, max_iter)
     if z.imag >= LADDER_TOP or abs(z) >= LADDER_TOP:
-        return _damped_iterate(problem, _cold_state(problem, z, rho), tol, max_iter)
+        return _damped_iterate(problem, _cold_state(problem, z), tol, max_iter)
 
     # continuation ladder in Im z
     ims = []
@@ -385,10 +377,10 @@ def solve_fixed_point(
     while im > max(target_im, LADDER_FLOOR):
         ims.append(im)
         im *= LADDER_FACTOR
-    state = _cold_state(problem, complex(z.real, ims[0]), rho)
+    state = _cold_state(problem, complex(z.real, ims[0]))
     for im in ims:
-        state = _damped_iterate(problem, _retarget(state, complex(z.real, im), rho), tol, max_iter)
-    return _damped_iterate(problem, _retarget(state, z, rho), tol, max_iter)
+        state = _damped_iterate(problem, _retarget(state, complex(z.real, im)), tol, max_iter)
+    return _damped_iterate(problem, _retarget(state, z), tol, max_iter)
 
 
 def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> complex:
@@ -466,7 +458,7 @@ def ge_functionals(
     kern = kernels or blocks(problem, state)
     k = problem.k
     sf = problem.sample_factor
-    V_eff, _ = _effective(problem, state.V, state.nu, state.rho)
+    V_eff, _ = _effective(problem, state.V, state.nu)
     K = (V_eff + sf * kern.S).astype(complex)
 
     d = kern.bulk_diag_inv[groups]      # (p,)

@@ -219,6 +219,13 @@ class ExperimentConfig:
     def link_spec(self) -> LinkSpec:
         return get_link(self.link)
 
+    def spike_vocabulary(self) -> np.ndarray:
+        """Spike coefficient values zeta_u = (eta_tilde/beta) c1 c1* zeta implied by one gradient step."""
+        c1 = self.activation_spec().first_coeff()
+        cstar1 = self.link_spec().first_coeff()
+        zeta_a, _ = self.vocab.as_arrays()
+        return (self.eta_tilde / self.beta) * c1 * cstar1 * zeta_a
+
     def to_dict(self) -> dict:
         return {
             "d": self.d,

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import ActivationSpec, ExperimentConfig, LinkSpec, SecondLayer, make_rng, sample_second_layer
-from .quadrature import cached_rule, hermite_tables, shifted_coeffs
+from .quadrature import DEFAULT_OUTER_NODES, cached_rule, hermite_tables, shifted_coeffs
 
 DEFAULT_TEST_POINTS = 10_000
 
@@ -260,7 +260,6 @@ def empirical_tau(
     W: np.ndarray,
     sigma: ActivationSpec,
     zeta_u: np.ndarray,
-    n_kappa: int = 201,
 ) -> TauSet:
     """Measured order parameters of a fitted readout.
 
@@ -271,7 +270,7 @@ def empirical_tau(
     """
     p = len(a_hat)
     k = len(zeta_u)
-    rule = cached_rule(n_kappa)
+    rule = cached_rule(DEFAULT_OUTER_NODES)
     _, c1, resid = hermite_tables(sigma.fn, rule.nodes, zeta_u)
     cbar = c1.T @ (c1 * rule.weights[:, None])
     rbar = resid.T @ rule.weights
@@ -460,7 +459,6 @@ def run_experiment(
     compute_spectrum: bool = False,
     compute_spike_deviation: bool = False,
     n_test: int = DEFAULT_TEST_POINTS,
-    zeta_u: np.ndarray | None = None,
     pretrained: tuple | None = None,
     include_init_output: bool = True,
 ) -> RunResult:
@@ -498,10 +496,7 @@ def run_experiment(
     model = TrainedModel(W0=W0, W1=W1, a0=layer.a0, a_hat=a_hat, u=u, theta=theta, w_star=w_star, second_layer=layer)
 
     err, stderr = empirical_generror(a_hat, W1, link, w_star, sigma, rng, n_test=n_test)
-    if zeta_u is None:
-        zeta_a, _ = config.vocab.as_arrays()
-        zeta_u = (config.eta_tilde / config.beta) * c1 * cstar1 * zeta_a
-    tau = empirical_tau(a_hat, layer.groups, theta, W0, sigma, zeta_u)
+    tau = empirical_tau(a_hat, layer.groups, theta, W0, sigma, config.spike_vocabulary())
 
     eigs = bulk_spectrum(feats.phi_tilde) if compute_spectrum else None
     dev = None

@@ -28,10 +28,9 @@ def stieltjes(
     problem: DetEquivProblem,
     z: complex,
     warm_start: FixedPointState | None = None,
-    tol: float = 1e-10,
 ) -> complex:
     """m(z) of the bulk feature covariance from a converged fixed point."""
-    state = solve_fixed_point(problem, z, warm_start=warm_start, tol=tol)
+    state = solve_fixed_point(problem, z, warm_start=warm_start)
     return stieltjes_from_state(problem, state)
 
 
@@ -71,7 +70,6 @@ def density_grid(
     lam_max: float,
     points: int,
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
-    tol: float = 1e-10,
     cache_get: Callable | None = None,
     cache_put: Callable | None = None,
 ) -> DensityCurve:
@@ -101,7 +99,7 @@ def density_grid(
             warm = prev_states[gi] or carry
             cached = cache_get(z) if cache_get else None
             try:
-                state = cached or solve_fixed_point(problem, z, warm_start=warm, tol=tol)
+                state = cached or solve_fixed_point(problem, z, warm_start=warm)
             except FixedPointError:
                 carry = None
                 continue

@@ -74,7 +74,7 @@ def assemble_ge(
     k = problem.k
     p = len(theta)
     sf = problem.sample_factor
-    V_eff, _ = _effective(problem, state.V, state.nu, state.rho)
+    V_eff, _ = _effective(problem, state.V, state.nu)
     K = V_eff + sf * kern.S
     dim = k + 1 + p
     M = np.zeros((dim, dim), dtype=complex)

@@ -431,7 +431,7 @@ def test_criterion_7_invariant_suite():
     sols = []
     for _ in range(2):
         init = de.FixedPointState(
-            z=z, rho=(0.0, 0.0),
+            z=z,
             V=0.2 * (rng.standard_normal((2, 2)) + 0j),
             nu=0.1 * (rng.standard_normal(2) + 0j),
             b=prob.pi * prob.beta / (-z) * (1 + 0.3 * rng.standard_normal(2)),

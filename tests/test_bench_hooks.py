@@ -1,0 +1,53 @@
+"""The benchmark's trace hooks (bench/tracer.py) must still find and wrap what they name.
+
+The tracer wraps functions and cache methods of spikedrf by name from outside
+the package; a rename there would otherwise break only traced benchmark runs.
+"""
+import importlib
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+from spikedrf import cli
+from spikedrf.cache import FixedPointCache
+
+from test_cli import TINY
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bindings(cache_methods) -> dict:
+    """Every module-level binding of every spikedrf module, and the traced cache methods."""
+    found = {(name, attr): value for name, module in list(sys.modules.items())
+             if name == "spikedrf" or name.startswith("spikedrf.") for attr, value in vars(module).items()}
+    found.update({("FixedPointCache", m): FixedPointCache.__dict__[m] for m in cache_methods})
+    return found
+
+
+def test_tracer_counts_a_one_alpha_generror_run(tmp_path):
+    tracing = load_tracer()
+    for layer in tracing.TRACED:
+        importlib.import_module(f"spikedrf.{layer}")
+    before = bindings(tracing.CACHE_METHODS)
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.main(["theory-generror", str(config), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["generror.perturbed_solves"] == 4
+    assert metrics["detequiv.cold_solves"] == 1 and metrics["detequiv.map_calls"] > 0
+    after = bindings(tracing.CACHE_METHODS)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())

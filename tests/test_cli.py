@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from spikedrf import cli, generror, simulate, spectrum
+from spikedrf.detequiv import FixedPointError
 
 TINY = {
     "d": 60,
@@ -81,6 +82,33 @@ def test_theory_spectrum_rows_and_cache(config_path, tmp_path):
     assert m2["cache_hits"] >= 40 * 3 and m2["cache_misses"] == 0
 
 
+def test_cache_keyed_by_theory_content(tmp_path):
+    cache = tmp_path / "cache.jsonl"
+
+    def spectrum_run(name, cached=True, **changes):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**TINY, **changes}))
+        out = tmp_path / name
+        argv = ("theory-spectrum", path, "--grid", "0.02:2.0:20", "--out", out) + (("--cache", cache) if cached else ())
+        assert run(*argv) == cli.EXIT_OK
+        return (out / "theory_spectrum.csv").read_bytes(), json.loads((out / "manifest.json").read_text())
+
+    assert spectrum_run("cold")[1]["cache_misses"] == 20 * 3
+    # the seed does not enter the theory: every point is served, and the CSV is the uncached one
+    reseeded, manifest = spectrum_run("reseeded", seed=TINY["seed"] + 1)
+    assert manifest["cache_hits"] == 20 * 3 and manifest["cache_misses"] == 0
+    assert reseeded == spectrum_run("reseeded_uncached", cached=False, seed=TINY["seed"] + 1)[0]
+    # n moves alpha, so nothing may be served
+    assert spectrum_run("larger_n", n=TINY["n"] + 12)[1]["cache_hits"] == 0
+    # lines whose key carries a rho pair (the older format) are never served
+    records = [json.loads(line) for line in cache.read_text().splitlines()]
+    cache.write_text("".join(
+        json.dumps({"key": rec["key"] + "|0.000000000000e+00|0.000000000000e+00", "state": {**rec["state"], "rho": [0.0, 0.0]}}) + "\n"
+        for rec in records
+    ))
+    assert spectrum_run("older_format")[1]["cache_hits"] == 0
+
+
 def test_theory_spectrum_bad_grid(config_path, tmp_path):
     assert run("theory-spectrum", config_path, "--grid", "2:1:50", "--out", tmp_path / "x") == cli.EXIT_USAGE
     assert run("theory-spectrum", config_path, "--grid", "junk", "--out", tmp_path / "x") == cli.EXIT_USAGE
@@ -134,6 +162,28 @@ def test_compare_pass_and_tolerance_override(tmp_path):
     assert rc2 == cli.EXIT_TOLERANCE
     assert json.loads((out2 / "summary.json").read_text())["passed"] is False
     assert (out2 / "theory_spectrum.csv").exists()
+
+
+def test_compare_fails_on_unconverged_theory_points(config_path, tmp_path, monkeypatch):
+    solve = spectrum.solve_fixed_point
+
+    def flaky(problem, z, **kwargs):
+        if 0.5 < z.real < 0.7:  # two of the 20 grid points below
+            raise FixedPointError(f"injected failure at z={z}")
+        return solve(problem, z, **kwargs)
+
+    monkeypatch.setattr(spectrum, "solve_fixed_point", flaky)
+    grid = ("--grid", "0.02:2.0:20")
+    assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / "ts") == cli.EXIT_OK
+    assert json.loads((tmp_path / "ts" / "manifest.json").read_text())["unconverged"] == 2
+    out = tmp_path / "cmp"
+    rc = run("compare", config_path, "--seeds", 1, *grid, "--out", out, "--tol-ks", 1.0, "--tol-generror", 1e9)
+    assert rc == cli.EXIT_TOLERANCE
+    checks = {c["name"]: c for c in json.loads((out / "summary.json").read_text())["checks"]}
+    ks = checks.pop("spectrum_ks")
+    assert ks["unconverged"] == 2 and ks["value"] < ks["tol"] and not ks["passed"]
+    assert "2 of 20 theory grid points unconverged" in ks["reason"]
+    assert all(c["passed"] for c in checks.values())
 
 
 def test_torn_cache_line_is_skipped(config_path, tmp_path):

@@ -40,7 +40,7 @@ def test_alpha_zero_perturbed_map():
     prob = small_problem(alpha=0.0)
     z = complex(-1.0, 1.0)
     rho = (0.02, 0.05)
-    st = de.solve_fixed_point(prob, z, rho=rho)
+    st = de.solve_fixed_point(prob.perturbed(rho), z)
     assert np.max(np.abs(st.V)) < 1e-12
     assert np.max(np.abs(st.nu)) < 1e-12  # the rho2 shift enters through nu_eff, not the stored state
     L = de._solve_L(rho[0] * prob.cbar + 0j * prob.cbar, st.b)
@@ -134,7 +134,6 @@ def test_two_cold_starts_agree():
     for _ in range(2):
         init = de.FixedPointState(
             z=z,
-            rho=(0.0, 0.0),
             V=0.2 * (rng.standard_normal((2, 2)) + 0j),
             nu=0.1 * (rng.standard_normal(2) + 0j),
             b=prob.pi * prob.beta / (-z) * (1 + 0.3 * rng.standard_normal(2)),
@@ -186,7 +185,7 @@ def test_holomorphy_cauchy_riemann():
 def test_rho_zero_identical_code_path():
     prob = small_problem()
     z = complex(-0.4, 0.0)
-    a = de.solve_fixed_point(prob, z, rho=(0.0, 0.0))
+    a = de.solve_fixed_point(prob.perturbed((0.0, 0.0)), z)
     b = de.solve_fixed_point(prob, z)
     assert np.array_equal(a.b, b.b) and np.array_equal(a.V, b.V)
 
@@ -201,9 +200,9 @@ def test_lower_half_plane_conjugation():
 
 def test_state_serialization_roundtrip():
     prob = small_problem()
-    st = de.solve_fixed_point(prob, complex(-0.7, 0.2), rho=(1e-4, 0.0))
+    st = de.solve_fixed_point(prob.perturbed((1e-4, 0.0)), complex(-0.7, 0.2))
     back = de.FixedPointState.from_json_dict(json.loads(json.dumps(st.to_json_dict())))
-    assert back.z == st.z and back.rho == st.rho
+    assert back.z == st.z
     assert np.array_equal(back.V, st.V) and np.array_equal(back.nu, st.nu) and np.array_equal(back.b, st.b)
     assert back.residual == st.residual and back.iterations == st.iterations
 

@@ -24,6 +24,8 @@ DEFAULT_KS_TOL = 0.03
 DEFAULT_GENERROR_TOL = 0.05
 # compare fails its spectrum check when more theory grid points than this share did not converge
 MAX_UNCONVERGED_FRAC = 0.01
+# failure reasons of unconverged theory points that compare's spectrum check carries
+REPORTED_REASONS = 3
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -182,6 +184,7 @@ def cmd_theory_spectrum(args) -> int:
     _spectrum_csv(csv_path, curve, config.config_hash())
     manifest.outputs.append(csv_path)
     manifest.extra["unconverged"] = int(np.sum(~curve.converged))
+    manifest.extra["unconverged_reasons"] = curve.failures
     if cache:
         manifest.extra["cache_hits"] = cache.hits
         manifest.extra["cache_misses"] = cache.misses
@@ -269,6 +272,7 @@ def cmd_compare(args) -> int:
             unconverged = int(np.sum(~curve.converged))
             too_many = unconverged > MAX_UNCONVERGED_FRAC * pts
             check = {"name": "spectrum_ks", "value": ks, "tol": args.tol_ks, "unconverged": unconverged,
+                     "unconverged_reasons": curve.failures[:REPORTED_REASONS],
                      "passed": bool(ks < args.tol_ks) and not too_many}
             if too_many:
                 check["reason"] = f"{unconverged} of {pts} theory grid points unconverged (bound {MAX_UNCONVERGED_FRAC:.0%})"

@@ -33,6 +33,15 @@ spectral point: `problem.perturbed(rho)` is the tilted problem, and every
 solve, kernel and functional of it sees the tilt.  Derivatives in rho at
 z = -lambda generate the variance-type order parameters of the test-error
 formula.
+
+Solver
+------
+`fixed_point_map` applies the map to a batch of states at once, and
+`solve_batch` is the one damped iteration built on it: every row keeps its
+own damping, residual and iteration count and leaves the batch when it
+converges or fails, so a row's result does not depend on its batch.
+`solve_fixed_point` (continuation ladder, warm starts, conjugation) runs it
+one row at a time; the density grid runs whole eps levels through it.
 """
 from __future__ import annotations
 
@@ -53,6 +62,7 @@ LADDER_TOP = 10.0
 LADDER_FACTOR = 0.7
 LADDER_FLOOR = 5e-2  # below this the final hop lands on the exact target
 DEFAULT_TOL = 1e-10
+MAP_ROW_BLOCK = 64  # batch rows per block of the map
 
 
 class FixedPointError(RuntimeError):
@@ -239,22 +249,30 @@ class FixedPointState:
             iterations=int(data["iterations"]),
         )
 
+
 def _solve_L(V_eff: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L = (V_eff^{-1} + diag(b))^{-1} = (I + V_eff diag(b))^{-1} V_eff; valid for singular V_eff."""
-    k = len(b)
-    A = np.eye(k, dtype=complex) + V_eff * b[None, :]
+    """L = (V_eff^{-1} + diag(b))^{-1} = (I + V_eff diag(b))^{-1} V_eff, per matrix of a stack.
+
+    Valid for singular V_eff.
+    """
+    A = np.eye(b.shape[-1], dtype=complex) + V_eff * b[..., None, :]
     try:
         return np.linalg.solve(A, V_eff)
     except np.linalg.LinAlgError:
+        if A.ndim > 2:  # one singular matrix fails the whole stack: solve each on its own
+            return np.stack([_solve_L(v, row) for v, row in zip(V_eff, b)])
         # grazing singularity of I + V diag(b): SVD floor, per design decision
         u, s, vh = np.linalg.svd(A)
         s = np.where(s > 1e-12, s, 1e-12)
         return (vh.conj().T / s) @ (u.conj().T @ V_eff)
 
 
-def _chi_nodes(problem: DetEquivProblem, psi: np.ndarray, b: np.ndarray) -> np.ndarray:
-    quad = np.einsum("mq,qr,mr->m", problem.c1, psi, problem.c1)
-    return (quad + problem.resid @ b) / problem.beta
+def _diag_embed(b: np.ndarray) -> np.ndarray:
+    """(B, k) -> (B, k, k) stack of diagonal matrices."""
+    k = b.shape[-1]
+    out = np.zeros(b.shape + (k,), dtype=complex)
+    out[..., np.arange(k), np.arange(k)] = b
+    return out
 
 
 def _effective(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray):
@@ -264,35 +282,49 @@ def _effective(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray):
     return V_eff, nu_eff
 
 
-def _kernels(problem: DetEquivProblem, state: FixedPointState):
-    """(V_eff, nu_eff, L, psi, chi, wd) of a state; wd = kappa_w / (1 + chi) on the kappa nodes."""
-    V_eff, nu_eff = _effective(problem, state.V, state.nu)
-    b = state.b
+def _kernels(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray, b: np.ndarray):
+    """(V_eff, nu_eff, L, psi, chi, wd) of a batch of states (V (B,k,k), nu (B,k), b (B,k)).
+
+    chi and wd = kappa_w / (1 + chi) are (B, m), on the kappa nodes.
+    """
+    V_eff, nu_eff = _effective(problem, V, nu)
     L = _solve_L(V_eff, b)
-    psi = np.diag(b) - L * np.outer(b, b)
-    chi = _chi_nodes(problem, psi, b)
+    psi = _diag_embed(b) - L * (b[:, :, None] * b[:, None, :])
+    quad = np.einsum("mq,bqr,mr->bm", problem.c1, psi, problem.c1)
+    chi = (quad + (problem.resid @ b[:, :, None])[:, :, 0]) / problem.beta
     wd = problem.kappa_w / (1.0 + chi)
     return V_eff, nu_eff, L, psi, chi, wd
 
 
-def fixed_point_map(problem: DetEquivProblem, state: FixedPointState) -> FixedPointState:
-    """One application of the self-consistent map at state.z."""
-    z, b = state.z, state.b
-    wd = _kernels(problem, state)[-1]
+def fixed_point_map(problem: DetEquivProblem, z: np.ndarray, V: np.ndarray, nu: np.ndarray, b: np.ndarray):
+    """One application of the self-consistent map to a batch of states.
+
+    z (B,), V (B,k,k), nu (B,k), b (B,k); returns (V', nu', b') of the same
+    shapes.  Rows never mix: every row gets the arithmetic of a batch of one,
+    bit for bit.  A row whose state is non-finite comes back non-finite.
+    Rows go through in blocks of MAP_ROW_BLOCK, which bounds the (rows, m)
+    and (rows, m, k) intermediates on the kappa nodes.
+    """
+    if len(z) <= MAP_ROW_BLOCK:
+        return _map_rows(problem, z, V, nu, b)
+    offsets = range(0, len(z), MAP_ROW_BLOCK)
+    parts = [_map_rows(problem, *(a[i:i + MAP_ROW_BLOCK] for a in (z, V, nu, b))) for i in offsets]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def _map_rows(problem: DetEquivProblem, z: np.ndarray, V: np.ndarray, nu: np.ndarray, b: np.ndarray):
+    wd = _kernels(problem, V, nu, b)[-1]
     sf = problem.sample_factor
-    V_new = sf * (problem.c1.T @ (problem.c1 * wd[:, None]))
-    nu_new = sf * (problem.resid.T @ wd)
+    V_new = sf * (problem.c1.T @ (problem.c1 * wd[:, :, None]))
+    nu_new = sf * (problem.resid.T @ wd[:, :, None])[:, :, 0]
     V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new)
     L_new = _solve_L(V_new_eff, b)
     if problem.normalization == NORMALIZATION_SPECTRAL:
-        b_new = problem.pi * problem.beta / (np.diag(L_new) + nu_new_eff - z)
+        b_new = problem.pi * problem.beta / (np.diagonal(L_new, axis1=1, axis2=2) + nu_new_eff - z[:, None])
     else:
-        M = L_new + np.diag(nu_new_eff) - z * np.eye(problem.k)
-        b_new = problem.pi * problem.beta * np.diag(np.linalg.inv(M))
-    for name, arr in (("V", V_new), ("nu", nu_new), ("b", b_new)):
-        if not np.all(np.isfinite(arr)):
-            raise FixedPointError(f"non-finite {name} in fixed-point map at z={z}; state: b={state.b}, V={state.V}")
-    return FixedPointState(z=z, V=V_new, nu=nu_new, b=b_new)
+        M = L_new + _diag_embed(nu_new_eff) - z[:, None, None] * np.eye(problem.k)
+        b_new = problem.pi * problem.beta * np.diagonal(np.linalg.inv(M), axis1=1, axis2=2)
+    return V_new, nu_new, b_new
 
 
 def _cold_state(problem: DetEquivProblem, z: complex) -> FixedPointState:
@@ -301,47 +333,71 @@ def _cold_state(problem: DetEquivProblem, z: complex) -> FixedPointState:
     return FixedPointState(z=z, V=np.zeros((k, k), dtype=complex), nu=np.zeros(k, dtype=complex), b=b0)
 
 
-def _residual(a: FixedPointState, b: FixedPointState) -> float:
-    return max(
-        float(np.max(np.abs(a.V - b.V))),
-        float(np.max(np.abs(a.nu - b.nu))),
-        float(np.max(np.abs(a.b - b.b))),
-    )
-
-
-def _damped_iterate(
+def solve_batch(
     problem: DetEquivProblem,
-    state: FixedPointState,
-    tol: float,
-    max_iter: int,
-) -> FixedPointState:
-    gamma = 0.5
-    prev_res = np.inf
+    zs: Sequence[complex],
+    starts: Sequence[FixedPointState],
+    tol: float = DEFAULT_TOL,
+    max_iter: int = 10_000,
+) -> list:
+    """Damped iteration of the map at zs[i] from the iterate starts[i], for every i in one batch.
+
+    This is the one iteration engine.  Each row keeps its own damping gamma
+    (halved, down to 1/64, whenever its residual rises), previous residual and
+    iteration count, and leaves the batch once it converges or its map value
+    turns non-finite, so each row ends exactly as it would in a batch of its
+    own.  Returns, per row, the converged FixedPointState or the
+    FixedPointError that ended it (NonConvergenceError after max_iter).
+    """
+    out: list = [None] * len(zs)
+    if not out:
+        return out
+    k = problem.k
+    rows = np.arange(len(out))
+    z = np.array([complex(s) for s in zs])
+    # one packed iterate per row, (V, nu, b) flattened, so that the residual and the step are one array each
+    X = np.stack([np.concatenate((s.V.ravel(), s.nu, s.b)) for s in starts])
+    gamma = np.full(len(out), 0.5)
+    prev = np.full(len(out), np.inf)
     for it in range(1, max_iter + 1):
-        new = fixed_point_map(problem, state)
-        res = _residual(new, state)
-        if res < tol:
-            new.residual = res
-            new.iterations = it
-            return new
-        if res > prev_res:
-            gamma = max(gamma / 2.0, 1.0 / 64.0)
-        prev_res = res
-        state = FixedPointState(
-            z=state.z,
-            V=state.V + gamma * (new.V - state.V),
-            nu=state.nu + gamma * (new.nu - state.nu),
-            b=state.b + gamma * (new.b - state.b),
+        V, nu, b = X[:, :k * k].reshape(-1, k, k), X[:, k * k:k * k + k], X[:, k * k + k:]
+        V1, nu1, b1 = fixed_point_map(problem, z, V, nu, b)
+        step = np.concatenate((V1.reshape(len(rows), -1), nu1, b1), axis=1) - X
+        res = np.abs(step).max(axis=1)
+        ok = np.isfinite(res)
+        done = ok & (res < tol)
+        keep = ok & ~done
+        if not keep.all():
+            for i in np.flatnonzero(~keep):
+                if ok[i]:
+                    out[rows[i]] = FixedPointState(
+                        complex(z[i]), V1[i].copy(), nu1[i].copy(), b1[i].copy(), float(res[i]), it
+                    )
+                    continue
+                name = next((n for n, a in (("V", V1), ("nu", nu1), ("b", b1)) if not np.isfinite(a[i]).all()), "step")
+                out[rows[i]] = FixedPointError(
+                    f"non-finite {name} in fixed-point map at z={complex(z[i])}; state: b={b[i]}, V={V[i]}"
+                )
+            rows, z, X, step, res, gamma, prev = (a[keep] for a in (rows, z, X, step, res, gamma, prev))
+            if not len(rows):
+                return out
+        np.maximum(gamma / 2.0, 1.0 / 64.0, out=gamma, where=res > prev)
+        prev = res
+        X = X + gamma[:, None] * step
+    for i, row in enumerate(rows):
+        out[row] = NonConvergenceError(
+            f"fixed point did not converge at z={complex(z[i])} (residual {prev[i]:.3e} after {max_iter} iterations)",
+            residual=float(prev[i]),
+            iterations=max_iter,
         )
-    raise NonConvergenceError(
-        f"fixed point did not converge at z={state.z} (residual {prev_res:.3e} after {max_iter} iterations)",
-        residual=float(prev_res),
-        iterations=max_iter,
-    )
+    return out
 
 
-def _retarget(state: FixedPointState, z: complex) -> FixedPointState:
-    return FixedPointState(z=z, V=state.V.copy(), nu=state.nu.copy(), b=state.b.copy())
+def _solve_one(problem: DetEquivProblem, z: complex, start: FixedPointState, tol: float, max_iter: int):
+    result = solve_batch(problem, [z], [start], tol, max_iter)[0]
+    if isinstance(result, FixedPointError):
+        raise result
+    return result
 
 
 def solve_fixed_point(
@@ -351,12 +407,13 @@ def solve_fixed_point(
     tol: float = DEFAULT_TOL,
     max_iter: int = 10_000,
 ) -> FixedPointState:
-    """Solve the self-consistent equations at z (off R+) by damped iteration.
+    """Solve the self-consistent equations at z (off R+): `solve_batch` with one row.
 
     Cold starts at small Im z reach the target by analytic continuation: a
     geometric ladder in Im z from LADDER_TOP down, warm-starting each rung.
     `warm_start` (a solution at a nearby point, or any explicit initial
-    iterate) skips the ladder.
+    iterate) skips the ladder.  Lower half-plane points are solved at the
+    conjugate point and conjugated back.  Raises the row's FixedPointError.
     """
     z = complex(z)
     if z.imag == 0.0 and z.real >= 0.0:
@@ -366,9 +423,9 @@ def solve_fixed_point(
         return flipped.conjugate()
 
     if warm_start is not None:
-        return _damped_iterate(problem, _retarget(warm_start, z), tol, max_iter)
+        return _solve_one(problem, z, warm_start, tol, max_iter)
     if z.imag >= LADDER_TOP or abs(z) >= LADDER_TOP:
-        return _damped_iterate(problem, _cold_state(problem, z), tol, max_iter)
+        return _solve_one(problem, z, _cold_state(problem, z), tol, max_iter)
 
     # continuation ladder in Im z
     ims = []
@@ -379,8 +436,8 @@ def solve_fixed_point(
         im *= LADDER_FACTOR
     state = _cold_state(problem, complex(z.real, ims[0]))
     for im in ims:
-        state = _damped_iterate(problem, _retarget(state, complex(z.real, im)), tol, max_iter)
-    return _damped_iterate(problem, _retarget(state, z), tol, max_iter)
+        state = _solve_one(problem, complex(z.real, im), state, tol, max_iter)
+    return _solve_one(problem, z, state, tol, max_iter)
 
 
 def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> complex:
@@ -414,7 +471,7 @@ class DerivedKernels:
 
 def blocks(problem: DetEquivProblem, state: FixedPointState) -> DerivedKernels:
     """Assemble the derived kernels of a converged state."""
-    _, nu_eff, L, psi, chi, wd = _kernels(problem, state)
+    _, nu_eff, L, psi, chi, wd = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None]))
     sf = problem.sample_factor
     iota = problem.iota
     A11 = sf * (iota.T @ (iota * wd[:, None]))

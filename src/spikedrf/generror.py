@@ -83,7 +83,6 @@ def tau1(problem: DetEquivProblem, kern: DerivedKernels, tau0_vec: np.ndarray) -
 
 def tau2_tau3(
     problem: DetEquivProblem,
-    lam: float,
     tau0_vec: np.ndarray,
     base_state: FixedPointState,
     step: float = DEFAULT_RHO_STEP,
@@ -117,7 +116,7 @@ def asymptotic_tau(problem: DetEquivProblem, lam: float) -> TauSet:
     kern = blocks(problem, state)
     t0 = tau0(schur_C_inverse(problem, state, kern), lam)
     t1 = tau1(problem, kern, t0)
-    t2, t3 = tau2_tau3(problem, lam, t0, state)
+    t2, t3 = tau2_tau3(problem, t0, state)
     return TauSet(tau0=t0, tau1=t1, tau2=t2, tau3=t3, provenance="asymptotic")
 
 

@@ -2,10 +2,12 @@
 
 The density is recovered by evaluating m(lambda + i*eps) down a decreasing
 eps schedule and Richardson-extrapolating the last two levels (the Poisson
-smoothing bias is linear in eps in the bulk).  When p > n the bulk covariance
-has an exact atom of mass 1 - alpha/beta at zero; its Stieltjes contribution
--atom/z is removed analytically before inversion, since numerical inversion
-next to an atom is hopeless.
+smoothing bias is linear in eps in the bulk).  The first eps level is a
+warm-started sweep along the grid; every finer level is one batched solve,
+each point warm-started from its own state at the previous eps.  When p > n
+the bulk covariance has an exact atom of mass 1 - alpha/beta at zero; its
+Stieltjes contribution -atom/z is removed analytically before inversion,
+since numerical inversion next to an atom is hopeless.
 
 One caveat: with p > d and a nearly linear activation (order->=2 residual
 close to zero, e.g. erf), the p - d lifted zero modes of the weight Gram form
@@ -14,12 +16,19 @@ locally refined grid and an eps below the peak width.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .detequiv import DetEquivProblem, FixedPointError, FixedPointState, solve_fixed_point, stieltjes_from_state
+from .detequiv import (
+    DetEquivProblem,
+    FixedPointError,
+    FixedPointState,
+    solve_batch,
+    solve_fixed_point,
+    stieltjes_from_state,
+)
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 
@@ -42,6 +51,8 @@ class DensityCurve:
     converged: np.ndarray
     atom_mass: float
     im_levels: np.ndarray | None = None  # Im m / pi at every eps level (atom removed)
+    # one {"lambda", "eps", "reason"} per zero-filled grid point: its last FixedPointError
+    failures: list = field(default_factory=list)
 
     @property
     def mass(self) -> float:
@@ -75,10 +86,16 @@ def density_grid(
 ) -> DensityCurve:
     """Bulk density on a uniform grid by eps-laddered Stieltjes inversion.
 
-    Each eps level sweeps the grid left to right with warm starts; each grid
-    point is additionally warm-started from its own state at the previous
-    (larger) eps.  A point whose solve raises FixedPointError is marked
-    unconverged and the sweep goes on; any other exception propagates.
+    The first (largest) eps level sweeps the grid left to right, each point
+    warm-started from its left neighbour.  Every later level solves, in one
+    `solve_batch` call, the points that miss the cache and converged at an
+    earlier level, each warm-started from its own state at the previous eps;
+    the points that never converged then go through `solve_fixed_point` in
+    grid order, warm-started from their left neighbour at this level.  States
+    are the same, bit for bit, as solving every point alone in grid order,
+    and new states go to `cache_put` in grid order.  A point whose solve
+    raises FixedPointError is marked unconverged (its last error is kept in
+    `failures`) and the grid goes on; any other exception propagates.
     """
     if lam_max <= lam_min:
         raise ValueError("need lam_max > lam_min")
@@ -92,18 +109,25 @@ def density_grid(
 
     im_parts = np.full((len(eps_schedule), points), np.nan)
     prev_states: list = [None] * points
+    errors: dict = {}  # grid index -> (eps, text) of its last FixedPointError
     for ei, eps in enumerate(eps_schedule):
+        zs = [complex(lam, eps) for lam in grid]
+        found = [cache_get(z) if cache_get else None for z in zs]
+        batch = [gi for gi in range(points) if found[gi] is None and prev_states[gi] is not None]
+        solved = dict(zip(batch, solve_batch(problem, [zs[gi] for gi in batch], [prev_states[gi] for gi in batch])))
         carry: FixedPointState | None = None
-        for gi, lam in enumerate(grid):
-            z = complex(lam, eps)
-            warm = prev_states[gi] or carry
-            cached = cache_get(z) if cache_get else None
-            try:
-                state = cached or solve_fixed_point(problem, z, warm_start=warm)
-            except FixedPointError:
+        for gi, z in enumerate(zs):
+            state = found[gi] or solved.get(gi)
+            if state is None:
+                try:
+                    state = solve_fixed_point(problem, z, warm_start=carry)
+                except FixedPointError as exc:
+                    state = exc
+            if isinstance(state, FixedPointError):
+                errors[gi] = (eps, str(state))
                 carry = None
                 continue
-            if cached is None and cache_put:
+            if found[gi] is None and cache_put:
                 cache_put(state)
             carry = state
             prev_states[gi] = state
@@ -128,6 +152,8 @@ def density_grid(
         converged=converged,
         atom_mass=atom,
         im_levels=im_parts / np.pi,
+        failures=[{"lambda": float(grid[gi]), "eps": eps, "reason": text}
+                  for gi, (eps, text) in sorted(errors.items()) if not converged[gi]],
     )
 
 

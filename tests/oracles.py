@@ -1,8 +1,9 @@
 """Reference implementations the suite checks the package against.
 
-Scalar forms of the vectorized quadrature routines, and the dense
-(k+1+p)-square inverse of the deterministic equivalent that
-`detequiv.ge_functionals` computes without forming it.
+Scalar forms of the vectorized quadrature routines, the one-state form of
+the batched fixed-point map, and the dense (k+1+p)-square inverse of the
+deterministic equivalent that `detequiv.ge_functionals` computes without
+forming it.
 """
 from __future__ import annotations
 
@@ -10,7 +11,15 @@ from typing import Callable
 
 import numpy as np
 
-from spikedrf.detequiv import DerivedKernels, DetEquivProblem, FixedPointState, _effective, blocks
+from spikedrf.detequiv import (
+    NORMALIZATION_SPECTRAL,
+    DerivedKernels,
+    DetEquivProblem,
+    FixedPointState,
+    _effective,
+    _solve_L,
+    blocks,
+)
 from spikedrf.quadrature import (
     QuadratureError,
     QuadratureRule,
@@ -56,6 +65,28 @@ def residual_second_moment(
     if r < -1e-10:
         raise QuadratureError(f"negative residual second moment {r:.3e}; quadrature failure")
     return max(r, 0.0)
+
+
+def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState) -> tuple:
+    """(V', nu', b') of one state: the map written for a single spectral point, operation for operation."""
+    z, V, nu, b = state.z, state.V, state.nu, state.b
+    V_eff, _ = _effective(problem, V, nu)
+    L = _solve_L(V_eff, b)
+    psi = np.diag(b) - L * np.outer(b, b)
+    quad = np.einsum("mq,qr,mr->m", problem.c1, psi, problem.c1)
+    chi = (quad + problem.resid @ b) / problem.beta
+    wd = problem.kappa_w / (1.0 + chi)
+    sf = problem.sample_factor
+    V_new = sf * (problem.c1.T @ (problem.c1 * wd[:, None]))
+    nu_new = sf * (problem.resid.T @ wd)
+    V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new)
+    L_new = _solve_L(V_new_eff, b)
+    if problem.normalization == NORMALIZATION_SPECTRAL:
+        b_new = problem.pi * problem.beta / (np.diag(L_new) + nu_new_eff - z)
+    else:
+        M = L_new + np.diag(nu_new_eff) - z * np.eye(problem.k)
+        b_new = problem.pi * problem.beta * np.diag(np.linalg.inv(M))
+    return V_new, nu_new, b_new
 
 
 def assemble_ge(

@@ -462,8 +462,8 @@ def test_criterion_7_invariant_suite():
     lam = 0.05
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
     tau0_vec = ge.tau0(ge.schur_C_inverse(prob, state), lam)
-    a2, a3 = ge.tau2_tau3(prob, lam, tau0_vec, state, step=1e-4)
-    b2, b3 = ge.tau2_tau3(prob, lam, tau0_vec, state, step=5e-5)
+    a2, a3 = ge.tau2_tau3(prob, tau0_vec, state, step=1e-4)
+    b2, b3 = ge.tau2_tau3(prob, tau0_vec, state, step=5e-5)
     checks["rho_step"] = abs(a2 - b2) / max(abs(a2), 1e-12) < 1e-5 and abs(a3 - b3) / max(abs(a3), 1e-12) < 1e-5
 
     # ridge primal/dual agreement on a 200 x 300 instance

@@ -32,7 +32,8 @@ def bindings(cache_methods) -> dict:
     return found
 
 
-def test_tracer_counts_a_one_alpha_generror_run(tmp_path):
+def traced_cli_run(tmp_path, *argv) -> dict:
+    """Run one CLI command on the tiny config under the tracer; checks that uninstalling restores every binding."""
     tracing = load_tracer()
     for layer in tracing.TRACED:
         importlib.import_module(f"spikedrf.{layer}")
@@ -42,12 +43,23 @@ def test_tracer_counts_a_one_alpha_generror_run(tmp_path):
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        assert cli.main(["theory-generror", str(config), "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert cli.main([argv[0], str(config), *argv[1:], "--out", str(tmp_path / "out")]) == cli.EXIT_OK
     finally:
         tracer.uninstall()
-    metrics = tracing.layer_metrics(tracer.spans)
-    assert metrics["generror.perturbed_solves"] == 4
-    assert metrics["detequiv.cold_solves"] == 1 and metrics["detequiv.map_calls"] > 0
     after = bindings(tracing.CACHE_METHODS)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+    return tracing.layer_metrics(tracer.spans)
+
+
+def test_tracer_counts_a_one_alpha_generror_run(tmp_path):
+    metrics = traced_cli_run(tmp_path, "theory-generror")
+    assert metrics["generror.perturbed_solves"] == 4
+    assert metrics["detequiv.cold_solves"] == 1 and metrics["detequiv.map_calls"] > 0
+
+
+def test_tracer_counts_a_theory_spectrum_run(tmp_path):
+    # the batched levels of the density grid call the map without solve_fixed_point
+    metrics = traced_cli_run(tmp_path, "theory-spectrum", "--grid", "0.02:2.0:20")
+    assert metrics["spectrum.points"] == 20 and metrics["spectrum.unconverged"] == 0
+    assert metrics["detequiv.map_calls"] > 0

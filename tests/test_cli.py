@@ -175,7 +175,11 @@ def test_compare_fails_on_unconverged_theory_points(config_path, tmp_path, monke
     monkeypatch.setattr(spectrum, "solve_fixed_point", flaky)
     grid = ("--grid", "0.02:2.0:20")
     assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / "ts") == cli.EXIT_OK
-    assert json.loads((tmp_path / "ts" / "manifest.json").read_text())["unconverged"] == 2
+    manifest = json.loads((tmp_path / "ts" / "manifest.json").read_text())
+    assert manifest["unconverged"] == 2
+    reasons = manifest["unconverged_reasons"]
+    assert [r["eps"] for r in reasons] == [2.5e-3, 2.5e-3] and all(0.5 < r["lambda"] < 0.7 for r in reasons)
+    assert all(r["reason"].startswith("injected failure at z=") for r in reasons)
     out = tmp_path / "cmp"
     rc = run("compare", config_path, "--seeds", 1, *grid, "--out", out, "--tol-ks", 1.0, "--tol-generror", 1e9)
     assert rc == cli.EXIT_TOLERANCE
@@ -183,6 +187,7 @@ def test_compare_fails_on_unconverged_theory_points(config_path, tmp_path, monke
     ks = checks.pop("spectrum_ks")
     assert ks["unconverged"] == 2 and ks["value"] < ks["tol"] and not ks["passed"]
     assert "2 of 20 theory grid points unconverged" in ks["reason"]
+    assert ks["unconverged_reasons"] == reasons
     assert all(c["passed"] for c in checks.values())
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import assemble_ge
+from oracles import assemble_ge, scalar_fixed_point_map
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng
@@ -309,3 +309,88 @@ def test_problem_from_config_spike_scale():
     expected = (cfg.eta_tilde / cfg.beta) * c1 * cstar1 * np.array([1.0, -2.0])
     assert np.max(np.abs(prob.zeta_u - expected)) < 1e-12
     assert prob.alpha == cfg.alpha and prob.beta == cfg.beta
+
+
+def warm_batch(prob):
+    """About 30 upper half-plane targets with warm starts from nearby (fast) and distant (slow) solutions."""
+    bases = [de.solve_fixed_point(prob, complex(lam, 0.05)) for lam in np.linspace(-1.0, 2.0, 10)]
+    zs, starts = [], []
+    for i, base in enumerate(bases):
+        zs += [base.z + 1e-3, base.z - 0.02j, complex(base.z.real, 0.5)]
+        starts += [base, base, bases[(i + 5) % len(bases)]]
+    return zs, starts
+
+
+def assert_same_state(a, b):
+    assert np.array_equal(a.V, b.V) and np.array_equal(a.nu, b.nu) and np.array_equal(a.b, b.b)
+    assert a.z == b.z and a.residual == b.residual and a.iterations == b.iterations
+
+
+BATCH_PROBLEMS = pytest.mark.parametrize(
+    "prob",
+    [
+        small_problem(k=1),
+        small_problem(k=2),
+        small_problem(k=2, normalization=de.NORMALIZATION_PRINTED),
+        small_problem(k=2).perturbed((1e-4, 0.0)),
+    ],
+    ids=["k1", "k2", "k2-printed", "k2-perturbed"],
+)
+
+
+@BATCH_PROBLEMS
+def test_batched_map_is_bit_identical_to_the_scalar_map(prob):
+    zs, starts = warm_batch(prob)
+    zs, starts = zs * 3, starts * 3  # more rows than one block of the map
+    assert len(zs) > de.MAP_ROW_BLOCK
+    V, nu, b = (np.stack([getattr(s, name) for s in starts]) for name in ("V", "nu", "b"))
+    rows = zip(*de.fixed_point_map(prob, np.array(zs), V, nu, b))
+    for z, start, got in zip(zs, starts, rows):
+        want = scalar_fixed_point_map(prob, de.FixedPointState(z, start.V, start.nu, start.b))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@BATCH_PROBLEMS
+def test_batch_is_bit_identical_to_single_solves(prob):
+    zs, starts = warm_batch(prob)
+    batch = de.solve_batch(prob, zs, starts)
+    alone = [de.solve_fixed_point(prob, z, warm_start=s) for z, s in zip(zs, starts)]
+    for got, want in zip(batch, alone):
+        assert_same_state(got, want)
+    iterations = [s.iterations for s in alone]
+    assert max(iterations) > 3 * min(iterations)  # slow and fast rows share the batch
+
+
+def test_failing_rows_leave_the_batch_alone():
+    prob = small_problem()
+    zs, starts = warm_batch(prob)
+    alone = [de.solve_fixed_point(prob, z, warm_start=s) for z, s in zip(zs, starts)]
+    slow = int(np.argmax([s.iterations for s in alone]))
+    cap = max(s.iterations for i, s in enumerate(alone) if i != slow)
+    assert cap < alone[slow].iterations
+    poisoned = 3
+    good = starts[poisoned]
+    nan_start = de.FixedPointState(z=good.z, V=good.V * np.nan, nu=good.nu, b=good.b)
+    batch = de.solve_batch(prob, zs, [nan_start if i == poisoned else s for i, s in enumerate(starts)], max_iter=cap)
+    assert isinstance(batch[poisoned], de.FixedPointError) and "non-finite" in str(batch[poisoned])
+    assert isinstance(batch[slow], de.NonConvergenceError) and batch[slow].iterations == cap
+    for i, (got, want) in enumerate(zip(batch, alone)):
+        if i not in (poisoned, slow):
+            assert_same_state(got, want)
+
+
+def test_empty_batch_does_no_work(monkeypatch):
+    def no_map(*args):
+        raise AssertionError("the map ran for an empty batch")
+
+    monkeypatch.setattr(de, "fixed_point_map", no_map)
+    assert de.solve_batch(small_problem(), [], []) == []
+
+
+def test_singular_row_of_a_stack_falls_back_alone():
+    # I + V diag(b) is singular in the first row only: that row takes the SVD floor, the other its plain solve
+    V = np.array([[[1, 0], [0, 1]], [[2, 1], [1, 3]]], dtype=complex)
+    b = np.array([[-1, 1], [0.3, 0.2]], dtype=complex)
+    L = de._solve_L(V, b)
+    assert np.array_equal(L[0], de._solve_L(V[0], b[0])) and np.array_equal(L[1], de._solve_L(V[1], b[1]))
+    assert np.all(np.isfinite(L))

@@ -21,7 +21,7 @@ def test_alpha_zero_schur_is_ridge_identity():
     assert np.max(np.abs(ge.tau0(Cinv, lam))) < 1e-10
     t1 = ge.tau1(prob, de.blocks(prob, state), np.zeros(2))
     assert np.max(np.abs(t1)) < 1e-12
-    t2, t3 = ge.tau2_tau3(prob, lam, np.zeros(2), state)
+    t2, t3 = ge.tau2_tau3(prob, np.zeros(2), state)
     assert abs(t2) < 1e-8 and abs(t3) < 1e-8
 
 
@@ -73,9 +73,9 @@ def test_rho_derivative_step_controls():
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
     t0 = ge.tau0(ge.schur_C_inverse(prob, state), lam)
     with pytest.raises(ValueError):
-        ge.tau2_tau3(prob, lam, t0, state, step=1e-2)
-    a2, a3 = ge.tau2_tau3(prob, lam, t0, state, step=1e-4)
-    b2, b3 = ge.tau2_tau3(prob, lam, t0, state, step=5e-5)
+        ge.tau2_tau3(prob, t0, state, step=1e-2)
+    a2, a3 = ge.tau2_tau3(prob, t0, state, step=1e-4)
+    b2, b3 = ge.tau2_tau3(prob, t0, state, step=5e-5)
     assert abs(a2 - b2) / max(abs(a2), 1e-12) < 1e-5
     assert abs(a3 - b3) / max(abs(a3), 1e-12) < 1e-5
 

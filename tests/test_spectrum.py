@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
+from spikedrf import cli
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
 from spikedrf import spectrum as sp
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng
+
+from test_cli import TINY
 
 
 def rf_problem(alpha=0.8, beta=1.5, activation="erf"):
@@ -138,6 +143,64 @@ def test_density_grid_zero_fills_only_fixed_point_failures(monkeypatch):
     monkeypatch.setattr(sp, "solve_fixed_point", broken)
     with pytest.raises(ZeroDivisionError):
         sp.density_grid(prob, 0.5, 1.5, 5)
+
+
+def test_batched_level_failure_is_zero_filled_alone(monkeypatch):
+    prob = rf_problem()
+    reference = sp.density_grid(prob, 0.5, 1.5, 9)
+    target = complex(reference.grid[4], sp.DEFAULT_EPS_SCHEDULE[-1])
+    batch_sizes = []
+    original = de.fixed_point_map
+
+    def poisoned(problem, z, V, nu, b):
+        V1, nu1, b1 = original(problem, z, V, nu, b)
+        hit = z == target
+        if hit.any():
+            batch_sizes.append(len(z))
+            b1 = np.where(hit[:, None], np.nan, b1)
+        return V1, nu1, b1
+
+    monkeypatch.setattr(de, "fixed_point_map", poisoned)
+    curve = sp.density_grid(prob, 0.5, 1.5, 9)
+    assert min(batch_sizes) > 1  # the point failed inside a batched level
+    assert list(np.flatnonzero(~curve.converged)) == [4] and curve.density[4] == 0.0
+    assert curve.im_levels[0][4] == reference.im_levels[0][4]  # it converged at the first eps
+    others = np.arange(9) != 4
+    assert np.array_equal(curve.density[others], reference.density[others])
+    assert np.array_equal(curve.im_levels[:, others], reference.im_levels[:, others])
+    [failure] = curve.failures
+    assert failure["lambda"] == reference.grid[4] and failure["eps"] == target.imag
+    assert "non-finite b" in failure["reason"]
+
+
+def test_partly_cached_grid_is_byte_identical_to_a_cold_run(tmp_path, monkeypatch):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY))
+    cache = tmp_path / "cache.jsonl"
+    grid = ("--grid", "0.02:2.0:20")
+
+    def run(out, *extra):
+        return cli.main(["theory-spectrum", str(config), *grid, "--out", str(tmp_path / out), *extra])
+
+    assert run("cold") == cli.EXIT_OK
+    assert run("full", "--cache", str(cache)) == cli.EXIT_OK
+    lines = cache.read_text().splitlines(keepends=True)
+    cache.write_text("".join(lines[::2]))  # every other state, at every eps level
+    batch_sizes = []
+    solve_batch = sp.solve_batch
+
+    def recorded(problem, zs, starts, **kw):
+        batch_sizes.append(len(zs))
+        return solve_batch(problem, zs, starts, **kw)
+
+    monkeypatch.setattr(sp, "solve_batch", recorded)
+    assert run("part", "--cache", str(cache)) == cli.EXIT_OK
+    manifest = json.loads((tmp_path / "part" / "manifest.json").read_text())
+    assert manifest["cache_hits"] == 30 and manifest["cache_misses"] == 30
+    assert max(batch_sizes) > 1
+    cold = (tmp_path / "cold" / "theory_spectrum.csv").read_bytes()
+    assert (tmp_path / "full" / "theory_spectrum.csv").read_bytes() == cold
+    assert (tmp_path / "part" / "theory_spectrum.csv").read_bytes() == cold
 
 
 def test_rf_finite_size_overlay_small():

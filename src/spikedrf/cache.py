@@ -1,8 +1,8 @@
 """Fixed-point cache and run manifests.
 
 The cache is a JSON-lines file keyed by (problem digest, z).  The digest
-covers everything the fixed-point map reads (alpha, beta, normalization, rho,
-pi, the kappa weights, the c1 and residual tables) plus the solver settings
+covers everything the fixed-point map reads (alpha, beta, rho, pi, the
+kappa weights, the c1 and residual tables) plus the solver settings
 that shape a converged state (continuation ladder, default tolerance, package
 version); so a rerun of the same theory under another seed or n0 reuses the
 file, and a changed theory or solver never reads a stale state.  Density grid
@@ -30,7 +30,7 @@ def _problem_digest(problem: DetEquivProblem) -> str:
     """Digest of the theory content the fixed-point map reads, plus the solver settings."""
     h = hashlib.sha256()
     settings = [_VERSION, LADDER_TOP, LADDER_FACTOR, LADDER_FLOOR, DEFAULT_TOL]
-    scalars = [problem.alpha, problem.beta, problem.normalization, list(problem.rho), list(problem.c1.shape)]
+    scalars = [problem.alpha, problem.beta, list(problem.rho), list(problem.c1.shape)]
     h.update(json.dumps(settings + scalars).encode())
     for arr in (problem.pi, problem.kappa_w, problem.c1, problem.resid):
         h.update(np.ascontiguousarray(arr, dtype=float).tobytes())

@@ -53,6 +53,16 @@ def _load_config(path: str, for_theory: bool) -> ExperimentConfig:
     return config
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_grid(spec: str):
     try:
         lo, hi, pts = spec.split(":")
@@ -316,11 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="Monte Carlo of the two-step pipeline")
     sim.add_argument("config")
-    sim.add_argument("--seeds", type=int, default=1)
+    sim.add_argument("--seeds", type=_positive_int, default=1)
     sim.add_argument("--out", default="out")
     sim.add_argument("--spectrum", action="store_true", help="also record bulk eigenvalues")
     sim.add_argument("--eig-csv", action="store_true", help="stream eigenvalues as CSV, one per line")
-    sim.add_argument("--jobs", type=int, default=1)
+    sim.add_argument("--jobs", type=_positive_int, default=1)
     sim.set_defaults(func=cmd_simulate)
 
     ts = sub.add_parser("theory-spectrum", help="deterministic bulk density on a grid")
@@ -338,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     cp = sub.add_parser("compare", help="simulation vs theory with pass/fail tolerances")
     cp.add_argument("config")
-    cp.add_argument("--seeds", type=int, default=3)
+    cp.add_argument("--seeds", type=_positive_int, default=3)
     cp.add_argument("--out", default="out")
     cp.add_argument("--grid", default=None, help="density grid min:max:points (default: auto from eigenvalues)")
     cp.add_argument("--tol-ks", type=float, default=DEFAULT_KS_TOL)
     cp.add_argument("--tol-generror", type=float, default=DEFAULT_GENERROR_TOL)
-    cp.add_argument("--jobs", type=int, default=1)
+    cp.add_argument("--jobs", type=_positive_int, default=1)
     cp.set_defaults(func=cmd_compare)
     return parser
 

@@ -15,15 +15,11 @@ with c1 the shifted first Hermite coefficient and r the order->=2 Parseval
 residual.  The Stieltjes transform of the bulk feature covariance is
 m(z) = (1/beta) sum_q b_q(z).
 
-Normalization convention
-------------------------
-The literature states this system with alpha in place of alpha/beta and
-m = beta * sum(b); for beta != 1 that combination is not self-consistent
-(it violates m ~ -1/z).  The convention above ("spectral", the default) is
-re-derived from leave-one-out arguments and is frozen by the random-features
-cross-check in the acceptance suite.  The literal printed combination is kept
-as normalization="printed" purely so the calibration test can demonstrate
-the mismatch.
+The literature prints this system with alpha in place of alpha/beta and
+m = beta * sum(b); for beta != 1 that combination breaks m ~ -1/z.  The
+form above is re-derived from leave-one-out arguments and frozen by the
+random-features cross-check in the acceptance suite, which also shows the
+printed form failing it.
 
 A perturbation pair rho = (rho1, rho2) tilts the quadratic form by
 rho1 * (E[c1 c1^T])_e o WW^T + rho2 * diag(E[r])_e; inside the equations this
@@ -54,9 +50,6 @@ import numpy as np
 
 from .model import ActivationSpec, ExperimentConfig, LinkSpec
 from .quadrature import DEFAULT_OUTER_NODES, cached_rule, hermite_tables
-
-NORMALIZATION_SPECTRAL = "spectral"
-NORMALIZATION_PRINTED = "printed"
 
 LADDER_TOP = 10.0
 LADDER_FACTOR = 0.7
@@ -103,7 +96,6 @@ class DetEquivProblem:
     g: np.ndarray
     sigma: ActivationSpec | None = None
     link: LinkSpec | None = None
-    normalization: str = NORMALIZATION_SPECTRAL
     rho: tuple = (0.0, 0.0)
 
     @property
@@ -112,14 +104,8 @@ class DetEquivProblem:
 
     @property
     def sample_factor(self) -> float:
-        """Weight of the data average in the kernels: alpha/beta (spectral) or alpha (printed)."""
-        if self.normalization == NORMALIZATION_SPECTRAL:
-            return self.alpha / self.beta
-        return self.alpha
-
-    @property
-    def stieltjes_prefactor(self) -> float:
-        return 1.0 / self.beta if self.normalization == NORMALIZATION_SPECTRAL else self.beta
+        """Weight of the data average in the kernels: alpha/beta."""
+        return self.alpha / self.beta
 
     @functools.cached_property
     def cbar(self) -> np.ndarray:
@@ -158,7 +144,6 @@ def build_problem(
     pi: Sequence[float],
     alpha: float,
     beta: float,
-    normalization: str = NORMALIZATION_SPECTRAL,
 ) -> DetEquivProblem:
     zeta_u = np.asarray(zeta_u, dtype=float)
     pi = np.asarray(pi, dtype=float)
@@ -179,14 +164,10 @@ def build_problem(
         g=link.fn(outer.nodes),
         sigma=activation,
         link=link,
-        normalization=normalization,
     )
 
 
-def problem_from_config(
-    config: ExperimentConfig,
-    normalization: str = NORMALIZATION_SPECTRAL,
-) -> DetEquivProblem:
+def problem_from_config(config: ExperimentConfig) -> DetEquivProblem:
     _, pi = config.vocab.as_arrays()
     return build_problem(
         config.activation_spec(),
@@ -195,7 +176,6 @@ def problem_from_config(
         pi,
         alpha=config.alpha,
         beta=config.beta,
-        normalization=normalization,
     )
 
 
@@ -319,11 +299,7 @@ def _map_rows(problem: DetEquivProblem, z: np.ndarray, V: np.ndarray, nu: np.nda
     nu_new = sf * (problem.resid.T @ wd[:, :, None])[:, :, 0]
     V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new)
     L_new = _solve_L(V_new_eff, b)
-    if problem.normalization == NORMALIZATION_SPECTRAL:
-        b_new = problem.pi * problem.beta / (np.diagonal(L_new, axis1=1, axis2=2) + nu_new_eff - z[:, None])
-    else:
-        M = L_new + _diag_embed(nu_new_eff) - z[:, None, None] * np.eye(problem.k)
-        b_new = problem.pi * problem.beta * np.diagonal(np.linalg.inv(M), axis1=1, axis2=2)
+    b_new = problem.pi * problem.beta / (np.diagonal(L_new, axis1=1, axis2=2) + nu_new_eff - z[:, None])
     return V_new, nu_new, b_new
 
 
@@ -441,8 +417,8 @@ def solve_fixed_point(
 
 
 def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> complex:
-    """m(z) = prefactor * sum_q b_q(z) under the frozen normalization convention."""
-    return complex(problem.stieltjes_prefactor * np.sum(state.b))
+    """m(z) = (1/beta) sum_q b_q(z)."""
+    return complex(1.0 / problem.beta * np.sum(state.b))
 
 
 # --------------------------------------------------------------------------- #
@@ -504,7 +480,6 @@ def ge_functionals(
     state: FixedPointState,
     theta: np.ndarray,
     groups: np.ndarray,
-    kernels: DerivedKernels | None = None,
 ) -> GeSummary:
     """Top-left block, bulk diagonal, and trace of the equivalent resolvent.
 
@@ -512,7 +487,7 @@ def ge_functionals(
     object in the Schur complement reduces to k x k algebra plus diagonals,
     so no dense (k+1+p)-square inverse is formed.
     """
-    kern = kernels or blocks(problem, state)
+    kern = blocks(problem, state)
     k = problem.k
     sf = problem.sample_factor
     V_eff, _ = _effective(problem, state.V, state.nu)

@@ -15,13 +15,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 from scipy.special import erf as _erf
 
-from .quadrature import DEFAULT_INNER_NODES, QuadratureRule, cached_rule, hermite_tables
+from .quadrature import DEFAULT_INNER_NODES, cached_rule, hermite_tables
 
 
 class ConfigError(ValueError):
@@ -33,8 +34,21 @@ class ConfigError(ValueError):
 # --------------------------------------------------------------------------- #
 
 
+class _GaussianMoments:
+    """Gaussian moments of the pointwise function `self.fn`, on the inner quadrature rule."""
+
+    def first_coeff(self) -> float:
+        """E[f(z) z]: c1 of an activation, c1* (= E[g'(z)] for differentiable g) of a link."""
+        rule = cached_rule(DEFAULT_INNER_NODES)
+        return float(rule.weights @ (self.fn(rule.nodes) * rule.nodes))
+
+    def mean(self) -> float:
+        rule = cached_rule(DEFAULT_INNER_NODES)
+        return float(rule.weights @ self.fn(rule.nodes))
+
+
 @dataclass(frozen=True)
-class ActivationSpec:
+class ActivationSpec(_GaussianMoments):
     """Pointwise activation sigma with derivative, for training and Hermite data."""
 
     name: str
@@ -42,48 +56,29 @@ class ActivationSpec:
     deriv: Callable[[np.ndarray], np.ndarray]
     kink_points: tuple = ()
 
-    def first_coeff(self, rule: QuadratureRule | None = None) -> float:
-        """c1 = E[sigma(z) z]."""
-        rule = rule or cached_rule(DEFAULT_INNER_NODES)
-        return float(rule.weights @ (self.fn(rule.nodes) * rule.nodes))
-
-    def mean(self, rule: QuadratureRule | None = None) -> float:
-        rule = rule or cached_rule(DEFAULT_INNER_NODES)
-        return float(rule.weights @ self.fn(rule.nodes))
-
-    def is_odd(self, tol: float = 1e-8, rule: QuadratureRule | None = None) -> bool:
-        rule = rule or cached_rule(DEFAULT_INNER_NODES)
+    def is_odd(self) -> bool:
+        rule = cached_rule(DEFAULT_INNER_NODES)
         asym = self.fn(rule.nodes) + self.fn(-rule.nodes)
-        return float(rule.weights @ asym**2) < tol
+        return float(rule.weights @ asym**2) < 1e-8
 
-    def validate_derivative(self, rng: np.random.Generator | None = None, tol: float = 1e-6) -> None:
+    def validate_derivative(self) -> None:
         """Central finite differences at 20 random points, away from kinks."""
-        rng = rng or np.random.default_rng(0)
-        pts = rng.normal(size=200)
+        pts = np.random.default_rng(0).normal(size=200)
         for kink in self.kink_points:
             pts = pts[np.abs(pts - kink) > 1e-2]
         pts = pts[:20]
         h = 1e-6
         fd = (self.fn(pts + h) - self.fn(pts - h)) / (2 * h)
-        if not np.allclose(fd, self.deriv(pts), atol=tol, rtol=tol):
+        if not np.allclose(fd, self.deriv(pts), atol=1e-6, rtol=1e-6):
             raise ConfigError(f"derivative of activation '{self.name}' disagrees with finite differences")
 
 
 @dataclass(frozen=True)
-class LinkSpec:
+class LinkSpec(_GaussianMoments):
     """Target link g; only pointwise evaluation is needed."""
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-
-    def first_coeff(self, rule: QuadratureRule | None = None) -> float:
-        """c1* = E[g(z) z] (= E[g'(z)] for differentiable g)."""
-        rule = rule or cached_rule(DEFAULT_INNER_NODES)
-        return float(rule.weights @ (self.fn(rule.nodes) * rule.nodes))
-
-    def mean(self, rule: QuadratureRule | None = None) -> float:
-        rule = rule or cached_rule(DEFAULT_INNER_NODES)
-        return float(rule.weights @ self.fn(rule.nodes))
 
 
 _SQRT6 = math.sqrt(6.0)
@@ -153,8 +148,11 @@ class VocabularySpec:
         object.__setattr__(self, "pi", pi)
         if len(zeta) != len(pi) or len(zeta) == 0:
             raise ConfigError("vocabulary needs matching, non-empty zeta and pi lists")
-        if any(w <= 0 for w in pi) or abs(sum(pi) - 1.0) > 1e-12:
+        # written so that a NaN fails each test
+        if not all(w > 0 for w in pi) or not abs(sum(pi) - 1.0) <= 1e-12:
             raise ConfigError(f"vocabulary probabilities must be positive and sum to 1, got {pi}")
+        if not all(math.isfinite(z) for z in zeta):
+            raise ConfigError(f"vocabulary values must be finite, got {zeta}")
         if len(set(zeta)) != len(zeta):
             raise ConfigError(f"vocabulary values must be pairwise distinct, got {zeta}")
 
@@ -169,6 +167,15 @@ class VocabularySpec:
 def default_n0(d: int) -> int:
     # the asymptotics need n0 = Omega(d^{1+eps}); exponent 1.2 keeps desk-scale cost sane
     return int(math.ceil(d**1.2))
+
+
+def _integer(name: str, value) -> int:
+    """`value` as an int; a bool, a non-number or a number with a fractional part is a ConfigError."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 _CONFIG_KEYS = {"d", "p", "n", "n0", "eta_tilde", "lambda", "seed", "activation", "link", "vocab"}
@@ -191,13 +198,16 @@ class ExperimentConfig:
     n0: int | None = None
 
     def __post_init__(self):
-        for name in ("d", "p", "n"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n0 is None:
-            object.__setattr__(self, "n0", default_n0(self.d))
-        if self.n0 < 1:
-            raise ConfigError(f"n0 must be >= 1, got {self.n0}")
+        for name, least in (("d", 1), ("p", 1), ("n", 1), ("seed", 0), ("n0", 1)):
+            if name == "n0" and self.n0 is None:
+                object.__setattr__(self, "n0", default_n0(self.d))
+            value = _integer(name, getattr(self, name))
+            if value < least:
+                raise ConfigError(f"{name} must be >= {least}, got {value}")
+            object.__setattr__(self, name, value)
+        for name, key in (("eta_tilde", "eta_tilde"), ("lam", "lambda")):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{key} must be finite, got {getattr(self, name)}")
         get_activation(self.activation)
         get_link(self.link)
 
@@ -254,13 +264,13 @@ class ExperimentConfig:
             raise ConfigError(f"unknown vocab keys: {sorted(unknown_v)}")
         vocab = VocabularySpec(zeta=tuple(vocab_raw["zeta"]), pi=tuple(vocab_raw["pi"]))
         return cls(
-            d=int(data["d"]),
-            p=int(data["p"]),
-            n=int(data["n"]),
-            n0=int(data["n0"]) if "n0" in data else None,
+            d=data["d"],
+            p=data["p"],
+            n=data["n"],
+            n0=_integer("n0", data["n0"]) if "n0" in data else None,
             eta_tilde=float(data["eta_tilde"]),
             lam=float(data["lambda"]),
-            seed=int(data["seed"]),
+            seed=data["seed"],
             activation=str(data["activation"]),
             link=str(data["link"]),
             vocab=vocab,
@@ -322,24 +332,16 @@ def validate_config(config: ExperimentConfig, for_theory: bool = True) -> Valida
     return report
 
 
-def check_nondegeneracy(
-    vocab: VocabularySpec | Sequence[float],
-    activation: ActivationSpec,
-    m: int | None = None,
-    sv_threshold: float = 1e-8,
-) -> bool:
+def check_nondegeneracy(vocab: VocabularySpec | Sequence[float], activation: ActivationSpec) -> bool:
     """True iff the functions kappa -> c1(kappa, zeta_q) span R^k over the kappa grid.
 
-    Sampled on m quadrature nodes; rank via the singular-value ratio.
+    Sampled on max(127, 4k) quadrature nodes; rank via the singular-value ratio.
     """
     zetas = np.asarray(vocab.zeta if isinstance(vocab, VocabularySpec) else vocab, dtype=float)
-    k = len(zetas)
-    m = m or max(DEFAULT_INNER_NODES, 4 * k)
-    if m < k:
-        raise ConfigError(f"need at least k={k} sample points, got {m}")
+    m = max(DEFAULT_INNER_NODES, 4 * len(zetas))
     _, mat, _ = hermite_tables(activation.fn, cached_rule(m).nodes, zetas)
     sv = np.linalg.svd(mat, compute_uv=False)
-    return bool(sv[-1] > sv_threshold * sv[0])
+    return bool(sv[-1] > 1e-8 * sv[0])
 
 
 # --------------------------------------------------------------------------- #

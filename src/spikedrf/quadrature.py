@@ -144,7 +144,6 @@ def hermite_tables(
     sigma: Callable[[np.ndarray], np.ndarray],
     kappa: np.ndarray,
     zeta_u: Sequence[float],
-    rule: QuadratureRule | None = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Tables (c0, c1, r) at every (kappa_i, zeta_q), each of shape (len(kappa), len(zeta_u)).
 
@@ -155,9 +154,9 @@ def hermite_tables(
     c0, c1, resid = (np.empty((len(kappa), len(zeta_u))) for _ in range(3))
     for q, zeta in enumerate(zeta_u):
         shifts = kappa * zeta
-        coeffs = shifted_coeffs(sigma, shifts, 1, rule)
+        coeffs = shifted_coeffs(sigma, shifts, 1)
         c0[:, q], c1[:, q] = coeffs[:, 0], coeffs[:, 1]
-        resid[:, q] = residual_table(sigma, shifts, rule)
+        resid[:, q] = residual_table(sigma, shifts)
     return c0, c1, resid
 
 
@@ -173,10 +172,8 @@ def hermite_tail_check(
     sigma: Callable[[np.ndarray], np.ndarray],
     max_order: int,
     threshold: float = 1e-8,
-    shift: float = 0.0,
-    rule: QuadratureRule | None = None,
 ) -> TailReport:
-    """Mass above `max_order` in the Hermite expansion of sigma(. + shift).
+    """Mass above `max_order` in the Hermite expansion of sigma.
 
     Computed as the Parseval difference E[sigma^2] - sum_{l<=L} c_l^2; a fail
     is reported, never raised, so slowly-decaying activations can be flagged
@@ -184,9 +181,9 @@ def hermite_tail_check(
     """
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
-    shifts = np.array([shift], dtype=float)
-    c = shifted_coeffs(sigma, shifts, max_order, rule)[0]
-    m2 = shifted_second_moment(sigma, shifts, rule)[0]
+    shifts = np.zeros(1)
+    c = shifted_coeffs(sigma, shifts, max_order)[0]
+    m2 = shifted_second_moment(sigma, shifts)[0]
     tail = float(m2 - np.sum(c**2))
     tail = max(tail, 0.0)
     return TailReport(max_order=max_order, tail_mass=tail, threshold=threshold, passed=tail < threshold)

@@ -91,7 +91,7 @@ def spike_vector(a0: np.ndarray, eta: float, c1: float, cstar1: float) -> np.nda
 
 
 def spike_directions(X0: np.ndarray, y0: np.ndarray, cstar1: float):
-    """Raw first-batch spike direction v = X0^T y0 / n0 and its unit normalization.
+    """Raw first-batch spike direction v = X0^T y0 / n0 and its unit-length form.
 
     The raw vector concentrates on c1* w*; only the c1* scale is used (never
     E[g], which vanishes for centered links), and the unit form is what the
@@ -108,13 +108,12 @@ def spiked_approximation(W0: np.ndarray, a0: np.ndarray, eta: float, w_star: np.
     return W0 + np.outer(u, w_star)
 
 
-def operator_norm(M: np.ndarray, tol: float = 1e-8, max_iter: int = 500, rng_seed: int = 7) -> float:
-    """Largest singular value by power iteration on M^T M."""
-    rng = np.random.default_rng(rng_seed)
-    v = rng.standard_normal(M.shape[1])
+def operator_norm(M: np.ndarray) -> float:
+    """Largest singular value by power iteration on M^T M, to relative tolerance 1e-8."""
+    v = np.random.default_rng(7).standard_normal(M.shape[1])
     v /= np.linalg.norm(v)
     sigma_prev = 0.0
-    for _ in range(max_iter):
+    for _ in range(500):
         w = M @ v
         v = M.T @ w
         nv = np.linalg.norm(v)
@@ -122,17 +121,17 @@ def operator_norm(M: np.ndarray, tol: float = 1e-8, max_iter: int = 500, rng_see
             return 0.0
         v /= nv
         sigma = np.sqrt(nv)
-        if abs(sigma - sigma_prev) <= tol * max(sigma, 1.0):
+        if abs(sigma - sigma_prev) <= 1e-8 * max(sigma, 1.0):
             return float(sigma)
         sigma_prev = sigma
-    raise SimulationError(f"power iteration did not converge within {max_iter} iterations (last sigma {sigma_prev:.6g})")
+    raise SimulationError(f"power iteration did not converge within 500 iterations (last sigma {sigma_prev:.6g})")
 
 
-def spike_deviation(W1: np.ndarray, W_tilde: np.ndarray, tol: float = 1e-8) -> float:
+def spike_deviation(W1: np.ndarray, W_tilde: np.ndarray) -> float:
     """Operator norm of W1 - W_tilde."""
     if W1.shape != W_tilde.shape:
         raise ValueError("shape mismatch")
-    return operator_norm(W1 - W_tilde, tol=tol)
+    return operator_norm(W1 - W_tilde)
 
 
 # --------------------------------------------------------------------------- #
@@ -458,7 +457,6 @@ def run_experiment(
     seed_index: int = 0,
     compute_spectrum: bool = False,
     compute_spike_deviation: bool = False,
-    n_test: int = DEFAULT_TEST_POINTS,
     pretrained: tuple | None = None,
     include_init_output: bool = True,
 ) -> RunResult:
@@ -495,7 +493,7 @@ def run_experiment(
     u = spike_vector(layer.a0, config.eta, c1, cstar1)
     model = TrainedModel(W0=W0, W1=W1, a0=layer.a0, a_hat=a_hat, u=u, theta=theta, w_star=w_star, second_layer=layer)
 
-    err, stderr = empirical_generror(a_hat, W1, link, w_star, sigma, rng, n_test=n_test)
+    err, stderr = empirical_generror(a_hat, W1, link, w_star, sigma, rng)
     tau = empirical_tau(a_hat, layer.groups, theta, W0, sigma, config.spike_vocabulary())
 
     eigs = bulk_spectrum(feats.phi_tilde) if compute_spectrum else None

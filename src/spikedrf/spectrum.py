@@ -33,14 +33,9 @@ from .detequiv import (
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
 
 
-def stieltjes(
-    problem: DetEquivProblem,
-    z: complex,
-    warm_start: FixedPointState | None = None,
-) -> complex:
+def stieltjes(problem: DetEquivProblem, z: complex) -> complex:
     """m(z) of the bulk feature covariance from a converged fixed point."""
-    state = solve_fixed_point(problem, z, warm_start=warm_start)
-    return stieltjes_from_state(problem, state)
+    return stieltjes_from_state(problem, solve_fixed_point(problem, z))
 
 
 @dataclass
@@ -175,8 +170,8 @@ def support_edges(curve: DensityCurve, threshold: float = 1e-4) -> list:
     return edges
 
 
-def support_width(curve: DensityCurve, threshold: float = 1e-4) -> float:
-    edges = support_edges(curve, threshold)
+def support_width(curve: DensityCurve) -> float:
+    edges = support_edges(curve)
     if not edges:
         return 0.0
     return edges[-1][1] - edges[0][0]
@@ -199,9 +194,9 @@ def ks_distance(eigenvalues: np.ndarray, curve: DensityCurve) -> float:
     return float(max(np.max(d_right), np.max(d_left), tail))
 
 
-def auto_grid(eigenvalues: np.ndarray, points: int = 300, pad: float = 1.15) -> tuple:
-    """Grid bounds covering an empirical bulk (positive part), padded past the edge."""
+def auto_grid(eigenvalues: np.ndarray) -> tuple:
+    """300-point grid bounds covering an empirical bulk (positive part), padded 15% past the edge."""
     pos = eigenvalues[eigenvalues > 1e-10]
     if len(pos) == 0:
-        return 1e-3, 1.0, points
-    return max(1e-3, 0.5 * pos.min()), pad * pos.max(), points
+        return 1e-3, 1.0, 300
+    return max(1e-3, 0.5 * pos.min()), 1.15 * pos.max(), 300

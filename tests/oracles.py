@@ -12,7 +12,6 @@ from typing import Callable
 import numpy as np
 
 from spikedrf.detequiv import (
-    NORMALIZATION_SPECTRAL,
     DerivedKernels,
     DetEquivProblem,
     FixedPointState,
@@ -67,8 +66,13 @@ def residual_second_moment(
     return max(r, 0.0)
 
 
-def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState) -> tuple:
-    """(V', nu', b') of one state: the map written for a single spectral point, operation for operation."""
+def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState, printed: bool = False) -> tuple:
+    """(V', nu', b') of one state: the map written for a single spectral point, operation for operation.
+
+    printed=True is the form the literature prints (alpha in place of
+    alpha/beta, b from the diagonal of the full k x k inverse), which the
+    package does not implement; the acceptance suite shows it failing.
+    """
     z, V, nu, b = state.z, state.V, state.nu, state.b
     V_eff, _ = _effective(problem, V, nu)
     L = _solve_L(V_eff, b)
@@ -76,16 +80,16 @@ def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState) -> 
     quad = np.einsum("mq,qr,mr->m", problem.c1, psi, problem.c1)
     chi = (quad + problem.resid @ b) / problem.beta
     wd = problem.kappa_w / (1.0 + chi)
-    sf = problem.sample_factor
+    sf = problem.alpha if printed else problem.sample_factor
     V_new = sf * (problem.c1.T @ (problem.c1 * wd[:, None]))
     nu_new = sf * (problem.resid.T @ wd)
     V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new)
     L_new = _solve_L(V_new_eff, b)
-    if problem.normalization == NORMALIZATION_SPECTRAL:
-        b_new = problem.pi * problem.beta / (np.diag(L_new) + nu_new_eff - z)
-    else:
+    if printed:
         M = L_new + np.diag(nu_new_eff) - z * np.eye(problem.k)
         b_new = problem.pi * problem.beta * np.diag(np.linalg.inv(M))
+    else:
+        b_new = problem.pi * problem.beta / (np.diag(L_new) + nu_new_eff - z)
     return V_new, nu_new, b_new
 
 

@@ -14,7 +14,8 @@ from spikedrf.cache import FixedPointCache
 
 from test_cli import TINY
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -63,3 +64,12 @@ def test_tracer_counts_a_theory_spectrum_run(tmp_path):
     metrics = traced_cli_run(tmp_path, "theory-spectrum", "--grid", "0.02:2.0:20")
     assert metrics["spectrum.points"] == 20 and metrics["spectrum.unconverged"] == 0
     assert metrics["detequiv.map_calls"] > 0
+
+
+def test_tracer_times_every_simulate_layer(tmp_path):
+    # the tracer binds gradient_step's X0, W0 and chunk by name to time its reference GEMM pair
+    metrics = traced_cli_run(tmp_path, "simulate", "--spectrum")
+    declared = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    layers = [name for name in declared if name.startswith("simulate.") and name.endswith("_s")]
+    assert len(layers) == 10 and all(metrics[name] > 0 for name in layers)
+    assert metrics["simulate.gradient_step_gemm_ratio"] > 0

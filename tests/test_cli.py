@@ -47,6 +47,25 @@ def test_invalid_json_and_unknown_key(tmp_path):
     assert run("simulate", bad, "--out", tmp_path / "o2") == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare"])
+@pytest.mark.parametrize("changes", [{"seed": -1}, {"d": 60.9}, {"n0": True}, {"lambda": float("nan")}],
+                         ids=["negative-seed", "fractional-d", "bool-n0", "nan-lambda"])
+def test_malformed_numbers_in_config_exit_2(tmp_path, capsys, command, changes):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY, **changes}))
+    assert run(command, path, "--seeds", 1, "--out", tmp_path / "o") == cli.EXIT_USAGE
+    assert "invalid config" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [("simulate", "--seeds", 0), ("simulate", "--jobs", 0),
+                                  ("compare", "--seeds", 0), ("compare", "--jobs", -2)])
+def test_seeds_and_jobs_below_one_exit_2(config_path, tmp_path, capsys, argv):
+    assert run(argv[0], config_path, *argv[1:], "--out", tmp_path / "o") == cli.EXIT_USAGE
+    assert f"argument {argv[1]}: must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_on_bad_subcommand(config_path, tmp_path):
     assert run("frobnicate", config_path) == cli.EXIT_USAGE
 

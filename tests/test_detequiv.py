@@ -331,10 +331,10 @@ BATCH_PROBLEMS = pytest.mark.parametrize(
     [
         small_problem(k=1),
         small_problem(k=2),
-        small_problem(k=2, normalization=de.NORMALIZATION_PRINTED),
         small_problem(k=2).perturbed((1e-4, 0.0)),
+        small_problem(k=2).perturbed((0.0, -1e-4)),
     ],
-    ids=["k1", "k2", "k2-printed", "k2-perturbed"],
+    ids=["k1", "k2", "k2-perturbed", "k2-perturbed-rho2"],
 )
 
 

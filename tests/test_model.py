@@ -62,6 +62,31 @@ def test_n0_default_growth():
     assert cfg.n0 == default_n0(cfg.d) == int(np.ceil(cfg.d**1.2))
 
 
+@pytest.mark.parametrize(
+    "key, value, match",
+    [
+        ("seed", -1, "seed must be >= 0"),
+        ("d", 60.9, "d must be an integer"),
+        ("p", True, "p must be an integer"),
+        ("n", "2730", "n must be an integer"),
+        ("n0", 5000.5, "n0 must be an integer"),
+        ("n0", None, "n0 must be an integer"),
+        ("seed", False, "seed must be an integer"),
+        ("lambda", float("nan"), "lambda must be finite"),
+        ("eta_tilde", float("inf"), "eta_tilde must be finite"),
+    ],
+)
+def test_malformed_numbers_rejected(key, value, match):
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict({**fig2_config().to_dict(), key: value})
+
+
+def test_integral_floats_are_integers():
+    cfg = ExperimentConfig.from_dict({**fig2_config().to_dict(), "d": 1365.0, "seed": 0.0})
+    assert cfg == fig2_config() and type(cfg.d) is int and type(cfg.seed) is int
+    assert cfg.config_hash() == fig2_config().config_hash()
+
+
 def test_ratios_derived_not_stored():
     cfg = fig2_config()
     assert cfg.alpha == cfg.n / cfg.d
@@ -79,6 +104,13 @@ def test_fig2_config_valid_with_warnings():
 def test_bad_probabilities_structural():
     with pytest.raises(ConfigError):
         VocabularySpec(zeta=(1.0, 2.0), pi=(0.5, 0.6))
+
+
+def test_nan_vocabulary_structural():
+    with pytest.raises(ConfigError, match="probabilities"):
+        VocabularySpec(zeta=(1.0,), pi=(float("nan"),))
+    with pytest.raises(ConfigError, match="finite"):
+        VocabularySpec(zeta=(float("nan"),), pi=(1.0,))
 
 
 def test_duplicate_zeta_structural():

@@ -37,7 +37,7 @@ class UsageError(Exception):
     pass
 
 
-def _load_config(path: str, for_theory: bool) -> ExperimentConfig:
+def _load_config(path: str) -> ExperimentConfig:
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {p}")
@@ -45,7 +45,7 @@ def _load_config(path: str, for_theory: bool) -> ExperimentConfig:
         config = ExperimentConfig.from_file(p)
     except (ConfigError, json.JSONDecodeError, KeyError, TypeError) as exc:
         raise UsageError(f"invalid config {p}: {exc}") from exc
-    report = validate_config(config, for_theory=for_theory)
+    report = validate_config(config)
     for w in report.warnings:
         print(f"warning: {w}", file=sys.stderr)
     if not report.valid:
@@ -127,7 +127,7 @@ def _run_seeds(config: ExperimentConfig, seeds: int, compute_spectrum: bool, job
 
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args.config, for_theory=False)
+    config = _load_config(args.config)
     manifest = RunManifest(config_hash=config.config_hash(), command="simulate")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -175,7 +175,7 @@ def _spectrum_csv(path: Path, curve: spectrum.DensityCurve, config_hash: str) ->
 
 
 def cmd_theory_spectrum(args) -> int:
-    config = _load_config(args.config, for_theory=True)
+    config = _load_config(args.config)
     manifest = RunManifest(config_hash=config.config_hash(), command="theory-spectrum")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -235,7 +235,7 @@ def _theory_row(config: ExperimentConfig, alpha: float) -> dict:
 
 
 def cmd_theory_generror(args) -> int:
-    config = _load_config(args.config, for_theory=True)
+    config = _load_config(args.config)
     manifest = RunManifest(config_hash=config.config_hash(), command="theory-generror")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -255,7 +255,7 @@ def cmd_theory_generror(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    config = _load_config(args.config, for_theory=True)
+    config = _load_config(args.config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     checks = []

@@ -122,10 +122,6 @@ class DetEquivProblem:
         """(m, k+1) array of (g(kappa), c0(kappa, zeta_1), ..., c0(kappa, zeta_k))."""
         return np.concatenate([self.g[:, None], self.c0], axis=1)
 
-    @property
-    def link_second_moment(self) -> float:
-        return float(self.kappa_w @ self.g**2)
-
     def with_alpha(self, alpha: float) -> "DetEquivProblem":
         return dataclasses.replace(self, alpha=float(alpha))
 
@@ -422,13 +418,13 @@ def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> co
 
 
 # --------------------------------------------------------------------------- #
-# derived kernels and the assembled equivalent
+# derived kernels
 # --------------------------------------------------------------------------- #
 
 
 @dataclass
 class DerivedKernels:
-    """Kernels derived from a converged state: L, psi, S, the data-averaged blocks.
+    """Kernels derived from a converged state: psi, S, the data-averaged blocks.
 
     A11 is (k+1)x(k+1) over (label, mean_1..mean_k); A21t is the reduced
     k x (k+1) cross block (one row per vocabulary entry); bulk_diag_inv[q] =
@@ -436,7 +432,6 @@ class DerivedKernels:
     chi is chi(kappa) on the outer quadrature nodes.
     """
 
-    L: np.ndarray
     psi: np.ndarray
     S: np.ndarray
     A11: np.ndarray
@@ -454,71 +449,5 @@ def blocks(problem: DetEquivProblem, state: FixedPointState) -> DerivedKernels:
     A21t = sf * np.einsum("m,m,mq,mj->qj", wd, problem.kappa, problem.c1, iota)
     S = problem.c1.T @ (problem.c1 * ((problem.kappa**2 - 1.0) * wd)[:, None])
     bulk_diag_inv = np.diag(L) + nu_eff - state.z
-    return DerivedKernels(L=L, psi=psi, S=S, A11=A11, A21t=A21t, bulk_diag_inv=bulk_diag_inv, chi=chi)
+    return DerivedKernels(psi=psi, S=S, A11=A11, A21t=A21t, bulk_diag_inv=bulk_diag_inv, chi=chi)
 
-
-@dataclass
-class GeSummary:
-    """Functionals of the deterministic equivalent without a dense inverse."""
-
-    C: np.ndarray          # (k+1)x(k+1) top-left block of the inverse
-    bulk_diag: np.ndarray  # p diagonal entries of the inverse on the bulk block
-    trace: complex
-
-    def unit_mass(self, index: int) -> complex:
-        k1 = self.C.shape[0]
-        if index < k1:
-            return complex(self.C[index, index])
-        return complex(self.bulk_diag[index - k1])
-
-    def normalized_trace(self) -> complex:
-        return complex(self.trace / (self.C.shape[0] + len(self.bulk_diag)))
-
-
-def ge_functionals(
-    problem: DetEquivProblem,
-    state: FixedPointState,
-    theta: np.ndarray,
-    groups: np.ndarray,
-) -> GeSummary:
-    """Top-left block, bulk diagonal, and trace of the equivalent resolvent.
-
-    Uses the disjoint-support structure of the group indicators: every p x p
-    object in the Schur complement reduces to k x k algebra plus diagonals,
-    so no dense (k+1+p)-square inverse is formed.
-    """
-    kern = blocks(problem, state)
-    k = problem.k
-    sf = problem.sample_factor
-    V_eff, _ = _effective(problem, state.V, state.nu)
-    K = (V_eff + sf * kern.S).astype(complex)
-
-    d = kern.bulk_diag_inv[groups]      # (p,)
-    dinv = 1.0 / d
-    th2 = theta.astype(complex) ** 2
-    # G = U^T diag(1/d) U is diagonal because group supports are disjoint
-    Gdiag = np.zeros(k, dtype=complex)
-    np.add.at(Gdiag, groups, th2 * dinv)
-    I = np.eye(k, dtype=complex)
-    # (K^{-1} + G)^{-1} = K (I + G K)^{-1}   (no K^{-1} formed)
-    KG_inv = np.linalg.solve(I + Gdiag[:, None] * K, np.eye(k, dtype=complex))
-    mid = K @ KG_inv                     # = K (I + GK)^{-1}
-    # H = U^T M22^{-1} U = G - G mid G
-    H = np.diag(Gdiag) - Gdiag[:, None] * mid * Gdiag[None, :]
-
-    A21t = kern.A21t.astype(complex)
-    C_inv = kern.A11 - state.z * np.eye(k + 1) - A21t.T @ H @ A21t
-    C = np.linalg.inv(C_inv)
-
-    # bulk diagonal of the full inverse:
-    #   M22^{-1}_jj           = 1/d_j - (1/d_j)^2 theta_j^2 mid_{g(j) g(j)}
-    #   correction from Schur = (1/d_j)^2 theta_j^2 [W A21t C A21t^T W^T]_{g(j) g(j)}
-    # with W = I - mid G (so that M22^{-1} U = diag(1/d) U W).
-    W = I - mid * Gdiag[None, :]
-    corr1 = np.diag(mid)                     # from Woodbury on M22
-    inner = W @ A21t @ C @ A21t.T @ W.T      # k x k
-    corr2 = np.diag(inner)
-    bulk_diag = dinv - dinv**2 * th2 * corr1[groups] + dinv**2 * th2 * corr2[groups]
-
-    trace = complex(np.trace(C) + np.sum(bulk_diag))
-    return GeSummary(C=C, bulk_diag=bulk_diag, trace=trace)

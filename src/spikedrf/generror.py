@@ -29,7 +29,6 @@ from .detequiv import (
     blocks,
     solve_fixed_point,
 )
-from .quadrature import hermite_tables
 from .simulate import TauSet
 
 DEFAULT_RHO_STEP = 1e-4
@@ -118,18 +117,6 @@ def asymptotic_tau(problem: DetEquivProblem, lam: float) -> TauSet:
     t1 = tau1(problem, kern, t0)
     t2, t3 = tau2_tau3(problem, t0, state)
     return TauSet(tau0=t0, tau1=t1, tau2=t2, tau3=t3, provenance="asymptotic")
-
-
-def lambda_kappa(tau: TauSet, kappa, problem: DetEquivProblem) -> np.ndarray:
-    """Test-error integrand at arbitrary kappa."""
-    if problem.sigma is None or problem.link is None:
-        raise ValueError("lambda_kappa needs a problem built with activation and link specs")
-    kappa = np.atleast_1d(np.asarray(kappa, dtype=float))
-    c0, c1, _ = hermite_tables(problem.sigma.fn, kappa, problem.zeta_u)
-    g = problem.link.fn(kappa)
-    mean_part = g - c0 @ tau.tau0 - kappa * (c1 @ tau.tau1)
-    spike_var = c1 @ tau.tau1
-    return mean_part**2 - spike_var**2 + tau.tau2 + tau.tau3
 
 
 def expected_lambda(tau: TauSet, problem: DetEquivProblem) -> float:

@@ -8,7 +8,7 @@ vocabulary {zeta_q} with probabilities {pi_q}, scaled by 1/sqrt(p).
 
 Assumption violations that the theory is empirically robust to (sigma not
 odd, E[sigma] != 0, slow n0 growth) are downgraded to warnings; structural
-errors (pi not a distribution, lambda <= 0 for theory evaluation) fail hard.
+errors (pi not a distribution, lambda <= 0) fail hard.
 """
 from __future__ import annotations
 
@@ -142,8 +142,8 @@ class VocabularySpec:
     pi: tuple
 
     def __post_init__(self):
-        zeta = tuple(float(z) for z in self.zeta)
-        pi = tuple(float(w) for w in self.pi)
+        zeta = tuple(_real("zeta", z) for z in self.zeta)
+        pi = tuple(_real("pi", w) for w in self.pi)
         object.__setattr__(self, "zeta", zeta)
         object.__setattr__(self, "pi", pi)
         if len(zeta) != len(pi) or len(zeta) == 0:
@@ -176,6 +176,13 @@ def _integer(name: str, value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """`value` as a float; a bool or a non-number (a string included) is a ConfigError."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
 _CONFIG_KEYS = {"d", "p", "n", "n0", "eta_tilde", "lambda", "seed", "activation", "link", "vocab"}
@@ -268,8 +275,8 @@ class ExperimentConfig:
             p=data["p"],
             n=data["n"],
             n0=_integer("n0", data["n0"]) if "n0" in data else None,
-            eta_tilde=float(data["eta_tilde"]),
-            lam=float(data["lambda"]),
+            eta_tilde=_real("eta_tilde", data["eta_tilde"]),
+            lam=_real("lambda", data["lambda"]),
             seed=data["seed"],
             activation=str(data["activation"]),
             link=str(data["link"]),
@@ -305,14 +312,15 @@ def validate_config(config: ExperimentConfig, for_theory: bool = True) -> Valida
     """Check the working assumptions; soft violations become warnings.
 
     Hard failures: pi not a distribution (already rejected by VocabularySpec),
-    lambda <= 0 when the theory engine will be evaluated at z = -lambda.
+    and, unless for_theory is False, lambda <= 0: lambda is the ridge penalty
+    and the theory's spectral point is z = -lambda.  Every CLI command checks it.
     """
     report = ValidationReport()
     sigma = config.activation_spec()
     link = config.link_spec()
 
     if for_theory and config.lam <= 0:
-        report.errors.append(f"lambda must be > 0 for theory evaluation, got {config.lam}")
+        report.errors.append(f"lambda must be > 0, got {config.lam}")
 
     try:
         sigma.validate_derivative()

@@ -46,9 +46,6 @@ class QuadratureRule:
     nodes: np.ndarray
     weights: np.ndarray
 
-    def expect_fn(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
-        return float(self.weights @ fn(self.nodes))
-
 
 def gauss_hermite_rule(n: int) -> QuadratureRule:
     """Gauss-Hermite rule with `n` nodes, normalized for N(0,1).

@@ -3,8 +3,8 @@
 Pipeline: sample Gaussian single-index data, take one full-batch gradient
 step on the first layer at learning rate eta = eta_tilde * d, fit the second
 layer by ridge regression on fresh data, then measure everything the theory
-predicts: the bulk spectrum of the centered feature covariance, extended
-resolvent traces, the scalar order parameters (tau), and the test error.
+predicts: the bulk spectrum of the centered feature covariance, the scalar
+order parameters (tau), and the test error.
 
 All randomness flows from a counter-based generator, so identical seeds give
 bit-identical runs regardless of thread schedule.
@@ -17,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .model import ActivationSpec, ExperimentConfig, LinkSpec, SecondLayer, make_rng, sample_second_layer
-from .quadrature import DEFAULT_OUTER_NODES, cached_rule, hermite_tables, shifted_coeffs
+from .quadrature import DEFAULT_OUTER_NODES, cached_rule, hermite_tables
 
 DEFAULT_TEST_POINTS = 10_000
 
@@ -90,18 +90,6 @@ def spike_vector(a0: np.ndarray, eta: float, c1: float, cstar1: float) -> np.nda
     return eta * c1 * cstar1 * a0 / np.sqrt(len(a0))
 
 
-def spike_directions(X0: np.ndarray, y0: np.ndarray, cstar1: float):
-    """Raw first-batch spike direction v = X0^T y0 / n0 and its unit-length form.
-
-    The raw vector concentrates on c1* w*; only the c1* scale is used (never
-    E[g], which vanishes for centered links), and the unit form is what the
-    trained direction should be compared against.
-    """
-    v_raw = X0.T @ y0 / len(y0)
-    scaled = v_raw / cstar1
-    return v_raw, scaled / np.linalg.norm(scaled)
-
-
 def spiked_approximation(W0: np.ndarray, a0: np.ndarray, eta: float, w_star: np.ndarray, c1: float, cstar1: float) -> np.ndarray:
     """W0 + u w*^T, the rank-one surrogate for the trained first layer."""
     u = spike_vector(a0, eta, c1, cstar1)
@@ -164,14 +152,6 @@ class ExtendedFeatureMatrix:
             self.phi_bar[:, q] = self.phi[:, sl].mean(axis=1)
             self.phi_tilde[:, sl] -= self.phi_bar[:, q][:, None]
             start += size
-
-    @property
-    def k(self) -> int:
-        return len(self.group_sizes)
-
-    def assembled(self) -> np.ndarray:
-        """Column order (y, mean_1..mean_k, centered features)."""
-        return np.concatenate([self.y[:, None], self.phi_bar, self.phi_tilde], axis=1)
 
 
 def features(W: np.ndarray, X: np.ndarray, sigma: ActivationSpec) -> np.ndarray:
@@ -285,7 +265,7 @@ def empirical_tau(
 
 
 # --------------------------------------------------------------------------- #
-# spectra and resolvent traces
+# spectra
 # --------------------------------------------------------------------------- #
 
 
@@ -301,123 +281,6 @@ def bulk_spectrum(phi_tilde: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SimulationError("eigensolver failed on the bulk covariance") from exc
     return np.sort(np.clip(eigs, 0.0, None))
-
-
-def empirical_stieltjes(eigs: np.ndarray, z: complex) -> complex:
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise ValueError("z must lie off the positive real axis")
-    return complex(np.mean(1.0 / (eigs - z)))
-
-
-@dataclass(frozen=True)
-class TraceFunctional:
-    """Sparse rank-structured test matrix A for Tr(A G_e(z)).
-
-    kind = "unit" (A = e_i e_i^T), "normalized_trace" (A = I/dim), or
-    "rank_one" (A = u v^T).
-    """
-
-    kind: str
-    index: int = 0
-    u: np.ndarray | None = None
-    v: np.ndarray | None = None
-
-
-class EmpiricalExtendedResolvent:
-    """Resolvent functionals of (Phi_e^T Phi_e / p - z I)^{-1}.
-
-    One symmetric eigendecomposition serves every functional and every z; the
-    rank structure (at most n nonzero eigenvalues) is used when n < dim.
-    """
-
-    def __init__(self, phi_e: np.ndarray, p: int):
-        self.n, self.dim = phi_e.shape
-        self.p = p
-        if self.n < self.dim:
-            # nonzero spectrum from the n x n Gram; eigenvectors lifted back
-            small = phi_e @ phi_e.T / p
-            vals, vecs = np.linalg.eigh(small)
-            keep = vals > max(vals.max(), 1.0) * 1e-13
-            lifted = phi_e.T @ vecs[:, keep]
-            lifted /= np.linalg.norm(lifted, axis=0, keepdims=True)
-            self.eigvals = vals[keep]
-            self.eigvecs = lifted
-        else:
-            M = phi_e.T @ phi_e / p
-            self.eigvals, self.eigvecs = np.linalg.eigh(M)
-        self.rank = len(self.eigvals)
-
-    def trace_functional(self, A: TraceFunctional, z: complex) -> complex:
-        res = 1.0 / (self.eigvals - z)
-        if A.kind == "normalized_trace":
-            total = np.sum(res) + (self.dim - self.rank) * (-1.0 / z)
-            return complex(total / self.dim)
-        if A.kind == "unit":
-            row = self.eigvecs[A.index]
-            proj = np.sum(row**2 * res)
-            leftover = 1.0 - np.sum(row**2)
-            return complex(proj + leftover * (-1.0 / z))
-        if A.kind == "rank_one":
-            pu = self.eigvecs.T @ A.u
-            pv = self.eigvecs.T @ A.v
-            val = np.sum(pv * res * pu) + (A.v @ A.u - pv @ pu) * (-1.0 / z)
-            return complex(val)
-        raise ValueError(f"unknown functional kind {A.kind!r}")
-
-
-# --------------------------------------------------------------------------- #
-# bulk-weight covariance diagnostic
-# --------------------------------------------------------------------------- #
-
-
-@dataclass
-class BulkCovarianceReport:
-    empirical: float
-    predicted: float
-
-    @property
-    def rel_gap(self) -> float:
-        return abs(self.empirical - self.predicted) / abs(self.predicted)
-
-
-def bulk_covariance_diagnostic(
-    W0: np.ndarray,
-    a0: np.ndarray,
-    X0: np.ndarray,
-    y0: np.ndarray,
-    eta: float,
-    sigma: ActivationSpec,
-    link: LinkSpec,
-) -> BulkCovarianceReport:
-    """Mean squared row norm of the trained weights with the rank-one signal removed.
-
-    Valid for odd sigma (c2 = 0) and uniform second layer sqrt(p) a_j = 1; the
-    prediction is 1 + E[sigma'_{>1}(xi)^2] etatilde^2 (1/alpha0) E[g(xi)^2]
-    with alpha0 = n0/d (width p = d is assumed by that scaling).
-    """
-    p, d = W0.shape
-    n0 = X0.shape[0]
-    rule = cached_rule(201)
-    c = shifted_coeffs(sigma.fn, np.zeros(1), 2)[0]
-    if abs(c[2]) > 1e-8:
-        raise ValueError(f"diagnostic requires c2(sigma)=0 (odd activation), got c2={c[2]:.3g}")
-    if not np.allclose(a0 * np.sqrt(p), 1.0, atol=1e-12):
-        raise ValueError("diagnostic requires uniform second layer sqrt(p) a_j = 1")
-
-    W1 = gradient_step(W0, a0, X0, y0, eta, sigma)
-    u_raw = eta * c[1] * a0 / np.sqrt(p)
-    v_raw = X0.T @ y0 / n0
-    bulk = W1 - np.outer(u_raw, v_raw)
-    empirical = float(np.mean(np.sum(bulk**2, axis=1)))
-
-    eta_tilde = eta / d
-    alpha0 = n0 / d
-    dsig = sigma.deriv(rule.nodes)
-    e_dsig2 = float(rule.weights @ dsig**2)
-    sig_gt1 = e_dsig2 - c[1] ** 2
-    e_g2 = float(rule.weights @ link.fn(rule.nodes) ** 2)
-    predicted = 1.0 + sig_gt1 * eta_tilde**2 * (1.0 / alpha0) * e_g2
-    return BulkCovarianceReport(empirical=empirical, predicted=predicted)
 
 
 # --------------------------------------------------------------------------- #

@@ -152,31 +152,6 @@ def density_grid(
     )
 
 
-def support_edges(curve: DensityCurve, threshold: float = 1e-4) -> list:
-    """Maximal grid intervals where the density exceeds `threshold`."""
-    if threshold <= 0:
-        raise ValueError("threshold must be > 0")
-    above = curve.density > threshold
-    edges = []
-    start = None
-    for i, flag in enumerate(above):
-        if flag and start is None:
-            start = curve.grid[i]
-        elif not flag and start is not None:
-            edges.append((start, curve.grid[i - 1]))
-            start = None
-    if start is not None:
-        edges.append((start, curve.grid[-1]))
-    return edges
-
-
-def support_width(curve: DensityCurve) -> float:
-    edges = support_edges(curve)
-    if not edges:
-        return 0.0
-    return edges[-1][1] - edges[0][0]
-
-
 def ks_distance(eigenvalues: np.ndarray, curve: DensityCurve) -> float:
     """Kolmogorov-Smirnov distance between an eigenvalue sample and the theory law.
 

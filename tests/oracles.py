@@ -1,9 +1,9 @@
-"""Reference implementations the suite checks the package against.
+"""Reference implementations and paper formulas that only the suite uses.
 
 Scalar forms of the vectorized quadrature routines, the one-state form of
-the batched fixed-point map, and the dense (k+1+p)-square inverse of the
-deterministic equivalent that `detequiv.ge_functionals` computes without
-forming it.
+the batched fixed-point map, the dense (k+1+p)-square inverse of the
+deterministic equivalent, the empirical Stieltjes transform, the support
+edges of a density curve, and the bulk-weight covariance diagnostic.
 """
 from __future__ import annotations
 
@@ -19,13 +19,17 @@ from spikedrf.detequiv import (
     _solve_L,
     blocks,
 )
+from spikedrf.model import ActivationSpec, LinkSpec
 from spikedrf.quadrature import (
     QuadratureError,
     QuadratureRule,
+    cached_rule,
     hermite_basis,
     shifted_coeffs,
     shifted_second_moment,
 )
+from spikedrf.simulate import gradient_step
+from spikedrf.spectrum import DensityCurve
 
 
 def hermite_polynomial(order: int, x) -> np.ndarray | float:
@@ -121,3 +125,72 @@ def assemble_ge(
     U[np.arange(p), groups] = theta
     M[k + 1 :, k + 1 :] = np.diag(kern.bulk_diag_inv[groups]) + (U @ K @ U.T).astype(complex)
     return np.linalg.inv(M)
+
+
+def empirical_stieltjes(eigs: np.ndarray, z: complex) -> complex:
+    """m(z) = mean of 1/(eig - z) over an eigenvalue sample."""
+    return complex(np.mean(1.0 / (eigs - z)))
+
+
+def support_edges(curve: DensityCurve, threshold: float = 1e-4) -> list:
+    """Maximal grid intervals where the density exceeds `threshold`."""
+    if threshold <= 0:
+        raise ValueError("threshold must be > 0")
+    above = curve.density > threshold
+    edges = []
+    start = None
+    for i, flag in enumerate(above):
+        if flag and start is None:
+            start = curve.grid[i]
+        elif not flag and start is not None:
+            edges.append((start, curve.grid[i - 1]))
+            start = None
+    if start is not None:
+        edges.append((start, curve.grid[-1]))
+    return edges
+
+
+def support_width(curve: DensityCurve) -> float:
+    """Distance from the left edge of the first support interval to the right edge of the last."""
+    edges = support_edges(curve)
+    if not edges:
+        return 0.0
+    return edges[-1][1] - edges[0][0]
+
+
+def bulk_covariance_diagnostic(
+    W0: np.ndarray,
+    a0: np.ndarray,
+    X0: np.ndarray,
+    y0: np.ndarray,
+    eta: float,
+    sigma: ActivationSpec,
+    link: LinkSpec,
+) -> tuple:
+    """(empirical, predicted) mean squared row norm of the trained weights with the rank-one signal removed.
+
+    Valid for odd sigma (c2 = 0) and uniform second layer sqrt(p) a_j = 1; the
+    prediction is 1 + E[sigma'_{>1}(xi)^2] etatilde^2 (1/alpha0) E[g(xi)^2]
+    with alpha0 = n0/d (width p = d is assumed by that scaling).
+    """
+    p, d = W0.shape
+    n0 = X0.shape[0]
+    rule = cached_rule(201)
+    c = shifted_coeffs(sigma.fn, np.zeros(1), 2)[0]
+    if abs(c[2]) > 1e-8:
+        raise ValueError(f"diagnostic requires c2(sigma)=0 (odd activation), got c2={c[2]:.3g}")
+    if not np.allclose(a0 * np.sqrt(p), 1.0, atol=1e-12):
+        raise ValueError("diagnostic requires uniform second layer sqrt(p) a_j = 1")
+
+    W1 = gradient_step(W0, a0, X0, y0, eta, sigma)
+    u_raw = eta * c[1] * a0 / np.sqrt(p)
+    v_raw = X0.T @ y0 / n0
+    bulk = W1 - np.outer(u_raw, v_raw)
+    empirical = float(np.mean(np.sum(bulk**2, axis=1)))
+
+    eta_tilde = eta / d
+    alpha0 = n0 / d
+    sig_gt1 = float(rule.weights @ sigma.deriv(rule.nodes) ** 2) - c[1] ** 2
+    e_g2 = float(rule.weights @ link.fn(rule.nodes) ** 2)
+    predicted = 1.0 + sig_gt1 * eta_tilde**2 * (1.0 / alpha0) * e_g2
+    return empirical, predicted

@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import scalar_fixed_point_map
+from oracles import assemble_ge, bulk_covariance_diagnostic, empirical_stieltjes, scalar_fixed_point_map, support_width
 from spikedrf import detequiv as de
 from spikedrf import generror as ge
 from spikedrf import simulate as sim
@@ -121,6 +121,10 @@ def test_criterion_2_trace_equivalence():
 
     Fig.-1 configuration at p = 2048, label-only step (ReLU), n0 = 12d to sit
     inside the n0 = Omega(d^{1+eps}) regime; 3 seeds, gap <= 0.05 per functional.
+    The empirical side goes through the n x n Gram K = Phi_e Phi_e^T / p of the
+    extended features Phi_e = (y, group means, centered features):
+    G_e = (Phi_e^T Phi_e / p - z)^{-1} = -(1/z) (I + Phi_e^T (z - K)^{-1} Phi_e / p).
+    The theory side is the dense inverse of the deterministic equivalent.
     """
     t0 = time.time()
     z = complex(-0.5, 0.1)
@@ -130,17 +134,15 @@ def test_criterion_2_trace_equivalence():
         W0, W1, layer, w_star = train_once(cfg, 0, include_init_output=False)
         X, y, kappa = sim.sample_data(cfg.n, cfg.d, w_star, cfg.link_spec(), make_rng(cfg.seed, 50))
         feats = sim.extended_features(sim.features(W1, X, cfg.activation_spec()), y, kappa, layer.groups, layer.group_sizes)
-        emp = sim.EmpiricalExtendedResolvent(feats.assembled(), cfg.p)
+        phi_e = np.concatenate([y[:, None], feats.phi_bar, feats.phi_tilde], axis=1)
+        dim = phi_e.shape[1]
+        K = phi_e @ phi_e.T / cfg.p
+        R = np.linalg.inv(z * np.eye(cfg.n) - K)
+        label, mean = (-(1 + phi_e[:, i] @ R @ phi_e[:, i] / cfg.p) / z for i in (0, 1))
+        trace = -(dim + np.sum(R * K)) / (z * dim)
         prob = de.problem_from_config(cfg)
-        state = de.solve_fixed_point(prob, z)
-        summ = de.ge_functionals(prob, state, W0 @ w_star, layer.groups)
-        gaps += np.array(
-            [
-                abs(emp.trace_functional(sim.TraceFunctional("unit", 0), z) - summ.unit_mass(0)),
-                abs(emp.trace_functional(sim.TraceFunctional("unit", 1), z) - summ.unit_mass(1)),
-                abs(emp.trace_functional(sim.TraceFunctional("normalized_trace"), z) - summ.normalized_trace()),
-            ]
-        )
+        Ge = assemble_ge(prob, de.solve_fixed_point(prob, z), W0 @ w_star, layer.groups)
+        gaps += np.abs([label - Ge[0, 0], mean - Ge[1, 1], trace - np.trace(Ge) / dim])
     gaps /= 3
     passed = bool(np.all(gaps <= 0.05))
     report(
@@ -201,7 +203,7 @@ def test_criterion_3_rf_limit_and_normalization_freeze():
     sup = 0.0
     for z in zs:
         state = de.solve_fixed_point(prob, z, warm_start=state)
-        sup = max(sup, abs(de.stieltjes_from_state(prob, state) - sim.empirical_stieltjes(eigs, z)))
+        sup = max(sup, abs(de.stieltjes_from_state(prob, state) - empirical_stieltjes(eigs, z)))
     tail_printed = abs(printed_stieltjes(prob, complex(0, t)) * complex(0, -t) - 1)
     passed = ks < 0.03 and tail < 1e-2 and sup < 0.02 and tail_printed > 0.5
     report(
@@ -241,7 +243,7 @@ def test_criterion_4_spectrum_reproduction():
     ks = sp.ks_distance(pooled, curve)
     prob0 = de.problem_from_config(fig1_config(eta_tilde=0.0))
     curve0 = sp.density_grid(prob0, 5e-4, hi, 500, eps_schedule=schedule)
-    w_trained, w_untrained = sp.support_width(curve), sp.support_width(curve0)
+    w_trained, w_untrained = support_width(curve), support_width(curve0)
     passed = ks < 0.03 and w_trained > w_untrained
     report(
         "4",
@@ -517,9 +519,8 @@ def test_criterion_8_anisotropy_diagnostic():
         W0 = sim.sample_first_layer(p, d, rng)
         a0 = np.ones(p) / np.sqrt(p)
         X0, y0, _ = sim.sample_data(4 * d, d, w_star, link, rng)
-        rep = sim.bulk_covariance_diagnostic(W0, a0, X0, y0, 1.0 * d, sigma, link)
-        emps.append(rep.empirical)
-        pred = rep.predicted
+        empirical, pred = bulk_covariance_diagnostic(W0, a0, X0, y0, 1.0 * d, sigma, link)
+        emps.append(empirical)
     gap = abs(np.mean(emps) - pred) / pred
     passed = gap < 0.10
     report("8", passed, f"empirical {np.mean(emps):.5f} vs predicted {pred:.5f}, rel gap {gap:.2%} (tol 10%) [{time.time() - t0:.0f}s]")

@@ -48,14 +48,32 @@ def test_invalid_json_and_unknown_key(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
-@pytest.mark.parametrize("changes", [{"seed": -1}, {"d": 60.9}, {"n0": True}, {"lambda": float("nan")}],
-                         ids=["negative-seed", "fractional-d", "bool-n0", "nan-lambda"])
+@pytest.mark.parametrize(
+    "changes",
+    [{"seed": -1}, {"d": 60.9}, {"n0": True}, {"lambda": float("nan")},
+     {"eta_tilde": True}, {"lambda": True}, {"vocab": {"zeta": [1.0], "pi": [True]}},
+     {"eta_tilde": "1.0"}, {"vocab": {"zeta": ["1.0"], "pi": [1.0]}},
+     {"eta_tilde": "abc"}, {"lambda": "x"}, {"vocab": {"zeta": ["abc"], "pi": [1.0]}}],
+    ids=["negative-seed", "fractional-d", "bool-n0", "nan-lambda",
+         "bool-eta_tilde", "bool-lambda", "bool-pi",
+         "string-eta_tilde", "string-zeta",
+         "word-eta_tilde", "word-lambda", "word-zeta"],
+)
 def test_malformed_numbers_in_config_exit_2(tmp_path, capsys, command, changes):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**TINY, **changes}))
     assert run(command, path, "--seeds", 1, "--out", tmp_path / "o") == cli.EXIT_USAGE
     assert "invalid config" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0])
+def test_simulate_refuses_nonpositive_lambda(tmp_path, capsys, lam):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY, "lambda": lam}))
+    assert run("simulate", path, "--out", tmp_path / "o") == cli.EXIT_USAGE
+    assert "lambda must be > 0" in capsys.readouterr().err
+    assert not list(tmp_path.glob("o/run_seed*.json"))
 
 
 @pytest.mark.parametrize("argv", [("simulate", "--seeds", 0), ("simulate", "--jobs", 0),

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import assemble_ge, scalar_fixed_point_map
+from oracles import assemble_ge, empirical_stieltjes, scalar_fixed_point_map
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng
@@ -70,7 +70,7 @@ def test_identity_activation_matches_eigenvalues():
     prob = de.build_problem(get_activation("identity"), get_link("sin"), [0.0], [1.0], alpha=n / d, beta=p / d)
     for z in [complex(-0.5, 0.3), complex(0.8, 0.2)]:
         m_th = de.stieltjes_from_state(prob, de.solve_fixed_point(prob, z))
-        assert abs(m_th - sim.empirical_stieltjes(eigs, z)) < 0.03
+        assert abs(m_th - empirical_stieltjes(eigs, z)) < 0.03
 
 
 def test_block_wishart_scalar_b_form():
@@ -276,26 +276,6 @@ def test_assemble_ge_toy_cases():
     # hermiticity pattern
     Ge_conj = assemble_ge(prob, de.solve_fixed_point(prob, np.conj(z)), theta, groups)
     assert np.max(np.abs(Ge_conj - Ge.conj())) < 1e-10
-    # functional route agrees with the dense inverse
-    summ = de.ge_functionals(prob, st, theta, groups)
-    assert abs(summ.unit_mass(0) - Ge[0, 0]) < 1e-12
-    assert abs(summ.unit_mass(1) - Ge[1, 1]) < 1e-12
-    assert np.max(np.abs(summ.bulk_diag - np.diag(Ge)[2:])) < 1e-12
-    assert abs(summ.normalized_trace() - np.trace(Ge) / (p + 2)) < 1e-12
-
-
-def test_ge_functionals_k2_dense_oracle():
-    prob = small_problem()
-    z = complex(-0.5, 0.1)
-    st = de.solve_fixed_point(prob, z)
-    rng = np.random.default_rng(9)
-    p = 30
-    groups = np.repeat([0, 1], [20, 10])
-    theta = rng.standard_normal(p) / np.sqrt(100)
-    Ge = assemble_ge(prob, st, theta, groups)
-    summ = de.ge_functionals(prob, st, theta, groups)
-    assert abs(summ.normalized_trace() - np.trace(Ge) / (p + 3)) < 1e-12
-    assert np.max(np.abs(summ.bulk_diag - np.diag(Ge)[3:])) < 1e-12
 
 
 def test_problem_from_config_spike_scale():

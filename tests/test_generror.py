@@ -52,19 +52,16 @@ def test_schur_symmetry_fig2_config():
 def test_lambda_kappa_trivial_and_realizable():
     prob = de.build_problem(get_activation("identity"), get_link("identity"), [0.0], [1.0], alpha=2.0, beta=1.0)
     null = TauSet(tau0=np.zeros(1), tau1=np.zeros(1), tau2=0.0, tau3=0.0, provenance="asymptotic")
-    kappas = np.array([-1.3, 0.2, 2.0])
-    vals = ge.lambda_kappa(null, kappas, prob)
-    assert np.max(np.abs(vals - kappas**2)) < 1e-12  # g(kappa)^2 for the identity link
+    assert abs(ge.expected_lambda(null, prob) - 1.0) < 1e-12  # E[g(kappa)^2] = E[kappa^2] for the identity link
     # realizable linear fit: tau1 = 1, tau2 = 1 cancel exactly; error 0
     fit = TauSet(tau0=np.zeros(1), tau1=np.ones(1), tau2=1.0, tau3=0.0, provenance="asymptotic")
-    assert np.max(np.abs(ge.lambda_kappa(fit, kappas, prob))) < 1e-12
     assert abs(ge.expected_lambda(fit, prob)) < 1e-12
 
 
 def test_null_predictor_expected_lambda():
     prob = problem(link="sin")
     null = TauSet(tau0=np.zeros(2), tau1=np.zeros(2), tau2=0.0, tau3=0.0, provenance="asymptotic")
-    assert abs(ge.expected_lambda(null, prob) - prob.link_second_moment) < 1e-12
+    assert abs(ge.expected_lambda(null, prob) - prob.kappa_w @ prob.g**2) < 1e-12
 
 
 def test_rho_derivative_step_controls():
@@ -86,7 +83,7 @@ def test_ridge_kills_fit_when_means_vanish():
     prob = de.build_problem(get_activation("erf"), get_link("sin"), [0.0], [1.0], alpha=1.5, beta=1.2)
     errs = [ge.asymptotic_generror(prob, lam) for lam in (0.1, 1.0, 10.0, 1e3)]
     assert all(np.diff(errs) > -1e-10)  # monotone toward the null
-    assert abs(errs[-1] - prob.link_second_moment) < 1e-3
+    assert abs(errs[-1] - prob.kappa_w @ prob.g**2) < 1e-3
     state = de.solve_fixed_point(prob, complex(-1e3, 0.0))
     t0 = ge.tau0(ge.schur_C_inverse(prob, state), 1e3)
     assert np.max(np.abs(t0)) < 1e-8

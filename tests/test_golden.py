@@ -7,6 +7,7 @@ last bit differently, in which case recapture them from a known-good tree
 with `python tests/test_golden.py` (it prints the table below).
 `manifest.json` is excluded because it holds timestamps.
 """
+import contextlib
 import hashlib
 import json
 import sys
@@ -59,7 +60,8 @@ def test_cli_artifacts_match_golden_hashes(vocab, tmp_path):
 
 
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as tmp:
+    # the CLI's own "wrote ..." lines go to stderr, so stdout is the JSON table alone
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(sys.stderr):
         table = {vocab: artifact_hashes(vocab, Path(tmp)) for vocab in sorted(VOCABS)}
     json.dump(table, sys.stdout, indent=4)
     print()

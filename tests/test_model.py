@@ -74,6 +74,14 @@ def test_n0_default_growth():
         ("seed", False, "seed must be an integer"),
         ("lambda", float("nan"), "lambda must be finite"),
         ("eta_tilde", float("inf"), "eta_tilde must be finite"),
+        ("eta_tilde", True, "eta_tilde must be a real number"),
+        ("lambda", True, "lambda must be a real number"),
+        ("eta_tilde", "1.0", "eta_tilde must be a real number"),
+        ("eta_tilde", "abc", "eta_tilde must be a real number"),
+        ("lambda", "x", "lambda must be a real number"),
+        ("vocab", {"zeta": [1.0], "pi": [True]}, "pi must be a real number"),
+        ("vocab", {"zeta": ["1.0"], "pi": [1.0]}, "zeta must be a real number"),
+        ("vocab", {"zeta": ["abc"], "pi": [1.0]}, "zeta must be a real number"),
     ],
 )
 def test_malformed_numbers_rejected(key, value, match):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import empirical_stieltjes, support_edges, support_width
 from spikedrf import cli
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
@@ -64,7 +65,7 @@ def test_mp_density_against_closed_form():
     # density sqrt((hi-x)(x-lo))/(2 pi x), integrating to gamma (atom carries 1-gamma)
     mp = np.where((grid > lo) & (grid < hi), np.sqrt(np.maximum((hi - grid) * (grid - lo), 0)) / (2 * np.pi * grid), 0.0)
     assert np.max(np.abs(curve.density[inside] - mp[inside])) < 5e-3
-    edges = sp.support_edges(curve, threshold=1e-3)
+    edges = support_edges(curve, threshold=1e-3)
     assert len(edges) == 1
     assert abs(edges[0][0] - lo) < 0.05 and abs(edges[0][1] - hi) < 0.05
 
@@ -75,11 +76,11 @@ def test_support_edges_and_width():
     dens[10:20] = 0.5
     dens[50:60] = 0.2
     curve = sp.DensityCurve(grid=grid, density=dens, eps_schedule=(1e-2, 5e-3), converged=np.ones(101, bool), atom_mass=0.0)
-    edges = sp.support_edges(curve, 1e-4)
+    edges = support_edges(curve, 1e-4)
     assert len(edges) == 2
-    assert sp.support_width(curve) == pytest.approx(edges[1][1] - edges[0][0])
+    assert support_width(curve) == pytest.approx(edges[1][1] - edges[0][0])
     with pytest.raises(ValueError):
-        sp.support_edges(curve, 0.0)
+        support_edges(curve, 0.0)
 
 
 def test_eps_monotone_consistency():
@@ -214,5 +215,5 @@ def test_rf_finite_size_overlay_small():
     res = sim.run_experiment(cfg, 0, compute_spectrum=True)
     prob = de.problem_from_config(cfg)
     for z in [complex(0.3, 0.15), complex(-0.4, 0.3)]:
-        m_emp = sim.empirical_stieltjes(res.eigenvalues, z)
+        m_emp = empirical_stieltjes(res.eigenvalues, z)
         assert abs(sp.stieltjes(prob, z) - m_emp) < 0.03

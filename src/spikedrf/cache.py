@@ -2,14 +2,15 @@
 
 The cache is a JSON-lines file keyed by (problem digest, z).  The digest
 covers everything the fixed-point map reads (alpha, beta, rho, pi, the
-kappa weights, the c1 and residual tables) plus the solver settings
-that shape a converged state (continuation ladder, default tolerance, package
-version); so a rerun of the same theory under another seed or n0 reuses the
-file, and a changed theory or solver never reads a stale state.  Density grid
-reruns hit it for every point.  A writer killed mid-line leaves a torn line;
-loading skips (and counts) lines that do not parse, and the next write starts
-on a fresh line.  Every output artifact embeds the config hash it was
-produced from.
+kappa weights, the c1 and residual tables) plus the solver settings that
+shape a converged state (`SOLVER_SETTINGS`: the continuation ladder, the
+default tolerance, the Anderson memory, mixing and Tikhonov ridge) and the
+package version; so a rerun of the same theory under another seed or n0
+reuses the file, and a changed theory or solver never reads a stale state.
+Density grid reruns hit it for every point.  A writer killed mid-line leaves
+a torn line; loading skips (and counts) lines that do not parse, and the
+next write starts on a fresh line.  Every output artifact embeds the config
+hash it was produced from.
 """
 from __future__ import annotations
 
@@ -21,15 +22,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .detequiv import DEFAULT_TOL, LADDER_FACTOR, LADDER_FLOOR, LADDER_TOP, DetEquivProblem, FixedPointState
+from . import detequiv
+from .detequiv import DetEquivProblem, FixedPointState
 
 _VERSION = "spikedrf-0.1.0"
+# the detequiv constants that shape a converged state, read when a digest is taken
+SOLVER_SETTINGS = (
+    "LADDER_TOP", "LADDER_FACTOR", "LADDER_FLOOR", "DEFAULT_TOL",
+    "ANDERSON_MEMORY", "ANDERSON_MIXING", "ANDERSON_TIKHONOV",
+)
 
 
 def _problem_digest(problem: DetEquivProblem) -> str:
     """Digest of the theory content the fixed-point map reads, plus the solver settings."""
     h = hashlib.sha256()
-    settings = [_VERSION, LADDER_TOP, LADDER_FACTOR, LADDER_FLOOR, DEFAULT_TOL]
+    settings = [_VERSION] + [getattr(detequiv, name) for name in SOLVER_SETTINGS]
     scalars = [problem.alpha, problem.beta, list(problem.rho), list(problem.c1.shape)]
     h.update(json.dumps(settings + scalars).encode())
     for arr in (problem.pi, problem.kappa_w, problem.c1, problem.resid):

@@ -195,6 +195,7 @@ def cmd_theory_spectrum(args) -> int:
     manifest.outputs.append(csv_path)
     manifest.extra["unconverged"] = int(np.sum(~curve.converged))
     manifest.extra["unconverged_reasons"] = curve.failures
+    manifest.extra["solver"] = curve.solver
     if cache:
         manifest.extra["cache_hits"] = cache.hits
         manifest.extra["cache_misses"] = cache.misses

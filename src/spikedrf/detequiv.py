@@ -33,11 +33,18 @@ formula.
 Solver
 ------
 `fixed_point_map` applies the map to a batch of states at once, and
-`solve_batch` is the one damped iteration built on it: every row keeps its
-own damping, residual and iteration count and leaves the batch when it
-converges or fails, so a row's result does not depend on its batch.
-`solve_fixed_point` (continuation ladder, warm starts, conjugation) runs it
-one row at a time; the density grid runs whole eps levels through it.
+`solve_batch` is the one engine built on it: type-II Anderson acceleration
+(Anderson 1965; Walker & Ni 2011) with memory ANDERSON_MEMORY and mixing
+ANDERSON_MIXING.  Every row keeps its own history, residual and iteration
+count and leaves the batch when it converges or fails, so a row's result
+does not depend on its batch.  Its one fallback is the damped step
+X + mixing (F(X) - X), which also clears the row's history; a row takes it
+when its residual rose, or when the extrapolated iterate leaves the
+Stieltjes half-plane (Im z > 0 but some Im b_q < 0), where the other root
+of the equations lies.  `solve_fixed_point` (continuation ladder, warm
+starts, conjugation) runs it one row at a time; the density grid runs whole
+eps levels through it.  Every result carries its SolveStats: map rows over
+all ladder rungs, and the fallbacks by cause.
 """
 from __future__ import annotations
 
@@ -56,10 +63,29 @@ LADDER_FACTOR = 0.7
 LADDER_FLOOR = 5e-2  # below this the final hop lands on the exact target
 DEFAULT_TOL = 1e-10
 MAP_ROW_BLOCK = 64  # batch rows per block of the map
+ANDERSON_MEMORY = 5  # iterate and residual differences each row keeps
+ANDERSON_MIXING = 0.5  # weight of the residual in the step, and the damping of the fallback step
+ANDERSON_TIKHONOV = 1e-12  # ridge on each least-squares Gram matrix, relative to its largest diagonal entry
+
+
+@dataclass(frozen=True)
+class SolveStats:
+    """Work of one solve: map rows over every rung, and the damped fallbacks by cause."""
+
+    rows: int = 0
+    residual_rises: int = 0
+    half_plane: int = 0
+
+    def __add__(self, other: "SolveStats") -> "SolveStats":
+        return SolveStats(
+            self.rows + other.rows, self.residual_rises + other.residual_rises, self.half_plane + other.half_plane
+        )
 
 
 class FixedPointError(RuntimeError):
     """Non-finite intermediates or a failed linear solve inside the map."""
+
+    stats = SolveStats()  # the work the failed solve spent, where the engine knows it
 
 
 class NonConvergenceError(FixedPointError):
@@ -190,10 +216,12 @@ class FixedPointState:
     b: np.ndarray
     residual: float = np.inf
     iterations: int = 0
+    stats: SolveStats = SolveStats()  # not serialized: a state read from the cache cost no work
 
     def conjugate(self) -> "FixedPointState":
         return FixedPointState(
-            np.conj(self.z), np.conj(self.V), np.conj(self.nu), np.conj(self.b), self.residual, self.iterations
+            np.conj(self.z), np.conj(self.V), np.conj(self.nu), np.conj(self.b), self.residual, self.iterations,
+            self.stats,
         )
 
     def to_json_dict(self) -> dict:
@@ -312,14 +340,21 @@ def solve_batch(
     tol: float = DEFAULT_TOL,
     max_iter: int = 10_000,
 ) -> list:
-    """Damped iteration of the map at zs[i] from the iterate starts[i], for every i in one batch.
+    """Anderson-accelerated iteration of the map at zs[i] from the iterate starts[i], for every i in one batch.
 
-    This is the one iteration engine.  Each row keeps its own damping gamma
-    (halved, down to 1/64, whenever its residual rises), previous residual and
-    iteration count, and leaves the batch once it converges or its map value
-    turns non-finite, so each row ends exactly as it would in a batch of its
-    own.  Returns, per row, the converged FixedPointState or the
-    FixedPointError that ended it (NonConvergenceError after max_iter).
+    This is the one iteration engine: type-II Anderson acceleration (Walker &
+    Ni 2011) with memory ANDERSON_MEMORY and mixing ANDERSON_MIXING.  Each row
+    keeps its own ring of the last iterate and residual differences, and the
+    small least-squares problems of all rows are one stacked solve of their
+    Gram matrices, each with a relative Tikhonov term.  A row takes the damped
+    step X + ANDERSON_MIXING * (F(X) - X) instead, and clears its history,
+    when its residual rose or when the extrapolated iterate leaves the
+    Stieltjes half-plane (Im z > 0 but some Im b_q < 0): without that guard
+    the extrapolation can jump to the non-physical root.  A row leaves the
+    batch once it converges or its map value turns non-finite, so each row
+    ends exactly as it would in a batch of its own.  Returns, per row, the
+    converged FixedPointState or the FixedPointError that ended it
+    (NonConvergenceError after max_iter); either carries the row's SolveStats.
     """
     out: list = [None] * len(zs)
     if not out:
@@ -329,44 +364,96 @@ def solve_batch(
     z = np.array([complex(s) for s in zs])
     # one packed iterate per row, (V, nu, b) flattened, so that the residual and the step are one array each
     X = np.stack([np.concatenate((s.V.ravel(), s.nu, s.b)) for s in starts])
-    gamma = np.full(len(out), 0.5)
+    # per row, rings of the last ANDERSON_MEMORY differences of the damped iterate D = X + mixing*f and of the
+    # residual f; pushes counts the differences stored since the row's last reset, and a reset zeroes its rings
+    dD = np.zeros((len(out), ANDERSON_MEMORY, X.shape[1]), dtype=complex)
+    dF = np.zeros_like(dD)
+    pushes = np.zeros(len(out), dtype=int)
+    rises = np.zeros(len(out), dtype=int)
+    rejections = np.zeros(len(out), dtype=int)
+    upper = z.imag > 0
+    D_prev = f_prev = X
     prev = np.full(len(out), np.inf)
     for it in range(1, max_iter + 1):
         V, nu, b = X[:, :k * k].reshape(-1, k, k), X[:, k * k:k * k + k], X[:, k * k + k:]
         V1, nu1, b1 = fixed_point_map(problem, z, V, nu, b)
-        step = np.concatenate((V1.reshape(len(rows), -1), nu1, b1), axis=1) - X
-        res = np.abs(step).max(axis=1)
+        f = np.concatenate((V1.reshape(len(rows), -1), nu1, b1), axis=1) - X
+        res = np.abs(f).max(axis=1)
         ok = np.isfinite(res)
         done = ok & (res < tol)
         keep = ok & ~done
         if not keep.all():
             for i in np.flatnonzero(~keep):
+                stats = SolveStats(it, int(rises[i]), int(rejections[i]))
                 if ok[i]:
                     out[rows[i]] = FixedPointState(
-                        complex(z[i]), V1[i].copy(), nu1[i].copy(), b1[i].copy(), float(res[i]), it
+                        complex(z[i]), V1[i].copy(), nu1[i].copy(), b1[i].copy(), float(res[i]), it, stats
                     )
                     continue
                 name = next((n for n, a in (("V", V1), ("nu", nu1), ("b", b1)) if not np.isfinite(a[i]).all()), "step")
                 out[rows[i]] = FixedPointError(
                     f"non-finite {name} in fixed-point map at z={complex(z[i])}; state: b={b[i]}, V={V[i]}"
                 )
-            rows, z, X, step, res, gamma, prev = (a[keep] for a in (rows, z, X, step, res, gamma, prev))
+                out[rows[i]].stats = stats
+            rows, z, upper, X, f, res, prev, D_prev, f_prev, dD, dF, pushes, rises, rejections = (
+                a[keep] for a in (rows, z, upper, X, f, res, prev, D_prev, f_prev, dD, dF, pushes, rises, rejections)
+            )
             if not len(rows):
                 return out
-        np.maximum(gamma / 2.0, 1.0 / 64.0, out=gamma, where=res > prev)
-        prev = res
-        X = X + gamma[:, None] * step
+        D = X + ANDERSON_MIXING * f
+        if it > 1:
+            slot = (np.arange(len(rows)), pushes % ANDERSON_MEMORY)
+            dD[slot] = D - D_prev
+            dF[slot] = f - f_prev
+            pushes += 1
+        rose = res > prev
+        if rose.any():
+            rises += rose
+            pushes[rose] = 0
+            dD[rose] = dF[rose] = 0.0
+        X_next = D
+        if pushes.any():
+            X_next = D - _anderson_correction(dD, dF, pushes, f)
+            leaves = upper & (pushes > 0) & (X_next[:, k * k + k:].imag < 0).any(axis=1)
+            if leaves.any():
+                rejections += leaves
+                pushes[leaves] = 0
+                dD[leaves] = dF[leaves] = 0.0
+                X_next[leaves] = D[leaves]
+        D_prev, f_prev, prev = D, f, res
+        X = X_next
     for i, row in enumerate(rows):
         out[row] = NonConvergenceError(
             f"fixed point did not converge at z={complex(z[i])} (residual {prev[i]:.3e} after {max_iter} iterations)",
             residual=float(prev[i]),
             iterations=max_iter,
         )
+        out[row].stats = SolveStats(max_iter, int(rises[i]), int(rejections[i]))
     return out
 
 
-def _solve_one(problem: DetEquivProblem, z: complex, start: FixedPointState, tol: float, max_iter: int):
+def _anderson_correction(dD: np.ndarray, dF: np.ndarray, pushes: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """dD^T gamma per row, gamma the Tikhonov least-squares fit of the residual f by the row's stored dF.
+
+    dD, dF are (B, memory, n) rings and f is (B, n).  A slot past a row's
+    pushes holds zeros and gets a unit diagonal, so its gamma is exactly 0.
+    Every product and solve runs within one row.
+    """
+    memory = dF.shape[1]
+    gram = dF.conj() @ dF.transpose(0, 2, 1)
+    diag = gram.reshape(len(gram), -1)[:, ::memory + 1]  # a view: writing it writes the diagonal
+    scale = np.maximum(diag.real.max(axis=1), np.finfo(float).tiny)
+    diag += np.where(np.arange(memory) < pushes[:, None], ANDERSON_TIKHONOV * scale[:, None], 1.0)
+    gamma = np.linalg.solve(gram, dF.conj() @ f[:, :, None])
+    return (gamma.transpose(0, 2, 1) @ dD)[:, 0]
+
+
+def _solve_one(
+    problem: DetEquivProblem, z: complex, start: FixedPointState, tol: float, max_iter: int, spent=SolveStats()
+):
+    """`solve_batch` with one row; `spent`, the work of earlier ladder rungs, is added to the row's stats."""
     result = solve_batch(problem, [z], [start], tol, max_iter)[0]
+    result.stats = spent + result.stats
     if isinstance(result, FixedPointError):
         raise result
     return result
@@ -408,8 +495,8 @@ def solve_fixed_point(
         im *= LADDER_FACTOR
     state = _cold_state(problem, complex(z.real, ims[0]))
     for im in ims:
-        state = _solve_one(problem, complex(z.real, im), state, tol, max_iter)
-    return _solve_one(problem, z, state, tol, max_iter)
+        state = _solve_one(problem, complex(z.real, im), state, tol, max_iter, state.stats)
+    return _solve_one(problem, z, state, tol, max_iter, state.stats)
 
 
 def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> complex:

@@ -7,7 +7,10 @@ warm-started sweep along the grid; every finer level is one batched solve,
 each point warm-started from its own state at the previous eps.  When p > n
 the bulk covariance has an exact atom of mass 1 - alpha/beta at zero; its
 Stieltjes contribution -atom/z is removed analytically before inversion,
-since numerical inversion next to an atom is hopeless.
+since numerical inversion next to an atom is hopeless.  The bulk mass and
+the CDF integrate the density by the trapezoid rule over the grid plus
+sub-points solved inside the cells at a support edge, where the grid alone
+cannot resolve the square-root rise.
 
 One caveat: with p > d and a nearly linear activation (order->=2 residual
 close to zero, e.g. erf), the p - d lifted zero modes of the weight Gram form
@@ -25,12 +28,17 @@ from .detequiv import (
     DetEquivProblem,
     FixedPointError,
     FixedPointState,
+    SolveStats,
     solve_batch,
     solve_fixed_point,
     stieltjes_from_state,
 )
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
+# refinement of the mass and CDF near support edges (see `density_grid`)
+EDGE_RATIO = 0.01  # a cell is an edge cell when the density at one end is below this share of the other end
+EDGE_MASS = 1e-3  # a cell is steep when width * density change exceeds this mass
+EDGE_SPLIT = 8  # sub-cells per refined cell
 
 
 def stieltjes(problem: DetEquivProblem, z: complex) -> complex:
@@ -48,11 +56,21 @@ class DensityCurve:
     im_levels: np.ndarray | None = None  # Im m / pi at every eps level (atom removed)
     # one {"lambda", "eps", "reason"} per zero-filled grid point: its last FixedPointError
     failures: list = field(default_factory=list)
+    # the nodes `mass` and `cdf` integrate: the grid plus the points refined near support edges
+    mass_grid: np.ndarray | None = None
+    mass_density: np.ndarray | None = None
+    solver: dict = field(default_factory=dict)  # work of the solves behind the curve (see `density_grid`)
+
+    def _mass_nodes(self) -> tuple:
+        if self.mass_grid is None:
+            return self.grid, self.density
+        return self.mass_grid, self.mass_density
 
     @property
     def mass(self) -> float:
-        """Trapezoidal bulk mass over the grid (excludes the origin atom)."""
-        return float(np.trapezoid(self.density, self.grid))
+        """Trapezoidal bulk mass over the grid and its edge sub-points (excludes the origin atom)."""
+        grid, density = self._mass_nodes()
+        return float(np.trapezoid(density, grid))
 
     @property
     def total_mass(self) -> float:
@@ -64,10 +82,37 @@ class DensityCurve:
         left_limit=True evaluates F(x-) (drops the atom exactly at 0), needed
         for Kolmogorov-Smirnov comparisons against samples with tied zeros.
         """
-        cum = np.concatenate([[0.0], np.cumsum(np.diff(self.grid) * 0.5 * (self.density[1:] + self.density[:-1]))])
-        vals = np.interp(x, self.grid, cum, left=0.0, right=cum[-1])
+        grid, density = self._mass_nodes()
+        cum = np.concatenate([[0.0], np.cumsum(np.diff(grid) * 0.5 * (density[1:] + density[:-1]))])
+        vals = np.interp(x, grid, cum, left=0.0, right=cum[-1])
         atom = self.atom_mass * ((x > 0.0) if left_limit else (x >= 0.0))
         return atom + vals
+
+
+def _extrapolate(im_parts: np.ndarray, eps_schedule: tuple) -> np.ndarray:
+    """Density from Im m / pi at the last two eps levels: linear two-point Richardson in eps."""
+    e1, e2 = eps_schedule[-2], eps_schedule[-1]
+    rho1, rho2 = im_parts[-2] / np.pi, im_parts[-1] / np.pi
+    return rho2 + (rho2 - rho1) * e2 / (e1 - e2)
+
+
+def _edge_cells(grid: np.ndarray, density: np.ndarray, converged: np.ndarray) -> list:
+    """Cells to refine: each support edge cell, and the steep cells that follow it into the support.
+
+    An edge cell has the density at one end below EDGE_RATIO of the other.  A
+    cell is steep while the trapezoid could misplace more than EDGE_MASS in it,
+    bounded by its width times its density change.
+    """
+    lo, hi = np.minimum(density[:-1], density[1:]), np.maximum(density[:-1], density[1:])
+    steep = (np.diff(grid) * (hi - lo) > EDGE_MASS) & converged[:-1] & converged[1:]
+    cells: set = set()
+    for i in np.flatnonzero(steep & (lo < EDGE_RATIO * hi)):
+        inward = 1 if density[i + 1] > density[i] else -1
+        j = i
+        while 0 <= j < len(steep) and steep[j]:
+            cells.add(int(j))
+            j += inward
+    return sorted(cells)
 
 
 def density_grid(
@@ -91,6 +136,14 @@ def density_grid(
     and new states go to `cache_put` in grid order.  A point whose solve
     raises FixedPointError is marked unconverged (its last error is kept in
     `failures`) and the grid goes on; any other exception propagates.
+
+    A grid cell across a support edge holds a square-root rise that the
+    trapezoid rule misweighs by up to ~h^1.5; the cells of `_edge_cells` are
+    split into EDGE_SPLIT sub-cells, solved in batches (at the first eps from
+    the cell's left grid point, then each from its own state) and used only by
+    `mass` and `cdf`, never by the density column or the cache.  `solver`
+    totals the work of every solve: map rows over all ladder rungs, damped
+    fallbacks by cause, and the largest final residual; cache hits cost none.
     """
     if lam_max <= lam_min:
         raise ValueError("need lam_max > lam_min")
@@ -101,9 +154,17 @@ def density_grid(
         raise ValueError("eps below 1e-4 is outside the supported inversion range")
     grid = np.linspace(lam_min, lam_max, points)
     atom = problem.atom_mass()
+    fresh: list = []  # the result of every solve this call made, in order: a state or a FixedPointError
+
+    def im_m(state: FixedPointState) -> float:
+        m = stieltjes_from_state(problem, state)
+        if atom > 0.0:
+            m = m + atom / state.z  # remove the analytic origin atom
+        return m.imag
 
     im_parts = np.full((len(eps_schedule), points), np.nan)
     prev_states: list = [None] * points
+    first_states: list = []
     errors: dict = {}  # grid index -> (eps, text) of its last FixedPointError
     for ei, eps in enumerate(eps_schedule):
         zs = [complex(lam, eps) for lam in grid]
@@ -118,6 +179,8 @@ def density_grid(
                     state = solve_fixed_point(problem, z, warm_start=carry)
                 except FixedPointError as exc:
                     state = exc
+            if found[gi] is None:
+                fresh.append(state)
             if isinstance(state, FixedPointError):
                 errors[gi] = (eps, str(state))
                 carry = None
@@ -126,20 +189,34 @@ def density_grid(
                 cache_put(state)
             carry = state
             prev_states[gi] = state
-            m = stieltjes_from_state(problem, state)
-            if atom > 0.0:
-                m = m + atom / z  # remove the analytic origin atom
-            im_parts[ei, gi] = m.imag
+            im_parts[ei, gi] = im_m(state)
+        if ei == 0:
+            first_states = list(prev_states)
 
     converged = ~np.isnan(im_parts[-1]) & ~np.isnan(im_parts[-2])
-    # linear two-point Richardson in eps on the last two levels
-    e1, e2 = eps_schedule[-2], eps_schedule[-1]
-    rho1, rho2 = im_parts[-2] / np.pi, im_parts[-1] / np.pi
-    density = rho2 + (rho2 - rho1) * e2 / (e1 - e2)
-    density = np.where(converged, density, 0.0)
+    density = np.where(converged, _extrapolate(im_parts, eps_schedule), 0.0)
     if np.nanmin(density) < -1e-2:
         raise RuntimeError(f"strongly negative extrapolated density {np.nanmin(density):.3e}")
     density = np.clip(density, 0.0, None)
+
+    # sub-points in the cells at support edges, for the mass and the CDF only
+    cells = np.array(_edge_cells(grid, density, converged), dtype=int)
+    sub_grid = (grid[cells, None] + np.diff(grid)[cells, None] * np.arange(1, EDGE_SPLIT) / EDGE_SPLIT).ravel()
+    sub_states = [first_states[c] for c in np.repeat(cells, EDGE_SPLIT - 1)]
+    sub_im = np.full((len(eps_schedule), len(sub_grid)), np.nan)
+    for ei, eps in enumerate(eps_schedule):
+        live = [i for i, state in enumerate(sub_states) if state is not None]
+        results = solve_batch(problem, [complex(sub_grid[i], eps) for i in live], [sub_states[i] for i in live])
+        for i, result in zip(live, results):
+            fresh.append(result)
+            sub_states[i] = None if isinstance(result, FixedPointError) else result
+            if sub_states[i] is not None:
+                sub_im[ei, i] = im_m(result)
+    solved = ~np.isnan(sub_im).any(axis=0)
+    mass_grid = np.concatenate([grid, sub_grid[solved]])
+    mass_density = np.concatenate([density, np.clip(_extrapolate(sub_im[:, solved], eps_schedule), 0.0, None)])
+    order = np.argsort(mass_grid, kind="stable")
+
     return DensityCurve(
         grid=grid,
         density=density,
@@ -149,7 +226,23 @@ def density_grid(
         im_levels=im_parts / np.pi,
         failures=[{"lambda": float(grid[gi]), "eps": eps, "reason": text}
                   for gi, (eps, text) in sorted(errors.items()) if not converged[gi]],
+        mass_grid=mass_grid[order],
+        mass_density=mass_density[order],
+        solver=_solver_totals(fresh),
     )
+
+
+def _solver_totals(results: list) -> dict:
+    """JSON summary of the work of some solves (states or FixedPointErrors), for a run manifest."""
+    spent = sum((r.stats for r in results), SolveStats())
+    residuals = [r.residual for r in results if isinstance(r, FixedPointState)]
+    return {
+        "map_rows": spent.rows,
+        "solves": len(results),
+        "rows_per_solve": spent.rows / len(results) if results else None,
+        "fallbacks": {"residual_rise": spent.residual_rises, "half_plane": spent.half_plane},
+        "max_final_residual": max(residuals) if residuals else None,
+    }
 
 
 def ks_distance(eigenvalues: np.ndarray, curve: DensityCurve) -> float:

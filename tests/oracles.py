@@ -1,7 +1,8 @@
 """Reference implementations and paper formulas that only the suite uses.
 
 Scalar forms of the vectorized quadrature routines, the one-state form of
-the batched fixed-point map, the dense (k+1+p)-square inverse of the
+the batched fixed-point map, the damped Picard iteration that the Anderson
+engine replaced, the dense (k+1+p)-square inverse of the
 deterministic equivalent, the empirical Stieltjes transform, the support
 edges of a density curve, and the bulk-weight covariance diagnostic.
 """
@@ -12,9 +13,11 @@ from typing import Callable
 import numpy as np
 
 from spikedrf.detequiv import (
+    DEFAULT_TOL,
     DerivedKernels,
     DetEquivProblem,
     FixedPointState,
+    NonConvergenceError,
     _effective,
     _solve_L,
     blocks,
@@ -95,6 +98,40 @@ def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState, pri
     else:
         b_new = problem.pi * problem.beta / (np.diag(L_new) + nu_new_eff - z)
     return V_new, nu_new, b_new
+
+
+def damped_fixed_point(
+    problem: DetEquivProblem,
+    z: complex,
+    start: FixedPointState | None = None,
+    printed: bool = False,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = 10_000,
+) -> FixedPointState:
+    """Damped Picard iteration of `scalar_fixed_point_map` at z, from `start` (default: the cold state).
+
+    The step X + gamma (F(X) - X) starts at gamma = 1/2 and halves, down to
+    1/64, whenever the residual (largest entry of F(X) - X) rises.  Returns
+    the map value at the first iterate whose residual is below tol.  This is
+    the reference for the Anderson engine of `solve_batch`; printed=True
+    iterates the printed form of the equations.
+    """
+    if start is None:
+        start = FixedPointState(z, np.zeros((problem.k, problem.k), complex), np.zeros(problem.k, complex),
+                                problem.pi * problem.beta / (-z))
+    state = FixedPointState(z, start.V, start.nu, start.b)
+    gamma, prev = 0.5, np.inf
+    for it in range(1, max_iter + 1):
+        new = scalar_fixed_point_map(problem, state, printed=printed)
+        step = [a - b for a, b in zip(new, (state.V, state.nu, state.b))]
+        res = max(np.abs(a).max() for a in step)
+        if res < tol:
+            return FixedPointState(z, *new, residual=float(res), iterations=it)
+        if res > prev:
+            gamma = max(gamma / 2.0, 1.0 / 64.0)
+        prev = res
+        state = FixedPointState(z, *(a + gamma * b for a, b in zip((state.V, state.nu, state.b), step)))
+    raise NonConvergenceError(f"damped iteration did not converge at z={z}", residual=prev, iterations=max_iter)
 
 
 def assemble_ge(

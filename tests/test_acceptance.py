@@ -23,13 +23,13 @@ import time
 import numpy as np
 import pytest
 
-from oracles import assemble_ge, bulk_covariance_diagnostic, empirical_stieltjes, scalar_fixed_point_map, support_width
+from oracles import assemble_ge, bulk_covariance_diagnostic, damped_fixed_point, empirical_stieltjes, support_width
 from spikedrf import detequiv as de
 from spikedrf import generror as ge
 from spikedrf import simulate as sim
 from spikedrf import spectrum as sp
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng, sample_second_layer
-from spikedrf.quadrature import cached_rule, residual_table, shifted_coeffs, shifted_second_moment
+from spikedrf.quadrature import residual_table, shifted_coeffs, shifted_second_moment
 
 VOCAB_K1 = VocabularySpec((1.0,), (1.0,))
 VOCAB_K2 = VocabularySpec((1.0, -1.0), (0.9, 0.1))
@@ -160,23 +160,11 @@ def test_criterion_2_trace_equivalence():
 
 
 def printed_stieltjes(prob, z):
-    """m(z) of the printed form of the equations, by the damped iteration of `de.solve_batch` from a cold start.
+    """m(z) of the printed form of the equations, by damped Picard from a cold start.
 
     The printed form puts alpha in place of alpha/beta and reads m = beta * sum(b).
     """
-    state = de.FixedPointState(z, np.zeros((prob.k, prob.k), complex), np.zeros(prob.k, complex), prob.pi * prob.beta / (-z))
-    gamma, prev = 0.5, np.inf
-    for _ in range(10_000):
-        new = scalar_fixed_point_map(prob, state, printed=True)
-        step = [a - b for a, b in zip(new, (state.V, state.nu, state.b))]
-        res = max(np.abs(a).max() for a in step)
-        if res < de.DEFAULT_TOL:
-            return complex(prob.beta * np.sum(new[2]))
-        if res > prev:
-            gamma = max(gamma / 2.0, 1.0 / 64.0)
-        prev = res
-        state = de.FixedPointState(z, *(a + gamma * b for a, b in zip((state.V, state.nu, state.b), step)))
-    raise de.NonConvergenceError(f"printed form did not converge at z={z}", residual=prev, iterations=10_000)
+    return complex(prob.beta * np.sum(damped_fixed_point(prob, z, printed=True).b))
 
 
 def test_criterion_3_rf_limit_and_normalization_freeze():

@@ -1,11 +1,10 @@
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spikedrf import cli, generror, simulate, spectrum
+from spikedrf import cli, detequiv, generror, simulate, spectrum
 from spikedrf.detequiv import FixedPointError
 
 TINY = {
@@ -112,14 +111,20 @@ def test_theory_spectrum_rows_and_cache(config_path, tmp_path):
     assert "config_hash" in header
     m1 = json.loads((out1 / "manifest.json").read_text())
     assert m1["cache_misses"] > 0
-    # second run: identical CSV, served from cache
+    solver = m1["solver"]
+    assert solver["solves"] == 40 * 3 and solver["map_rows"] >= solver["solves"]
+    assert solver["rows_per_solve"] == solver["map_rows"] / solver["solves"]
+    assert set(solver["fallbacks"]) == {"residual_rise", "half_plane"}
+    assert 0 < solver["max_final_residual"] < detequiv.DEFAULT_TOL
+    # second run: identical CSV, served from cache, and no solver work
     assert run("theory-spectrum", config_path, "--grid", "0.02:2.0:40", "--out", out2, "--cache", cache) == 0
     assert (out2 / "theory_spectrum.csv").read_text() == csv1
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert m2["cache_hits"] >= 40 * 3 and m2["cache_misses"] == 0
+    assert m2["solver"]["map_rows"] == 0 and m2["solver"]["solves"] == 0
 
 
-def test_cache_keyed_by_theory_content(tmp_path):
+def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
     cache = tmp_path / "cache.jsonl"
 
     def spectrum_run(name, cached=True, **changes):
@@ -135,6 +140,11 @@ def test_cache_keyed_by_theory_content(tmp_path):
     reseeded, manifest = spectrum_run("reseeded", seed=TINY["seed"] + 1)
     assert manifest["cache_hits"] == 20 * 3 and manifest["cache_misses"] == 0
     assert reseeded == spectrum_run("reseeded_uncached", cached=False, seed=TINY["seed"] + 1)[0]
+    # states of another solver are never served: each Anderson constant enters the digest
+    for name, value in (("ANDERSON_MEMORY", detequiv.ANDERSON_MEMORY - 1), ("ANDERSON_MIXING", 0.4)):
+        with monkeypatch.context() as patch:
+            patch.setattr(detequiv, name, value)
+            assert spectrum_run(f"other_{name}")[1]["cache_hits"] == 0
     # n moves alpha, so nothing may be served
     assert spectrum_run("larger_n", n=TINY["n"] + 12)[1]["cache_hits"] == 0
     # lines whose key carries a rho pair (the older format) are never served

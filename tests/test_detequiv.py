@@ -292,18 +292,25 @@ def test_problem_from_config_spike_scale():
 
 
 def warm_batch(prob):
-    """About 30 upper half-plane targets with warm starts from nearby (fast) and distant (slow) solutions."""
+    """40 upper half-plane targets: warm starts from nearby (fast) and distant solutions, and cold starts (slow).
+
+    The cold rows start from b = pi beta / (-z) at Im z = 2e-3, far from their
+    target, so they need several times the iterations of the nearby warm rows.
+    """
     bases = [de.solve_fixed_point(prob, complex(lam, 0.05)) for lam in np.linspace(-1.0, 2.0, 10)]
     zs, starts = [], []
     for i, base in enumerate(bases):
-        zs += [base.z + 1e-3, base.z - 0.02j, complex(base.z.real, 0.5)]
-        starts += [base, base, bases[(i + 5) % len(bases)]]
+        near_axis = complex(base.z.real, 2e-3)
+        cold_b = prob.pi * prob.beta / (-near_axis)
+        cold = de.FixedPointState(near_axis, np.zeros_like(base.V), np.zeros_like(base.nu), cold_b)
+        zs += [base.z + 1e-3, base.z - 0.02j, complex(base.z.real, 0.5), near_axis]
+        starts += [base, base, bases[(i + 5) % len(bases)], cold]
     return zs, starts
 
 
 def assert_same_state(a, b):
     assert np.array_equal(a.V, b.V) and np.array_equal(a.nu, b.nu) and np.array_equal(a.b, b.b)
-    assert a.z == b.z and a.residual == b.residual and a.iterations == b.iterations
+    assert a.z == b.z and a.residual == b.residual and a.iterations == b.iterations and a.stats == b.stats
 
 
 BATCH_PROBLEMS = pytest.mark.parametrize(

@@ -1,0 +1,60 @@
+"""Map rows the engine spends, counted as the benchmark's tracer counts them: by wrapping `fixed_point_map`.
+
+A row is one spectral point through one application of the map.  The
+bounds are those of the Anderson engine on the paper's Fig.-1 and Fig.-2
+problems; damped Picard needs about 43 rows per point on a warm-started eps
+level and 730-800 rows for a cold solve at z = -lambda.
+"""
+import numpy as np
+import pytest
+
+from spikedrf import detequiv as de
+from spikedrf import spectrum as sp
+from spikedrf.model import ExperimentConfig, VocabularySpec
+
+FIG1 = dict(d=1365, p=2048, n=1092, eta_tilde=3.3, lam=0.01, seed=0, activation="relu", link="sin")
+FIG2 = dict(d=1365, p=2048, n=1365, n0=30 * 1365, eta_tilde=2.0, lam=0.01, seed=0, activation="relu", link="tanh")
+K1 = VocabularySpec(zeta=(1.0,), pi=(1.0,))
+K4 = VocabularySpec(zeta=(1.0, -0.5, 1.5, -2.0), pi=(0.7, 0.1, 0.1, 0.1))
+
+
+@pytest.fixture()
+def rows(monkeypatch):
+    """A one-entry list that counts the rows of every map call."""
+    count = [0]
+    original = de.fixed_point_map
+
+    def counted(problem, z, V, nu, b):
+        count[0] += len(z)
+        return original(problem, z, V, nu, b)
+
+    monkeypatch.setattr(de, "fixed_point_map", counted)
+    return count
+
+
+@pytest.mark.parametrize("vocab", [K1, K4], ids=["k1", "k4"])
+def test_warm_started_eps_level_rows_per_point(vocab, rows, monkeypatch):
+    prob = de.problem_from_config(ExperimentConfig(**FIG1, vocab=vocab))
+    levels = []  # (points, rows) of every batched call: the eps levels warm-started from their own states
+    solve_batch = sp.solve_batch
+
+    def recorded(problem, zs, starts, **kw):
+        before = rows[0]
+        result = solve_batch(problem, zs, starts, **kw)
+        levels.append((len(zs), rows[0] - before))
+        return result
+
+    monkeypatch.setattr(sp, "solve_batch", recorded)
+    curve = sp.density_grid(prob, 0.001, 3.0, 400)
+    assert np.all(curve.converged)
+    levels = [(points, spent) for points, spent in levels if points]
+    assert [points for points, _ in levels] == [400, 400]
+    assert all(spent <= 15 * points for points, spent in levels)
+
+
+@pytest.mark.parametrize("alpha", np.linspace(0.5, 4.0, 8))
+def test_cold_solve_at_minus_lambda_rows(alpha, rows):
+    prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=K1)).with_alpha(alpha)
+    state = de.solve_fixed_point(prob, complex(-FIG2["lam"], 0.0))
+    assert rows[0] <= 200
+    assert state.stats.rows == rows[0]  # the state's own count covers every ladder rung

@@ -11,7 +11,6 @@ from spikedrf.model import (
     check_nondegeneracy,
     default_n0,
     get_activation,
-    get_link,
     make_rng,
     register_link,
     sample_second_layer,

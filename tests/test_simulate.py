@@ -3,7 +3,7 @@ import pytest
 
 from oracles import bulk_covariance_diagnostic, empirical_stieltjes
 from spikedrf import simulate as sim
-from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng, sample_second_layer
+from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng
 from spikedrf.quadrature import cached_rule
 
 

@@ -3,12 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from oracles import empirical_stieltjes, support_edges, support_width
+from oracles import damped_fixed_point, empirical_stieltjes, support_edges, support_width
 from spikedrf import cli
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
 from spikedrf import spectrum as sp
-from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng
+from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link
 
 from test_cli import TINY
 
@@ -49,8 +49,46 @@ def test_density_mass_without_atom():
     # a uniform grid cannot resolve to 1e-3
     prob = rf_problem(alpha=2.5, beta=0.8, activation="relu")
     curve = sp.density_grid(prob, 1e-3, 9.0, 500)
+    assert np.all(curve.converged)
     assert curve.atom_mass == 0.0
     assert abs(curve.mass - 1.0) < 1e-3
+
+
+def damped_levels(prob, grid, eps_schedule):
+    """Im m / pi (atom removed) of the damped-Picard oracle at every eps level, swept along the grid.
+
+    The first point of each level comes down the continuation ladder of
+    `solve_fixed_point`; every other point starts from its left neighbour.
+    """
+    levels = np.empty((len(eps_schedule), len(grid)))
+    for ei, eps in enumerate(eps_schedule):
+        state, im = None, de.LADDER_TOP
+        while im > max(eps, de.LADDER_FLOOR):
+            state = damped_fixed_point(prob, complex(grid[0], im), state)
+            im *= de.LADDER_FACTOR
+        for gi, lam in enumerate(grid):
+            z = complex(lam, eps)
+            state = damped_fixed_point(prob, z, state)
+            levels[ei, gi] = (de.stieltjes_from_state(prob, state) + prob.atom_mass() / z).imag / np.pi
+    return levels
+
+
+def test_density_grid_stays_on_the_stieltjes_branch():
+    # the random-features config of the CLI compare test, on compare's auto grid for its two seeds: next to
+    # the origin atom, an unguarded Anderson extrapolation reaches the root with Im m < 0 (at lambda = 0.0184,
+    # eps = 1e-2) and warm starts carry it along the grid
+    cfg = ExperimentConfig(
+        d=400, p=600, n=320, n0=2000, eta_tilde=0.0, lam=0.1, seed=5,
+        activation="tanh", link="sin", vocab=VocabularySpec(zeta=(1.0,), pi=(1.0,)),
+    )
+    prob = de.problem_from_config(cfg)
+    curve = sp.density_grid(prob, 0.003764073554321748, 2.19258151071671, 300)
+    assert np.all(curve.converged)
+    eps = np.array(curve.eps_schedule)[:, None]
+    im_m = curve.im_levels + curve.atom_mass * eps / (np.pi * (curve.grid**2 + eps**2))  # atom added back
+    assert np.all(im_m >= 0.0)
+    oracle = damped_levels(prob, curve.grid[:30], curve.eps_schedule)
+    assert np.max(np.abs(curve.im_levels[:, :30] - oracle)) <= 1e-8
 
 
 def test_mp_density_against_closed_form():

@@ -127,6 +127,8 @@ def _run_seeds(config: ExperimentConfig, seeds: int, compute_spectrum: bool, job
 
 
 def cmd_simulate(args) -> int:
+    if args.eig_csv and not args.spectrum:
+        raise UsageError("--eig-csv writes the eigenvalues that --spectrum computes; pass --spectrum too")
     config = _load_config(args.config)
     manifest = RunManifest(config_hash=config.config_hash(), command="simulate")
     out = Path(args.out)
@@ -136,7 +138,7 @@ def cmd_simulate(args) -> int:
         path = out / f"run_seed{res['seed_index']:03d}.json"
         path.write_text(json.dumps(res, indent=2) + "\n")
         manifest.outputs.append(path)
-        if args.eig_csv and res["eigenvalues"] is not None:
+        if args.eig_csv:
             csv_path = out / f"eigenvalues_seed{res['seed_index']:03d}.csv"
             csv_path.write_text("\n".join(f"{v!r}" for v in res["eigenvalues"]) + "\n")
             manifest.outputs.append(csv_path)
@@ -182,14 +184,7 @@ def cmd_theory_spectrum(args) -> int:
     lo, hi, pts = _parse_grid(args.grid)
     problem = detequiv.problem_from_config(config)
     cache = FixedPointCache(args.cache, problem) if args.cache else None
-    curve = spectrum.density_grid(
-        problem,
-        lo,
-        hi,
-        pts,
-        cache_get=cache.get if cache else None,
-        cache_put=cache.put if cache else None,
-    )
+    curve = spectrum.density_grid(problem, lo, hi, pts, cache=cache)
     csv_path = out / "theory_spectrum.csv"
     _spectrum_csv(csv_path, curve, config.config_hash())
     manifest.outputs.append(csv_path)
@@ -330,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seeds", type=_positive_int, default=1)
     sim.add_argument("--out", default="out")
     sim.add_argument("--spectrum", action="store_true", help="also record bulk eigenvalues")
-    sim.add_argument("--eig-csv", action="store_true", help="stream eigenvalues as CSV, one per line")
+    sim.add_argument("--eig-csv", action="store_true", help="also write the eigenvalues as CSV, one per line (needs --spectrum)")
     sim.add_argument("--jobs", type=_positive_int, default=1)
     sim.set_defaults(func=cmd_simulate)
 

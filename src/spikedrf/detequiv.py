@@ -120,8 +120,6 @@ class DetEquivProblem:
     c1: np.ndarray
     resid: np.ndarray
     g: np.ndarray
-    sigma: ActivationSpec | None = None
-    link: LinkSpec | None = None
     rho: tuple = (0.0, 0.0)
 
     @property
@@ -184,8 +182,6 @@ def build_problem(
         c1=c1,
         resid=resid,
         g=link.fn(outer.nodes),
-        sigma=activation,
-        link=link,
     )
 
 
@@ -514,27 +510,22 @@ class DerivedKernels:
     """Kernels derived from a converged state: psi, S, the data-averaged blocks.
 
     A11 is (k+1)x(k+1) over (label, mean_1..mean_k); A21t is the reduced
-    k x (k+1) cross block (one row per vocabulary entry); bulk_diag_inv[q] =
-    L_qq + nu_q - z is the inverse of the within-group bulk resolvent entry;
-    chi is chi(kappa) on the outer quadrature nodes.
+    k x (k+1) cross block (one row per vocabulary entry).
     """
 
     psi: np.ndarray
     S: np.ndarray
     A11: np.ndarray
     A21t: np.ndarray
-    bulk_diag_inv: np.ndarray
-    chi: np.ndarray
 
 
 def blocks(problem: DetEquivProblem, state: FixedPointState) -> DerivedKernels:
     """Assemble the derived kernels of a converged state."""
-    _, nu_eff, L, psi, chi, wd = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None]))
+    _, _, _, psi, _, wd = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None]))
     sf = problem.sample_factor
     iota = problem.iota
     A11 = sf * (iota.T @ (iota * wd[:, None]))
     A21t = sf * np.einsum("m,m,mq,mj->qj", wd, problem.kappa, problem.c1, iota)
     S = problem.c1.T @ (problem.c1 * ((problem.kappa**2 - 1.0) * wd)[:, None])
-    bulk_diag_inv = np.diag(L) + nu_eff - state.z
-    return DerivedKernels(psi=psi, S=S, A11=A11, A21t=A21t, bulk_diag_inv=bulk_diag_inv, chi=chi)
+    return DerivedKernels(psi=psi, S=S, A11=A11, A21t=A21t)
 

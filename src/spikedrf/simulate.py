@@ -4,19 +4,21 @@ Pipeline: sample Gaussian single-index data, take one full-batch gradient
 step on the first layer at learning rate eta = eta_tilde * d, fit the second
 layer by ridge regression on fresh data, then measure everything the theory
 predicts: the bulk spectrum of the centered feature covariance, the scalar
-order parameters (tau), and the test error.
+order parameters (tau), and the test error.  `run_experiment` returns only
+these observables; the trained weights and the features stay inside it, and
+the centered bulk is built only when the spectrum is asked for.
 
 All randomness flows from a counter-based generator, so identical seeds give
 bit-identical runs regardless of thread schedule.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
-from .model import ActivationSpec, ExperimentConfig, LinkSpec, SecondLayer, make_rng, sample_second_layer
+from .model import ActivationSpec, ExperimentConfig, LinkSpec, make_rng, sample_second_layer
 from .quadrature import DEFAULT_OUTER_NODES, cached_rule, hermite_tables
 
 DEFAULT_TEST_POINTS = 10_000
@@ -127,45 +129,27 @@ def spike_deviation(W1: np.ndarray, W_tilde: np.ndarray) -> float:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class ExtendedFeatureMatrix:
-    """Raw features plus their split into group means and centered bulk."""
-
-    phi: np.ndarray        # (n, p)
-    y: np.ndarray          # (n,)
-    kappa: np.ndarray      # (n,)
-    groups: np.ndarray     # (p,) vocabulary index per neuron (contiguous groups)
-    group_sizes: np.ndarray
-    phi_bar: np.ndarray = field(init=False)    # (n, k)
-    phi_tilde: np.ndarray = field(init=False)  # (n, p)
-
-    def __post_init__(self):
-        k = len(self.group_sizes)
-        if np.any(self.group_sizes < 1):
-            raise SimulationError("every group must contain at least one neuron")
-        n = self.phi.shape[0]
-        self.phi_bar = np.empty((n, k))
-        self.phi_tilde = self.phi.copy()
-        start = 0
-        for q, size in enumerate(self.group_sizes):
-            sl = slice(start, start + size)
-            self.phi_bar[:, q] = self.phi[:, sl].mean(axis=1)
-            self.phi_tilde[:, sl] -= self.phi_bar[:, q][:, None]
-            start += size
-
-
 def features(W: np.ndarray, X: np.ndarray, sigma: ActivationSpec) -> np.ndarray:
     return sigma.fn(X @ W.T)
 
 
-def extended_features(
-    phi: np.ndarray,
-    y: np.ndarray,
-    kappa: np.ndarray,
-    groups: np.ndarray,
-    group_sizes: np.ndarray,
-) -> ExtendedFeatureMatrix:
-    return ExtendedFeatureMatrix(phi=phi, y=y, kappa=kappa, groups=groups, group_sizes=group_sizes)
+def extended_features(phi: np.ndarray, group_sizes: np.ndarray) -> tuple:
+    """(phi_bar (n, k), phi_tilde (n, p)): the group means of phi and its centered bulk.
+
+    Groups are contiguous column blocks of the given sizes; phi_tilde is a
+    copy of phi with each block's mean subtracted.
+    """
+    if np.any(group_sizes < 1):
+        raise SimulationError("every group must contain at least one neuron")
+    phi_bar = np.empty((phi.shape[0], len(group_sizes)))
+    phi_tilde = phi.copy()
+    start = 0
+    for q, size in enumerate(group_sizes):
+        sl = slice(start, start + size)
+        phi_bar[:, q] = phi[:, sl].mean(axis=1)
+        phi_tilde[:, sl] -= phi_bar[:, q][:, None]
+        start += size
+    return phi_bar, phi_tilde
 
 
 def ridge_fit(phi: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
@@ -289,25 +273,9 @@ def bulk_spectrum(phi_tilde: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class TrainedModel:
-    """Everything the two training steps produce, plus the target."""
-
-    W0: np.ndarray
-    W1: np.ndarray
-    a0: np.ndarray
-    a_hat: np.ndarray
-    u: np.ndarray
-    theta: np.ndarray
-    w_star: np.ndarray
-    second_layer: SecondLayer
-
-
-@dataclass
 class RunResult:
-    config: ExperimentConfig
-    seed_index: int
-    model: TrainedModel
-    feats: ExtendedFeatureMatrix
+    """The observables of one seed: test error, order parameters, bulk spectrum, spike deviation."""
+
     gen_error: float
     gen_error_stderr: float
     tau: TauSet
@@ -347,27 +315,18 @@ def run_experiment(
         # fresh stream, disjoint from the one that trained the injected weights
         rng = make_rng(config.seed, 1_000_000 + seed_index)
 
-    X, y, kappa = sample_data(config.n, config.d, w_star, link, rng)
+    X, y, _ = sample_data(config.n, config.d, w_star, link, rng)
     phi = features(W1, X, sigma)
-    feats = extended_features(phi, y, kappa, layer.groups, layer.group_sizes)
+    eigs = bulk_spectrum(extended_features(phi, layer.group_sizes)[1]) if compute_spectrum else None
     a_hat = ridge_fit(phi, y, config.lam)
 
-    theta = W0 @ w_star
-    u = spike_vector(layer.a0, config.eta, c1, cstar1)
-    model = TrainedModel(W0=W0, W1=W1, a0=layer.a0, a_hat=a_hat, u=u, theta=theta, w_star=w_star, second_layer=layer)
-
     err, stderr = empirical_generror(a_hat, W1, link, w_star, sigma, rng)
-    tau = empirical_tau(a_hat, layer.groups, theta, W0, sigma, config.spike_vocabulary())
+    tau = empirical_tau(a_hat, layer.groups, W0 @ w_star, W0, sigma, config.spike_vocabulary())
 
-    eigs = bulk_spectrum(feats.phi_tilde) if compute_spectrum else None
     dev = None
     if compute_spike_deviation:
         dev = spike_deviation(W1, spiked_approximation(W0, layer.a0, config.eta, w_star, c1, cstar1))
     return RunResult(
-        config=config,
-        seed_index=seed_index,
-        model=model,
-        feats=feats,
         gen_error=err,
         gen_error_stderr=stderr,
         tau=tau,

@@ -20,7 +20,7 @@ locally refined grid and an eps below the peak width.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -53,24 +53,18 @@ class DensityCurve:
     eps_schedule: tuple
     converged: np.ndarray
     atom_mass: float
+    # the nodes `mass` and `cdf` integrate: the grid plus the points refined near support edges
+    mass_grid: np.ndarray
+    mass_density: np.ndarray
     im_levels: np.ndarray | None = None  # Im m / pi at every eps level (atom removed)
     # one {"lambda", "eps", "reason"} per zero-filled grid point: its last FixedPointError
     failures: list = field(default_factory=list)
-    # the nodes `mass` and `cdf` integrate: the grid plus the points refined near support edges
-    mass_grid: np.ndarray | None = None
-    mass_density: np.ndarray | None = None
     solver: dict = field(default_factory=dict)  # work of the solves behind the curve (see `density_grid`)
-
-    def _mass_nodes(self) -> tuple:
-        if self.mass_grid is None:
-            return self.grid, self.density
-        return self.mass_grid, self.mass_density
 
     @property
     def mass(self) -> float:
         """Trapezoidal bulk mass over the grid and its edge sub-points (excludes the origin atom)."""
-        grid, density = self._mass_nodes()
-        return float(np.trapezoid(density, grid))
+        return float(np.trapezoid(self.mass_density, self.mass_grid))
 
     @property
     def total_mass(self) -> float:
@@ -82,7 +76,7 @@ class DensityCurve:
         left_limit=True evaluates F(x-) (drops the atom exactly at 0), needed
         for Kolmogorov-Smirnov comparisons against samples with tied zeros.
         """
-        grid, density = self._mass_nodes()
+        grid, density = self.mass_grid, self.mass_density
         cum = np.concatenate([[0.0], np.cumsum(np.diff(grid) * 0.5 * (density[1:] + density[:-1]))])
         vals = np.interp(x, grid, cum, left=0.0, right=cum[-1])
         atom = self.atom_mass * ((x > 0.0) if left_limit else (x >= 0.0))
@@ -121,8 +115,7 @@ def density_grid(
     lam_max: float,
     points: int,
     eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
-    cache_get: Callable | None = None,
-    cache_put: Callable | None = None,
+    cache=None,
 ) -> DensityCurve:
     """Bulk density on a uniform grid by eps-laddered Stieltjes inversion.
 
@@ -132,10 +125,21 @@ def density_grid(
     earlier level, each warm-started from its own state at the previous eps;
     the points that never converged then go through `solve_fixed_point` in
     grid order, warm-started from their left neighbour at this level.  States
-    are the same, bit for bit, as solving every point alone in grid order,
-    and new states go to `cache_put` in grid order.  A point whose solve
-    raises FixedPointError is marked unconverged (its last error is kept in
+    are the same, bit for bit, as solving every point alone in grid order.
+    `cache`, if given (a `FixedPointCache`, or any object with `get(z)`
+    returning a state or None and `put(state)`), is read before each solve
+    and gets every new grid state in grid order.  A point whose solve raises
+    FixedPointError is marked unconverged (its last error is kept in
     `failures`) and the grid goes on; any other exception propagates.
+
+    The first level stays a sequential sweep because a batch from cold starts
+    is not safe: without the continuation ladder a row can converge to a
+    non-physical root.  On the Fig.-1 problem at k=1 (grid point 136 of
+    linspace(0.001, 3, 400)), a cold row at z = 1.0232 + 0.01i ends at
+    Im m = -0.309 where the ladder gives +0.325.  With the hermite2
+    activation, k=1, alpha=0.3 and beta=3, a cold row at z = 2.1181 + 0.01i
+    ends at b = -1.476 + 0.001i against -1.404 + 0.170i: that spurious root
+    has Im b > 0, so no half-plane sign check can certify a cold root.
 
     A grid cell across a support edge holds a square-root rise that the
     trapezoid rule misweighs by up to ~h^1.5; the cells of `_edge_cells` are
@@ -168,7 +172,7 @@ def density_grid(
     errors: dict = {}  # grid index -> (eps, text) of its last FixedPointError
     for ei, eps in enumerate(eps_schedule):
         zs = [complex(lam, eps) for lam in grid]
-        found = [cache_get(z) if cache_get else None for z in zs]
+        found = [cache.get(z) if cache is not None else None for z in zs]
         batch = [gi for gi in range(points) if found[gi] is None and prev_states[gi] is not None]
         solved = dict(zip(batch, solve_batch(problem, [zs[gi] for gi in batch], [prev_states[gi] for gi in batch])))
         carry: FixedPointState | None = None
@@ -185,8 +189,8 @@ def density_grid(
                 errors[gi] = (eps, str(state))
                 carry = None
                 continue
-            if found[gi] is None and cache_put:
-                cache_put(state)
+            if found[gi] is None and cache is not None:
+                cache.put(state)
             carry = state
             prev_states[gi] = state
             im_parts[ei, gi] = im_m(state)

@@ -14,11 +14,11 @@ import numpy as np
 
 from spikedrf.detequiv import (
     DEFAULT_TOL,
-    DerivedKernels,
     DetEquivProblem,
     FixedPointState,
     NonConvergenceError,
     _effective,
+    _kernels,
     _solve_L,
     blocks,
 )
@@ -134,19 +134,24 @@ def damped_fixed_point(
     raise NonConvergenceError(f"damped iteration did not converge at z={z}", residual=prev, iterations=max_iter)
 
 
-def assemble_ge(
-    problem: DetEquivProblem,
-    state: FixedPointState,
-    theta: np.ndarray,
-    groups: np.ndarray,
-    kernels: DerivedKernels | None = None,
-) -> np.ndarray:
+def bulk_kernels(problem: DetEquivProblem, state: FixedPointState) -> tuple:
+    """(bulk_diag_inv (k,), chi (m,)) of a state, from the package's one kernel derivation.
+
+    bulk_diag_inv[q] = L_qq + nu_q - z is the inverse of the within-group bulk
+    resolvent entry; chi is chi(kappa) on the outer quadrature nodes.
+    """
+    _, nu_eff, L, _, chi, _ = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None]))
+    return np.diag(L) + nu_eff - state.z, chi
+
+
+def assemble_ge(problem: DetEquivProblem, state: FixedPointState, theta: np.ndarray, groups: np.ndarray) -> np.ndarray:
     """Dense deterministic-equivalent extended resolvent, (k+1+p) square.
 
     Block layout: coordinates 0..k are (label, group means); the remaining p
     are the centered features.
     """
-    kern = kernels or blocks(problem, state)
+    kern = blocks(problem, state)
+    bulk_diag_inv, _ = bulk_kernels(problem, state)
     k = problem.k
     p = len(theta)
     sf = problem.sample_factor
@@ -160,7 +165,7 @@ def assemble_ge(
     M[: k + 1, k + 1 :] = M21.T
     U = np.zeros((p, k))
     U[np.arange(p), groups] = theta
-    M[k + 1 :, k + 1 :] = np.diag(kern.bulk_diag_inv[groups]) + (U @ K @ U.T).astype(complex)
+    M[k + 1 :, k + 1 :] = np.diag(bulk_diag_inv[groups]) + (U @ K @ U.T).astype(complex)
     return np.linalg.inv(M)
 
 

@@ -132,9 +132,9 @@ def test_criterion_2_trace_equivalence():
     for s in range(3):
         cfg = fig1_config(seed=20 + s, n0=12 * FIG1_D)
         W0, W1, layer, w_star = train_once(cfg, 0, include_init_output=False)
-        X, y, kappa = sim.sample_data(cfg.n, cfg.d, w_star, cfg.link_spec(), make_rng(cfg.seed, 50))
-        feats = sim.extended_features(sim.features(W1, X, cfg.activation_spec()), y, kappa, layer.groups, layer.group_sizes)
-        phi_e = np.concatenate([y[:, None], feats.phi_bar, feats.phi_tilde], axis=1)
+        X, y, _ = sim.sample_data(cfg.n, cfg.d, w_star, cfg.link_spec(), make_rng(cfg.seed, 50))
+        phi_bar, phi_tilde = sim.extended_features(sim.features(W1, X, cfg.activation_spec()), layer.group_sizes)
+        phi_e = np.concatenate([y[:, None], phi_bar, phi_tilde], axis=1)
         dim = phi_e.shape[1]
         K = phi_e @ phi_e.T / cfg.p
         R = np.linalg.inv(z * np.eye(cfg.n) - K)
@@ -219,9 +219,9 @@ def test_criterion_4_spectrum_reproduction():
     for s in range(2):
         cfg = fig1_config(seed=30 + s)
         W0, W1, layer, w_star = train_once(cfg, 0, include_init_output=False)
-        X, y, kappa = sim.sample_data(cfg.n, cfg.d, w_star, cfg.link_spec(), make_rng(cfg.seed, 50))
-        feats = sim.extended_features(sim.features(W1, X, cfg.activation_spec()), y, kappa, layer.groups, layer.group_sizes)
-        pooled.append(sim.bulk_spectrum(feats.phi_tilde))
+        X, _, _ = sim.sample_data(cfg.n, cfg.d, w_star, cfg.link_spec(), make_rng(cfg.seed, 50))
+        _, phi_tilde = sim.extended_features(sim.features(W1, X, cfg.activation_spec()), layer.group_sizes)
+        pooled.append(sim.bulk_spectrum(phi_tilde))
     pooled = np.concatenate(pooled)
     cfg = fig1_config()
     prob = de.problem_from_config(cfg)

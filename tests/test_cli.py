@@ -83,6 +83,13 @@ def test_seeds_and_jobs_below_one_exit_2(config_path, tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+def test_eig_csv_without_spectrum_exits_2(config_path, tmp_path, capsys):
+    # without --spectrum there are no eigenvalues to write, so the flag would do nothing
+    assert run("simulate", config_path, "--eig-csv", "--out", tmp_path / "o") == cli.EXIT_USAGE
+    assert "--spectrum" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_usage_error_on_bad_subcommand(config_path, tmp_path):
     assert run("frobnicate", config_path) == cli.EXIT_USAGE
 

@@ -121,22 +121,21 @@ def test_operator_norm_and_spike_deviation():
 def test_extended_features_centering_and_symmetries():
     rng = make_rng(7)
     n, p = 20, 12
-    groups = np.repeat([0, 1], [8, 4])
     sizes = np.array([8, 4])
     phi = rng.standard_normal((n, p))
-    y = rng.standard_normal(n)
-    kappa = rng.standard_normal(n)
-    feats = sim.extended_features(phi, y, kappa, groups, sizes)
+    phi_bar, phi_tilde = sim.extended_features(phi, sizes)
     # group means of the centered block vanish exactly
-    assert np.max(np.abs(feats.phi_tilde[:, :8].sum(axis=1))) < 1e-12
-    assert np.max(np.abs(feats.phi_tilde[:, 8:].sum(axis=1))) < 1e-12
+    assert np.max(np.abs(phi_tilde[:, :8].sum(axis=1))) < 1e-12
+    assert np.max(np.abs(phi_tilde[:, 8:].sum(axis=1))) < 1e-12
     # constant features center to zero
-    feats_const = sim.extended_features(np.ones((5, 12)), np.ones(5), np.zeros(5), groups, sizes)
-    assert np.max(np.abs(feats_const.phi_tilde)) == 0.0
+    _, const_tilde = sim.extended_features(np.ones((5, 12)), sizes)
+    assert np.max(np.abs(const_tilde)) == 0.0
     # permuting neurons within a group leaves the means unchanged
     perm = np.concatenate([rng.permutation(8), 8 + rng.permutation(4)])
-    feats_perm = sim.extended_features(phi[:, perm], y, kappa, groups, sizes)
-    assert np.max(np.abs(feats_perm.phi_bar - feats.phi_bar)) < 1e-14
+    perm_bar, _ = sim.extended_features(phi[:, perm], sizes)
+    assert np.max(np.abs(perm_bar - phi_bar)) < 1e-14
+    with pytest.raises(sim.SimulationError, match="at least one neuron"):
+        sim.extended_features(phi, np.array([12, 0]))
 
 
 def test_group_mean_approaches_shifted_coefficient():
@@ -154,11 +153,10 @@ def test_group_mean_approaches_shifted_coefficient():
         a0 = np.ones(p) / np.sqrt(p)
         zeta_u = 0.8
         Wt = W0 + np.outer(zeta_u * np.ones(p), w)  # spike with u_j = zeta_u
-        X, y, kappa = sim.sample_data(60, d, w, link, rng)
-        phi = sim.features(Wt, X, sigma)
-        feats = sim.extended_features(phi, y, kappa, np.zeros(p, dtype=int), np.array([p]))
+        X, _, kappa = sim.sample_data(60, d, w, link, rng)
+        phi_bar, _ = sim.extended_features(sim.features(Wt, X, sigma), np.array([p]))
         c0 = shifted_coeffs(sigma.fn, kappa * zeta_u, 0)[:, 0]
-        errs.append(float(np.sqrt(np.mean((feats.phi_bar[:, 0] - c0) ** 2))))
+        errs.append(float(np.sqrt(np.mean((phi_bar[:, 0] - c0) ** 2))))
     assert errs[2] < errs[0]
     assert errs[2] < 0.1
 
@@ -288,11 +286,12 @@ def test_bulk_covariance_diagnostic_trivials():
 
 
 def test_run_experiment_deterministic(tiny_config):
-    r1 = sim.run_experiment(tiny_config, 0, compute_spectrum=True)
-    r2 = sim.run_experiment(tiny_config, 0, compute_spectrum=True)
-    assert np.array_equal(r1.model.W1, r2.model.W1)
-    assert np.array_equal(r1.model.a_hat, r2.model.a_hat)
-    assert r1.gen_error == r2.gen_error
+    r1 = sim.run_experiment(tiny_config, 0, compute_spectrum=True, compute_spike_deviation=True)
+    r2 = sim.run_experiment(tiny_config, 0, compute_spectrum=True, compute_spike_deviation=True)
+    assert r1.gen_error == r2.gen_error and r1.gen_error_stderr == r2.gen_error_stderr
+    assert np.array_equal(r1.tau.tau0, r2.tau.tau0) and np.array_equal(r1.tau.tau1, r2.tau.tau1)
+    assert r1.tau.tau2 == r2.tau.tau2 and r1.tau.tau3 == r2.tau.tau3
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
+    assert r1.spike_dev is not None and r1.spike_dev == r2.spike_dev
     r3 = sim.run_experiment(tiny_config, 1)
     assert r3.gen_error != r1.gen_error

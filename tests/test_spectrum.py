@@ -91,6 +91,22 @@ def test_density_grid_stays_on_the_stieltjes_branch():
     assert np.max(np.abs(curve.im_levels[:, :30] - oracle)) <= 1e-8
 
 
+def test_cold_batch_row_reaches_the_non_physical_root():
+    # why the first eps level of density_grid is a warm-started sweep and not one batch of cold starts:
+    # on the Fig.-1 problem at k=1, grid point 136 of linspace(0.001, 3, 400) at eps = 1e-2, a cold
+    # solve_batch row converges to a root with Im m < 0, where the continuation ladder finds Im m > 0
+    cfg = ExperimentConfig(
+        d=1365, p=2048, n=1092, eta_tilde=3.3, lam=0.01, seed=0,
+        activation="relu", link="sin", vocab=VocabularySpec(zeta=(1.0,), pi=(1.0,)),
+    )
+    prob = de.problem_from_config(cfg)
+    z = complex(np.linspace(0.001, 3, 400)[136], 1e-2)
+    cold = de.solve_batch(prob, [z], [de._cold_state(prob, z)])[0]
+    assert isinstance(cold, de.FixedPointState)
+    assert de.stieltjes_from_state(prob, cold).imag == pytest.approx(-0.309, abs=5e-3)
+    assert de.stieltjes_from_state(prob, de.solve_fixed_point(prob, z)).imag == pytest.approx(0.325, abs=5e-3)
+
+
 def test_mp_density_against_closed_form():
     # c1 = 0 activation: bulk is exactly MP with ratio gamma = alpha/beta
     gamma = 0.5
@@ -113,7 +129,8 @@ def test_support_edges_and_width():
     dens = np.zeros(101)
     dens[10:20] = 0.5
     dens[50:60] = 0.2
-    curve = sp.DensityCurve(grid=grid, density=dens, eps_schedule=(1e-2, 5e-3), converged=np.ones(101, bool), atom_mass=0.0)
+    curve = sp.DensityCurve(grid=grid, density=dens, eps_schedule=(1e-2, 5e-3), converged=np.ones(101, bool), atom_mass=0.0,
+                           mass_grid=grid, mass_density=dens)
     edges = support_edges(curve, 1e-4)
     assert len(edges) == 2
     assert support_width(curve) == pytest.approx(edges[1][1] - edges[0][0])
@@ -135,7 +152,8 @@ def test_ks_distance_exact_on_matched_sample():
     rng = np.random.default_rng(0)
     grid = np.linspace(0.5, 2.5, 2001)
     dens = np.where((grid >= 1.0) & (grid <= 2.0), 0.5, 0.0)
-    curve = sp.DensityCurve(grid=grid, density=dens, eps_schedule=(1e-2, 5e-3), converged=np.ones_like(grid, bool), atom_mass=0.5)
+    curve = sp.DensityCurve(grid=grid, density=dens, eps_schedule=(1e-2, 5e-3), converged=np.ones_like(grid, bool), atom_mass=0.5,
+                           mass_grid=grid, mass_density=dens)
     n = 200_000
     eigs = np.concatenate([np.zeros(n // 2), rng.uniform(1.0, 2.0, n // 2)])
     assert sp.ks_distance(eigs, curve) < 5e-3
@@ -146,7 +164,8 @@ def test_ks_distance_exact_on_matched_sample():
 def test_ks_detects_atom_mismatch():
     grid = np.linspace(0.5, 2.5, 501)
     dens = np.where((grid >= 1.0) & (grid <= 2.0), 0.8, 0.0)
-    curve = sp.DensityCurve(grid=grid, density=dens, eps_schedule=(1e-2, 5e-3), converged=np.ones_like(grid, bool), atom_mass=0.2)
+    curve = sp.DensityCurve(grid=grid, density=dens, eps_schedule=(1e-2, 5e-3), converged=np.ones_like(grid, bool), atom_mass=0.2,
+                           mass_grid=grid, mass_density=dens)
     rng = np.random.default_rng(1)
     eigs = np.concatenate([np.zeros(500), rng.uniform(1.0, 2.0, 500)])  # atom 0.5 vs theory 0.2
     assert sp.ks_distance(eigs, curve) > 0.25

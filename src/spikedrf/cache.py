@@ -25,7 +25,7 @@ import numpy as np
 from . import detequiv
 from .detequiv import DetEquivProblem, FixedPointState
 
-_VERSION = "spikedrf-0.1.0"
+_VERSION = "spikedrf-0.2.0"  # bumped by every change of the solver's algorithm, which the constants do not show
 # the detequiv constants that shape a converged state, read when a digest is taken
 SOLVER_SETTINGS = (
     "LADDER_TOP", "LADDER_FACTOR", "LADDER_FLOOR", "DEFAULT_TOL",

@@ -69,8 +69,8 @@ def _parse_grid(spec: str):
         lo, hi, pts = float(lo), float(hi), int(pts)
     except ValueError as exc:
         raise UsageError(f"bad grid spec {spec!r}; expected min:max:points") from exc
-    if hi <= lo or pts < 2:
-        raise UsageError(f"bad grid spec {spec!r}; need max > min and points >= 2")
+    if not np.isfinite([lo, hi]).all() or hi <= lo or pts < 2:
+        raise UsageError(f"bad grid spec {spec!r}; need finite max > min and points >= 2")
     return lo, hi, pts
 
 
@@ -80,9 +80,15 @@ def _parse_sweep(spec: str) -> np.ndarray:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError as exc:
         raise UsageError(f"bad sweep spec {spec!r}; expected start:stop:count") from exc
-    if count < 1 or hi < lo:
-        raise UsageError(f"bad sweep spec {spec!r}")
+    if not np.isfinite([lo, hi]).all() or count < 1 or hi < lo or lo <= 0:
+        raise UsageError(f"bad sweep spec {spec!r}; need finite stop >= start > 0 and count >= 1")
     return np.linspace(lo, hi, count)
+
+
+def _mean_stderr(values: list) -> tuple:
+    """Mean of per-seed values and its standard error (0.0 for one seed)."""
+    a = np.array(values)
+    return float(a.mean()), (float(a.std(ddof=1) / np.sqrt(len(a))) if len(a) > 1 else 0.0)
 
 
 # --------------------------------------------------------------------------- #
@@ -142,15 +148,12 @@ def cmd_simulate(args) -> int:
             csv_path = out / f"eigenvalues_seed{res['seed_index']:03d}.csv"
             csv_path.write_text("\n".join(f"{v!r}" for v in res["eigenvalues"]) + "\n")
             manifest.outputs.append(csv_path)
-    errs = np.array([r["gen_error"]["mean"] for r in results])
+    mean, stderr = _mean_stderr([r["gen_error"]["mean"] for r in results])
     pooled = [v for r in results if r["eigenvalues"] for v in r["eigenvalues"]]
     aggregate = {
         "config_hash": config.config_hash(),
         "seeds": args.seeds,
-        "gen_error": {
-            "mean": float(errs.mean()),
-            "stderr": float(errs.std(ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0,
-        },
+        "gen_error": {"mean": mean, "stderr": stderr},
         "spike_deviation_mean": float(np.mean([r["spike_deviation"] for r in results])),
         "pooled_eigenvalue_count": len(pooled),
     }
@@ -178,10 +181,10 @@ def _spectrum_csv(path: Path, curve: spectrum.DensityCurve, config_hash: str) ->
 
 def cmd_theory_spectrum(args) -> int:
     config = _load_config(args.config)
+    lo, hi, pts = _parse_grid(args.grid)
     manifest = RunManifest(config_hash=config.config_hash(), command="theory-spectrum")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    lo, hi, pts = _parse_grid(args.grid)
     problem = detequiv.problem_from_config(config)
     cache = FixedPointCache(args.cache, problem) if args.cache else None
     curve = spectrum.density_grid(problem, lo, hi, pts, cache=cache)
@@ -200,7 +203,8 @@ def cmd_theory_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _sweep_csv(path: Path, rows: list, k: int, config_hash: str) -> None:
+def _sweep_csv(path: Path, rows: list, config_hash: str) -> None:
+    k = len(rows[0]["tau0"])
     tau0_cols = ",".join(f"tau0_{q+1}" for q in range(k))
     tau1_cols = ",".join(f"tau1_{q+1}" for q in range(k))
     lines = [
@@ -232,13 +236,13 @@ def _theory_row(config: ExperimentConfig, alpha: float) -> dict:
 
 def cmd_theory_generror(args) -> int:
     config = _load_config(args.config)
+    alphas = _parse_sweep(args.alpha_sweep) if args.alpha_sweep else np.array([config.alpha])
     manifest = RunManifest(config_hash=config.config_hash(), command="theory-generror")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    alphas = _parse_sweep(args.alpha_sweep) if args.alpha_sweep else np.array([config.alpha])
     rows = [_theory_row(config, a) for a in alphas]
     csv_path = out / "theory_generror.csv"
-    _sweep_csv(csv_path, rows, config.vocab.k, config.config_hash())
+    _sweep_csv(csv_path, rows, config.config_hash())
     manifest.outputs.append(csv_path)
     manifest.write(out / "manifest.json")
     print(f"wrote {csv_path} ({len(rows)} rows)")
@@ -252,6 +256,7 @@ def cmd_theory_generror(args) -> int:
 
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
+    grid = _parse_grid(args.grid) if args.grid else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     checks = []
@@ -270,7 +275,7 @@ def cmd_compare(args) -> int:
     problem = detequiv.problem_from_config(config)
     if sim_results is not None:
         try:
-            lo, hi, pts = _parse_grid(args.grid) if args.grid else spectrum.auto_grid(pooled)
+            lo, hi, pts = grid or spectrum.auto_grid(pooled)
             curve = spectrum.density_grid(problem, lo, hi, pts)
             _spectrum_csv(out / "theory_spectrum.csv", curve, config.config_hash())
             manifest.outputs.append(out / "theory_spectrum.csv")
@@ -288,10 +293,8 @@ def cmd_compare(args) -> int:
 
         try:
             row = _theory_row(config, config.alpha)
-            errs = np.array([r["gen_error"]["mean"] for r in sim_results])
-            row["sim_mean"] = float(errs.mean())
-            row["sim_stderr"] = float(errs.std(ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
-            _sweep_csv(out / "generror_compare.csv", [row], config.vocab.k, config.config_hash())
+            row["sim_mean"], row["sim_stderr"] = _mean_stderr([r["gen_error"]["mean"] for r in sim_results])
+            _sweep_csv(out / "generror_compare.csv", [row], config.config_hash())
             manifest.outputs.append(out / "generror_compare.csv")
             gap = abs(row["theory"] - row["sim_mean"]) / row["sim_mean"]
             checks.append(

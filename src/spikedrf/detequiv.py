@@ -37,14 +37,14 @@ Solver
 (Anderson 1965; Walker & Ni 2011) with memory ANDERSON_MEMORY and mixing
 ANDERSON_MIXING.  Every row keeps its own history, residual and iteration
 count and leaves the batch when it converges or fails, so a row's result
-does not depend on its batch.  Its one fallback is the damped step
+does not depend on its batch.  Its one safeguard is the damped step
 X + mixing (F(X) - X), which also clears the row's history; a row takes it
-when its residual rose, or when the extrapolated iterate leaves the
-Stieltjes half-plane (Im z > 0 but some Im b_q < 0), where the other root
-of the equations lies.  `solve_fixed_point` (continuation ladder, warm
-starts, conjugation) runs it one row at a time; the density grid runs whole
-eps levels through it.  Every result carries its SolveStats: map rows over
-all ladder rungs, and the fallbacks by cause.
+only when the extrapolated iterate leaves the Stieltjes half-plane
+(Im z > 0 but some Im b_q < 0), where the other root of the equations lies.
+`solve_fixed_point` (continuation ladder, warm starts, conjugation) runs it
+one row at a time; the density grid runs whole eps levels through it.  Every
+result carries its SolveStats: map rows over all ladder rungs, and the
+half-plane fallbacks.
 """
 from __future__ import annotations
 
@@ -70,16 +70,13 @@ ANDERSON_TIKHONOV = 1e-12  # ridge on each least-squares Gram matrix, relative t
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Work of one solve: map rows over every rung, and the damped fallbacks by cause."""
+    """Work of one solve: map rows over every rung, and the damped steps taken on leaving the half-plane."""
 
     rows: int = 0
-    residual_rises: int = 0
     half_plane: int = 0
 
     def __add__(self, other: "SolveStats") -> "SolveStats":
-        return SolveStats(
-            self.rows + other.rows, self.residual_rises + other.residual_rises, self.half_plane + other.half_plane
-        )
+        return SolveStats(self.rows + other.rows, self.half_plane + other.half_plane)
 
 
 class FixedPointError(RuntimeError):
@@ -89,10 +86,7 @@ class FixedPointError(RuntimeError):
 
 
 class NonConvergenceError(FixedPointError):
-    def __init__(self, message: str, residual: float, iterations: int):
-        super().__init__(message)
-        self.residual = residual
-        self.iterations = iterations
+    """No convergence within max_iter map rows; the message carries the last residual."""
 
 
 # --------------------------------------------------------------------------- #
@@ -211,13 +205,11 @@ class FixedPointState:
     nu: np.ndarray
     b: np.ndarray
     residual: float = np.inf
-    iterations: int = 0
     stats: SolveStats = SolveStats()  # not serialized: a state read from the cache cost no work
 
     def conjugate(self) -> "FixedPointState":
         return FixedPointState(
-            np.conj(self.z), np.conj(self.V), np.conj(self.nu), np.conj(self.b), self.residual, self.iterations,
-            self.stats,
+            np.conj(self.z), np.conj(self.V), np.conj(self.nu), np.conj(self.b), self.residual, self.stats
         )
 
     def to_json_dict(self) -> dict:
@@ -231,7 +223,6 @@ class FixedPointState:
             "nu": c2l(self.nu),
             "b": c2l(self.b),
             "residual": self.residual,
-            "iterations": self.iterations,
         }
 
     @classmethod
@@ -246,7 +237,6 @@ class FixedPointState:
             nu=l2c(data["nu"]),
             b=l2c(data["b"]),
             residual=float(data["residual"]),
-            iterations=int(data["iterations"]),
         )
 
 
@@ -344,9 +334,9 @@ def solve_batch(
     small least-squares problems of all rows are one stacked solve of their
     Gram matrices, each with a relative Tikhonov term.  A row takes the damped
     step X + ANDERSON_MIXING * (F(X) - X) instead, and clears its history,
-    when its residual rose or when the extrapolated iterate leaves the
-    Stieltjes half-plane (Im z > 0 but some Im b_q < 0): without that guard
-    the extrapolation can jump to the non-physical root.  A row leaves the
+    only when the extrapolated iterate leaves the Stieltjes half-plane
+    (Im z > 0 but some Im b_q < 0): without that guard the extrapolation can
+    jump to the non-physical root.  A row leaves the
     batch once it converges or its map value turns non-finite, so each row
     ends exactly as it would in a batch of its own.  Returns, per row, the
     converged FixedPointState or the FixedPointError that ended it
@@ -365,11 +355,9 @@ def solve_batch(
     dD = np.zeros((len(out), ANDERSON_MEMORY, X.shape[1]), dtype=complex)
     dF = np.zeros_like(dD)
     pushes = np.zeros(len(out), dtype=int)
-    rises = np.zeros(len(out), dtype=int)
     rejections = np.zeros(len(out), dtype=int)
     upper = z.imag > 0
     D_prev = f_prev = X
-    prev = np.full(len(out), np.inf)
     for it in range(1, max_iter + 1):
         V, nu, b = X[:, :k * k].reshape(-1, k, k), X[:, k * k:k * k + k], X[:, k * k + k:]
         V1, nu1, b1 = fixed_point_map(problem, z, V, nu, b)
@@ -380,10 +368,10 @@ def solve_batch(
         keep = ok & ~done
         if not keep.all():
             for i in np.flatnonzero(~keep):
-                stats = SolveStats(it, int(rises[i]), int(rejections[i]))
+                stats = SolveStats(it, int(rejections[i]))
                 if ok[i]:
                     out[rows[i]] = FixedPointState(
-                        complex(z[i]), V1[i].copy(), nu1[i].copy(), b1[i].copy(), float(res[i]), it, stats
+                        complex(z[i]), V1[i].copy(), nu1[i].copy(), b1[i].copy(), float(res[i]), stats
                     )
                     continue
                 name = next((n for n, a in (("V", V1), ("nu", nu1), ("b", b1)) if not np.isfinite(a[i]).all()), "step")
@@ -391,8 +379,8 @@ def solve_batch(
                     f"non-finite {name} in fixed-point map at z={complex(z[i])}; state: b={b[i]}, V={V[i]}"
                 )
                 out[rows[i]].stats = stats
-            rows, z, upper, X, f, res, prev, D_prev, f_prev, dD, dF, pushes, rises, rejections = (
-                a[keep] for a in (rows, z, upper, X, f, res, prev, D_prev, f_prev, dD, dF, pushes, rises, rejections)
+            rows, z, upper, X, f, res, D_prev, f_prev, dD, dF, pushes, rejections = (
+                a[keep] for a in (rows, z, upper, X, f, res, D_prev, f_prev, dD, dF, pushes, rejections)
             )
             if not len(rows):
                 return out
@@ -402,11 +390,6 @@ def solve_batch(
             dD[slot] = D - D_prev
             dF[slot] = f - f_prev
             pushes += 1
-        rose = res > prev
-        if rose.any():
-            rises += rose
-            pushes[rose] = 0
-            dD[rose] = dF[rose] = 0.0
         X_next = D
         if pushes.any():
             X_next = D - _anderson_correction(dD, dF, pushes, f)
@@ -416,15 +399,13 @@ def solve_batch(
                 pushes[leaves] = 0
                 dD[leaves] = dF[leaves] = 0.0
                 X_next[leaves] = D[leaves]
-        D_prev, f_prev, prev = D, f, res
+        D_prev, f_prev = D, f
         X = X_next
     for i, row in enumerate(rows):
         out[row] = NonConvergenceError(
-            f"fixed point did not converge at z={complex(z[i])} (residual {prev[i]:.3e} after {max_iter} iterations)",
-            residual=float(prev[i]),
-            iterations=max_iter,
+            f"fixed point did not converge at z={complex(z[i])} (residual {res[i]:.3e} after {max_iter} iterations)"
         )
-        out[row].stats = SolveStats(max_iter, int(rises[i]), int(rejections[i]))
+        out[row].stats = SolveStats(max_iter, int(rejections[i]))
     return out
 
 

@@ -134,12 +134,10 @@ def density_grid(
 
     The first level stays a sequential sweep because a batch from cold starts
     is not safe: without the continuation ladder a row can converge to a
-    non-physical root.  On the Fig.-1 problem at k=1 (grid point 136 of
-    linspace(0.001, 3, 400)), a cold row at z = 1.0232 + 0.01i ends at
-    Im m = -0.309 where the ladder gives +0.325.  With the hermite2
-    activation, k=1, alpha=0.3 and beta=3, a cold row at z = 2.1181 + 0.01i
-    ends at b = -1.476 + 0.001i against -1.404 + 0.170i: that spurious root
-    has Im b > 0, so no half-plane sign check can certify a cold root.
+    non-physical root.  With the hermite2 activation, one spike value 1,
+    alpha=0.3 and beta=3, a cold row at z = 2.1181 + 0.01i ends at
+    b = -1.476 + 0.001i where the ladder gives -1.404 + 0.170i: that spurious
+    root has Im b > 0, so no half-plane sign check can certify a cold root.
 
     A grid cell across a support edge holds a square-root rise that the
     trapezoid rule misweighs by up to ~h^1.5; the cells of `_edge_cells` are
@@ -147,7 +145,7 @@ def density_grid(
     the cell's left grid point, then each from its own state) and used only by
     `mass` and `cdf`, never by the density column or the cache.  `solver`
     totals the work of every solve: map rows over all ladder rungs, damped
-    fallbacks by cause, and the largest final residual; cache hits cost none.
+    half-plane fallbacks, and the largest final residual; cache hits cost none.
     """
     if lam_max <= lam_min:
         raise ValueError("need lam_max > lam_min")
@@ -244,7 +242,7 @@ def _solver_totals(results: list) -> dict:
         "map_rows": spent.rows,
         "solves": len(results),
         "rows_per_solve": spent.rows / len(results) if results else None,
-        "fallbacks": {"residual_rise": spent.residual_rises, "half_plane": spent.half_plane},
+        "fallbacks": {"half_plane": spent.half_plane},
         "max_final_residual": max(residuals) if residuals else None,
     }
 

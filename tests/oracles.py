@@ -126,12 +126,12 @@ def damped_fixed_point(
         step = [a - b for a, b in zip(new, (state.V, state.nu, state.b))]
         res = max(np.abs(a).max() for a in step)
         if res < tol:
-            return FixedPointState(z, *new, residual=float(res), iterations=it)
+            return FixedPointState(z, *new, residual=float(res))
         if res > prev:
             gamma = max(gamma / 2.0, 1.0 / 64.0)
         prev = res
         state = FixedPointState(z, *(a + gamma * b for a, b in zip((state.V, state.nu, state.b), step)))
-    raise NonConvergenceError(f"damped iteration did not converge at z={z}", residual=prev, iterations=max_iter)
+    raise NonConvergenceError(f"damped iteration did not converge at z={z} (residual {prev:.3e})")
 
 
 def bulk_kernels(problem: DetEquivProblem, state: FixedPointState) -> tuple:

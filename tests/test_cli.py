@@ -121,7 +121,7 @@ def test_theory_spectrum_rows_and_cache(config_path, tmp_path):
     solver = m1["solver"]
     assert solver["solves"] == 40 * 3 and solver["map_rows"] >= solver["solves"]
     assert solver["rows_per_solve"] == solver["map_rows"] / solver["solves"]
-    assert set(solver["fallbacks"]) == {"residual_rise", "half_plane"}
+    assert set(solver["fallbacks"]) == {"half_plane"}
     assert 0 < solver["max_final_residual"] < detequiv.DEFAULT_TOL
     # second run: identical CSV, served from cache, and no solver work
     assert run("theory-spectrum", config_path, "--grid", "0.02:2.0:40", "--out", out2, "--cache", cache) == 0
@@ -152,6 +152,10 @@ def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(detequiv, name, value)
             assert spectrum_run(f"other_{name}")[1]["cache_hits"] == 0
+    # nor states of another package version, which a change of the solver algorithm bumps
+    with monkeypatch.context() as patch:
+        patch.setattr("spikedrf.cache._VERSION", "spikedrf-0.1.0")
+        assert spectrum_run("older_version")[1]["cache_hits"] == 0
     # n moves alpha, so nothing may be served
     assert spectrum_run("larger_n", n=TINY["n"] + 12)[1]["cache_hits"] == 0
     # lines whose key carries a rho pair (the older format) are never served
@@ -164,8 +168,14 @@ def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
 
 
 def test_theory_spectrum_bad_grid(config_path, tmp_path):
-    assert run("theory-spectrum", config_path, "--grid", "2:1:50", "--out", tmp_path / "x") == cli.EXIT_USAGE
-    assert run("theory-spectrum", config_path, "--grid", "junk", "--out", tmp_path / "x") == cli.EXIT_USAGE
+    for grid in ("2:1:50", "junk", "nan:1:5", "0:inf:5", "-inf:1:5"):
+        assert run("theory-spectrum", config_path, "--grid", grid, "--out", tmp_path / "x") == cli.EXIT_USAGE, grid
+        assert not (tmp_path / "x").exists()
+
+
+def test_compare_bad_grid_exits_2_before_any_work(config_path, tmp_path):
+    assert run("compare", config_path, "--grid", "junk", "--out", tmp_path / "cmp") == cli.EXIT_USAGE
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_theory_generror_sweep(config_path, tmp_path):
@@ -178,7 +188,9 @@ def test_theory_generror_sweep(config_path, tmp_path):
     assert "tau0_1" in header and "tau2" in header
     alphas = [float(l.split(",")[0]) for l in lines[2:]]
     assert alphas == pytest.approx(list(np.linspace(0.5, 4, 8)))
-    assert run("theory-generror", config_path, "--alpha-sweep", "4:0.5:8", "--out", out) == cli.EXIT_USAGE
+    for sweep in ("4:0.5:8", "-1:1:3", "0:1:2", "nan:1:2", "0.5:inf:2"):
+        assert run("theory-generror", config_path, "--alpha-sweep", sweep, "--out", tmp_path / "bad") == cli.EXIT_USAGE, sweep
+        assert not (tmp_path / "bad").exists()
 
 
 def test_alpha_zero_spectrum_near_zero_density(tmp_path):

@@ -32,13 +32,13 @@ COMMANDS = {
 
 GOLDEN = {
     "k1": {
-        "theory_spectrum.csv": "d54083b3f773fc8acfe9fc8a6a082d45b3f1eec7a2667fc5364c307cabeac337",
-        "theory_generror.csv": "438748d6d53e95232b13ae7213bf7b3b2ffb2afb379dc953871e395b6bd155d3",
+        "theory_spectrum.csv": "39f7abcaaf1c0652a10debd4663c02011fbadcc7091d4c80ff4b772fabe10435",
+        "theory_generror.csv": "e832babccc36e9906652caeac8eca5a522100bd74460f2d6ee8e8fac1c692c05",
         "run_seed000.json": "19521e8b98463b59904cec9c7910cbe31a9fc80fffdf3c746da06f320a7c444e",
     },
     "k2": {
-        "theory_spectrum.csv": "12a1015a5594164984e514afe731090b84729c108a8ecbe785cec10d8345fa3f",
-        "theory_generror.csv": "63aeb5501c7401c42c1c987b0a212abb2f2f6561502da8a9dcafdb57105b5d50",
+        "theory_spectrum.csv": "d23f32d21c260f9f4b449b3a8ac6f692b9b4af4c5f5d3ad8dc4e28204fe8af01",
+        "theory_generror.csv": "72fa71a30efe573b161026ccc9841d7817dc305c4ec8bb838081675e5956b7a5",
         "run_seed000.json": "2c30d35c4d24446aa91770901d02d42d13254aa7b1a0ccc25d3dac5fadd4c949",
     },
 }

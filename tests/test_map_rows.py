@@ -3,12 +3,15 @@
 A row is one spectral point through one application of the map.  The
 bounds are those of the Anderson engine on the paper's Fig.-1 and Fig.-2
 problems; damped Picard needs about 43 rows per point on a warm-started eps
-level and 730-800 rows for a cold solve at z = -lambda.
+level and 730-800 rows for a cold solve at z = -lambda.  An engine that also
+restarted a row whenever its residual rose spent 265 rows on one
+rho-perturbed solve of the Fig.-2 k=1 sweep (alpha = 0.5, rho = (1e-4, 0)).
 """
 import numpy as np
 import pytest
 
 from spikedrf import detequiv as de
+from spikedrf import generror as ge
 from spikedrf import spectrum as sp
 from spikedrf.model import ExperimentConfig, VocabularySpec
 
@@ -53,8 +56,21 @@ def test_warm_started_eps_level_rows_per_point(vocab, rows, monkeypatch):
 
 
 @pytest.mark.parametrize("alpha", np.linspace(0.5, 4.0, 8))
-def test_cold_solve_at_minus_lambda_rows(alpha, rows):
+def test_cold_solve_at_minus_lambda_rows(alpha, rows, monkeypatch):
     prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=K1)).with_alpha(alpha)
     state = de.solve_fixed_point(prob, complex(-FIG2["lam"], 0.0))
     assert rows[0] <= 200
     assert state.stats.rows == rows[0]  # the state's own count covers every ladder rung
+    # the four rho-perturbed solves of tau2_tau3, each warm-started from that state
+    perturbed = []
+
+    def recorded(problem, z, **kw):
+        result = de.solve_fixed_point(problem, z, **kw)
+        perturbed.append((problem.rho, result.stats.rows))
+        return result
+
+    monkeypatch.setattr(ge, "solve_fixed_point", recorded)
+    ge.tau2_tau3(prob, ge.tau0(ge.schur_C_inverse(prob, state), FIG2["lam"]), state)
+    h = ge.DEFAULT_RHO_STEP
+    assert sorted(rho for rho, _ in perturbed) == sorted([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
+    assert all(spent <= 15 for _, spent in perturbed), perturbed

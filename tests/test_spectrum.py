@@ -93,18 +93,15 @@ def test_density_grid_stays_on_the_stieltjes_branch():
 
 def test_cold_batch_row_reaches_the_non_physical_root():
     # why the first eps level of density_grid is a warm-started sweep and not one batch of cold starts:
-    # on the Fig.-1 problem at k=1, grid point 136 of linspace(0.001, 3, 400) at eps = 1e-2, a cold
-    # solve_batch row converges to a root with Im m < 0, where the continuation ladder finds Im m > 0
-    cfg = ExperimentConfig(
-        d=1365, p=2048, n=1092, eta_tilde=3.3, lam=0.01, seed=0,
-        activation="relu", link="sin", vocab=VocabularySpec(zeta=(1.0,), pi=(1.0,)),
-    )
-    prob = de.problem_from_config(cfg)
-    z = complex(np.linspace(0.001, 3, 400)[136], 1e-2)
+    # with the hermite2 activation, one spike value 1, alpha = 0.3 and beta = 3, a cold solve_batch row
+    # converges to another root than the continuation ladder, and that root has Im b > 0, so no
+    # half-plane sign check can tell it from the physical one
+    prob = de.build_problem(get_activation("hermite2"), get_link("sin"), [1.0], [1.0], alpha=0.3, beta=3.0)
+    z = complex(2.1181, 1e-2)
     cold = de.solve_batch(prob, [z], [de._cold_state(prob, z)])[0]
     assert isinstance(cold, de.FixedPointState)
-    assert de.stieltjes_from_state(prob, cold).imag == pytest.approx(-0.309, abs=5e-3)
-    assert de.stieltjes_from_state(prob, de.solve_fixed_point(prob, z)).imag == pytest.approx(0.325, abs=5e-3)
+    assert cold.b[0] == pytest.approx(-1.476 + 0.001j, abs=5e-3)
+    assert de.solve_fixed_point(prob, z).b[0] == pytest.approx(-1.404 + 0.170j, abs=5e-3)
 
 
 def test_mp_density_against_closed_form():
@@ -187,7 +184,7 @@ def test_density_grid_zero_fills_only_fixed_point_failures(monkeypatch):
 
     def failing_at_one(problem, z, **kw):
         if abs(z.real - 1.0) < 1e-12:
-            raise de.NonConvergenceError("forced", residual=1.0, iterations=1)
+            raise de.NonConvergenceError("forced")
         return solve(problem, z, **kw)
 
     monkeypatch.setattr(sp, "solve_fixed_point", failing_at_one)

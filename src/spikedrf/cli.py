@@ -43,7 +43,7 @@ def _load_config(path: str) -> ExperimentConfig:
         raise UsageError(f"config file not found: {p}")
     try:
         config = ExperimentConfig.from_file(p)
-    except (ConfigError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ConfigError, json.JSONDecodeError, KeyError, TypeError, OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"invalid config {p}: {exc}") from exc
     report = validate_config(config)
     for w in report.warnings:
@@ -262,6 +262,8 @@ def cmd_compare(args) -> int:
     checks = []
     manifest = RunManifest(config_hash=config.config_hash(), command="compare")
 
+    # each half records a RuntimeError (SimulationError, FixedPointError, a failed numerical check of the
+    # theory) as a failed check and lets the other halves run; any other exception is a crash (exit 3)
     sim_results = None
     try:
         sim_results = _run_seeds(config, args.seeds, compute_spectrum=True, jobs=args.jobs)
@@ -269,7 +271,7 @@ def cmd_compare(args) -> int:
         eig_path = out / "eigenvalues.csv"
         eig_path.write_text("\n".join(f"{v!r}" for v in pooled) + "\n")
         manifest.outputs.append(eig_path)
-    except Exception as exc:  # keep the theory half alive
+    except RuntimeError as exc:
         checks.append({"name": "simulation", "error": str(exc), "passed": False})
 
     problem = detequiv.problem_from_config(config)
@@ -288,7 +290,7 @@ def cmd_compare(args) -> int:
             if too_many:
                 check["reason"] = f"{unconverged} of {pts} theory grid points unconverged (bound {MAX_UNCONVERGED_FRAC:.0%})"
             checks.append(check)
-        except Exception as exc:
+        except RuntimeError as exc:
             checks.append({"name": "spectrum_ks", "error": str(exc), "passed": False})
 
         try:
@@ -300,7 +302,7 @@ def cmd_compare(args) -> int:
             checks.append(
                 {"name": "generror_rel_gap", "value": gap, "tol": args.tol_generror, "passed": bool(gap < args.tol_generror)}
             )
-        except Exception as exc:
+        except RuntimeError as exc:
             checks.append({"name": "generror_rel_gap", "error": str(exc), "passed": False})
 
     passed = bool(checks) and all(c["passed"] for c in checks)

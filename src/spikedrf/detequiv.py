@@ -62,6 +62,7 @@ LADDER_TOP = 10.0
 LADDER_FACTOR = 0.7
 LADDER_FLOOR = 5e-2  # below this the final hop lands on the exact target
 DEFAULT_TOL = 1e-10
+MAX_ITER = 10_000  # map rows a row may spend before NonConvergenceError
 MAP_ROW_BLOCK = 64  # batch rows per block of the map
 ANDERSON_MEMORY = 5  # iterate and residual differences each row keeps
 ANDERSON_MIXING = 0.5  # weight of the residual in the step, and the damping of the fallback step
@@ -86,7 +87,7 @@ class FixedPointError(RuntimeError):
 
 
 class NonConvergenceError(FixedPointError):
-    """No convergence within max_iter map rows; the message carries the last residual."""
+    """No convergence within MAX_ITER map rows; the message carries the last residual."""
 
 
 # --------------------------------------------------------------------------- #
@@ -323,8 +324,6 @@ def solve_batch(
     problem: DetEquivProblem,
     zs: Sequence[complex],
     starts: Sequence[FixedPointState],
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 10_000,
 ) -> list:
     """Anderson-accelerated iteration of the map at zs[i] from the iterate starts[i], for every i in one batch.
 
@@ -336,11 +335,12 @@ def solve_batch(
     step X + ANDERSON_MIXING * (F(X) - X) instead, and clears its history,
     only when the extrapolated iterate leaves the Stieltjes half-plane
     (Im z > 0 but some Im b_q < 0): without that guard the extrapolation can
-    jump to the non-physical root.  A row leaves the
-    batch once it converges or its map value turns non-finite, so each row
-    ends exactly as it would in a batch of its own.  Returns, per row, the
-    converged FixedPointState or the FixedPointError that ended it
-    (NonConvergenceError after max_iter); either carries the row's SolveStats.
+    jump to the non-physical root.  A row converges when its residual falls
+    below DEFAULT_TOL, and leaves the batch then or when its map value turns
+    non-finite, so each row ends exactly as it would in a batch of its own.
+    Returns, per row, the converged FixedPointState or the FixedPointError
+    that ended it (NonConvergenceError after MAX_ITER map rows); either
+    carries the row's SolveStats.
     """
     out: list = [None] * len(zs)
     if not out:
@@ -358,13 +358,13 @@ def solve_batch(
     rejections = np.zeros(len(out), dtype=int)
     upper = z.imag > 0
     D_prev = f_prev = X
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         V, nu, b = X[:, :k * k].reshape(-1, k, k), X[:, k * k:k * k + k], X[:, k * k + k:]
         V1, nu1, b1 = fixed_point_map(problem, z, V, nu, b)
         f = np.concatenate((V1.reshape(len(rows), -1), nu1, b1), axis=1) - X
         res = np.abs(f).max(axis=1)
         ok = np.isfinite(res)
-        done = ok & (res < tol)
+        done = ok & (res < DEFAULT_TOL)
         keep = ok & ~done
         if not keep.all():
             for i in np.flatnonzero(~keep):
@@ -403,9 +403,9 @@ def solve_batch(
         X = X_next
     for i, row in enumerate(rows):
         out[row] = NonConvergenceError(
-            f"fixed point did not converge at z={complex(z[i])} (residual {res[i]:.3e} after {max_iter} iterations)"
+            f"fixed point did not converge at z={complex(z[i])} (residual {res[i]:.3e} after {MAX_ITER} iterations)"
         )
-        out[row].stats = SolveStats(max_iter, int(rejections[i]))
+        out[row].stats = SolveStats(MAX_ITER, int(rejections[i]))
     return out
 
 
@@ -425,11 +425,9 @@ def _anderson_correction(dD: np.ndarray, dF: np.ndarray, pushes: np.ndarray, f: 
     return (gamma.transpose(0, 2, 1) @ dD)[:, 0]
 
 
-def _solve_one(
-    problem: DetEquivProblem, z: complex, start: FixedPointState, tol: float, max_iter: int, spent=SolveStats()
-):
+def _solve_one(problem: DetEquivProblem, z: complex, start: FixedPointState, spent=SolveStats()):
     """`solve_batch` with one row; `spent`, the work of earlier ladder rungs, is added to the row's stats."""
-    result = solve_batch(problem, [z], [start], tol, max_iter)[0]
+    result = solve_batch(problem, [z], [start])[0]
     result.stats = spent + result.stats
     if isinstance(result, FixedPointError):
         raise result
@@ -440,8 +438,6 @@ def solve_fixed_point(
     problem: DetEquivProblem,
     z: complex,
     warm_start: FixedPointState | None = None,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 10_000,
 ) -> FixedPointState:
     """Solve the self-consistent equations at z (off R+): `solve_batch` with one row.
 
@@ -455,13 +451,13 @@ def solve_fixed_point(
     if z.imag == 0.0 and z.real >= 0.0:
         raise ValueError(f"z must lie off the positive real axis, got {z}")
     if z.imag < 0.0:
-        flipped = solve_fixed_point(problem, np.conj(z), warm_start.conjugate() if warm_start else None, tol, max_iter)
+        flipped = solve_fixed_point(problem, np.conj(z), warm_start.conjugate() if warm_start else None)
         return flipped.conjugate()
 
     if warm_start is not None:
-        return _solve_one(problem, z, warm_start, tol, max_iter)
+        return _solve_one(problem, z, warm_start)
     if z.imag >= LADDER_TOP or abs(z) >= LADDER_TOP:
-        return _solve_one(problem, z, _cold_state(problem, z), tol, max_iter)
+        return _solve_one(problem, z, _cold_state(problem, z))
 
     # continuation ladder in Im z
     ims = []
@@ -472,8 +468,8 @@ def solve_fixed_point(
         im *= LADDER_FACTOR
     state = _cold_state(problem, complex(z.real, ims[0]))
     for im in ims:
-        state = _solve_one(problem, complex(z.real, im), state, tol, max_iter, state.stats)
-    return _solve_one(problem, z, state, tol, max_iter, state.stats)
+        state = _solve_one(problem, complex(z.real, im), state, state.stats)
+    return _solve_one(problem, z, state, state.stats)
 
 
 def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> complex:

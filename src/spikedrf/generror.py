@@ -84,14 +84,11 @@ def tau2_tau3(
     problem: DetEquivProblem,
     tau0_vec: np.ndarray,
     base_state: FixedPointState,
-    step: float = DEFAULT_RHO_STEP,
 ):
-    """Variance parameters by central finite differences of C^{-1} in rho.
+    """Variance parameters by central finite differences of C^{-1} in rho, with step DEFAULT_RHO_STEP.
 
     Warm-starts every perturbed solve from the unperturbed solution.
     """
-    if not (1e-6 <= step <= 1e-3):
-        raise ValueError(f"rho step must lie in [1e-6, 1e-3], got {step}")
     r = np.concatenate([[1.0], -tau0_vec])
 
     def quad_form(rho) -> float:
@@ -104,7 +101,7 @@ def tau2_tau3(
         minus = quad_form((-h, 0.0) if which == 0 else (0.0, -h))
         return (plus - minus) / (2 * h)
 
-    return derivative(step, 0), derivative(step, 1)
+    return derivative(DEFAULT_RHO_STEP, 0), derivative(DEFAULT_RHO_STEP, 1)
 
 
 def asymptotic_tau(problem: DetEquivProblem, lam: float) -> TauSet:

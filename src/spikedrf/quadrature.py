@@ -96,13 +96,12 @@ def shifted_coeffs(
     sigma: Callable[[np.ndarray], np.ndarray],
     shifts: np.ndarray,
     max_order: int,
-    rule: QuadratureRule | None = None,
 ) -> np.ndarray:
-    """Coefficients c_l(shift) = E_z[sigma(z + shift) h_l(z)], vectorized over shifts.
+    """Coefficients c_l(shift) = E_z[sigma(z + shift) h_l(z)], vectorized over shifts, on the inner rule.
 
     Returns an arrayable of shape (len(shifts), max_order + 1).
     """
-    rule = rule or cached_rule(DEFAULT_INNER_NODES)
+    rule = cached_rule(DEFAULT_INNER_NODES)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     vals = sigma(rule.nodes[None, :] + shifts[:, None])  # (n_shift, n_nodes)
     _check_finite(vals, "activation")
@@ -113,10 +112,9 @@ def shifted_coeffs(
 def shifted_second_moment(
     sigma: Callable[[np.ndarray], np.ndarray],
     shifts: np.ndarray,
-    rule: QuadratureRule | None = None,
 ) -> np.ndarray:
-    """E_z[sigma(z + shift)^2], vectorized over shifts."""
-    rule = rule or cached_rule(DEFAULT_INNER_NODES)
+    """E_z[sigma(z + shift)^2], vectorized over shifts, on the inner rule."""
+    rule = cached_rule(DEFAULT_INNER_NODES)
     shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
     vals = sigma(rule.nodes[None, :] + shifts[:, None])
     _check_finite(vals, "activation")
@@ -126,11 +124,10 @@ def shifted_second_moment(
 def residual_table(
     sigma: Callable[[np.ndarray], np.ndarray],
     shifts: np.ndarray,
-    rule: QuadratureRule | None = None,
 ) -> np.ndarray:
-    """Vectorized Parseval residual over an array of shifts."""
-    c = shifted_coeffs(sigma, shifts, 1, rule)
-    m2 = shifted_second_moment(sigma, shifts, rule)
+    """Vectorized Parseval residual over an array of shifts, on the inner rule."""
+    c = shifted_coeffs(sigma, shifts, 1)
+    m2 = shifted_second_moment(sigma, shifts)
     r = m2 - c[..., 0] ** 2 - c[..., 1] ** 2
     if np.min(r) < -1e-10:
         raise QuadratureError(f"negative residual second moment {np.min(r):.3e}; quadrature failure")

@@ -182,14 +182,11 @@ def empirical_generror(
     w_star: np.ndarray,
     sigma: ActivationSpec,
     rng: np.random.Generator,
-    n_test: int = DEFAULT_TEST_POINTS,
 ):
-    """Monte Carlo estimate of E[(y_new - f(x_new))^2] with its standard error."""
-    if n_test < 10_000:
-        raise ValueError(f"need n_test >= 10^4 for a stable estimate, got {n_test}")
-    X, y, _ = sample_data(n_test, W1.shape[1], w_star, link, rng)
+    """Monte Carlo estimate of E[(y_new - f(x_new))^2] over DEFAULT_TEST_POINTS fresh samples, with its standard error."""
+    X, y, _ = sample_data(DEFAULT_TEST_POINTS, W1.shape[1], w_star, link, rng)
     resid = (y - network_output(X, W1, a_hat, sigma)) ** 2
-    return float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(n_test))
+    return float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(DEFAULT_TEST_POINTS))
 
 
 @dataclass
@@ -288,32 +285,21 @@ def run_experiment(
     seed_index: int = 0,
     compute_spectrum: bool = False,
     compute_spike_deviation: bool = False,
-    pretrained: tuple | None = None,
     include_init_output: bool = True,
 ) -> RunResult:
-    """Run the full two-step pipeline for one seed.
-
-    `pretrained` optionally injects (W0, W1, second_layer, w_star) from a
-    previous run with the same seed so sweeps over n need not repeat the
-    gradient step (the trained layer's law does not depend on n).
-    """
+    """Run the full two-step pipeline for one seed: every draw comes from `make_rng(config.seed, seed_index)`."""
     sigma = config.activation_spec()
     link = config.link_spec()
     c1, cstar1 = sigma.first_coeff(), link.first_coeff()
 
-    if pretrained is None:
-        rng = make_rng(config.seed, seed_index)
-        w_star = rng.standard_normal(config.d)
-        w_star /= np.linalg.norm(w_star)
-        W0 = sample_first_layer(config.p, config.d, rng)
-        layer = sample_second_layer(config.p, config.vocab, rng)
-        X0, y0, _ = sample_data(config.n0, config.d, w_star, link, rng)
-        W1 = gradient_step(W0, layer.a0, X0, y0, config.eta, sigma, include_init_output=include_init_output)
-        del X0, y0
-    else:
-        W0, W1, layer, w_star = pretrained
-        # fresh stream, disjoint from the one that trained the injected weights
-        rng = make_rng(config.seed, 1_000_000 + seed_index)
+    rng = make_rng(config.seed, seed_index)
+    w_star = rng.standard_normal(config.d)
+    w_star /= np.linalg.norm(w_star)
+    W0 = sample_first_layer(config.p, config.d, rng)
+    layer = sample_second_layer(config.p, config.vocab, rng)
+    X0, y0, _ = sample_data(config.n0, config.d, w_star, link, rng)
+    W1 = gradient_step(W0, layer.a0, X0, y0, config.eta, sigma, include_init_output=include_init_output)
+    del X0, y0
 
     X, y, _ = sample_data(config.n, config.d, w_star, link, rng)
     phi = features(W1, X, sigma)

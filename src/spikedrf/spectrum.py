@@ -20,7 +20,6 @@ locally refined grid and an eps below the peak width.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .detequiv import (
     stieltjes_from_state,
 )
 
-DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)
+DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)  # decreasing, at least two levels
 # refinement of the mass and CDF near support edges (see `density_grid`)
 EDGE_RATIO = 0.01  # a cell is an edge cell when the density at one end is below this share of the other end
 EDGE_MASS = 1e-3  # a cell is steep when width * density change exceeds this mass
@@ -114,23 +113,24 @@ def density_grid(
     lam_min: float,
     lam_max: float,
     points: int,
-    eps_schedule: Sequence[float] = DEFAULT_EPS_SCHEDULE,
     cache=None,
 ) -> DensityCurve:
     """Bulk density on a uniform grid by eps-laddered Stieltjes inversion.
 
-    The first (largest) eps level sweeps the grid left to right, each point
-    warm-started from its left neighbour.  Every later level solves, in one
-    `solve_batch` call, the points that miss the cache and converged at an
-    earlier level, each warm-started from its own state at the previous eps;
-    the points that never converged then go through `solve_fixed_point` in
-    grid order, warm-started from their left neighbour at this level.  States
-    are the same, bit for bit, as solving every point alone in grid order.
-    `cache`, if given (a `FixedPointCache`, or any object with `get(z)`
-    returning a state or None and `put(state)`), is read before each solve
-    and gets every new grid state in grid order.  A point whose solve raises
-    FixedPointError is marked unconverged (its last error is kept in
-    `failures`) and the grid goes on; any other exception propagates.
+    The eps levels are DEFAULT_EPS_SCHEDULE, largest first; the density is
+    extrapolated from the last two.  The first level sweeps the grid left to
+    right, each point warm-started from its left neighbour.  Every later
+    level solves, in one `solve_batch` call, the points that miss the cache
+    and converged at an earlier level, each warm-started from its own state
+    at the previous eps; the points that never converged then go through
+    `solve_fixed_point` in grid order, warm-started from their left
+    neighbour at this level.  States are the same, bit for bit, as solving
+    every point alone in grid order.  `cache`, if given (a `FixedPointCache`,
+    or any object with `get(z)` returning a state or None and `put(state)`),
+    is read before each solve and gets every new grid state in grid order.
+    A point whose solve raises FixedPointError is marked unconverged (its
+    last error is kept in `failures`) and the grid goes on; any other
+    exception propagates.
 
     The first level stays a sequential sweep because a batch from cold starts
     is not safe: without the continuation ladder a row can converge to a
@@ -149,11 +149,7 @@ def density_grid(
     """
     if lam_max <= lam_min:
         raise ValueError("need lam_max > lam_min")
-    eps_schedule = tuple(sorted((float(e) for e in eps_schedule), reverse=True))
-    if len(eps_schedule) < 2:
-        raise ValueError("eps schedule needs at least two decreasing levels")
-    if eps_schedule[-1] < 1e-4:
-        raise ValueError("eps below 1e-4 is outside the supported inversion range")
+    eps_schedule = DEFAULT_EPS_SCHEDULE
     grid = np.linspace(lam_min, lam_max, points)
     atom = problem.atom_mass()
     fresh: list = []  # the result of every solve this call made, in order: a state or a FixedPointError

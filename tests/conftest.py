@@ -1,18 +1,6 @@
-import numpy as np
 import pytest
 
 from spikedrf.model import ExperimentConfig, VocabularySpec
-from spikedrf.quadrature import cached_rule
-
-
-@pytest.fixture(scope="session")
-def rule127():
-    return cached_rule(127)
-
-
-@pytest.fixture(scope="session")
-def rule201():
-    return cached_rule(201)
 
 
 @pytest.fixture()
@@ -29,7 +17,3 @@ def tiny_config():
         link="sin",
         vocab=VocabularySpec(zeta=(1.0,), pi=(1.0,)),
     )
-
-
-def seed_rng(seed=0):
-    return np.random.default_rng(seed)

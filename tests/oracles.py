@@ -25,7 +25,6 @@ from spikedrf.detequiv import (
 from spikedrf.model import ActivationSpec, LinkSpec
 from spikedrf.quadrature import (
     QuadratureError,
-    QuadratureRule,
     cached_rule,
     hermite_basis,
     shifted_coeffs,
@@ -51,22 +50,20 @@ def shifted_hermite_coeff(
     order: int,
     kappa: float,
     zeta: float,
-    rule: QuadratureRule | None = None,
 ) -> float:
     """c_order(kappa, zeta) = E_z[sigma(z + kappa*zeta) h_order(z)]."""
-    return float(shifted_coeffs(sigma, np.array([kappa * zeta]), order, rule)[0, order])
+    return float(shifted_coeffs(sigma, np.array([kappa * zeta]), order)[0, order])
 
 
 def residual_second_moment(
     sigma: Callable[[np.ndarray], np.ndarray],
     kappa: float,
     zeta: float,
-    rule: QuadratureRule | None = None,
 ) -> float:
     """Order->=2 Hermite mass of sigma(. + kappa*zeta), by Parseval difference."""
     shift = np.array([kappa * zeta], dtype=float)
-    c = shifted_coeffs(sigma, shift, 1, rule)[0]
-    m2 = shifted_second_moment(sigma, shift, rule)[0]
+    c = shifted_coeffs(sigma, shift, 1)[0]
+    m2 = shifted_second_moment(sigma, shift)[0]
     r = float(m2 - c[0] ** 2 - c[1] ** 2)
     if r < -1e-10:
         raise QuadratureError(f"negative residual second moment {r:.3e}; quadrature failure")

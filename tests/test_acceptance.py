@@ -53,7 +53,7 @@ def fig1_config(eta_tilde=3.3, seed=11, n0=None):
 
 
 def train_once(config, seed_index, include_init_output):
-    """Gradient-step phase only; returns the pretrained tuple for run_experiment."""
+    """The gradient-step half of `sim.run_experiment`, on the same stream: returns (W0, W1, layer, w_star)."""
     sigma, link = config.activation_spec(), config.link_spec()
     rng = make_rng(config.seed, seed_index)
     w_star = rng.standard_normal(config.d)
@@ -63,6 +63,21 @@ def train_once(config, seed_index, include_init_output):
     X0, y0, _ = sim.sample_data(config.n0, config.d, w_star, link, rng)
     W1 = sim.gradient_step(W0, layer.a0, X0, y0, config.eta, sigma, include_init_output=include_init_output)
     return W0, W1, layer, w_star
+
+
+def evaluate_pretrained(config, seed_index, pretrained):
+    """(test error, tau0) of the readout on weights from `train_once`: the rest of `sim.run_experiment`.
+
+    It draws from a fresh stream, disjoint from the one that trained the weights.
+    """
+    W0, W1, layer, w_star = pretrained
+    sigma, link = config.activation_spec(), config.link_spec()
+    rng = make_rng(config.seed, 1_000_000 + seed_index)
+    X, y, _ = sim.sample_data(config.n, config.d, w_star, link, rng)
+    a_hat = sim.ridge_fit(sim.features(W1, X, sigma), y, config.lam)
+    err, _ = sim.empirical_generror(a_hat, W1, link, w_star, sigma, rng)
+    tau = sim.empirical_tau(a_hat, layer.groups, W0 @ w_star, W0, sigma, config.spike_vocabulary())
+    return err, tau.tau0
 
 
 # --------------------------------------------------------------------------- #
@@ -208,7 +223,7 @@ def test_criterion_3_rf_limit_and_normalization_freeze():
 # --------------------------------------------------------------------------- #
 
 
-def test_criterion_4_spectrum_reproduction():
+def test_criterion_4_spectrum_reproduction(monkeypatch):
     """Trained bulk spectrum overlay (k=1, alpha=0.8, ReLU, sin, eta~=3.3, p=2048).
 
     Label-only gradient protocol (see module docstring); 2 seeds pooled.
@@ -225,12 +240,12 @@ def test_criterion_4_spectrum_reproduction():
     pooled = np.concatenate(pooled)
     cfg = fig1_config()
     prob = de.problem_from_config(cfg)
-    schedule = (5e-3, 2.5e-3, 1.25e-3)
+    monkeypatch.setattr(sp, "DEFAULT_EPS_SCHEDULE", (5e-3, 2.5e-3, 1.25e-3))
     hi = 1.3 * pooled.max()
-    curve = sp.density_grid(prob, 5e-4, hi, 500, eps_schedule=schedule)
+    curve = sp.density_grid(prob, 5e-4, hi, 500)
     ks = sp.ks_distance(pooled, curve)
     prob0 = de.problem_from_config(fig1_config(eta_tilde=0.0))
-    curve0 = sp.density_grid(prob0, 5e-4, hi, 500, eps_schedule=schedule)
+    curve0 = sp.density_grid(prob0, 5e-4, hi, 500)
     w_trained, w_untrained = support_width(curve), support_width(curve0)
     passed = ks < 0.03 and w_trained > w_untrained
     report(
@@ -273,9 +288,9 @@ def fig2_results():
             pre = train_once(base, 0, include_init_output=False)
             for a in alphas:
                 cfg = dataclasses.replace(base, n=int(a * FIG1_D))
-                res = sim.run_experiment(cfg, 0, pretrained=pre)
-                sims[a].append(res.gen_error)
-                tau0_pairs[a].append(res.tau.tau0)
+                err, tau0 = evaluate_pretrained(cfg, 0, pre)
+                sims[a].append(err)
+                tau0_pairs[a].append(tau0)
         out[tag] = {"theory": theory, "sims": sims, "tau0": tau0_pairs}
     out["alphas"] = alphas
     out["elapsed"] = time.time() - t0
@@ -469,8 +484,11 @@ def test_criterion_7_invariant_suite():
     lam = 0.05
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
     tau0_vec = ge.tau0(ge.schur_C_inverse(prob, state), lam)
-    a2, a3 = ge.tau2_tau3(prob, tau0_vec, state, step=1e-4)
-    b2, b3 = ge.tau2_tau3(prob, tau0_vec, state, step=5e-5)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ge, "DEFAULT_RHO_STEP", 1e-4)
+        a2, a3 = ge.tau2_tau3(prob, tau0_vec, state)
+        patch.setattr(ge, "DEFAULT_RHO_STEP", 5e-5)
+        b2, b3 = ge.tau2_tau3(prob, tau0_vec, state)
     checks["rho_step"] = abs(a2 - b2) / max(abs(a2), 1e-12) < 1e-5 and abs(a3 - b3) / max(abs(a3), 1e-12) < 1e-5
 
     # ridge primal/dual agreement on a 200 x 300 instance

@@ -44,6 +44,9 @@ def test_invalid_json_and_unknown_key(tmp_path):
     assert run("simulate", bad, "--out", tmp_path / "o1") == cli.EXIT_USAGE
     bad.write_text(json.dumps({**TINY, "surplus": 3}))
     assert run("simulate", bad, "--out", tmp_path / "o2") == cli.EXIT_USAGE
+    bad.write_bytes(b"\xff\xfe{}")  # not UTF-8
+    assert run("simulate", bad, "--out", tmp_path / "o3") == cli.EXIT_USAGE
+    assert run("simulate", tmp_path, "--out", tmp_path / "o4") == cli.EXIT_USAGE  # a directory
 
 
 @pytest.mark.parametrize("command", ["simulate", "compare"])
@@ -278,6 +281,25 @@ def test_crash_exits_3(config_path, tmp_path, monkeypatch, capsys):
     assert run("theory-generror", config_path, "--out", tmp_path / "g") == cli.EXIT_CRASH
     err = capsys.readouterr().err
     assert "Traceback" in err and "boom" in err
+
+
+@pytest.mark.parametrize(
+    "module, work, exc, rc",
+    [(spectrum, "density_grid", ZeroDivisionError, cli.EXIT_CRASH),
+     (generror, "asymptotic_tau", FixedPointError, cli.EXIT_TOLERANCE)],
+)
+def test_compare_records_runtime_errors_and_crashes_on_others(module, work, exc, rc, config_path, tmp_path,
+                                                              monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise exc("injected")
+
+    monkeypatch.setattr(module, work, broken)
+    assert run("compare", config_path, "--seeds", 1, "--out", tmp_path / "cmp") == rc
+    out, err = capsys.readouterr()
+    if rc == cli.EXIT_CRASH:
+        assert "Traceback" in err and "ZeroDivisionError: injected" in err
+    else:
+        assert "FAIL generror_rel_gap injected" in out
 
 
 @pytest.mark.parametrize(

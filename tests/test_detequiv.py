@@ -49,12 +49,13 @@ def test_alpha_zero_perturbed_map():
     assert np.max(np.abs(st.b - expected_b)) < 1e-9
 
 
-def test_marchenko_pastur_oracle():
+def test_marchenko_pastur_oracle(monkeypatch):
     # c1 = 0 activation with zero spike: the system collapses to the exact MP law
     # with ratio gamma = alpha/beta
+    monkeypatch.setattr(de, "DEFAULT_TOL", 1e-12)
     for alpha, beta, z in [(0.6, 1.2, complex(-1.0, 0.0)), (2.0, 0.8, complex(-0.7, 0.3)), (1.0, 1.0, complex(0.5, 0.8))]:
         prob = de.build_problem(get_activation("hermite2"), get_link("sin"), [0.0], [1.0], alpha=alpha, beta=beta)
-        st = de.solve_fixed_point(prob, z, tol=1e-12)
+        st = de.solve_fixed_point(prob, z)
         m = de.stieltjes_from_state(prob, st)
         assert abs(m - mp_stieltjes(alpha / beta, z)) < 1e-8
 
@@ -171,12 +172,13 @@ def test_vocabulary_split_invariance():
         assert abs(de.stieltjes_from_state(base, sb) - de.stieltjes_from_state(split, ss)) < 1e-8
 
 
-def test_holomorphy_cauchy_riemann():
+def test_holomorphy_cauchy_riemann(monkeypatch):
+    monkeypatch.setattr(de, "DEFAULT_TOL", 1e-12)
     prob = small_problem()
     z0, h = complex(-1.0, 0.5), 1e-5
 
     def m(z):
-        return de.stieltjes_from_state(prob, de.solve_fixed_point(prob, z, tol=1e-12))
+        return de.stieltjes_from_state(prob, de.solve_fixed_point(prob, z))
 
     d_re = (m(z0 + h) - m(z0 - h)) / (2 * h)
     d_im = (m(z0 + 1j * h) - m(z0 - 1j * h)) / (2j * h)
@@ -208,10 +210,11 @@ def test_state_serialization_roundtrip():
     assert back.residual == st.residual
 
 
-def test_nonconvergence_reported():
+def test_nonconvergence_reported(monkeypatch):
     prob = small_problem()
+    monkeypatch.setattr(de, "MAX_ITER", 2)
     with pytest.raises(de.NonConvergenceError) as err:
-        de.solve_fixed_point(prob, complex(-0.5, 0.5), max_iter=2)
+        de.solve_fixed_point(prob, complex(-0.5, 0.5))
     assert err.value.stats.rows == 2
     assert float(re.search(r"residual (\S+) after 2 iterations", str(err.value)).group(1)) > 0
 
@@ -350,7 +353,7 @@ def test_batch_is_bit_identical_to_single_solves(prob):
     assert max(rows) > 3 * min(rows)  # slow and fast rows share the batch
 
 
-def test_failing_rows_leave_the_batch_alone():
+def test_failing_rows_leave_the_batch_alone(monkeypatch):
     prob = small_problem()
     zs, starts = warm_batch(prob)
     alone = [de.solve_fixed_point(prob, z, warm_start=s) for z, s in zip(zs, starts)]
@@ -360,7 +363,8 @@ def test_failing_rows_leave_the_batch_alone():
     poisoned = 3
     good = starts[poisoned]
     nan_start = de.FixedPointState(z=good.z, V=good.V * np.nan, nu=good.nu, b=good.b)
-    batch = de.solve_batch(prob, zs, [nan_start if i == poisoned else s for i, s in enumerate(starts)], max_iter=cap)
+    monkeypatch.setattr(de, "MAX_ITER", cap)
+    batch = de.solve_batch(prob, zs, [nan_start if i == poisoned else s for i, s in enumerate(starts)])
     assert isinstance(batch[poisoned], de.FixedPointError) and "non-finite" in str(batch[poisoned])
     assert isinstance(batch[slow], de.NonConvergenceError) and batch[slow].stats.rows == cap
     for i, (got, want) in enumerate(zip(batch, alone)):

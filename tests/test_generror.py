@@ -64,15 +64,15 @@ def test_null_predictor_expected_lambda():
     assert abs(ge.expected_lambda(null, prob) - prob.kappa_w @ prob.g**2) < 1e-12
 
 
-def test_rho_derivative_step_controls():
+def test_rho_derivative_step_controls(monkeypatch):
     prob = problem()
     lam = 0.05
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
     t0 = ge.tau0(ge.schur_C_inverse(prob, state), lam)
-    with pytest.raises(ValueError):
-        ge.tau2_tau3(prob, t0, state, step=1e-2)
-    a2, a3 = ge.tau2_tau3(prob, t0, state, step=1e-4)
-    b2, b3 = ge.tau2_tau3(prob, t0, state, step=5e-5)
+    monkeypatch.setattr(ge, "DEFAULT_RHO_STEP", 1e-4)
+    a2, a3 = ge.tau2_tau3(prob, t0, state)
+    monkeypatch.setattr(ge, "DEFAULT_RHO_STEP", 5e-5)
+    b2, b3 = ge.tau2_tau3(prob, t0, state)
     assert abs(a2 - b2) / max(abs(a2), 1e-12) < 1e-5
     assert abs(a3 - b3) / max(abs(a3), 1e-12) < 1e-5
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import hermite_polynomial, residual_second_moment, shifted_hermite_coeff
+from spikedrf import quadrature
 from spikedrf.model import ACTIVATIONS, get_activation
 from spikedrf.quadrature import (
     QuadratureError,
@@ -88,10 +89,9 @@ def test_residual_trivial_cases():
 
 def test_residual_matches_truncated_series():
     tanh = get_activation("tanh")
-    rule = cached_rule(127)
-    coeffs = shifted_coeffs(tanh.fn, np.array([1.0]), 40, rule)[0]
+    coeffs = shifted_coeffs(tanh.fn, np.array([1.0]), 40)[0]
     series = float(np.sum(coeffs[2:] ** 2))
-    parseval = residual_second_moment(tanh.fn, 1.0, 1.0, rule)
+    parseval = residual_second_moment(tanh.fn, 1.0, 1.0)
     assert abs(series - parseval) < 1e-8
 
 
@@ -136,30 +136,29 @@ def test_shift_consistency_product_only(kappa, zeta, order, name):
 
 def test_parseval_all_builtins_random_pairs():
     rng = np.random.default_rng(42)
-    rule = cached_rule(127)
     pairs = rng.normal(size=(50, 2)) * 1.5
     for name, spec in ACTIVATIONS.items():
         shifts = pairs[:, 0] * pairs[:, 1]
-        coeffs = shifted_coeffs(spec.fn, shifts, 40, rule)
-        m2 = shifted_second_moment(spec.fn, shifts, rule)
+        coeffs = shifted_coeffs(spec.fn, shifts, 40)
+        m2 = shifted_second_moment(spec.fn, shifts)
         # c0^2 + c1^2 + residual = E[sigma^2] by construction; the series must
         # recover the same mass for smooth activations
-        resid = residual_table(spec.fn, shifts, rule)
+        resid = residual_table(spec.fn, shifts)
         assert np.max(np.abs(coeffs[:, 0] ** 2 + coeffs[:, 1] ** 2 + resid - m2) / (1.0 + m2)) < 1e-13
         if name in ("erf", "tanh", "sin", "identity", "hermite2", "hermite3"):
             # order-40 truncation leaves ~1e-8 mass for tanh at large shifts
             assert np.max(np.abs(np.sum(coeffs**2, axis=1) - m2)) < 5e-8
 
 
-def test_node_doubling_stability():
+def test_node_doubling_stability(monkeypatch):
     # doubling either rule's node count moves kernel-style integrals by < 1e-9
     tanh = get_activation("tanh")
     outer_a, outer_b = cached_rule(201), cached_rule(402)
     for inner_n in (127, 254):
-        inner = cached_rule(inner_n)
+        monkeypatch.setattr(quadrature, "DEFAULT_INNER_NODES", inner_n)
         vals = []
         for outer in (outer_a, outer_b):
-            c1 = shifted_coeffs(tanh.fn, outer.nodes * 0.8, 1, inner)[:, 1]
+            c1 = shifted_coeffs(tanh.fn, outer.nodes * 0.8, 1)[:, 1]
             vals.append(float(outer.weights @ (c1**2 / (1.0 + 0.3 * outer.nodes**2 / (1 + outer.nodes**2)))))
         assert abs(vals[0] - vals[1]) < 1e-9
 

@@ -194,7 +194,7 @@ def test_ridge_primal_dual_agreement_and_optimality():
     assert np.linalg.norm(grad) < 1e-8 * (1 + np.linalg.norm(a_dual))
 
 
-def test_empirical_generror_null_predictor_and_scaling():
+def test_empirical_generror_null_predictor_and_scaling(monkeypatch):
     rng = make_rng(10)
     d, p = 30, 12
     w = unit_vector(d, rng)
@@ -204,9 +204,11 @@ def test_empirical_generror_null_predictor_and_scaling():
     rule = cached_rule(127)
     oracle = float(rule.weights @ np.sin(rule.nodes) ** 2)
     assert abs(oracle - (1 - np.exp(-2)) / 2) < 1e-12
-    err, se = sim.empirical_generror(np.zeros(p), W1, link, w, sigma, make_rng(10, 1), n_test=40_000)
+    monkeypatch.setattr(sim, "DEFAULT_TEST_POINTS", 40_000)
+    err, se = sim.empirical_generror(np.zeros(p), W1, link, w, sigma, make_rng(10, 1))
     assert abs(err - oracle) < 3 * se
-    err2, se2 = sim.empirical_generror(np.zeros(p), W1, link, w, sigma, make_rng(10, 2), n_test=160_000)
+    monkeypatch.setattr(sim, "DEFAULT_TEST_POINTS", 160_000)
+    err2, se2 = sim.empirical_generror(np.zeros(p), W1, link, w, sigma, make_rng(10, 2))
     assert se2 < 0.65 * se  # roughly halves
 
 
@@ -218,11 +220,6 @@ def test_empirical_generror_realizable_linear():
     )
     res = sim.run_experiment(cfg, 0)
     assert res.gen_error < 1e-6
-
-
-def test_empirical_generror_rejects_small_test_set():
-    with pytest.raises(ValueError):
-        sim.empirical_generror(np.zeros(4), np.eye(4), get_link("sin"), np.array([1.0, 0, 0, 0]), get_activation("tanh"), make_rng(0), n_test=100)
 
 
 def test_empirical_tau_trivial_and_oracle():

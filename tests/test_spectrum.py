@@ -172,10 +172,6 @@ def test_density_grid_input_validation():
     prob = rf_problem()
     with pytest.raises(ValueError):
         sp.density_grid(prob, 2.0, 1.0, 50)
-    with pytest.raises(ValueError):
-        sp.density_grid(prob, 0.1, 1.0, 50, eps_schedule=(1e-2,))
-    with pytest.raises(ValueError):
-        sp.density_grid(prob, 0.1, 1.0, 50, eps_schedule=(1e-2, 1e-6))
 
 
 def test_density_grid_zero_fills_only_fixed_point_failures(monkeypatch):

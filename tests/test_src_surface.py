@@ -13,11 +13,24 @@ when any unrelated attribute or name in `src/` shares its name (a problem's
 `link` field against `config.link`, a result's `config` field against
 `args.config`), and a container whose fields are all read elsewhere escapes
 even if no caller reads the container.  Such leftovers need a reader's eye.
+
+Every parameter with a default, of every function in `src/spikedrf`, must be
+given a value by some call in `src/spikedrf`: an option that only tests set
+is a module constant that they monkeypatch.  A call that only passes on a
+parameter of its own enclosing function gives a value only if that parameter
+is itself given one by some call, so a default forwarded down a chain of
+calls stays unset.  Calls match definitions by name, so a call to an
+unrelated function of the same name counts too; a method is taken as called
+on an instance, and a class name as a call of its `__init__`.
+
+No module in `src/` or `tests/` imports a name it does not use (names in
+`__all__` and `from __future__` imports are exempt).
 """
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "spikedrf"
+TESTS = Path(__file__).resolve().parent
 
 # Assumption checks without a caller yet: ROADMAP item 5 runs them in the
 # theory commands and `compare` and reports their verdicts, so they stay.
@@ -105,3 +118,113 @@ def test_every_dataclass_field_is_read_in_src():
     assert set(unread) == ALLOWED_FIELDS, (
         f"allow-listed fields now have a reader in src/; drop them from ALLOWED_FIELDS: {ALLOWED_FIELDS - set(unread)}"
     )
+
+
+# Parameters with a default that no call in src/ gives a value, each with the reason it stays.
+ALLOWED_PARAMS = {
+    # the console script calls main() with no argument; the benchmark passes argv
+    "cli.main(argv)",
+    # bench/setup_probe.py passes it
+    "model.validate_config(for_theory)",
+    # bench/tracer.py binds it by name
+    "simulate.gradient_step(chunk)",
+    # ROADMAP item 3 turns the protocol into a config key
+    "simulate.gradient_step(include_init_output)",
+    "simulate.run_experiment(include_init_output)",
+    # an argument of the allow-listed `hermite_tail_check` (ROADMAP item 5)
+    "quadrature.hermite_tail_check(threshold)",
+}
+
+
+def _parameters(fn: ast.FunctionDef, method: bool):
+    """(positional parameter names, less self/cls for a method; every parameter name; names of those with a default)."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional[int(method):], positional + [a.arg for a in args.kwonlyargs], defaulted
+
+
+def _passed_on(expr: ast.expr, scope: dict):
+    """The enclosing function's parameter that `expr` only passes on, or None when it is a value of its own."""
+    return scope.get(expr.id) if isinstance(expr, ast.Name) else None
+
+
+def unset_parameters(src: Path) -> dict:
+    """{"module.function(param)": file:line} of every defaulted parameter that no call in src/ gives a value."""
+    defs = {}  # name a call uses -> [(key, positional parameters)]; a class name calls its __init__
+    lines = {}  # "key(param)" -> file:line, defaulted parameters only
+    calls = []  # (call node, {name: "key(param)"} of the parameters of its enclosing functions)
+
+    def visit(node, path, qual, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, qual + [child.name], scope, True)
+            elif isinstance(child, ast.FunctionDef):
+                positional, names, defaulted = _parameters(child, in_class)
+                key = f"{path.stem}.{'.'.join(qual + [child.name])}"
+                defs.setdefault(qual[-1] if in_class and child.name == "__init__" else child.name, []).append(
+                    (key, positional)
+                )
+                lines.update({f"{key}({name})": f"{path.name}:{child.lineno}" for name in defaulted})
+                visit(child, path, qual + [child.name], {**scope, **{n: f"{key}({n})" for n in names}}, False)
+            else:
+                if isinstance(child, ast.Call):
+                    calls.append((child, scope))
+                visit(child, path, qual, scope, in_class)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, [], {}, False)
+
+    edges = []  # (target "key(param)", the enclosing parameter it only passes on, or None for a value of its own)
+    for call, scope in calls:
+        name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
+        for key, positional in defs.get(name, ()):
+            for i, arg in enumerate(call.args[:len(positional)]):
+                if isinstance(arg, ast.Starred):  # fills every positional from here on
+                    edges += [(f"{key}({p})", None) for p in positional[i:]]
+                    break
+                edges.append((f"{key}({positional[i]})", _passed_on(arg, scope)))
+            edges += [(f"{key}({kw.arg})", _passed_on(kw.value, scope)) for kw in call.keywords if kw.arg is not None]
+
+    given, grew = set(), True
+    while grew:
+        grew = False
+        for target, source in edges:
+            if target not in given and (source is None or source in given):
+                given.add(target)
+                grew = True
+    return {param: where for param, where in lines.items() if param not in given}
+
+
+def test_every_src_option_is_set_in_src():
+    unset = unset_parameters(SRC)
+    extra = {name: where for name, where in unset.items() if name not in ALLOWED_PARAMS}
+    assert not extra, f"parameters with a default that no call in src/ sets (make them module constants): {extra}"
+    assert set(unset) == ALLOWED_PARAMS, (
+        f"allow-listed parameters now get a value in src/; drop them from ALLOWED_PARAMS: {ALLOWED_PARAMS - set(unset)}"
+    )
+
+
+def unused_imports(path: Path) -> list:
+    """Names a module imports and never uses, other than `from __future__` and the names of its `__all__`."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    unused = [hit for root in (SRC, TESTS) for path in sorted(root.glob("*.py")) for hit in unused_imports(path)]
+    assert not unused, f"imported but never used: {unused}"

@@ -3,8 +3,8 @@
 The cache is a JSON-lines file keyed by (problem digest, z).  The digest
 covers everything the fixed-point map reads (alpha, beta, rho, pi, the
 kappa weights, the c1 and residual tables) plus the solver settings that
-shape a converged state (`SOLVER_SETTINGS`: the continuation ladder, the
-default tolerance, the Anderson memory, mixing and Tikhonov ridge) and the
+shape a converged state (`SOLVER_SETTINGS`: the ladder, the tolerance, the
+Anderson memory, mixing and ridge, the density grid's segment length) and the
 package version; so a rerun of the same theory under another seed or n0
 reuses the file, and a changed theory or solver never reads a stale state.
 Density grid reruns hit it for every point.  A writer killed mid-line leaves
@@ -22,21 +22,20 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detequiv
+from . import detequiv, spectrum
 from .detequiv import DetEquivProblem, FixedPointState
 
-_VERSION = "spikedrf-0.2.0"  # bumped by every change of the solver's algorithm, which the constants do not show
-# the detequiv constants that shape a converged state, read when a digest is taken
-SOLVER_SETTINGS = (
-    "LADDER_TOP", "LADDER_FACTOR", "LADDER_FLOOR", "DEFAULT_TOL",
-    "ANDERSON_MEMORY", "ANDERSON_MIXING", "ANDERSON_TIKHONOV",
-)
+_VERSION = "spikedrf-0.3.0"  # bumped by every change of the solver's algorithm, which the constants do not show
+# the (module, constant) pairs that shape a converged state, read when a digest is taken
+SOLVER_SETTINGS = [(detequiv, name) for name in (
+    "LADDER_TOP", "LADDER_FACTOR", "LADDER_FLOOR", "DEFAULT_TOL", "ANDERSON_MEMORY", "ANDERSON_MIXING", "ANDERSON_TIKHONOV",
+)] + [(spectrum, "SEGMENT_POINTS")]
 
 
 def _problem_digest(problem: DetEquivProblem) -> str:
     """Digest of the theory content the fixed-point map reads, plus the solver settings."""
     h = hashlib.sha256()
-    settings = [_VERSION] + [getattr(detequiv, name) for name in SOLVER_SETTINGS]
+    settings = [_VERSION] + [getattr(module, name) for module, name in SOLVER_SETTINGS]
     scalars = [problem.alpha, problem.beta, list(problem.rho), list(problem.c1.shape)]
     h.update(json.dumps(settings + scalars).encode())
     for arr in (problem.pi, problem.kappa_w, problem.c1, problem.resid):

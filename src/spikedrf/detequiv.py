@@ -41,10 +41,10 @@ does not depend on its batch.  Its one safeguard is the damped step
 X + mixing (F(X) - X), which also clears the row's history; a row takes it
 only when the extrapolated iterate leaves the Stieltjes half-plane
 (Im z > 0 but some Im b_q < 0), where the other root of the equations lies.
-`solve_fixed_point` (continuation ladder, warm starts, conjugation) runs it
-one row at a time; the density grid runs whole eps levels through it.  Every
-result carries its SolveStats: map rows over all ladder rungs, and the
-half-plane fallbacks.
+`solve_paths` continues every row of a batch along its own path of z values
+(Allgower & Georg 2003): a cold solve takes the `ladder` in Im z, a warm start
+is a path of length one; `solve_fixed_point` is it with one row.  Every result
+carries its SolveStats: map rows over all rungs, and the half-plane fallbacks.
 """
 from __future__ import annotations
 
@@ -207,11 +207,6 @@ class FixedPointState:
     b: np.ndarray
     residual: float = np.inf
     stats: SolveStats = SolveStats()  # not serialized: a state read from the cache cost no work
-
-    def conjugate(self) -> "FixedPointState":
-        return FixedPointState(
-            np.conj(self.z), np.conj(self.V), np.conj(self.nu), np.conj(self.b), self.residual, self.stats
-        )
 
     def to_json_dict(self) -> dict:
         def c2l(a):
@@ -425,13 +420,35 @@ def _anderson_correction(dD: np.ndarray, dF: np.ndarray, pushes: np.ndarray, f: 
     return (gamma.transpose(0, 2, 1) @ dD)[:, 0]
 
 
-def _solve_one(problem: DetEquivProblem, z: complex, start: FixedPointState, spent=SolveStats()):
-    """`solve_batch` with one row; `spent`, the work of earlier ladder rungs, is added to the row's stats."""
-    result = solve_batch(problem, [z], [start])[0]
-    result.stats = spent + result.stats
-    if isinstance(result, FixedPointError):
-        raise result
-    return result
+def ladder(z: complex) -> list:
+    """Path to z (Im z >= 0): Im z from LADDER_TOP down by LADDER_FACTOR while above LADDER_FLOOR, then z."""
+    if z.imag >= LADDER_TOP or abs(z) >= LADDER_TOP:
+        return [z]
+    path = []
+    im = LADDER_TOP
+    while im > max(z.imag, LADDER_FLOOR):
+        path.append(complex(z.real, im))
+        im *= LADDER_FACTOR
+    return path + [z]
+
+
+def solve_paths(problem: DetEquivProblem, paths: Sequence[Sequence[complex]], starts: Sequence) -> list:
+    """Natural-parameter continuation along one non-empty path of z values per row, all rows batched.
+
+    Rung r is one `solve_batch` call over every row whose path has an r-th
+    point and whose rung r-1 converged, warm-started from that result; rung 0
+    starts from starts[i], or cold at paths[i][0] when starts[i] is None.
+    Returns, per row, the state at the end of its path or the FixedPointError
+    of its failed rung, either with SolveStats summed over the row's rungs.
+    """
+    current = [_cold_state(problem, path[0]) if start is None else start for path, start in zip(paths, starts)]
+    for rung in range(max(map(len, paths), default=0)):
+        live = [i for i, path in enumerate(paths) if rung < len(path) and isinstance(current[i], FixedPointState)]
+        for i, result in zip(live, solve_batch(problem, [paths[i][rung] for i in live], [current[i] for i in live])):
+            if rung:
+                result.stats = current[i].stats + result.stats
+            current[i] = result
+    return current
 
 
 def solve_fixed_point(
@@ -439,37 +456,18 @@ def solve_fixed_point(
     z: complex,
     warm_start: FixedPointState | None = None,
 ) -> FixedPointState:
-    """Solve the self-consistent equations at z (off R+): `solve_batch` with one row.
+    """Solve the self-consistent equations at z (Im z >= 0, off R+): `solve_paths` with one row.
 
-    Cold starts at small Im z reach the target by analytic continuation: a
-    geometric ladder in Im z from LADDER_TOP down, warm-starting each rung.
-    `warm_start` (a solution at a nearby point, or any explicit initial
-    iterate) skips the ladder.  Lower half-plane points are solved at the
-    conjugate point and conjugated back.  Raises the row's FixedPointError.
+    Without `warm_start` (a solution at a nearby point, or any explicit
+    initial iterate) the row takes the `ladder`.  Raises its FixedPointError.
     """
     z = complex(z)
-    if z.imag == 0.0 and z.real >= 0.0:
-        raise ValueError(f"z must lie off the positive real axis, got {z}")
-    if z.imag < 0.0:
-        flipped = solve_fixed_point(problem, np.conj(z), warm_start.conjugate() if warm_start else None)
-        return flipped.conjugate()
-
-    if warm_start is not None:
-        return _solve_one(problem, z, warm_start)
-    if z.imag >= LADDER_TOP or abs(z) >= LADDER_TOP:
-        return _solve_one(problem, z, _cold_state(problem, z))
-
-    # continuation ladder in Im z
-    ims = []
-    im = LADDER_TOP
-    target_im = max(z.imag, 0.0)
-    while im > max(target_im, LADDER_FLOOR):
-        ims.append(im)
-        im *= LADDER_FACTOR
-    state = _cold_state(problem, complex(z.real, ims[0]))
-    for im in ims:
-        state = _solve_one(problem, complex(z.real, im), state, state.stats)
-    return _solve_one(problem, z, state, state.stats)
+    if z.imag < 0.0 or (z.imag == 0.0 and z.real >= 0.0):
+        raise ValueError(f"z must lie in the upper half-plane or on the negative real axis, got {z}")
+    result = solve_paths(problem, [[z] if warm_start is not None else ladder(z)], [warm_start])[0]
+    if isinstance(result, FixedPointError):
+        raise result
+    return result
 
 
 def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> complex:

@@ -2,9 +2,10 @@
 
 The density is recovered by evaluating m(lambda + i*eps) down a decreasing
 eps schedule and Richardson-extrapolating the last two levels (the Poisson
-smoothing bias is linear in eps in the bulk).  The first eps level is a
-warm-started sweep along the grid; every finer level is one batched solve,
-each point warm-started from its own state at the previous eps.  When p > n
+smoothing bias is linear in eps in the bulk).  The first eps level is solved
+in lockstep segments of the grid, each point warm-started from its left
+neighbour; every finer level is one batched solve, each point warm-started
+from its own state at the previous eps.  When p > n
 the bulk covariance has an exact atom of mass 1 - alpha/beta at zero; its
 Stieltjes contribution -atom/z is removed analytically before inversion,
 since numerical inversion next to an atom is hopeless.  The bulk mass and
@@ -28,8 +29,9 @@ from .detequiv import (
     FixedPointError,
     FixedPointState,
     SolveStats,
-    solve_batch,
+    ladder,
     solve_fixed_point,
+    solve_paths,
     stieltjes_from_state,
 )
 
@@ -38,6 +40,7 @@ DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)  # decreasing, at least two levels
 EDGE_RATIO = 0.01  # a cell is an edge cell when the density at one end is below this share of the other end
 EDGE_MASS = 1e-3  # a cell is steep when width * density change exceeds this mass
 EDGE_SPLIT = 8  # sub-cells per refined cell
+SEGMENT_POINTS = 20  # grid points per lockstep segment of an eps level (see `density_grid`)
 
 
 def stieltjes(problem: DetEquivProblem, z: complex) -> complex:
@@ -118,26 +121,26 @@ def density_grid(
     """Bulk density on a uniform grid by eps-laddered Stieltjes inversion.
 
     The eps levels are DEFAULT_EPS_SCHEDULE, largest first; the density is
-    extrapolated from the last two.  The first level sweeps the grid left to
-    right, each point warm-started from its left neighbour.  Every later
-    level solves, in one `solve_batch` call, the points that miss the cache
-    and converged at an earlier level, each warm-started from its own state
-    at the previous eps; the points that never converged then go through
-    `solve_fixed_point` in grid order, warm-started from their left
-    neighbour at this level.  States are the same, bit for bit, as solving
-    every point alone in grid order.  `cache`, if given (a `FixedPointCache`,
-    or any object with `get(z)` returning a state or None and `put(state)`),
-    is read before each solve and gets every new grid state in grid order.
-    A point whose solve raises FixedPointError is marked unconverged (its
-    last error is kept in `failures`) and the grid goes on; any other
-    exception propagates.
+    extrapolated from the last two.  Each level first solves, in one batch,
+    the points that miss the cache and converged at an earlier level, each
+    warm-started from its own state at the previous eps.  The rest (at the
+    first level, every point the cache misses) go in lockstep segments of
+    SEGMENT_POINTS consecutive points, a layout fixed by `points` alone: step
+    j solves point j of every segment in one `solve_paths` call, each from
+    its left neighbour in the segment, or down the `ladder` when it is a head
+    or its neighbour has no state.  So no state depends on which points the
+    cache served.  `cache`, if given (a `FixedPointCache`, or any object with
+    `get(z)` returning a state or None and `put(state)`), is read before each
+    level and gets the level's new states in grid order.  A point whose solve
+    ends in a FixedPointError is marked unconverged (its last error is kept
+    in `failures`) and the grid goes on; any other exception propagates.
 
-    The first level stays a sequential sweep because a batch from cold starts
-    is not safe: without the continuation ladder a row can converge to a
-    non-physical root.  With the hermite2 activation, one spike value 1,
-    alpha=0.3 and beta=3, a cold row at z = 2.1181 + 0.01i ends at
-    b = -1.476 + 0.001i where the ladder gives -1.404 + 0.170i: that spurious
-    root has Im b > 0, so no half-plane sign check can certify a cold root.
+    Segment heads take the ladder because a cold start at small Im z is not
+    safe: it can converge to a non-physical root.  With the hermite2
+    activation, one spike value 1, alpha=0.3 and beta=3, a cold row at
+    z = 2.1181 + 0.01i ends at b = -1.476 + 0.001i where the ladder gives
+    -1.404 + 0.170i: that spurious root has Im b > 0, so no half-plane sign
+    check can certify a cold root.
 
     A grid cell across a support edge holds a square-root rise that the
     trapezoid rule misweighs by up to ~h^1.5; the cells of `_edge_cells` are
@@ -167,25 +170,25 @@ def density_grid(
     for ei, eps in enumerate(eps_schedule):
         zs = [complex(lam, eps) for lam in grid]
         found = [cache.get(z) if cache is not None else None for z in zs]
+        states = list(found)
         batch = [gi for gi in range(points) if found[gi] is None and prev_states[gi] is not None]
-        solved = dict(zip(batch, solve_batch(problem, [zs[gi] for gi in batch], [prev_states[gi] for gi in batch])))
-        carry: FixedPointState | None = None
-        for gi, z in enumerate(zs):
-            state = found[gi] or solved.get(gi)
-            if state is None:
-                try:
-                    state = solve_fixed_point(problem, z, warm_start=carry)
-                except FixedPointError as exc:
-                    state = exc
+        for gi, result in zip(batch, solve_paths(problem, [[zs[gi]] for gi in batch], [prev_states[gi] for gi in batch])):
+            states[gi] = result
+        # the rest in lockstep segments: step j solves point j of every segment, from its left neighbour or a ladder
+        for j in range(SEGMENT_POINTS):
+            todo = [gi for gi in range(j, points, SEGMENT_POINTS) if states[gi] is None]
+            starts = [states[gi - 1] if j and isinstance(states[gi - 1], FixedPointState) else None for gi in todo]
+            paths = [[zs[gi]] if start is not None else ladder(zs[gi]) for gi, start in zip(todo, starts)]
+            for gi, result in zip(todo, solve_paths(problem, paths, starts)):
+                states[gi] = result
+        for gi, state in enumerate(states):
             if found[gi] is None:
                 fresh.append(state)
             if isinstance(state, FixedPointError):
                 errors[gi] = (eps, str(state))
-                carry = None
                 continue
             if found[gi] is None and cache is not None:
                 cache.put(state)
-            carry = state
             prev_states[gi] = state
             im_parts[ei, gi] = im_m(state)
         if ei == 0:
@@ -204,7 +207,7 @@ def density_grid(
     sub_im = np.full((len(eps_schedule), len(sub_grid)), np.nan)
     for ei, eps in enumerate(eps_schedule):
         live = [i for i, state in enumerate(sub_states) if state is not None]
-        results = solve_batch(problem, [complex(sub_grid[i], eps) for i in live], [sub_states[i] for i in live])
+        results = solve_paths(problem, [[complex(sub_grid[i], eps)] for i in live], [sub_states[i] for i in live])
         for i, result in zip(live, results):
             fresh.append(result)
             sub_states[i] = None if isinstance(result, FixedPointError) else result

@@ -2,9 +2,11 @@
 
 Scalar forms of the vectorized quadrature routines, the one-state form of
 the batched fixed-point map, the damped Picard iteration that the Anderson
-engine replaced, the dense (k+1+p)-square inverse of the
-deterministic equivalent, the empirical Stieltjes transform, the support
-edges of a density curve, and the bulk-weight covariance diagnostic.
+engine replaced, the conjugate of a state (the solution at the conjugate
+point, since the equations have real coefficients), the dense
+(k+1+p)-square inverse of the deterministic equivalent, the empirical
+Stieltjes transform, the support edges of a density curve, and the
+bulk-weight covariance diagnostic.
 """
 from __future__ import annotations
 
@@ -139,6 +141,13 @@ def bulk_kernels(problem: DetEquivProblem, state: FixedPointState) -> tuple:
     """
     _, nu_eff, L, _, chi, _ = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None]))
     return np.diag(L) + nu_eff - state.z, chi
+
+
+def conjugate(state: FixedPointState) -> FixedPointState:
+    """The state at conj(z): every order parameter conjugated."""
+    return FixedPointState(
+        np.conj(state.z), np.conj(state.V), np.conj(state.nu), np.conj(state.b), state.residual, state.stats
+    )
 
 
 def assemble_ge(problem: DetEquivProblem, state: FixedPointState, theta: np.ndarray, groups: np.ndarray) -> np.ndarray:

@@ -60,7 +60,7 @@ def test_tracer_counts_a_one_alpha_generror_run(tmp_path):
 
 
 def test_tracer_counts_a_theory_spectrum_run(tmp_path):
-    # the batched levels of the density grid call the map without solve_fixed_point
+    # the density grid calls the map through solve_paths, without solve_fixed_point
     metrics = traced_cli_run(tmp_path, "theory-spectrum", "--grid", "0.02:2.0:20")
     assert metrics["spectrum.points"] == 20 and metrics["spectrum.unconverged"] == 0
     assert metrics["detequiv.map_calls"] > 0

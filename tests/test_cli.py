@@ -150,10 +150,12 @@ def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
     reseeded, manifest = spectrum_run("reseeded", seed=TINY["seed"] + 1)
     assert manifest["cache_hits"] == 20 * 3 and manifest["cache_misses"] == 0
     assert reseeded == spectrum_run("reseeded_uncached", cached=False, seed=TINY["seed"] + 1)[0]
-    # states of another solver are never served: each Anderson constant enters the digest
-    for name, value in (("ANDERSON_MEMORY", detequiv.ANDERSON_MEMORY - 1), ("ANDERSON_MIXING", 0.4)):
+    # states of another solver are never served: each Anderson constant and the segment length enter the digest
+    for module, name, value in ((detequiv, "ANDERSON_MEMORY", detequiv.ANDERSON_MEMORY - 1),
+                                (detequiv, "ANDERSON_MIXING", 0.4),
+                                (spectrum, "SEGMENT_POINTS", spectrum.SEGMENT_POINTS // 2)):
         with monkeypatch.context() as patch:
-            patch.setattr(detequiv, name, value)
+            patch.setattr(module, name, value)
             assert spectrum_run(f"other_{name}")[1]["cache_hits"] == 0
     # nor states of another package version, which a change of the solver algorithm bumps
     with monkeypatch.context() as patch:
@@ -234,14 +236,14 @@ def test_compare_pass_and_tolerance_override(tmp_path):
 
 
 def test_compare_fails_on_unconverged_theory_points(config_path, tmp_path, monkeypatch):
-    solve = spectrum.solve_fixed_point
+    solve = spectrum.solve_paths
 
-    def flaky(problem, z, **kwargs):
-        if 0.5 < z.real < 0.7:  # two of the 20 grid points below
-            raise FixedPointError(f"injected failure at z={z}")
-        return solve(problem, z, **kwargs)
+    def flaky(problem, paths, starts):
+        # two of the 20 grid points below fail, whatever path leads to them
+        return [FixedPointError(f"injected failure at z={path[-1]}") if 0.5 < path[-1].real < 0.7 else result
+                for path, result in zip(paths, solve(problem, paths, starts))]
 
-    monkeypatch.setattr(spectrum, "solve_fixed_point", flaky)
+    monkeypatch.setattr(spectrum, "solve_paths", flaky)
     grid = ("--grid", "0.02:2.0:20")
     assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / "ts") == cli.EXIT_OK
     manifest = json.loads((tmp_path / "ts" / "manifest.json").read_text())

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import assemble_ge, bulk_kernels, empirical_stieltjes, scalar_fixed_point_map
+from oracles import assemble_ge, bulk_kernels, conjugate, empirical_stieltjes, scalar_fixed_point_map
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng
@@ -193,12 +193,11 @@ def test_rho_zero_identical_code_path():
     assert np.array_equal(a.b, b.b) and np.array_equal(a.V, b.V)
 
 
-def test_lower_half_plane_conjugation():
+def test_rejects_lower_half_plane():
+    # the lower half-plane is the conjugate of the upper one: callers conjugate a state themselves (oracles.conjugate)
     prob = small_problem()
-    z = complex(-0.5, 0.3)
-    up = de.solve_fixed_point(prob, z)
-    down = de.solve_fixed_point(prob, np.conj(z))
-    assert np.max(np.abs(down.b - np.conj(up.b))) < 1e-12
+    with pytest.raises(ValueError):
+        de.solve_fixed_point(prob, complex(-0.5, -0.3))
 
 
 def test_state_serialization_roundtrip():
@@ -279,7 +278,7 @@ def test_assemble_ge_toy_cases():
     C = np.linalg.inv(M[:2, :2] - M[:2, 2:] @ np.linalg.inv(M[2:, 2:]) @ M[2:, :2])
     assert abs(Ge[0, 0] - C[0, 0]) < 1e-12
     # hermiticity pattern
-    Ge_conj = assemble_ge(prob, de.solve_fixed_point(prob, np.conj(z)), theta, groups)
+    Ge_conj = assemble_ge(prob, conjugate(st), theta, groups)
     assert np.max(np.abs(Ge_conj - Ge.conj())) < 1e-10
 
 

@@ -3,7 +3,9 @@
 A row is one spectral point through one application of the map.  The
 bounds are those of the Anderson engine on the paper's Fig.-1 and Fig.-2
 problems; damped Picard needs about 43 rows per point on a warm-started eps
-level and 730-800 rows for a cold solve at z = -lambda.  An engine that also
+level and 730-800 rows for a cold solve at z = -lambda.  The first eps level
+spends 15-17 rows per point with segments of 20 points, ladders included;
+segments of 10 points spend more than 18.  An engine that also
 restarted a row whenever its residual rose spent 265 rows on one
 rho-perturbed solve of the Fig.-2 k=1 sweep (alpha = 0.5, rho = (1e-4, 0)).
 """
@@ -38,21 +40,27 @@ def rows(monkeypatch):
 @pytest.mark.parametrize("vocab", [K1, K4], ids=["k1", "k4"])
 def test_warm_started_eps_level_rows_per_point(vocab, rows, monkeypatch):
     prob = de.problem_from_config(ExperimentConfig(**FIG1, vocab=vocab))
-    levels = []  # (points, rows) of every batched call: the eps levels warm-started from their own states
-    solve_batch = sp.solve_batch
+    calls = []  # (paths, rows) of every solve_paths call, in order
+    solve_paths = sp.solve_paths
 
-    def recorded(problem, zs, starts, **kw):
+    def recorded(problem, paths, starts):
         before = rows[0]
-        result = solve_batch(problem, zs, starts, **kw)
-        levels.append((len(zs), rows[0] - before))
+        result = solve_paths(problem, paths, starts)
+        calls.append((len(paths), rows[0] - before))
         return result
 
-    monkeypatch.setattr(sp, "solve_batch", recorded)
+    monkeypatch.setattr(sp, "solve_paths", recorded)
     curve = sp.density_grid(prob, 0.001, 3.0, 400)
     assert np.all(curve.converged)
-    levels = [(points, spent) for points, spent in levels if points]
-    assert [points for points, _ in levels] == [400, 400]
-    assert all(spent <= 15 * points for points, spent in levels)
+    assert curve.solver["map_rows"] == rows[0]  # every rung's rows are charged to a solve
+    # the eps levels warm-started from their own states are the two calls with every grid point
+    sizes = [points for points, _ in calls]
+    levels = [(points, spent) for points, spent in calls if points == 400]
+    assert len(levels) == 2 and all(spent <= 15 * points for points, spent in levels)
+    # the first level, ladders of the segment heads included: every call before the first warm-started level
+    first = calls[:sizes.index(400)]
+    assert sum(points for points, _ in first) == 400
+    assert sum(spent for _, spent in first) <= 18 * 400
 
 
 @pytest.mark.parametrize("alpha", np.linspace(0.5, 4.0, 8))

@@ -176,24 +176,61 @@ def test_density_grid_input_validation():
 
 def test_density_grid_zero_fills_only_fixed_point_failures(monkeypatch):
     prob = rf_problem()
-    solve = sp.solve_fixed_point
+    solve = sp.solve_paths
 
-    def failing_at_one(problem, z, **kw):
-        if abs(z.real - 1.0) < 1e-12:
-            raise de.NonConvergenceError("forced")
-        return solve(problem, z, **kw)
+    def failing_at_one(problem, paths, starts):
+        results = solve(problem, paths, starts)
+        return [de.NonConvergenceError("forced") if abs(path[-1].real - 1.0) < 1e-12 else result
+                for path, result in zip(paths, results)]
 
-    monkeypatch.setattr(sp, "solve_fixed_point", failing_at_one)
+    monkeypatch.setattr(sp, "solve_paths", failing_at_one)
     curve = sp.density_grid(prob, 0.5, 1.5, 5)
     assert list(curve.converged) == [True, True, False, True, True]
     assert curve.density[2] == 0.0
 
-    def broken(problem, z, **kw):
+    def broken(problem, paths, starts):
         raise ZeroDivisionError("programming error inside the solve")
 
-    monkeypatch.setattr(sp, "solve_fixed_point", broken)
+    monkeypatch.setattr(sp, "solve_paths", broken)
     with pytest.raises(ZeroDivisionError):
         sp.density_grid(prob, 0.5, 1.5, 5)
+
+
+def test_failure_inside_a_segment_is_zero_filled_alone(monkeypatch):
+    # 60 points are three segments; the point at index 25 (segment 1, step 5) fails at every eps
+    prob = rf_problem()
+    points, failing = 60, 25
+    assert points >= 3 * sp.SEGMENT_POINTS and 0 < failing % sp.SEGMENT_POINTS < sp.SEGMENT_POINTS - 1
+    reference = sp.density_grid(prob, 0.5, 1.5, points)
+    lam = reference.grid[failing]
+    original = de.fixed_point_map
+
+    def poisoned(problem, z, V, nu, b):
+        V1, nu1, b1 = original(problem, z, V, nu, b)
+        hit = (z.real == lam) & np.isin(z.imag, sp.DEFAULT_EPS_SCHEDULE)
+        return V1, nu1, np.where(hit[:, None], np.nan, b1)
+
+    paths = []
+    solve = sp.solve_paths
+
+    def recorded(problem, batch, starts):
+        paths.extend(batch)
+        return solve(problem, batch, starts)
+
+    monkeypatch.setattr(de, "fixed_point_map", poisoned)
+    monkeypatch.setattr(sp, "solve_paths", recorded)
+    curve = sp.density_grid(prob, 0.5, 1.5, points)
+    assert list(np.flatnonzero(~curve.converged)) == [failing] and curve.density[failing] == 0.0
+    assert np.isnan(curve.im_levels[:, failing]).all()
+    assert [failure["lambda"] for failure in curve.failures] == [lam]
+    # the next point of the segment comes down the ladder at the first eps, as a segment head does
+    right = complex(reference.grid[failing + 1], sp.DEFAULT_EPS_SCHEDULE[0])
+    assert de.ladder(right) in paths and [right] not in paths
+    assert curve.converged[failing + 1]
+    assert np.max(np.abs(curve.im_levels[:, failing + 1] - reference.im_levels[:, failing + 1])) < 1e-8
+    others = np.arange(points) // sp.SEGMENT_POINTS != failing // sp.SEGMENT_POINTS
+    assert np.array_equal(curve.im_levels[:, others], reference.im_levels[:, others])
+    assert np.array_equal(curve.density[others], reference.density[others])
 
 
 def test_batched_level_failure_is_zero_filled_alone(monkeypatch):
@@ -227,31 +264,35 @@ def test_batched_level_failure_is_zero_filled_alone(monkeypatch):
 def test_partly_cached_grid_is_byte_identical_to_a_cold_run(tmp_path, monkeypatch):
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(TINY))
-    cache = tmp_path / "cache.jsonl"
-    grid = ("--grid", "0.02:2.0:20")
-
-    def run(out, *extra):
-        return cli.main(["theory-spectrum", str(config), *grid, "--out", str(tmp_path / out), *extra])
-
-    assert run("cold") == cli.EXIT_OK
-    assert run("full", "--cache", str(cache)) == cli.EXIT_OK
-    lines = cache.read_text().splitlines(keepends=True)
-    cache.write_text("".join(lines[::2]))  # every other state, at every eps level
     batch_sizes = []
-    solve_batch = sp.solve_batch
+    solve_paths = sp.solve_paths
 
-    def recorded(problem, zs, starts, **kw):
-        batch_sizes.append(len(zs))
-        return solve_batch(problem, zs, starts, **kw)
+    def recorded(problem, paths, starts):
+        batch_sizes.append(len(paths))
+        return solve_paths(problem, paths, starts)
 
-    monkeypatch.setattr(sp, "solve_batch", recorded)
-    assert run("part", "--cache", str(cache)) == cli.EXIT_OK
-    manifest = json.loads((tmp_path / "part" / "manifest.json").read_text())
-    assert manifest["cache_hits"] == 30 and manifest["cache_misses"] == 30
-    assert max(batch_sizes) > 1
-    cold = (tmp_path / "cold" / "theory_spectrum.csv").read_bytes()
-    assert (tmp_path / "full" / "theory_spectrum.csv").read_bytes() == cold
-    assert (tmp_path / "part" / "theory_spectrum.csv").read_bytes() == cold
+    # one segment, and three segments whose heads are solved together
+    for points in (20, 3 * sp.SEGMENT_POINTS):
+        cache = tmp_path / f"cache{points}.jsonl"
+
+        def run(out, *extra):
+            argv = ["theory-spectrum", str(config), "--grid", f"0.02:2.0:{points}", "--out", str(tmp_path / f"{out}{points}")]
+            return cli.main([*argv, *extra])
+
+        assert run("cold") == cli.EXIT_OK
+        assert run("full", "--cache", str(cache)) == cli.EXIT_OK
+        lines = cache.read_text().splitlines(keepends=True)
+        cache.write_text("".join(lines[::2]))  # every other state, at every eps level
+        batch_sizes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(sp, "solve_paths", recorded)
+            assert run("part", "--cache", str(cache)) == cli.EXIT_OK
+        manifest = json.loads((tmp_path / f"part{points}" / "manifest.json").read_text())
+        assert manifest["cache_hits"] == 3 * points // 2 and manifest["cache_misses"] == 3 * points // 2
+        assert max(batch_sizes) > 1
+        cold = (tmp_path / f"cold{points}" / "theory_spectrum.csv").read_bytes()
+        assert (tmp_path / f"full{points}" / "theory_spectrum.csv").read_bytes() == cold
+        assert (tmp_path / f"part{points}" / "theory_spectrum.csv").read_bytes() == cold
 
 
 def test_rf_finite_size_overlay_small():

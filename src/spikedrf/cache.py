@@ -8,9 +8,10 @@ Anderson memory, mixing and ridge, the density grid's segment length) and the
 package version; so a rerun of the same theory under another seed or n0
 reuses the file, and a changed theory or solver never reads a stale state.
 Density grid reruns hit it for every point.  A writer killed mid-line leaves
-a torn line; loading skips (and counts) lines that do not parse, and the
-next write starts on a fresh line.  Every output artifact embeds the config
-hash it was produced from.
+a torn line; loading skips (and counts) every line that is not a record (an
+object with a string `key` and an object `state`), and the next write starts
+on a fresh line.  Every output artifact embeds the config hash it was
+produced from.
 """
 from __future__ import annotations
 
@@ -44,7 +45,7 @@ def _problem_digest(problem: DetEquivProblem) -> str:
 
 
 class FixedPointCache:
-    """Append-only JSONL store of converged fixed points; `torn_lines` counts skipped unparsable lines."""
+    """Append-only JSONL store of converged fixed points; `torn_lines` counts skipped lines that are not records."""
 
     def __init__(self, path: Path | str, problem: DetEquivProblem):
         self.path = Path(path)
@@ -65,9 +66,11 @@ class FixedPointCache:
                     try:
                         rec = json.loads(line)
                     except json.JSONDecodeError:
+                        rec = None
+                    if isinstance(rec, dict) and isinstance(rec.get("key"), str) and isinstance(rec.get("state"), dict):
+                        self._entries[rec["key"]] = rec["state"]
+                    else:
                         self.torn_lines += 1
-                        continue
-                    self._entries[rec["key"]] = rec["state"]
 
     def _key(self, z: complex) -> str:
         return f"{self.digest}|{z.real:.12e}|{z.imag:.12e}"

@@ -53,6 +53,16 @@ def _load_config(path: str) -> ExperimentConfig:
     return config
 
 
+def _output_dir(path: str) -> Path:
+    """The --out directory, created if missing; a path that cannot be one is a usage error."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+    return out
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -137,8 +147,7 @@ def cmd_simulate(args) -> int:
         raise UsageError("--eig-csv writes the eigenvalues that --spectrum computes; pass --spectrum too")
     config = _load_config(args.config)
     manifest = RunManifest(config_hash=config.config_hash(), command="simulate")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     results = _run_seeds(config, args.seeds, args.spectrum, args.jobs)
     for res in results:
         path = out / f"run_seed{res['seed_index']:03d}.json"
@@ -183,10 +192,12 @@ def cmd_theory_spectrum(args) -> int:
     config = _load_config(args.config)
     lo, hi, pts = _parse_grid(args.grid)
     manifest = RunManifest(config_hash=config.config_hash(), command="theory-spectrum")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     problem = detequiv.problem_from_config(config)
-    cache = FixedPointCache(args.cache, problem) if args.cache else None
+    try:
+        cache = FixedPointCache(args.cache, problem) if args.cache else None
+    except OSError as exc:
+        raise UsageError(f"cannot open cache {args.cache}: {exc.strerror or exc}") from exc
+    out = _output_dir(args.out)
     curve = spectrum.density_grid(problem, lo, hi, pts, cache=cache)
     csv_path = out / "theory_spectrum.csv"
     _spectrum_csv(csv_path, curve, config.config_hash())
@@ -238,8 +249,7 @@ def cmd_theory_generror(args) -> int:
     config = _load_config(args.config)
     alphas = _parse_sweep(args.alpha_sweep) if args.alpha_sweep else np.array([config.alpha])
     manifest = RunManifest(config_hash=config.config_hash(), command="theory-generror")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     rows = [_theory_row(config, a) for a in alphas]
     csv_path = out / "theory_generror.csv"
     _sweep_csv(csv_path, rows, config.config_hash())
@@ -257,8 +267,7 @@ def cmd_theory_generror(args) -> int:
 def cmd_compare(args) -> int:
     config = _load_config(args.config)
     grid = _parse_grid(args.grid) if args.grid else None
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _output_dir(args.out)
     checks = []
     manifest = RunManifest(config_hash=config.config_hash(), command="compare")
 

@@ -47,10 +47,6 @@ def sample_first_layer(p: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return W
 
 
-def network_output(X: np.ndarray, W: np.ndarray, a: np.ndarray, sigma: ActivationSpec) -> np.ndarray:
-    return sigma.fn(X @ W.T) @ a / np.sqrt(len(a))
-
-
 def gradient_step(
     W0: np.ndarray,
     a0: np.ndarray,
@@ -58,33 +54,22 @@ def gradient_step(
     y0: np.ndarray,
     eta: float,
     sigma: ActivationSpec,
-    include_init_output: bool = True,
     chunk: int = 16_384,
 ) -> np.ndarray:
-    """One square-loss gradient step on the first layer, second layer frozen.
+    """One square-loss gradient step on the first layer against the labels, second layer frozen.
 
-    g_j = (1/(n0 sqrt(p))) sum_mu (f(x_mu) - y_mu) a_j x_mu sigma'(w_j^T x_mu).
-
-    include_init_output=False drops the f(x_mu; W0, a0) term, i.e. takes the
-    step against the bare labels.  For odd activations the two coincide up to
-    O(1/sqrt(d)); for activations with E[sigma] != 0 and a non-centered second
-    layer the init output has an O(1) mean that shrinks every weight row, an
-    effect outside the spiked description, so figure reproductions use the
-    label-only protocol (see README).  Batches of `chunk` rows keep memory flat.
+    W1_j = W0_j + (eta/(n0 sqrt(p))) a_j sum_mu y_mu sigma'(w_j^T x_mu) x_mu: the step whose rank-one
+    spike W0 + u w*^T (u proportional to a0) the theory describes.  The residual leaves out the init
+    output f(x_mu; W0, a0): for E[sigma] != 0 and a non-centered second layer its O(1) mean shrinks
+    every row, an effect outside the spiked description; for odd activations it is O(1/sqrt(d))
+    (see README).  Batches of `chunk` rows keep memory flat.
     """
     n0, p = X0.shape[0], W0.shape[0]
     grad = np.zeros_like(W0)
     for start in range(0, n0, chunk):
         sl = slice(start, min(start + chunk, n0))
-        pre = X0[sl] @ W0.T
-        if include_init_output:
-            resid = sigma.fn(pre) @ a0 / np.sqrt(p) - y0[sl]
-        else:
-            resid = -y0[sl]
-        R = resid[:, None] * sigma.deriv(pre)
-        grad += (R * a0[None, :]).T @ X0[sl]
-    grad /= n0 * np.sqrt(p)
-    return W0 - eta * grad
+        grad += (sigma.deriv(X0[sl] @ W0.T) * y0[sl, None]).T @ X0[sl]
+    return W0 + eta / (n0 * np.sqrt(p)) * a0[:, None] * grad
 
 
 def spike_vector(a0: np.ndarray, eta: float, c1: float, cstar1: float) -> np.ndarray:
@@ -185,7 +170,7 @@ def empirical_generror(
 ):
     """Monte Carlo estimate of E[(y_new - f(x_new))^2] over DEFAULT_TEST_POINTS fresh samples, with its standard error."""
     X, y, _ = sample_data(DEFAULT_TEST_POINTS, W1.shape[1], w_star, link, rng)
-    resid = (y - network_output(X, W1, a_hat, sigma)) ** 2
+    resid = (y - sigma.fn(X @ W1.T) @ a_hat / np.sqrt(len(a_hat))) ** 2
     return float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(DEFAULT_TEST_POINTS))
 
 
@@ -285,7 +270,6 @@ def run_experiment(
     seed_index: int = 0,
     compute_spectrum: bool = False,
     compute_spike_deviation: bool = False,
-    include_init_output: bool = True,
 ) -> RunResult:
     """Run the full two-step pipeline for one seed: every draw comes from `make_rng(config.seed, seed_index)`."""
     sigma = config.activation_spec()
@@ -298,7 +282,7 @@ def run_experiment(
     W0 = sample_first_layer(config.p, config.d, rng)
     layer = sample_second_layer(config.p, config.vocab, rng)
     X0, y0, _ = sample_data(config.n0, config.d, w_star, link, rng)
-    W1 = gradient_step(W0, layer.a0, X0, y0, config.eta, sigma, include_init_output=include_init_output)
+    W1 = gradient_step(W0, layer.a0, X0, y0, config.eta, sigma)
     del X0, y0
 
     X, y, _ = sample_data(config.n, config.d, w_star, link, rng)

@@ -12,10 +12,10 @@ xfail(strict=True) so a change in behavior is flagged:
 * criterion 5b at 5% for k > 1: the asymptotic mean-channel fit carries an
   O(1/p) noise bias at p = 2048 that a faithful simulation cannot remove.
 
-Reproductions with the ReLU activation take the gradient step against the
-bare labels (include_init_output=False): the network output at init has an
-O(1) mean for non-odd activations, an effect the spiked description excludes
-by assumption and that no sample size removes.
+Every reproduction takes the one gradient step of `sim.gradient_step`,
+against the bare labels: the network output at init would add an O(1) mean
+for non-odd activations such as ReLU, an effect the spiked description
+excludes by assumption and that no sample size removes.
 """
 import dataclasses
 import time
@@ -52,7 +52,7 @@ def fig1_config(eta_tilde=3.3, seed=11, n0=None):
     )
 
 
-def train_once(config, seed_index, include_init_output):
+def train_once(config, seed_index):
     """The gradient-step half of `sim.run_experiment`, on the same stream: returns (W0, W1, layer, w_star)."""
     sigma, link = config.activation_spec(), config.link_spec()
     rng = make_rng(config.seed, seed_index)
@@ -61,7 +61,7 @@ def train_once(config, seed_index, include_init_output):
     W0 = sim.sample_first_layer(config.p, config.d, rng)
     layer = sample_second_layer(config.p, config.vocab, rng)
     X0, y0, _ = sim.sample_data(config.n0, config.d, w_star, link, rng)
-    W1 = sim.gradient_step(W0, layer.a0, X0, y0, config.eta, sigma, include_init_output=include_init_output)
+    W1 = sim.gradient_step(W0, layer.a0, X0, y0, config.eta, sigma)
     return W0, W1, layer, w_star
 
 
@@ -90,7 +90,7 @@ def evaluate_pretrained(config, seed_index, pretrained):
     reason=(
         "unattainable as stated: || W1 - (W0 + u w*^T) || contains the rank-one term "
         "(eta c1/sqrt(p)) a0 (X0^T y0/n0 - c1* w*)^T of norm ~ d/sqrt(n0), which GROWS like "
-        "d^0.4 at n0 = d^1.2 (measured 2.9 -> 4.0 -> 5.3 over d = 256/512/1024, matching the "
+        "d^0.4 at n0 = d^1.2 (measured 3.0 -> 3.9 -> 5.2 over d = 256/512/1024, matching the "
         "analytic constant); the claimed decay needs n0 = Omega(d^2). The residual does decay "
         "once that shared-fluctuation direction is deflated (reported below)."
     ),
@@ -106,7 +106,7 @@ def test_criterion_1_spike_approximation_decay():
                 d=d, p=int(1.5 * d), n=8, eta_tilde=1.0, lam=0.1, seed=100 + s,
                 activation="tanh", link="sin", vocab=VOCAB_K1,
             )
-            W0, W1, layer, w_star = train_once(cfg, 0, include_init_output=True)
+            W0, W1, layer, w_star = train_once(cfg, 0)
             sigma, link = cfg.activation_spec(), cfg.link_spec()
             Wt = sim.spiked_approximation(W0, layer.a0, cfg.eta, w_star, sigma.first_coeff(), link.first_coeff())
             vals.append(sim.spike_deviation(W1, Wt))
@@ -134,7 +134,7 @@ def test_criterion_1_spike_approximation_decay():
 def test_criterion_2_trace_equivalence():
     """Extended-resolvent traces vs the deterministic equivalent at z = -0.5 + 0.1i.
 
-    Fig.-1 configuration at p = 2048, label-only step (ReLU), n0 = 12d to sit
+    Fig.-1 configuration at p = 2048, ReLU, n0 = 12d to sit
     inside the n0 = Omega(d^{1+eps}) regime; 3 seeds, gap <= 0.05 per functional.
     The empirical side goes through the n x n Gram K = Phi_e Phi_e^T / p of the
     extended features Phi_e = (y, group means, centered features):
@@ -146,7 +146,7 @@ def test_criterion_2_trace_equivalence():
     gaps = np.zeros(3)
     for s in range(3):
         cfg = fig1_config(seed=20 + s, n0=12 * FIG1_D)
-        W0, W1, layer, w_star = train_once(cfg, 0, include_init_output=False)
+        W0, W1, layer, w_star = train_once(cfg, 0)
         X, y, _ = sim.sample_data(cfg.n, cfg.d, w_star, cfg.link_spec(), make_rng(cfg.seed, 50))
         phi_bar, phi_tilde = sim.extended_features(sim.features(W1, X, cfg.activation_spec()), layer.group_sizes)
         phi_e = np.concatenate([y[:, None], phi_bar, phi_tilde], axis=1)
@@ -226,14 +226,14 @@ def test_criterion_3_rf_limit_and_normalization_freeze():
 def test_criterion_4_spectrum_reproduction(monkeypatch):
     """Trained bulk spectrum overlay (k=1, alpha=0.8, ReLU, sin, eta~=3.3, p=2048).
 
-    Label-only gradient protocol (see module docstring); 2 seeds pooled.
+    2 seeds pooled.
     """
     t0 = time.time()
     pooled = []
     theta = None
     for s in range(2):
         cfg = fig1_config(seed=30 + s)
-        W0, W1, layer, w_star = train_once(cfg, 0, include_init_output=False)
+        W0, W1, layer, w_star = train_once(cfg, 0)
         X, _, _ = sim.sample_data(cfg.n, cfg.d, w_star, cfg.link_spec(), make_rng(cfg.seed, 50))
         _, phi_tilde = sim.extended_features(sim.features(W1, X, cfg.activation_spec()), layer.group_sizes)
         pooled.append(sim.bulk_spectrum(phi_tilde))
@@ -285,7 +285,7 @@ def fig2_results():
                 d=FIG1_D, p=FIG1_P, n=FIG1_D, eta_tilde=FIG2_ETA, lam=0.01, seed=40 + s,
                 activation="relu", link="tanh", vocab=voc, n0=FIG2_N0_MULT * FIG1_D,
             )
-            pre = train_once(base, 0, include_init_output=False)
+            pre = train_once(base, 0)
             for a in alphas:
                 cfg = dataclasses.replace(base, n=int(a * FIG1_D))
                 err, tau0 = evaluate_pretrained(cfg, 0, pre)
@@ -393,28 +393,25 @@ def test_criterion_6_plugin_consistency():
             "tanh/sin k=1",
             ExperimentConfig(d=1024, p=1536, n=2048, eta_tilde=1.5, lam=0.1, seed=5, activation="tanh",
                              link="sin", vocab=VOCAB_K1, n0=20 * 1024),
-            True,
         ),
         (
             "relu/tanh k=2",
             ExperimentConfig(d=1024, p=1536, n=1024, eta_tilde=2.0, lam=0.01, seed=6, activation="relu",
                              link="tanh", vocab=VOCAB_K2, n0=20 * 1024),
-            False,  # label-only protocol for the non-odd activation
         ),
         (
             "sin/sin k=2",
             ExperimentConfig(d=1024, p=1536, n=1024, eta_tilde=2.0, lam=0.02, seed=12, activation="sin",
                              link="sin", vocab=VocabularySpec((1.2, -0.6), (0.6, 0.4)), n0=25 * 1024),
-            True,
         ),
     ]
     ok = True
     details = []
-    for name, cfg, with_f in configs:
+    for name, cfg in configs:
         prob = de.problem_from_config(cfg)
         diffs, ses = [], []
         for s in range(3):
-            res = sim.run_experiment(cfg, s, include_init_output=with_f)
+            res = sim.run_experiment(cfg, s)
             diffs.append(ge.expected_lambda(res.tau, prob) - res.gen_error)
             ses.append(res.gen_error_stderr)
         mean_diff = float(np.mean(diffs))

@@ -267,12 +267,52 @@ def test_torn_cache_line_is_skipped(config_path, tmp_path):
     grid = ("--grid", "0.02:2.0:20", "--cache", cache)
     assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / "cold") == 0
     cold = (tmp_path / "cold" / "theory_spectrum.csv").read_bytes()
-    cache.write_bytes(cache.read_bytes()[:-40])  # a writer killed mid-line
-    for name, misses in (("torn", 1), ("mended", 0)):
-        assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / name) == cli.EXIT_OK
-        assert (tmp_path / name / "theory_spectrum.csv").read_bytes() == cold
-        manifest = json.loads((tmp_path / name / "manifest.json").read_text())
-        assert manifest["cache_torn_lines"] == 1 and manifest["cache_misses"] == misses
+    whole = cache.read_bytes()
+    # a writer killed mid-line loses its point; a line that parses but is not a record loses none
+    for case, text, lost in (("torn", whole[:-40], 1), ("keyonly", whole + b'{"key": "zz"}\n', 0),
+                             ("numkey", whole + b'{"key": 3, "state": {}}\n', 0), ("list", whole + b"[1, 2]\n", 0)):
+        cache.write_bytes(text)
+        for name, misses in ((case, lost), (f"{case}_mended", 0)):
+            assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / name) == cli.EXIT_OK
+            assert (tmp_path / name / "theory_spectrum.csv").read_bytes() == cold
+            manifest = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert manifest["cache_torn_lines"] == 1 and manifest["cache_misses"] == misses, name
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--out"), ("theory-spectrum", "--out"),
+                                           ("theory-generror", "--out"), ("compare", "--out"),
+                                           ("theory-spectrum", "--cache")])
+def test_unusable_out_or_cache_path_exits_2(command, flag, config_path, tmp_path, monkeypatch, capsys):
+    calls = []
+    for module, work in ((simulate, "run_experiment"), (spectrum, "density_grid"), (generror, "asymptotic_tau")):
+        monkeypatch.setattr(module, work, lambda *args, **kwargs: calls.append(args))
+    taken = tmp_path / "taken"
+    if flag == "--out":  # an existing file cannot be the output directory
+        taken.write_text("kept\n")
+        paths = ("--out", taken)
+    else:  # nor can a directory be the cache file
+        taken.mkdir()
+        paths = ("--out", tmp_path / "out", "--cache", taken)
+    extra = {"theory-spectrum": ("--grid", "0.1:1:4"), "compare": ("--seeds", 1)}.get(command, ())
+    assert run(command, config_path, *extra, *paths) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(taken) in err and "Traceback" not in err
+    assert not calls and not (tmp_path / "out").exists()
+    assert taken.is_dir() or taken.read_text() == "kept\n"
+
+
+def test_compare_passes_on_the_readme_config(tmp_path):
+    # ReLU has E[sigma] != 0: a step that kept the network output at init shrank every row, which the
+    # theory does not describe, and this compare missed both tolerances (KS 0.09, generror gap 20%)
+    cfg = {
+        "d": 1365, "p": 2048, "n": 1092, "n0": 5784, "eta_tilde": 3.3, "lambda": 0.01, "seed": 11,
+        "activation": "relu", "link": "sin", "vocab": {"zeta": [1.0], "pi": [1.0]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run("compare", path, "--seeds", 2, "--out", tmp_path / "cmp") == cli.EXIT_OK
+    checks = json.loads((tmp_path / "cmp" / "summary.json").read_text())["checks"]
+    assert {c["name"]: c["passed"] for c in checks} == {"spectrum_ks": True, "generror_rel_gap": True}
 
 
 def test_crash_exits_3(config_path, tmp_path, monkeypatch, capsys):

@@ -105,7 +105,7 @@ def test_tau_matches_simulation_k1():
     )
     prob = de.problem_from_config(cfg)
     tau_th = ge.asymptotic_tau(prob, cfg.lam)
-    runs = [sim.run_experiment(cfg, s, include_init_output=False) for s in range(4)]
+    runs = [sim.run_experiment(cfg, s) for s in range(4)]
 
     def se(vals):
         vals = np.asarray(vals, dtype=float)

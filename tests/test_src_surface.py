@@ -128,9 +128,6 @@ ALLOWED_PARAMS = {
     "model.validate_config(for_theory)",
     # bench/tracer.py binds it by name
     "simulate.gradient_step(chunk)",
-    # ROADMAP item 3 turns the protocol into a config key
-    "simulate.gradient_step(include_init_output)",
-    "simulate.run_experiment(include_init_output)",
     # an argument of the allow-listed `hermite_tail_check` (ROADMAP item 5)
     "quadrature.hermite_tail_check(threshold)",
 }

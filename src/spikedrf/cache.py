@@ -10,8 +10,10 @@ reuses the file, and a changed theory or solver never reads a stale state.
 Density grid reruns hit it for every point.  A writer killed mid-line leaves
 a torn line; loading skips (and counts) every line that is not a record (an
 object with a string `key` and an object `state`), and the next write starts
-on a fresh line.  Every output artifact embeds the config hash it was
-produced from.
+on a fresh line; `get` drops (and counts) a record that does not decode to a
+state of the problem's shapes.  Only the density grid (Im z > 0) uses the
+cache: states on z < 0 are never cached, nor the real ladder's settings.
+Every output artifact embeds the config hash it was produced from.
 """
 from __future__ import annotations
 
@@ -45,11 +47,12 @@ def _problem_digest(problem: DetEquivProblem) -> str:
 
 
 class FixedPointCache:
-    """Append-only JSONL store of converged fixed points; `torn_lines` counts skipped lines that are not records."""
+    """Append-only JSONL store of converged fixed points; `torn_lines` counts skipped lines and dropped records."""
 
     def __init__(self, path: Path | str, problem: DetEquivProblem):
         self.path = Path(path)
         self.digest = _problem_digest(problem)
+        self.k = problem.k
         self._entries: dict = {}
         self.hits = 0
         self.misses = 0
@@ -76,12 +79,19 @@ class FixedPointCache:
         return f"{self.digest}|{z.real:.12e}|{z.imag:.12e}"
 
     def get(self, z: complex) -> FixedPointState | None:
-        rec = self._entries.get(self._key(complex(z)))
-        if rec is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        return FixedPointState.from_json_dict(rec)
+        key, k = self._key(complex(z)), self.k
+        if key in self._entries:
+            try:
+                state = FixedPointState.from_json_dict(self._entries[key])
+                if (state.V.shape, state.nu.shape, state.b.shape) == ((k, k), (k,), (k,)):
+                    self.hits += 1
+                    return state
+            except (KeyError, IndexError, TypeError, ValueError):
+                pass
+            del self._entries[key]  # not a state of this problem: the point is solved again
+            self.torn_lines += 1
+        self.misses += 1
+        return None
 
     def put(self, state: FixedPointState) -> None:
         key = self._key(complex(state.z))

@@ -232,17 +232,18 @@ def _sweep_csv(path: Path, rows: list, config_hash: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _theory_row(config: ExperimentConfig, alpha: float) -> dict:
-    problem = detequiv.problem_from_config(config).with_alpha(alpha)
-    tau = generror.asymptotic_tau(problem, config.lam)
-    return {
-        "alpha": float(alpha),
+def _theory_rows(config: ExperimentConfig, alphas) -> tuple:
+    """(one CSV row per alpha, the sweep's solver summary), by `generror.tau_sweep`."""
+    points, solver = generror.tau_sweep(detequiv.problem_from_config(config), alphas, config.lam)
+    rows = [{
+        "alpha": problem.alpha,
         "theory": generror.expected_lambda(tau, problem),
         "tau0": tau.tau0.tolist(),
         "tau1": tau.tau1.tolist(),
         "tau2": tau.tau2,
         "tau3": tau.tau3,
-    }
+    } for problem, tau in points]
+    return rows, solver
 
 
 def cmd_theory_generror(args) -> int:
@@ -250,7 +251,7 @@ def cmd_theory_generror(args) -> int:
     alphas = _parse_sweep(args.alpha_sweep) if args.alpha_sweep else np.array([config.alpha])
     manifest = RunManifest(config_hash=config.config_hash(), command="theory-generror")
     out = _output_dir(args.out)
-    rows = [_theory_row(config, a) for a in alphas]
+    rows, manifest.extra["solver"] = _theory_rows(config, alphas)
     csv_path = out / "theory_generror.csv"
     _sweep_csv(csv_path, rows, config.config_hash())
     manifest.outputs.append(csv_path)
@@ -303,7 +304,7 @@ def cmd_compare(args) -> int:
             checks.append({"name": "spectrum_ks", "error": str(exc), "passed": False})
 
         try:
-            row = _theory_row(config, config.alpha)
+            row = _theory_rows(config, [config.alpha])[0][0]
             row["sim_mean"], row["sim_stderr"] = _mean_stderr([r["gen_error"]["mean"] for r in sim_results])
             _sweep_csv(out / "generror_compare.csv", [row], config.config_hash())
             manifest.outputs.append(out / "generror_compare.csv")

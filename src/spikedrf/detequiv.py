@@ -42,9 +42,14 @@ X + mixing (F(X) - X), which also clears the row's history; a row takes it
 only when the extrapolated iterate leaves the Stieltjes half-plane
 (Im z > 0 but some Im b_q < 0), where the other root of the equations lies.
 `solve_paths` continues every row of a batch along its own path of z values
-(Allgower & Georg 2003): a cold solve takes the `ladder` in Im z, a warm start
-is a path of length one; `solve_fixed_point` is it with one row.  Every result
-carries its SolveStats: map rows over all rungs, and the half-plane fallbacks.
+(Allgower & Georg 2003): a cold solve takes the `ladder` (in Im z, or along
+z < 0), a warm start is a path of length one; `solve_fixed_point` is it with
+one row.  Every result carries its SolveStats: map rows over all rungs, and
+the half-plane fallbacks.  On z < 0 each b_q is a Stieltjes-type transform of
+mass pi_q beta, so 0 < b_q <= pi_q beta / |z| (Bai & Silverstein 2010), and a
+converged root outside ends its row with UnphysicalRootError: a cold start
+directly at z = -lambda, or too coarse a path, converges to one with b_q < 0.
+A tilted problem (rho != 0) is not a covariance resolvent, and is not checked.
 """
 from __future__ import annotations
 
@@ -61,6 +66,8 @@ from .quadrature import DEFAULT_OUTER_NODES, cached_rule, hermite_tables
 LADDER_TOP = 10.0
 LADDER_FACTOR = 0.7
 LADDER_FLOOR = 5e-2  # below this the final hop lands on the exact target
+LADDER_REAL_FACTOR = 0.3  # rung ratio of the ladder along the negative real axis
+CERTIFICATE_SLACK = 4 * np.finfo(float).eps  # relative slack of the bound b_q <= pi_q beta / |z|, attained at alpha = 0
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10_000  # map rows a row may spend before NonConvergenceError
 MAP_ROW_BLOCK = 64  # batch rows per block of the map
@@ -88,6 +95,10 @@ class FixedPointError(RuntimeError):
 
 class NonConvergenceError(FixedPointError):
     """No convergence within MAX_ITER map rows; the message carries the last residual."""
+
+
+class UnphysicalRootError(FixedPointError):
+    """A converged root on the negative real axis outside the Stieltjes bounds 0 < b_q <= pi_q beta / |z|."""
 
 
 # --------------------------------------------------------------------------- #
@@ -334,8 +345,9 @@ def solve_batch(
     below DEFAULT_TOL, and leaves the batch then or when its map value turns
     non-finite, so each row ends exactly as it would in a batch of its own.
     Returns, per row, the converged FixedPointState or the FixedPointError
-    that ended it (NonConvergenceError after MAX_ITER map rows); either
-    carries the row's SolveStats.
+    that ended it (NonConvergenceError after MAX_ITER map rows,
+    UnphysicalRootError for a root that `_certified` rejects); either carries
+    the row's SolveStats.
     """
     out: list = [None] * len(zs)
     if not out:
@@ -365,9 +377,9 @@ def solve_batch(
             for i in np.flatnonzero(~keep):
                 stats = SolveStats(it, int(rejections[i]))
                 if ok[i]:
-                    out[rows[i]] = FixedPointState(
+                    out[rows[i]] = _certified(problem, FixedPointState(
                         complex(z[i]), V1[i].copy(), nu1[i].copy(), b1[i].copy(), float(res[i]), stats
-                    )
+                    ))
                     continue
                 name = next((n for n, a in (("V", V1), ("nu", nu1), ("b", b1)) if not np.isfinite(a[i]).all()), "step")
                 out[rows[i]] = FixedPointError(
@@ -420,15 +432,30 @@ def _anderson_correction(dD: np.ndarray, dF: np.ndarray, pushes: np.ndarray, f: 
     return (gamma.transpose(0, 2, 1) @ dD)[:, 0]
 
 
+def _certified(problem: DetEquivProblem, state: FixedPointState):
+    """The state, or the UnphysicalRootError of an unperturbed root on z < 0 outside 0 < b_q <= pi_q beta / |z|."""
+    z, b = state.z, state.b
+    if z.imag or z.real >= 0 or any(problem.rho):
+        return state
+    bound = problem.pi * problem.beta / -z.real
+    if not b.imag.any() and np.all(b.real > 0) and np.all(b.real <= bound * (1 + CERTIFICATE_SLACK)):
+        return state
+    error = UnphysicalRootError(f"root at z={z} outside the Stieltjes bounds 0 < b <= pi*beta/|z| = {bound}: b={b}")
+    error.stats = state.stats
+    return error
+
+
 def ladder(z: complex) -> list:
-    """Path to z (Im z >= 0): Im z from LADDER_TOP down by LADDER_FACTOR while above LADDER_FLOOR, then z."""
+    """Path to z: on z < 0 from -LADDER_TOP by LADDER_REAL_FACTOR, else Im z from LADDER_TOP by LADDER_FACTOR
+    while above LADDER_FLOOR; then z."""
     if z.imag >= LADDER_TOP or abs(z) >= LADDER_TOP:
         return [z]
-    path = []
-    im = LADDER_TOP
-    while im > max(z.imag, LADDER_FLOOR):
-        path.append(complex(z.real, im))
-        im *= LADDER_FACTOR
+    real = z.imag == 0.0 and z.real < 0.0
+    factor, stop = (LADDER_REAL_FACTOR, -z.real) if real else (LADDER_FACTOR, max(z.imag, LADDER_FLOOR))
+    path, step = [], LADDER_TOP
+    while step > stop:
+        path.append(complex(-step, 0.0) if real else complex(z.real, step))
+        step *= factor
     return path + [z]
 
 
@@ -468,6 +495,19 @@ def solve_fixed_point(
     if isinstance(result, FixedPointError):
         raise result
     return result
+
+
+def solver_totals(results: list) -> dict:
+    """JSON summary of the work of some solves (states or FixedPointErrors), for a run manifest."""
+    spent = sum((r.stats for r in results), SolveStats())
+    residuals = [r.residual for r in results if isinstance(r, FixedPointState)]
+    return {
+        "map_rows": spent.rows,
+        "solves": len(results),
+        "rows_per_solve": spent.rows / len(results) if results else None,
+        "fallbacks": {"half_plane": spent.half_plane},
+        "max_final_residual": max(residuals) if residuals else None,
+    }
 
 
 def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> complex:

@@ -8,7 +8,10 @@ yields the mean order parameters (tau0 from its label/mean rows, tau1 through
 the cross block), while the variance parameters tau2 and tau3 are rho-derivatives
 of C^{-1} at rho = 0, taken by central finite differences: each side solves the
 perturbed problem `problem.perturbed(rho)`, warm-started from the unperturbed
-state.  The test error is then the Gaussian average of
+state.  A cold state at z = -lambda comes down the real-axis `ladder`, and
+an alpha sweep (`tau_sweep`) warm-starts each alpha from the previous one's
+state, falling back to the ladder when that fails (a rejected root included).
+The test error is then the Gaussian average of
 
     Lambda(kappa) = (g(kappa) - sum_q c0(kappa,zeta_q) tau0_q
                               - kappa sum_q c1(kappa,zeta_q) tau1_q)^2
@@ -25,9 +28,12 @@ import numpy as np
 from .detequiv import (
     DerivedKernels,
     DetEquivProblem,
+    FixedPointError,
     FixedPointState,
+    UnphysicalRootError,
     blocks,
     solve_fixed_point,
+    solver_totals,
 )
 from .simulate import TauSet
 
@@ -84,16 +90,19 @@ def tau2_tau3(
     problem: DetEquivProblem,
     tau0_vec: np.ndarray,
     base_state: FixedPointState,
+    spent: list | None = None,
 ):
     """Variance parameters by central finite differences of C^{-1} in rho, with step DEFAULT_RHO_STEP.
 
-    Warm-starts every perturbed solve from the unperturbed solution.
+    Warm-starts every perturbed solve from the unperturbed solution; `spent`, when given, gets each state.
     """
     r = np.concatenate([[1.0], -tau0_vec])
 
     def quad_form(rho) -> float:
         perturbed = problem.perturbed(rho)
         state = solve_fixed_point(perturbed, base_state.z, warm_start=base_state)
+        if spent is not None:
+            spent.append(state)
         return float(r @ schur_C_inverse(perturbed, state) @ r)
 
     def derivative(h: float, which: int) -> float:
@@ -104,16 +113,41 @@ def tau2_tau3(
     return derivative(DEFAULT_RHO_STEP, 0), derivative(DEFAULT_RHO_STEP, 1)
 
 
-def asymptotic_tau(problem: DetEquivProblem, lam: float) -> TauSet:
-    """Solve at z = -lambda and assemble the full asymptotic TauSet."""
+def asymptotic_tau(problem: DetEquivProblem, lam: float, state: FixedPointState | None = None,
+                   spent: list | None = None) -> TauSet:
+    """The full TauSet from the state at z = -lambda (solved cold unless given); `spent` gets the perturbed states."""
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
-    state = solve_fixed_point(problem, complex(-lam, 0.0))
+    state = state or solve_fixed_point(problem, complex(-lam, 0.0))
     kern = blocks(problem, state)
     t0 = tau0(schur_C_inverse(problem, state, kern), lam)
     t1 = tau1(problem, kern, t0)
-    t2, t3 = tau2_tau3(problem, t0, state)
+    t2, t3 = tau2_tau3(problem, t0, state, spent)
     return TauSet(tau0=t0, tau1=t1, tau2=t2, tau3=t3, provenance="asymptotic")
+
+
+def tau_sweep(problem: DetEquivProblem, alphas, lam: float) -> tuple:
+    """([(problem at alpha, TauSet)], solver summary): natural-parameter continuation in alpha at z = -lambda.
+
+    The first alpha, and any whose warm start from the previous alpha fails, takes the real-axis ladder.
+    """
+    z = complex(-lam, 0.0)
+    spent, points, state = [], [], None
+    for alpha in alphas:
+        at_alpha = problem.with_alpha(alpha)
+        try:
+            state = solve_fixed_point(at_alpha, z, warm_start=state)
+        except FixedPointError as exc:
+            if state is None:
+                raise
+            spent.append(exc)
+            state = solve_fixed_point(at_alpha, z)
+        spent.append(state)
+        points.append((at_alpha, asymptotic_tau(at_alpha, lam, state, spent)))
+    solver = solver_totals(spent)
+    solver["fallbacks"]["cold_ladder"] = sum(isinstance(r, FixedPointError) for r in spent)
+    solver["rejected_roots"] = sum(isinstance(r, UnphysicalRootError) for r in spent)
+    return points, solver
 
 
 def expected_lambda(tau: TauSet, problem: DetEquivProblem) -> float:

@@ -28,10 +28,10 @@ from .detequiv import (
     DetEquivProblem,
     FixedPointError,
     FixedPointState,
-    SolveStats,
     ladder,
     solve_fixed_point,
     solve_paths,
+    solver_totals,
     stieltjes_from_state,
 )
 
@@ -229,21 +229,8 @@ def density_grid(
                   for gi, (eps, text) in sorted(errors.items()) if not converged[gi]],
         mass_grid=mass_grid[order],
         mass_density=mass_density[order],
-        solver=_solver_totals(fresh),
+        solver=solver_totals(fresh),
     )
-
-
-def _solver_totals(results: list) -> dict:
-    """JSON summary of the work of some solves (states or FixedPointErrors), for a run manifest."""
-    spent = sum((r.stats for r in results), SolveStats())
-    residuals = [r.residual for r in results if isinstance(r, FixedPointState)]
-    return {
-        "map_rows": spent.rows,
-        "solves": len(results),
-        "rows_per_solve": spent.rows / len(results) if results else None,
-        "fallbacks": {"half_plane": spent.half_plane},
-        "max_final_residual": max(residuals) if residuals else None,
-    }
 
 
 def ks_distance(eigenvalues: np.ndarray, curve: DensityCurve) -> float:

@@ -183,9 +183,22 @@ def test_compare_bad_grid_exits_2_before_any_work(config_path, tmp_path):
     assert not (tmp_path / "cmp").exists()
 
 
-def test_theory_generror_sweep(config_path, tmp_path):
+def test_theory_generror_sweep(config_path, tmp_path, monkeypatch):
+    rows = [0]
+    fixed_point_map = detequiv.fixed_point_map
+
+    def counted(problem, z, *state):
+        rows[0] += len(z)
+        return fixed_point_map(problem, z, *state)
+
+    monkeypatch.setattr(detequiv, "fixed_point_map", counted)
     out = tmp_path / "sweep"
     assert run("theory-generror", config_path, "--alpha-sweep", "0.5:4:8", "--out", out) == 0
+    # the manifest reports the sweep's solves: per alpha one at z = -lambda and four rho-perturbed ones
+    solver = json.loads((out / "manifest.json").read_text())["solver"]
+    assert solver["map_rows"] == rows[0] and solver["solves"] == 5 * 8
+    assert solver["rows_per_solve"] == rows[0] / 40 and solver["max_final_residual"] < detequiv.DEFAULT_TOL
+    assert solver["fallbacks"] == {"half_plane": 0, "cold_ladder": 0} and solver["rejected_roots"] == 0
     lines = (out / "theory_generror.csv").read_text().strip().splitlines()
     assert len(lines) == 8 + 2
     header = lines[1].split(",")
@@ -268,15 +281,25 @@ def test_torn_cache_line_is_skipped(config_path, tmp_path):
     assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / "cold") == 0
     cold = (tmp_path / "cold" / "theory_spectrum.csv").read_bytes()
     whole = cache.read_bytes()
+    # (case, cache text, (torn lines, misses) of a run on it, the same of the rerun after it):
     # a writer killed mid-line loses its point; a line that parses but is not a record loses none
-    for case, text, lost in (("torn", whole[:-40], 1), ("keyonly", whole + b'{"key": "zz"}\n', 0),
-                             ("numkey", whole + b'{"key": 3, "state": {}}\n', 0), ("list", whole + b"[1, 2]\n", 0)):
+    cases = [("torn", whole[:-40], (1, 1), (1, 0)), ("keyonly", whole + b'{"key": "zz"}\n', (1, 0), (1, 0)),
+             ("numkey", whole + b'{"key": 3, "state": {}}\n', (1, 0), (1, 0)), ("list", whole + b"[1, 2]\n", (1, 0), (1, 0))]
+    # a record whose state does not decode to the problem's shapes is dropped and its point solved again;
+    # the rerun reads the record appended then, which shadows the bad one
+    first, rest = whole.split(b"\n", 1)
+    record = json.loads(first)
+    state = record["state"]
+    for case, bad in (("empty", {}), ("no_b", {n: v for n, v in state.items() if n != "b"}),
+                      ("short_z", {**state, "z": state["z"][:1]}), ("long_b", {**state, "b": state["b"] * 2})):
+        cases.append((case, json.dumps({"key": record["key"], "state": bad}).encode() + b"\n" + rest, (1, 1), (0, 0)))
+    for case, text, *expected in cases:
         cache.write_bytes(text)
-        for name, misses in ((case, lost), (f"{case}_mended", 0)):
+        for name, (torn, misses) in zip((case, f"{case}_mended"), expected):
             assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / name) == cli.EXIT_OK
             assert (tmp_path / name / "theory_spectrum.csv").read_bytes() == cold
             manifest = json.loads((tmp_path / name / "manifest.json").read_text())
-            assert manifest["cache_torn_lines"] == 1 and manifest["cache_misses"] == misses, name
+            assert (manifest["cache_torn_lines"], manifest["cache_misses"]) == (torn, misses), name
 
 
 @pytest.mark.parametrize("command, flag", [("simulate", "--out"), ("theory-spectrum", "--out"),
@@ -342,6 +365,15 @@ def test_compare_records_runtime_errors_and_crashes_on_others(module, work, exc,
         assert "Traceback" in err and "ZeroDivisionError: injected" in err
     else:
         assert "FAIL generror_rel_gap injected" in out
+
+
+def test_compare_records_a_rejected_root(config_path, tmp_path, monkeypatch):
+    # a slack of -1 turns the bound b_q <= pi_q beta / lambda into b_q <= 0, which every root at z = -lambda fails
+    monkeypatch.setattr(detequiv, "CERTIFICATE_SLACK", -1.0)
+    assert run("compare", config_path, "--seeds", 1, "--out", tmp_path / "cmp", "--tol-ks", 1.0) == cli.EXIT_TOLERANCE
+    checks = {c["name"]: c for c in json.loads((tmp_path / "cmp" / "summary.json").read_text())["checks"]}
+    assert "outside the Stieltjes bounds" in checks["generror_rel_gap"]["error"]
+    assert checks["spectrum_ks"]["passed"]  # the density grid solves at Im z > 0, where no root is certified
 
 
 @pytest.mark.parametrize(

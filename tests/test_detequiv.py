@@ -386,3 +386,52 @@ def test_singular_row_of_a_stack_falls_back_alone():
     L = de._solve_L(V, b)
     assert np.array_equal(L[0], de._solve_L(V[0], b[0])) and np.array_equal(L[1], de._solve_L(V[1], b[1]))
     assert np.all(np.isfinite(L))
+
+
+FIG2 = dict(d=1365, p=2048, n=1365, n0=30 * 1365, eta_tilde=2.0, lam=0.01, seed=0, activation="relu", link="tanh")
+FIG2_K1 = VocabularySpec(zeta=(1.0,), pi=(1.0,))
+FIG2_K4 = VocabularySpec(zeta=(1.0, -0.5, 1.5, -2.0), pi=(0.7, 0.1, 0.1, 0.1))
+
+
+def test_ladder_on_the_negative_real_axis():
+    z = complex(-0.01, 0.0)
+    path = de.ladder(z)
+    assert path[0] == -de.LADDER_TOP and path[-1] == z and not any(p.imag for p in path)
+    ratios = [b.real / a.real for a, b in zip(path[:-2], path[1:-1])]
+    assert ratios == pytest.approx([de.LADDER_REAL_FACTOR] * len(ratios), rel=1e-12)
+    assert path[-2].real < z.real < de.LADDER_REAL_FACTOR * path[-2].real  # the last hop is shorter than a rung
+    assert de.ladder(complex(-20.0, 0.0)) == [complex(-20.0, 0.0)]
+    # above the axis the ladder still comes down in Im z at the target's Re z
+    assert [p.real for p in de.ladder(complex(-0.01, 0.02))] == [-0.01] * len(de.ladder(complex(-0.01, 0.02)))
+
+
+def test_certificate_rejects_a_direct_cold_root_at_minus_lambda():
+    # Fig.-2, k=1, alpha=2: a cold start directly at z = -lambda converges, to b = -84.2 (m = -56.1)
+    prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_K1)).with_alpha(2.0)
+    z = complex(-FIG2["lam"], 0.0)
+    direct = de.solve_batch(prob, [z], [de._cold_state(prob, z)])[0]
+    assert isinstance(direct, de.UnphysicalRootError) and direct.stats.rows > 0
+    assert "b=[-84.22" in str(direct)
+    # the real-axis ladder reaches the Stieltjes root, inside 0 < b <= pi beta / lambda = 150
+    m = de.stieltjes_from_state(prob, de.solve_fixed_point(prob, z))
+    assert m.imag == 0.0 and m.real == pytest.approx(11.98, abs=5e-3)
+
+
+def test_certificate_rejects_the_root_of_a_coarse_real_path():
+    # Fig.-2, k=4, alpha=1: the path -10, -1, -0.01 converges to b = (-17.5, -1.77, -2.58, -1.24)
+    prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_K4)).with_alpha(1.0)
+    z = complex(-FIG2["lam"], 0.0)
+    coarse = de.solve_paths(prob, [[complex(-10.0, 0.0), complex(-1.0, 0.0), z]], [None])[0]
+    assert isinstance(coarse, de.UnphysicalRootError) and "b=[-17.49" in str(coarse)
+    # the ladder's root, against the bound (105, 15, 15, 15)
+    assert de.solve_fixed_point(prob, z).b.real == pytest.approx([43.62, 5.68, 6.22, 4.865], abs=5e-3)
+
+
+def test_certificate_accepts_the_attained_bound_at_alpha_zero():
+    prob = small_problem(alpha=0.0)
+    for lam in (0.01, 0.3, 7.0):
+        state = de.solve_fixed_point(prob, complex(-lam, 0.0))
+        assert np.max(np.abs(state.b / (prob.pi * prob.beta / lam) - 1.0)) <= de.CERTIFICATE_SLACK
+    # a tilted problem is not a covariance resolvent: its root leaves the bound, and the engine does not check it
+    state = de.solve_fixed_point(prob.perturbed((-1e-4, 0.0)), complex(-0.3, 0.0))
+    assert np.max(state.b.real / (prob.pi * prob.beta / 0.3)) > 1.0 + 1e-6

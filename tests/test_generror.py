@@ -146,3 +146,56 @@ def test_plugin_consistency_smoke():
 def test_asymptotic_tau_rejects_bad_lambda():
     with pytest.raises(ValueError):
         ge.asymptotic_tau(problem(), -0.1)
+
+
+FIG2 = dict(d=1365, p=2048, n=1365, n0=30 * 1365, eta_tilde=2.0, lam=0.01, seed=0, activation="relu", link="tanh")
+FIG2_VOCABS = {"k1": VocabularySpec(zeta=(1.0,), pi=(1.0,)),
+               "k4": VocabularySpec(zeta=(1.0, -0.5, 1.5, -2.0), pi=(0.7, 0.1, 0.1, 0.1))}
+
+
+@pytest.mark.parametrize("vocab", sorted(FIG2_VOCABS))
+def test_sweep_states_keep_the_stieltjes_bounds(vocab, monkeypatch):
+    base = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_VOCABS[vocab]))
+    alphas = np.linspace(0.5, 4.0, 8)
+    lam = FIG2["lam"]
+    solves, solve = [], de.solve_fixed_point  # (problem, state) of every solve of the sweep
+
+    def recorded(problem, z, warm_start=None):
+        solves.append((problem, solve(problem, z, warm_start=warm_start)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(ge, "solve_fixed_point", recorded)
+    points, solver = ge.tau_sweep(base, alphas, lam)
+    assert solver["fallbacks"]["cold_ladder"] == 0 and solver["rejected_roots"] == 0
+    assert len(solves) == solver["solves"] == 5 * len(alphas)
+    # every state of the sweep, the rho-perturbed ones included, keeps 0 < b_q <= pi_q beta / lambda
+    for problem, state in solves:
+        assert not state.b.imag.any() and np.all(state.b.real > 0)
+        assert np.all(state.b.real <= problem.pi * problem.beta / lam)
+    # each alpha's warm-continued state is the root its own real-axis ladder reaches
+    unperturbed = [state for problem, state in solves if problem.rho == (0.0, 0.0)]
+    for (problem, _), state in zip(points, unperturbed):
+        cold = de.solve_fixed_point(problem, complex(-lam, 0.0))
+        assert np.max(np.abs(state.b - cold.b)) <= 1e-8 * np.max(np.abs(cold.b))
+
+
+def test_rejected_warm_root_falls_back_to_the_ladder(monkeypatch):
+    # at alpha = 2 the warm start is replaced by a cold start directly at z = -lambda, whose root (b = -84.2)
+    # the engine rejects: that alpha comes down the real-axis ladder instead, to the same root
+    base = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_VOCABS["k1"]))
+    alphas, lam = [1.5, 2.0, 2.5], FIG2["lam"]
+    clean, _ = ge.tau_sweep(base, alphas, lam)
+    solve = de.solve_fixed_point
+
+    def misled(problem, z, warm_start=None):
+        if warm_start is not None and problem.alpha == 2.0 and problem.rho == (0.0, 0.0):
+            warm_start = de._cold_state(problem, z)
+        return solve(problem, z, warm_start=warm_start)
+
+    monkeypatch.setattr(ge, "solve_fixed_point", misled)
+    points, solver = ge.tau_sweep(base, alphas, lam)
+    assert solver["fallbacks"]["cold_ladder"] == 1 and solver["rejected_roots"] == 1
+    assert solver["solves"] == 5 * len(alphas) + 1
+    for (_, got), (_, want) in zip(points, clean):
+        assert np.max(np.abs(got.tau0 - want.tau0)) < 1e-8 and np.max(np.abs(got.tau1 - want.tau1)) < 1e-8
+        assert got.tau2 == pytest.approx(want.tau2, rel=1e-6) and got.tau3 == pytest.approx(want.tau3, rel=1e-6)

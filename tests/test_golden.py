@@ -33,12 +33,12 @@ COMMANDS = {
 GOLDEN = {
     "k1": {
         "theory_spectrum.csv": "39f7abcaaf1c0652a10debd4663c02011fbadcc7091d4c80ff4b772fabe10435",
-        "theory_generror.csv": "e832babccc36e9906652caeac8eca5a522100bd74460f2d6ee8e8fac1c692c05",
+        "theory_generror.csv": "aa43f010a655bdab2c00f5ffd77ab6a38798f3f4ff73b4fd680a78c7891f7eba",
         "run_seed000.json": "8d69cef0739820f9b3b53c66177d5ee75c237660841a976bb7ad2535f76951c5",
     },
     "k2": {
         "theory_spectrum.csv": "d23f32d21c260f9f4b449b3a8ac6f692b9b4af4c5f5d3ad8dc4e28204fe8af01",
-        "theory_generror.csv": "72fa71a30efe573b161026ccc9841d7817dc305c4ec8bb838081675e5956b7a5",
+        "theory_generror.csv": "2d781b447f452b604c53813b196ad0352d3c38125a71302b354599bbc18cebe3",
         "run_seed000.json": "e6eeb4624759913c9aee6941396692627d5da815e07a274f7ce53fb3be24a6af",
     },
 }

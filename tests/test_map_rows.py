@@ -5,9 +5,12 @@ bounds are those of the Anderson engine on the paper's Fig.-1 and Fig.-2
 problems; damped Picard needs about 43 rows per point on a warm-started eps
 level and 730-800 rows for a cold solve at z = -lambda.  The first eps level
 spends 15-17 rows per point with segments of 20 points, ladders included;
-segments of 10 points spend more than 18.  An engine that also
-restarted a row whenever its residual rose spent 265 rows on one
-rho-perturbed solve of the Fig.-2 k=1 sweep (alpha = 0.5, rho = (1e-4, 0)).
+segments of 10 points spend more than 18.  An alpha sweep at z = -lambda
+spends one real-axis ladder (72-84 rows at any of its alphas), then 10-16
+rows per further alpha warm-started from the previous one; a cold Im-z
+ladder per alpha spent 160-185.  An engine that also restarted a row
+whenever its residual rose spent 265 rows on one rho-perturbed solve of the
+Fig.-2 k=1 sweep (alpha = 0.5, rho = (1e-4, 0)).
 """
 import numpy as np
 import pytest
@@ -82,3 +85,23 @@ def test_cold_solve_at_minus_lambda_rows(alpha, rows, monkeypatch):
     h = ge.DEFAULT_RHO_STEP
     assert sorted(rho for rho, _ in perturbed) == sorted([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
     assert all(spent <= 15 for _, spent in perturbed), perturbed
+
+
+@pytest.mark.parametrize("vocab", [K1, K4], ids=["k1", "k4"])
+def test_alpha_sweep_rows_at_minus_lambda(vocab, rows, monkeypatch):
+    base = de.problem_from_config(ExperimentConfig(**FIG2, vocab=vocab))
+    unperturbed = []  # rows of every solve at z = -lambda, in sweep order
+    solve = de.solve_fixed_point
+
+    def recorded(problem, z, warm_start=None):
+        state = solve(problem, z, warm_start=warm_start)
+        if problem.rho == (0.0, 0.0):
+            unperturbed.append(state.stats.rows)
+        return state
+
+    monkeypatch.setattr(ge, "solve_fixed_point", recorded)
+    _, solver = ge.tau_sweep(base, np.linspace(0.5, 4.0, 8), FIG2["lam"])
+    assert solver["map_rows"] == rows[0] and solver["fallbacks"]["cold_ladder"] == 0
+    assert len(unperturbed) == 8
+    assert unperturbed[0] <= 100  # the real-axis ladder of the first alpha
+    assert all(spent <= 20 for spent in unperturbed[1:]), unperturbed

@@ -214,6 +214,11 @@ def cmd_theory_spectrum(args) -> int:
     return EXIT_OK
 
 
+def _cell(value) -> str:
+    """A CSV cell: the repr of a float, or empty for a value that is missing."""
+    return "" if value is None else repr(float(value))
+
+
 def _sweep_csv(path: Path, rows: list, config_hash: str) -> None:
     k = len(rows[0]["tau0"])
     tau0_cols = ",".join(f"tau0_{q+1}" for q in range(k))
@@ -223,27 +228,29 @@ def _sweep_csv(path: Path, rows: list, config_hash: str) -> None:
         f"alpha,gen_error_theory,gen_error_sim_mean,gen_error_sim_stderr,{tau0_cols},{tau1_cols},tau2,tau3",
     ]
     for row in rows:
-        sim_mean = "" if row.get("sim_mean") is None else repr(float(row["sim_mean"]))
-        sim_err = "" if row.get("sim_stderr") is None else repr(float(row["sim_stderr"]))
-        cells = [repr(float(row["alpha"])), repr(float(row["theory"])), sim_mean, sim_err]
-        cells += [repr(float(v)) for v in row["tau0"]] + [repr(float(v)) for v in row["tau1"]]
-        cells += [repr(float(row["tau2"])), repr(float(row["tau3"]))]
-        lines.append(",".join(cells))
+        cells = [row["alpha"], row["theory"], row.get("sim_mean"), row.get("sim_stderr")]
+        cells += row["tau0"] + row["tau1"] + [row["tau2"], row["tau3"]]
+        lines.append(",".join(_cell(v) for v in cells))
     path.write_text("\n".join(lines) + "\n")
 
 
 def _theory_rows(config: ExperimentConfig, alphas) -> tuple:
-    """(one CSV row per alpha, the sweep's solver summary), by `generror.tau_sweep`."""
+    """(one CSV row per alpha, the solver summary, one {"alpha", "reason"} per failed alpha), by `generror.tau_sweep`.
+
+    A failed alpha's row has empty theory and tau cells.
+    """
     points, solver = generror.tau_sweep(detequiv.problem_from_config(config), alphas, config.lam)
-    rows = [{
-        "alpha": problem.alpha,
-        "theory": generror.expected_lambda(tau, problem),
-        "tau0": tau.tau0.tolist(),
-        "tau1": tau.tau1.tolist(),
-        "tau2": tau.tau2,
-        "tau3": tau.tau3,
-    } for problem, tau in points]
-    return rows, solver
+    rows, failures = [], []
+    for problem, tau in points:
+        row = {"alpha": problem.alpha, "theory": None, "tau0": [None] * problem.k, "tau1": [None] * problem.k,
+               "tau2": None, "tau3": None}
+        if isinstance(tau, detequiv.FixedPointError):
+            failures.append({"alpha": problem.alpha, "reason": str(tau)})
+        else:
+            row.update(theory=generror.expected_lambda(tau, problem), tau0=tau.tau0.tolist(), tau1=tau.tau1.tolist(),
+                       tau2=tau.tau2, tau3=tau.tau3)
+        rows.append(row)
+    return rows, solver, failures
 
 
 def cmd_theory_generror(args) -> int:
@@ -251,12 +258,15 @@ def cmd_theory_generror(args) -> int:
     alphas = _parse_sweep(args.alpha_sweep) if args.alpha_sweep else np.array([config.alpha])
     manifest = RunManifest(config_hash=config.config_hash(), command="theory-generror")
     out = _output_dir(args.out)
-    rows, manifest.extra["solver"] = _theory_rows(config, alphas)
+    rows, manifest.extra["solver"], failures = _theory_rows(config, alphas)
     csv_path = out / "theory_generror.csv"
     _sweep_csv(csv_path, rows, config.config_hash())
     manifest.outputs.append(csv_path)
+    manifest.extra["unconverged"] = len(failures)
+    manifest.extra["unconverged_reasons"] = failures
     manifest.write(out / "manifest.json")
-    print(f"wrote {csv_path} ({len(rows)} rows)")
+    unconverged = f"; {len(failures)} of {len(rows)} alphas unconverged" if failures else ""
+    print(f"wrote {csv_path} ({len(rows)} rows){unconverged}")
     return EXIT_OK
 
 
@@ -304,14 +314,16 @@ def cmd_compare(args) -> int:
             checks.append({"name": "spectrum_ks", "error": str(exc), "passed": False})
 
         try:
-            row = _theory_rows(config, [config.alpha])[0][0]
-            row["sim_mean"], row["sim_stderr"] = _mean_stderr([r["gen_error"]["mean"] for r in sim_results])
-            _sweep_csv(out / "generror_compare.csv", [row], config.config_hash())
-            manifest.outputs.append(out / "generror_compare.csv")
-            gap = abs(row["theory"] - row["sim_mean"]) / row["sim_mean"]
-            checks.append(
-                {"name": "generror_rel_gap", "value": gap, "tol": args.tol_generror, "passed": bool(gap < args.tol_generror)}
-            )
+            (row,), _, failures = _theory_rows(config, [config.alpha])
+            if failures:
+                checks.append({"name": "generror_rel_gap", "error": failures[0]["reason"], "passed": False})
+            else:
+                row["sim_mean"], row["sim_stderr"] = _mean_stderr([r["gen_error"]["mean"] for r in sim_results])
+                _sweep_csv(out / "generror_compare.csv", [row], config.config_hash())
+                manifest.outputs.append(out / "generror_compare.csv")
+                gap = abs(row["theory"] - row["sim_mean"]) / row["sim_mean"]
+                checks.append({"name": "generror_rel_gap", "value": gap, "tol": args.tol_generror,
+                               "passed": bool(gap < args.tol_generror)})
         except RuntimeError as exc:
             checks.append({"name": "generror_rel_gap", "error": str(exc), "passed": False})
 

@@ -119,7 +119,6 @@ class DetEquivProblem:
     alpha: float
     beta: float
     pi: np.ndarray
-    zeta_u: np.ndarray
     kappa: np.ndarray
     kappa_w: np.ndarray
     c0: np.ndarray
@@ -181,7 +180,6 @@ def build_problem(
         alpha=float(alpha),
         beta=float(beta),
         pi=pi,
-        zeta_u=zeta_u,
         kappa=outer.nodes,
         kappa_w=outer.weights,
         c0=c0,

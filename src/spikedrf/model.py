@@ -7,7 +7,8 @@ fresh samples.  The second layer is initialized i.i.d. from a finite
 vocabulary {zeta_q} with probabilities {pi_q}, scaled by 1/sqrt(p).
 
 Assumption violations that the theory is empirically robust to (sigma not
-odd, E[sigma] != 0, slow n0 growth) are downgraded to warnings; structural
+odd, E[sigma] != 0, slow n0 growth) are downgraded to warnings, as is a
+vanishing rank-one spike (E[sigma'] = 0 or E[g'] = 0); structural
 errors (pi not a distribution, lambda <= 0) fail hard.
 """
 from __future__ import annotations
@@ -17,12 +18,12 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List
 
 import numpy as np
 from scipy.special import erf as _erf
 
-from .quadrature import DEFAULT_INNER_NODES, cached_rule, hermite_tables
+from .quadrature import DEFAULT_INNER_NODES, cached_rule
 
 
 class ConfigError(ValueError):
@@ -155,10 +156,6 @@ class VocabularySpec:
             raise ConfigError(f"vocabulary values must be finite, got {zeta}")
         if len(set(zeta)) != len(zeta):
             raise ConfigError(f"vocabulary values must be pairwise distinct, got {zeta}")
-
-    @property
-    def k(self) -> int:
-        return len(self.zeta)
 
     def as_arrays(self):
         return np.asarray(self.zeta, dtype=float), np.asarray(self.pi, dtype=float)
@@ -329,6 +326,8 @@ def validate_config(config: ExperimentConfig, for_theory: bool = True) -> Valida
 
     if not sigma.is_odd():
         report.warnings.append(f"activation '{sigma.name}' is not odd (assumption violated; results are empirical)")
+    if abs(sigma.first_coeff()) < 1e-8:
+        report.warnings.append(f"activation '{sigma.name}' has E[sigma'] = 0; the rank-one spike vanishes")
     if abs(sigma.mean()) > 1e-8:
         report.warnings.append(f"activation '{sigma.name}' has E[sigma] = {sigma.mean():.3g} != 0")
     if abs(link.mean()) > 1e-8:
@@ -338,18 +337,6 @@ def validate_config(config: ExperimentConfig, for_theory: bool = True) -> Valida
     if config.n0 < config.d**1.05:
         report.warnings.append(f"n0 = {config.n0} grows slower than d^(1+eps); spike approximation may be loose")
     return report
-
-
-def check_nondegeneracy(vocab: VocabularySpec | Sequence[float], activation: ActivationSpec) -> bool:
-    """True iff the functions kappa -> c1(kappa, zeta_q) span R^k over the kappa grid.
-
-    Sampled on max(127, 4k) quadrature nodes; rank via the singular-value ratio.
-    """
-    zetas = np.asarray(vocab.zeta if isinstance(vocab, VocabularySpec) else vocab, dtype=float)
-    m = max(DEFAULT_INNER_NODES, 4 * len(zetas))
-    _, mat, _ = hermite_tables(activation.fn, cached_rule(m).nodes, zetas)
-    sv = np.linalg.svd(mat, compute_uv=False)
-    return bool(sv[-1] > 1e-8 * sv[0])
 
 
 # --------------------------------------------------------------------------- #

@@ -153,32 +153,3 @@ def hermite_tables(
         resid[:, q] = residual_table(sigma, shifts)
     return c0, c1, resid
 
-
-@dataclass
-class TailReport:
-    max_order: int
-    tail_mass: float
-    threshold: float
-    passed: bool
-
-
-def hermite_tail_check(
-    sigma: Callable[[np.ndarray], np.ndarray],
-    max_order: int,
-    threshold: float = 1e-8,
-) -> TailReport:
-    """Mass above `max_order` in the Hermite expansion of sigma.
-
-    Computed as the Parseval difference E[sigma^2] - sum_{l<=L} c_l^2; a fail
-    is reported, never raised, so slowly-decaying activations can be flagged
-    without aborting a run.
-    """
-    if max_order < 2:
-        raise ValueError("max_order must be >= 2")
-    shifts = np.zeros(1)
-    c = shifted_coeffs(sigma, shifts, max_order)[0]
-    m2 = shifted_second_moment(sigma, shifts)[0]
-    tail = float(m2 - np.sum(c**2))
-    tail = max(tail, 0.0)
-    return TailReport(max_order=max_order, tail_mass=tail, threshold=threshold, passed=tail < threshold)
-

@@ -3,13 +3,15 @@
 Scalar forms of the vectorized quadrature routines, the one-state form of
 the batched fixed-point map, the damped Picard iteration that the Anderson
 engine replaced, the conjugate of a state (the solution at the conjugate
-point, since the equations have real coefficients), the dense
+point, since the equations have real coefficients), the exact rho-derivatives
+tau2 and tau3 by the implicit function theorem, the dense
 (k+1+p)-square inverse of the deterministic equivalent, the empirical
 Stieltjes transform, the support edges of a density curve, and the
 bulk-weight covariance diagnostic.
 """
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable
 
 import numpy as np
@@ -23,7 +25,9 @@ from spikedrf.detequiv import (
     _kernels,
     _solve_L,
     blocks,
+    fixed_point_map,
 )
+from spikedrf.generror import _variance_kernel_inverse
 from spikedrf.model import ActivationSpec, LinkSpec
 from spikedrf.quadrature import (
     QuadratureError,
@@ -148,6 +152,42 @@ def conjugate(state: FixedPointState) -> FixedPointState:
     return FixedPointState(
         np.conj(state.z), np.conj(state.V), np.conj(state.nu), np.conj(state.b), state.residual, state.stats
     )
+
+
+def exact_tau2_tau3(problem: DetEquivProblem, tau0: np.ndarray, state: FixedPointState) -> tuple:
+    """(tau2, tau3) as exact rho-derivatives of r^T C^{-1} r, r = [1; -tau0], at an unperturbed state on z < 0.
+
+    Implicit function theorem: the fixed point X = F(X, rho) moves along rho by
+    dX = (I - J)^{-1} dF/drho, with the k^2 + 2k unknowns X = (V, nu, b).  The
+    map is holomorphic in X and linear in rho, so every derivative is taken by
+    complex step (Squire & Trapp, SIAM Review 1998), f'(x) = Im f(x + ih) / h,
+    which has no subtractive cancellation and so takes h = 1e-30: J from one
+    batched map call at X + ih e_j, dF/drho from the map of the problem at
+    rho = ih e_i, and the total derivative of the quadratic form from the
+    complex Schur block at (X + ih dX, rho = ih e_i).
+    """
+    h, k = 1e-30, problem.k
+    n = k * k + 2 * k
+    x = np.concatenate([state.V.ravel(), state.nu, state.b]).astype(complex)
+    z = np.full(n, state.z, dtype=complex)
+
+    def split(rows):
+        return rows[:, :k * k].reshape(-1, k, k), rows[:, k * k:k * k + k], rows[:, k * k + k:]
+
+    def mapped(prob, rows):
+        V, nu, b = fixed_point_map(prob, z[:len(rows)], *split(rows))
+        return np.concatenate([V.reshape(len(rows), -1), nu, b], axis=1)
+
+    J = mapped(problem, x + 1j * h * np.eye(n)).imag.T / h
+    r = np.concatenate([[1.0], -tau0])
+    out = []
+    for rho in ((1j * h, 0.0), (0.0, 1j * h)):
+        tilted = dataclasses.replace(problem, rho=rho)
+        dX = np.linalg.solve(np.eye(n) - J, mapped(tilted, x[None]).imag[0] / h)
+        kern = blocks(tilted, FixedPointState(state.z, *(a[0] for a in split((x + 1j * h * dX)[None]))))
+        Cinv = kern.A11 - state.z * np.eye(k + 1) - kern.A21t.T @ _variance_kernel_inverse(tilted, kern) @ kern.A21t
+        out.append(float((r @ Cinv @ r).imag / h))
+    return tuple(out)
 
 
 def assemble_ge(problem: DetEquivProblem, state: FixedPointState, theta: np.ndarray, groups: np.ndarray) -> np.ndarray:

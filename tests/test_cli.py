@@ -376,6 +376,46 @@ def test_compare_records_a_rejected_root(config_path, tmp_path, monkeypatch):
     assert checks["spectrum_ks"]["passed"]  # the density grid solves at Im z > 0, where no root is certified
 
 
+def test_theory_generror_records_rejected_roots(config_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(detequiv, "CERTIFICATE_SLACK", -1.0)
+    out = tmp_path / "sweep"
+    assert run("theory-generror", config_path, "--alpha-sweep", "0.5:1.5:3", "--out", out) == cli.EXIT_OK
+    assert "Traceback" not in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["unconverged"] == 3
+    assert [r["alpha"] for r in manifest["unconverged_reasons"]] == [0.5, 1.0, 1.5]
+    assert all("outside the Stieltjes bounds" in r["reason"] for r in manifest["unconverged_reasons"])
+    # the alpha cell stays, every theory and tau cell is empty, as the simulation cells are
+    for line in (out / "theory_generror.csv").read_text().strip().splitlines()[2:]:
+        assert set(line.split(",")[1:]) == {""}
+
+
+def test_failed_alpha_leaves_the_other_rows(config_path, tmp_path, monkeypatch, capsys):
+    def sweep(spec, name):
+        assert run("theory-generror", config_path, "--alpha-sweep", spec, "--out", tmp_path / name) == cli.EXIT_OK
+        lines = (tmp_path / name / "theory_generror.csv").read_text().splitlines()
+        return lines, json.loads((tmp_path / name / "manifest.json").read_text()), capsys.readouterr().out
+
+    clean, clean_manifest, clean_out = sweep("0.5:1.5:3", "clean")
+    assert clean_manifest["unconverged"] == 0 and clean_manifest["unconverged_reasons"] == []
+    assert clean_out.strip() == f"wrote {tmp_path / 'clean' / 'theory_generror.csv'} (3 rows)"
+    last_alone = sweep("1.5:1.5:1", "last")[0]
+    asymptotic_tau = generror.asymptotic_tau
+
+    def failing_at_one(problem, *args):
+        if problem.alpha == 1.0:
+            raise FixedPointError("injected")
+        return asymptotic_tau(problem, *args)
+
+    monkeypatch.setattr(generror, "asymptotic_tau", failing_at_one)
+    lines, manifest, _ = sweep("0.5:1.5:3", "failed")
+    assert manifest["unconverged_reasons"] == [{"alpha": 1.0, "reason": "injected"}]
+    assert manifest["solver"]["fallbacks"]["cold_ladder"] == 0
+    assert lines[:3] == clean[:3] and lines[3] == "1.0" + "," * (len(clean[1].split(",")) - 1)
+    # the alpha after the failure comes down the real-axis ladder, as the first alpha of a sweep does
+    assert lines[4] == last_alone[2] and lines[4].split(",")[0] == clean[4].split(",")[0]
+
+
 @pytest.mark.parametrize(
     "module, work, argv",
     [

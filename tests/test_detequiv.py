@@ -8,6 +8,7 @@ from oracles import assemble_ge, bulk_kernels, conjugate, empirical_stieltjes, s
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng
+from spikedrf.quadrature import hermite_tables
 
 
 def mp_stieltjes(gamma, z):
@@ -291,7 +292,9 @@ def test_problem_from_config_spike_scale():
     c1 = cfg.activation_spec().first_coeff()
     cstar1 = cfg.link_spec().first_coeff()
     expected = (cfg.eta_tilde / cfg.beta) * c1 * cstar1 * np.array([1.0, -2.0])
-    assert np.max(np.abs(prob.zeta_u - expected)) < 1e-12
+    # the tables are those of the expected spike values, bit for bit
+    c0, c1_table, resid = hermite_tables(cfg.activation_spec().fn, prob.kappa, expected)
+    assert np.array_equal(prob.c0, c0) and np.array_equal(prob.c1, c1_table) and np.array_equal(prob.resid, resid)
     assert prob.alpha == cfg.alpha and prob.beta == cfg.beta
 
 

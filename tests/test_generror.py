@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import exact_tau2_tau3
 from spikedrf import detequiv as de
 from spikedrf import generror as ge
 from spikedrf import simulate as sim
@@ -199,3 +200,21 @@ def test_rejected_warm_root_falls_back_to_the_ladder(monkeypatch):
     for (_, got), (_, want) in zip(points, clean):
         assert np.max(np.abs(got.tau0 - want.tau0)) < 1e-8 and np.max(np.abs(got.tau1 - want.tau1)) < 1e-8
         assert got.tau2 == pytest.approx(want.tau2, rel=1e-6) and got.tau3 == pytest.approx(want.tau3, rel=1e-6)
+
+
+def test_rho_difference_converges_to_the_exact_derivative(monkeypatch):
+    # the central difference of tau2_tau3 truncates at O(h^2) against the implicit-function-theorem derivative
+    prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_VOCABS["k1"])).with_alpha(0.5)
+    lam = FIG2["lam"]
+    state = de.solve_fixed_point(prob, complex(-lam, 0.0))
+    t0 = ge.tau0(ge.schur_C_inverse(prob, state), lam)
+    exact2, exact3 = exact_tau2_tau3(prob, t0, state)
+    at_default = ge.tau2_tau3(prob, t0, state)
+
+    def tau2_at(h):
+        monkeypatch.setattr(ge, "DEFAULT_RHO_STEP", h)
+        return ge.tau2_tau3(prob, t0, state)[0]
+
+    assert 3.5 <= (tau2_at(1e-4) - exact2) / (tau2_at(5e-5) - exact2) <= 4.5
+    assert abs(tau2_at(2e-5) - exact2) <= 1e-6 * abs(exact2)
+    assert abs(at_default[1] - exact3) <= 1e-6 * abs(exact3)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from spikedrf.model import (
+    ACTIVATIONS,
     ConfigError,
     ExperimentConfig,
     LinkSpec,
     VocabularySpec,
-    check_nondegeneracy,
     default_n0,
     get_activation,
     make_rng,
@@ -144,17 +144,12 @@ def test_derivatives_validate_against_finite_differences():
         get_activation(name).validate_derivative()
 
 
-def test_nondegeneracy():
-    relu = get_activation("relu")
-    assert check_nondegeneracy([1.0], relu)
-    assert not check_nondegeneracy([1.0, 1.0], relu)  # duplicated columns
-    assert check_nondegeneracy(FIG2_K4, relu)
-    # numpy rank as the independent oracle on the sampled matrix
-    from spikedrf.quadrature import cached_rule, shifted_coeffs
-
-    kappas = cached_rule(127).nodes
-    mat = np.stack([shifted_coeffs(relu.fn, kappas * z, 1)[:, 1] for z in FIG2_K4.zeta], axis=1)
-    assert np.linalg.matrix_rank(mat, tol=1e-8 * np.linalg.svd(mat, compute_uv=False)[0]) == 4
+def test_vanishing_activation_spike_warns():
+    # c1 = E[sigma(z) z] is ~1e-16 for the even hermite2 and the orthogonal hermite3, and >= 0.5 otherwise
+    for name in ACTIVATIONS:
+        warnings = validate_config(fig2_config(activation=name)).warnings
+        vanishes = [w for w in warnings if w.startswith(f"activation '{name}'") and "spike vanishes" in w]
+        assert len(vanishes) == (name in ("hermite2", "hermite3")), (name, warnings)
 
 
 def test_sample_second_layer_single_group():

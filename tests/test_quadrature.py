@@ -14,7 +14,6 @@ from spikedrf.quadrature import (
     gauss_hermite_rule,
     hermite_basis,
     hermite_tables,
-    hermite_tail_check,
     residual_table,
     shifted_coeffs,
     shifted_second_moment,
@@ -101,8 +100,14 @@ def test_residual_negativity_guard():
         shifted_coeffs(lambda x: np.where(np.abs(x) > 4, np.inf, x), np.array([0.0]), 1)
 
 
+def tail_mass(sigma, max_order: int) -> float:
+    """Mass above order `max_order` in the Hermite series of sigma: E[sigma^2] - sum_{l<=L} c_l^2."""
+    shifts = np.zeros(1)
+    return float(shifted_second_moment(sigma, shifts)[0] - np.sum(shifted_coeffs(sigma, shifts, max_order)[0] ** 2))
+
+
 def test_tail_check():
-    assert hermite_tail_check(lambda x: x, 2).passed
+    assert abs(tail_mass(lambda x: x, 2)) < 1e-8
     # closed form for erf: c_{2j+1} = sqrt((2j+1)!) * (2/sqrt(pi)) * (-3)^{-j}/(sqrt(3) j! (2j+1)),
     # so the mass above order 20 is ~1.76e-6 (not 1e-8; it first dips below 1e-8 near L=35)
     from math import factorial
@@ -111,12 +116,10 @@ def test_tail_check():
         factorial(2 * j + 1) * (4 / np.pi) * 3.0 ** (-(2 * j + 1)) / (factorial(j) ** 2 * (2 * j + 1) ** 2)
         for j in range(10, 40)
     )
-    rep = hermite_tail_check(get_activation("erf").fn, 20, threshold=1e-5)
-    assert rep.passed
-    assert abs(rep.tail_mass - tail_oracle) < 1e-9
-    assert hermite_tail_check(get_activation("erf").fn, 40, threshold=1e-8).passed
-    rep_sign = hermite_tail_check(np.sign, 20)
-    assert not rep_sign.passed and rep_sign.tail_mass > 1e-4
+    erf = get_activation("erf").fn
+    assert abs(tail_mass(erf, 20) - tail_oracle) < 1e-9
+    assert tail_mass(erf, 40) < 1e-8
+    assert tail_mass(np.sign, 20) > 1e-4
 
 
 @given(

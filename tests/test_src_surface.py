@@ -21,34 +21,30 @@ parameter of its own enclosing function gives a value only if that parameter
 is itself given one by some call, so a default forwarded down a chain of
 calls stays unset.  Calls match definitions by name, so a call to an
 unrelated function of the same name counts too; a method is taken as called
-on an instance, and a class name as a call of its `__init__`.
+on an instance, and a class name as a call of its `__init__`.  An allowed
+parameter whose reason names a `bench/` file must still be set there: passed
+by keyword to the function, or both named in string constants.
 
 No module in `src/` or `tests/` imports a name it does not use (names in
 `__all__` and `from __future__` imports are exempt).
 """
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "spikedrf"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src" / "spikedrf"
 TESTS = Path(__file__).resolve().parent
 
-# Assumption checks without a caller yet: ROADMAP item 5 runs them in the
-# theory commands and `compare` and reports their verdicts, so they stay.
-ALLOWED = {"check_nondegeneracy", "hermite_tail_check"}
+# Definitions that nothing in src/ references, each with the reason it stays: none.
+ALLOWED = set()
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # Dataclass fields that nothing in src/ reads yet, each with the reason it stays.
 ALLOWED_FIELDS = {
-    # tests compare each eps level with the damped oracle
+    # tests compare each eps level with the damped oracle; ROADMAP item 9 gives it a reader
     "DensityCurve.im_levels",
-    # the spike values the coefficient tables come from
-    "DetEquivProblem.zeta_u",
-    # the return value of the allow-listed `hermite_tail_check` (ROADMAP item 5)
-    "TailReport.max_order",
-    "TailReport.tail_mass",
-    "TailReport.threshold",
-    "TailReport.passed",
 }
 
 
@@ -121,15 +117,11 @@ def test_every_dataclass_field_is_read_in_src():
 
 
 # Parameters with a default that no call in src/ gives a value, each with the reason it stays.
+# A reason that names a bench/ file is checked against that file (test_bench_still_sets_the_cited_parameters).
 ALLOWED_PARAMS = {
-    # the console script calls main() with no argument; the benchmark passes argv
-    "cli.main(argv)",
-    # bench/setup_probe.py passes it
-    "model.validate_config(for_theory)",
-    # bench/tracer.py binds it by name
-    "simulate.gradient_step(chunk)",
-    # an argument of the allow-listed `hermite_tail_check` (ROADMAP item 5)
-    "quadrature.hermite_tail_check(threshold)",
+    "cli.main(argv)": "the console script calls main() with no argument; the benchmark passes argv",
+    "model.validate_config(for_theory)": "bench/setup_probe.py passes it",
+    "simulate.gradient_step(chunk)": "bench/tracer.py binds it by name",
 }
 
 
@@ -198,9 +190,32 @@ def test_every_src_option_is_set_in_src():
     unset = unset_parameters(SRC)
     extra = {name: where for name, where in unset.items() if name not in ALLOWED_PARAMS}
     assert not extra, f"parameters with a default that no call in src/ sets (make them module constants): {extra}"
-    assert set(unset) == ALLOWED_PARAMS, (
-        f"allow-listed parameters now get a value in src/; drop them from ALLOWED_PARAMS: {ALLOWED_PARAMS - set(unset)}"
+    assert set(unset) == set(ALLOWED_PARAMS), (
+        f"allow-listed parameters now get a value in src/; drop them from ALLOWED_PARAMS: {set(ALLOWED_PARAMS) - set(unset)}"
     )
+
+
+def sets_by_name(path: Path, function: str, param: str) -> bool:
+    """True when `path` calls `function` with the keyword `param`, or names both in string constants (binds by name)."""
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if callee == function and any(kw.arg == param for kw in node.keywords):
+                return True
+    strings = {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    return param in strings and function in {part for text in strings for part in text.split(".")}
+
+
+def test_bench_still_sets_the_cited_parameters():
+    cited = {entry: re.findall(r"bench/[\w/]+\.py", reason) for entry, reason in ALLOWED_PARAMS.items()}
+    cited = {entry: files for entry, files in cited.items() if files}
+    assert cited, "no ALLOWED_PARAMS reason names a bench/ file any more"
+    stale = []
+    for entry, files in cited.items():
+        function, param = re.fullmatch(r"(?:\w+\.)+(\w+)\((\w+)\)", entry).groups()
+        stale += [f"{entry}: {name}" for name in files if not sets_by_name(REPO / name, function, param)]
+    assert not stale, f"allow-listed parameters whose cited bench/ file no longer sets them: {stale}"
 
 
 def unused_imports(path: Path) -> list:

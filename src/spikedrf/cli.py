@@ -73,6 +73,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """A comparison tolerance: a finite float > 0, so that a check can both pass and fail."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _parse_grid(spec: str):
     try:
         lo, hi, pts = spec.split(":")
@@ -109,12 +120,7 @@ def _mean_stderr(values: list) -> tuple:
 def _simulate_one(args):
     config_dict, seed_index, compute_spectrum = args
     config = ExperimentConfig.from_dict(config_dict)
-    res = simulate.run_experiment(
-        config,
-        seed_index=seed_index,
-        compute_spectrum=compute_spectrum,
-        compute_spike_deviation=True,
-    )
+    res = simulate.run_experiment(config, seed_index=seed_index, compute_spectrum=compute_spectrum)
     return {
         "seed_index": seed_index,
         "config_hash": config.config_hash(),
@@ -234,12 +240,12 @@ def _sweep_csv(path: Path, rows: list, config_hash: str) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _theory_rows(config: ExperimentConfig, alphas) -> tuple:
+def _theory_rows(problem: detequiv.DetEquivProblem, alphas, lam: float) -> tuple:
     """(one CSV row per alpha, the solver summary, one {"alpha", "reason"} per failed alpha), by `generror.tau_sweep`.
 
     A failed alpha's row has empty theory and tau cells.
     """
-    points, solver = generror.tau_sweep(detequiv.problem_from_config(config), alphas, config.lam)
+    points, solver = generror.tau_sweep(problem, alphas, lam)
     rows, failures = [], []
     for problem, tau in points:
         row = {"alpha": problem.alpha, "theory": None, "tau0": [None] * problem.k, "tau1": [None] * problem.k,
@@ -258,7 +264,7 @@ def cmd_theory_generror(args) -> int:
     alphas = _parse_sweep(args.alpha_sweep) if args.alpha_sweep else np.array([config.alpha])
     manifest = RunManifest(config_hash=config.config_hash(), command="theory-generror")
     out = _output_dir(args.out)
-    rows, manifest.extra["solver"], failures = _theory_rows(config, alphas)
+    rows, manifest.extra["solver"], failures = _theory_rows(detequiv.problem_from_config(config), alphas, config.lam)
     csv_path = out / "theory_generror.csv"
     _sweep_csv(csv_path, rows, config.config_hash())
     manifest.outputs.append(csv_path)
@@ -294,8 +300,8 @@ def cmd_compare(args) -> int:
     except RuntimeError as exc:
         checks.append({"name": "simulation", "error": str(exc), "passed": False})
 
-    problem = detequiv.problem_from_config(config)
     if sim_results is not None:
+        problem = detequiv.problem_from_config(config)
         try:
             lo, hi, pts = grid or spectrum.auto_grid(pooled)
             curve = spectrum.density_grid(problem, lo, hi, pts)
@@ -314,7 +320,7 @@ def cmd_compare(args) -> int:
             checks.append({"name": "spectrum_ks", "error": str(exc), "passed": False})
 
         try:
-            (row,), _, failures = _theory_rows(config, [config.alpha])
+            (row,), _, failures = _theory_rows(problem, [config.alpha], config.lam)
             if failures:
                 checks.append({"name": "generror_rel_gap", "error": failures[0]["reason"], "passed": False})
             else:
@@ -374,8 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--seeds", type=_positive_int, default=3)
     cp.add_argument("--out", default="out")
     cp.add_argument("--grid", default=None, help="density grid min:max:points (default: auto from eigenvalues)")
-    cp.add_argument("--tol-ks", type=float, default=DEFAULT_KS_TOL)
-    cp.add_argument("--tol-generror", type=float, default=DEFAULT_GENERROR_TOL)
+    cp.add_argument("--tol-ks", type=_tolerance, default=DEFAULT_KS_TOL)
+    cp.add_argument("--tol-generror", type=_tolerance, default=DEFAULT_GENERROR_TOL)
     cp.add_argument("--jobs", type=_positive_int, default=1)
     cp.set_defaults(func=cmd_compare)
     return parser

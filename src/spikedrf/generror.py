@@ -127,7 +127,7 @@ def asymptotic_tau(problem: DetEquivProblem, lam: float, state: FixedPointState 
     t0 = tau0(schur_C_inverse(problem, state, kern), lam)
     t1 = tau1(problem, kern, t0)
     t2, t3 = tau2_tau3(problem, t0, state, spent)
-    return TauSet(tau0=t0, tau1=t1, tau2=t2, tau3=t3, provenance="asymptotic")
+    return TauSet(tau0=t0, tau1=t1, tau2=t2, tau3=t3)
 
 
 def tau_sweep(problem: DetEquivProblem, alphas, lam: float) -> tuple:

@@ -4,9 +4,13 @@ Pipeline: sample Gaussian single-index data, take one full-batch gradient
 step on the first layer at learning rate eta = eta_tilde * d, fit the second
 layer by ridge regression on fresh data, then measure everything the theory
 predicts: the bulk spectrum of the centered feature covariance, the scalar
-order parameters (tau), and the test error.  `run_experiment` returns only
-these observables; the trained weights and the features stay inside it, and
-the centered bulk is built only when the spectrum is asked for.
+order parameters (tau), the test error, and the deviation of the trained
+layer from the spiked surrogate W0 + u w*^T of the config's spike law
+(`ExperimentConfig.spike_vocabulary`, the u the theory uses).  The measured
+tau2/tau3 read the perturbation kernels of the theory's `DetEquivProblem`.
+`run_experiment` returns only these observables; the trained weights and the
+features stay inside it, and the centered bulk is built only when the
+spectrum is asked for.
 
 All randomness flows from a counter-based generator, so identical seeds give
 bit-identical runs regardless of thread schedule.
@@ -18,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .detequiv import DetEquivProblem, problem_from_config
 from .model import ActivationSpec, ExperimentConfig, LinkSpec, make_rng, sample_second_layer
-from .quadrature import DEFAULT_OUTER_NODES, cached_rule, hermite_tables
 
 DEFAULT_TEST_POINTS = 10_000
 
@@ -62,25 +66,20 @@ def gradient_step(
     spike W0 + u w*^T (u proportional to a0) the theory describes.  The residual leaves out the init
     output f(x_mu; W0, a0): for E[sigma] != 0 and a non-centered second layer its O(1) mean shrinks
     every row, an effect outside the spiked description; for odd activations it is O(1/sqrt(d))
-    (see README).  Batches of `chunk` rows keep memory flat.
+    (see README).  `label_gradient` works in batches of `chunk` rows.
     """
     n0, p = X0.shape[0], W0.shape[0]
+    return W0 + eta / (n0 * np.sqrt(p)) * a0[:, None] * label_gradient(W0, X0, y0, sigma, chunk)
+
+
+def label_gradient(W0: np.ndarray, X0: np.ndarray, y0: np.ndarray, sigma: ActivationSpec, chunk: int) -> np.ndarray:
+    """sum_mu y_mu sigma'(W0 x_mu) x_mu^T, accumulated over batches of `chunk` rows to keep memory flat."""
+    n0 = X0.shape[0]
     grad = np.zeros_like(W0)
     for start in range(0, n0, chunk):
         sl = slice(start, min(start + chunk, n0))
         grad += (sigma.deriv(X0[sl] @ W0.T) * y0[sl, None]).T @ X0[sl]
-    return W0 + eta / (n0 * np.sqrt(p)) * a0[:, None] * grad
-
-
-def spike_vector(a0: np.ndarray, eta: float, c1: float, cstar1: float) -> np.ndarray:
-    """u = eta c1 c1* a0 / sqrt(p), the rank-one spike amplitude per neuron."""
-    return eta * c1 * cstar1 * a0 / np.sqrt(len(a0))
-
-
-def spiked_approximation(W0: np.ndarray, a0: np.ndarray, eta: float, w_star: np.ndarray, c1: float, cstar1: float) -> np.ndarray:
-    """W0 + u w*^T, the rank-one surrogate for the trained first layer."""
-    u = spike_vector(a0, eta, c1, cstar1)
-    return W0 + np.outer(u, w_star)
+    return grad
 
 
 def operator_norm(M: np.ndarray) -> float:
@@ -182,14 +181,11 @@ class TauSet:
     tau1: np.ndarray
     tau2: float
     tau3: float
-    provenance: str = "empirical"
 
     def __post_init__(self):
         vals = [*np.atleast_1d(self.tau0), *np.atleast_1d(self.tau1), self.tau2, self.tau3]
         if not np.all(np.isfinite(vals)):
             raise SimulationError(f"non-finite tau set: {vals}")
-        if self.provenance == "empirical" and (self.tau2 < -1e-8 or self.tau3 < -1e-8):
-            raise SimulationError(f"empirical tau2/tau3 must be nonnegative quadratic forms, got {self.tau2}, {self.tau3}")
 
 
 def group_sums(values: np.ndarray, groups: np.ndarray, k: int) -> np.ndarray:
@@ -203,31 +199,27 @@ def empirical_tau(
     groups: np.ndarray,
     theta: np.ndarray,
     W: np.ndarray,
-    sigma: ActivationSpec,
-    zeta_u: np.ndarray,
+    problem: DetEquivProblem,
 ) -> TauSet:
-    """Measured order parameters of a fitted readout.
+    """Measured order parameters of a fitted readout, with the kernels of the theory's `problem`.
 
     tau0_q = sum_{j in group q} a_j / sqrt(p)       (group-mean coefficient)
     tau1_q = sum_{j in group q} a_j theta_j / sqrt(p)
-    tau2   = a^T (Cbar_e o W W^T) a / p,  Cbar = E_kappa[c1 c1^T]
-    tau3   = a^T diag(E_kappa[r]) a / p
+    tau2   = a^T (Cbar_e o W W^T) a / p,  Cbar = E_kappa[c1 c1^T] = problem.cbar
+    tau3   = a^T diag(E_kappa[r]) a / p,  E_kappa[r] = problem.rbar
+    Both are quadratic forms of nonnegative kernels, so a negative one is an error.
     """
-    p = len(a_hat)
-    k = len(zeta_u)
-    rule = cached_rule(DEFAULT_OUTER_NODES)
-    _, c1, resid = hermite_tables(sigma.fn, rule.nodes, zeta_u)
-    cbar = c1.T @ (c1 * rule.weights[:, None])
-    rbar = resid.T @ rule.weights
-
+    p, k = len(a_hat), problem.k
     tau0 = group_sums(a_hat, groups, k) / np.sqrt(p)
     tau1 = group_sums(a_hat * theta, groups, k) / np.sqrt(p)
     # a^T (Cbar_e o WW^T) a = sum_{qq'} Cbar_qq' s_q^T s_q' with s_q = sum_{j in q} a_j w_j
     s = np.zeros((k, W.shape[1]))
     np.add.at(s, groups, a_hat[:, None] * W)
-    tau2 = float(np.einsum("qr,qi,ri->", cbar, s, s) / p)
-    tau3 = float(np.sum(rbar[groups] * a_hat**2) / p)
-    return TauSet(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3, provenance="empirical")
+    tau2 = float(np.einsum("qr,qi,ri->", problem.cbar, s, s) / p)
+    tau3 = float(np.sum(problem.rbar[groups] * a_hat**2) / p)
+    if tau2 < -1e-8 or tau3 < -1e-8:
+        raise SimulationError(f"empirical tau2/tau3 must be nonnegative quadratic forms, got {tau2}, {tau3}")
+    return TauSet(tau0=tau0, tau1=tau1, tau2=tau2, tau3=tau3)
 
 
 # --------------------------------------------------------------------------- #
@@ -261,20 +253,18 @@ class RunResult:
     gen_error: float
     gen_error_stderr: float
     tau: TauSet
+    spike_dev: float
     eigenvalues: np.ndarray | None = None
-    spike_dev: float | None = None
 
 
 def run_experiment(
     config: ExperimentConfig,
     seed_index: int = 0,
     compute_spectrum: bool = False,
-    compute_spike_deviation: bool = False,
 ) -> RunResult:
     """Run the full two-step pipeline for one seed: every draw comes from `make_rng(config.seed, seed_index)`."""
     sigma = config.activation_spec()
     link = config.link_spec()
-    c1, cstar1 = sigma.first_coeff(), link.first_coeff()
 
     rng = make_rng(config.seed, seed_index)
     w_star = rng.standard_normal(config.d)
@@ -291,15 +281,7 @@ def run_experiment(
     a_hat = ridge_fit(phi, y, config.lam)
 
     err, stderr = empirical_generror(a_hat, W1, link, w_star, sigma, rng)
-    tau = empirical_tau(a_hat, layer.groups, W0 @ w_star, W0, sigma, config.spike_vocabulary())
-
-    dev = None
-    if compute_spike_deviation:
-        dev = spike_deviation(W1, spiked_approximation(W0, layer.a0, config.eta, w_star, c1, cstar1))
-    return RunResult(
-        gen_error=err,
-        gen_error_stderr=stderr,
-        tau=tau,
-        eigenvalues=eigs,
-        spike_dev=dev,
-    )
+    tau = empirical_tau(a_hat, layer.groups, W0 @ w_star, W0, problem_from_config(config))
+    # the surrogate W0 + u w*^T with the theory's spike law u_j = spike_vocabulary[g(j)]
+    dev = spike_deviation(W1, W0 + np.outer(config.spike_vocabulary()[layer.groups], w_star))
+    return RunResult(gen_error=err, gen_error_stderr=stderr, tau=tau, spike_dev=dev, eigenvalues=eigs)

@@ -10,8 +10,9 @@ the bulk covariance has an exact atom of mass 1 - alpha/beta at zero; its
 Stieltjes contribution -atom/z is removed analytically before inversion,
 since numerical inversion next to an atom is hopeless.  The bulk mass and
 the CDF integrate the density by the trapezoid rule over the grid plus
-sub-points solved inside the cells at a support edge, where the grid alone
-cannot resolve the square-root rise.
+sub-points inside the cells at a support edge, where the grid alone cannot
+resolve the square-root rise; the sub-points go through the grid's eps-level
+routine and follow its rules.
 
 One caveat: with p > d and a nearly linear activation (order->=2 residual
 close to zero, e.g. erf), the p - d lifted zero modes of the weight Gram form
@@ -40,7 +41,7 @@ DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)  # decreasing, at least two levels
 EDGE_RATIO = 0.01  # a cell is an edge cell when the density at one end is below this share of the other end
 EDGE_MASS = 1e-3  # a cell is steep when width * density change exceeds this mass
 EDGE_SPLIT = 8  # sub-cells per refined cell
-SEGMENT_POINTS = 20  # grid points per lockstep segment of an eps level (see `density_grid`)
+SEGMENT_POINTS = 20  # points per lockstep segment of an eps level (see `_eps_levels`)
 
 
 def stieltjes(problem: DetEquivProblem, z: complex) -> complex:
@@ -111,6 +112,64 @@ def _edge_cells(grid: np.ndarray, density: np.ndarray, converged: np.ndarray) ->
     return sorted(cells)
 
 
+def _eps_levels(problem: DetEquivProblem, lams: np.ndarray, starts: list, cache) -> tuple:
+    """(Im m per eps level and point, first-level states, {point: (eps, text) of its last error}, every solve's result).
+
+    At each level of DEFAULT_EPS_SCHEDULE, largest first, the points that
+    miss the cache and have a state (their entry of `starts` at the first
+    level, then their state at the last level they converged) are solved in
+    one batch, each warm-started from it.  The rest go in lockstep segments of
+    SEGMENT_POINTS consecutive points, a layout fixed by the number of points
+    alone: step j solves point j of every segment in one `solve_paths` call,
+    each from its left neighbour in the segment, or down the `ladder` when it
+    is a head or its neighbour has no state.  So no state depends on which
+    points the cache served.  `cache`, if given (any object with `get(z)`
+    returning a state or None and `put(state)`), is read before each level
+    and gets the level's new states in order.  A failed solve leaves NaN at
+    its level.  Im m has the analytic origin atom removed.
+
+    Segment heads take the ladder because a cold start at small Im z is not
+    safe: it can converge to a non-physical root.  With the hermite2
+    activation, one spike value 1, alpha=0.3 and beta=3, a cold row at
+    z = 2.1181 + 0.01i ends at b = -1.476 + 0.001i where the ladder gives
+    -1.404 + 0.170i: that spurious root has Im b > 0, so no half-plane sign
+    check can certify a cold root.
+    """
+    atom = problem.atom_mass()
+    im_parts = np.full((len(DEFAULT_EPS_SCHEDULE), len(lams)), np.nan)
+    prev_states = list(starts)
+    first_states: list = []
+    errors: dict = {}
+    fresh: list = []  # the result of every solve, in order: a state or a FixedPointError
+    for ei, eps in enumerate(DEFAULT_EPS_SCHEDULE):
+        zs = [complex(lam, eps) for lam in lams]
+        found = [cache.get(z) if cache is not None else None for z in zs]
+        states = list(found)
+        batch = [i for i in range(len(zs)) if found[i] is None and prev_states[i] is not None]
+        for i, result in zip(batch, solve_paths(problem, [[zs[i]] for i in batch], [prev_states[i] for i in batch])):
+            states[i] = result
+        for j in range(SEGMENT_POINTS):
+            todo = [i for i in range(j, len(zs), SEGMENT_POINTS) if states[i] is None]
+            heads = [states[i - 1] if j and isinstance(states[i - 1], FixedPointState) else None for i in todo]
+            paths = [[zs[i]] if start is not None else ladder(zs[i]) for i, start in zip(todo, heads)]
+            for i, result in zip(todo, solve_paths(problem, paths, heads)):
+                states[i] = result
+        for i, state in enumerate(states):
+            if found[i] is None:
+                fresh.append(state)
+            if isinstance(state, FixedPointError):
+                errors[i] = (eps, str(state))
+                continue
+            if found[i] is None and cache is not None:
+                cache.put(state)
+            prev_states[i] = state
+            m = stieltjes_from_state(problem, state)
+            im_parts[ei, i] = (m + atom / state.z).imag if atom > 0.0 else m.imag
+        if ei == 0:
+            first_states = list(prev_states)
+    return im_parts, first_states, errors, fresh
+
+
 def density_grid(
     problem: DetEquivProblem,
     lam_min: float,
@@ -120,82 +179,28 @@ def density_grid(
 ) -> DensityCurve:
     """Bulk density on a uniform grid by eps-laddered Stieltjes inversion.
 
-    The eps levels are DEFAULT_EPS_SCHEDULE, largest first; the density is
-    extrapolated from the last two.  Each level first solves, in one batch,
-    the points that miss the cache and converged at an earlier level, each
-    warm-started from its own state at the previous eps.  The rest (at the
-    first level, every point the cache misses) go in lockstep segments of
-    SEGMENT_POINTS consecutive points, a layout fixed by `points` alone: step
-    j solves point j of every segment in one `solve_paths` call, each from
-    its left neighbour in the segment, or down the `ladder` when it is a head
-    or its neighbour has no state.  So no state depends on which points the
-    cache served.  `cache`, if given (a `FixedPointCache`, or any object with
-    `get(z)` returning a state or None and `put(state)`), is read before each
-    level and gets the level's new states in grid order.  A point whose solve
-    ends in a FixedPointError is marked unconverged (its last error is kept
-    in `failures`) and the grid goes on; any other exception propagates.
-
-    Segment heads take the ladder because a cold start at small Im z is not
-    safe: it can converge to a non-physical root.  With the hermite2
-    activation, one spike value 1, alpha=0.3 and beta=3, a cold row at
-    z = 2.1181 + 0.01i ends at b = -1.476 + 0.001i where the ladder gives
-    -1.404 + 0.170i: that spurious root has Im b > 0, so no half-plane sign
-    check can certify a cold root.
+    The eps levels are solved by `_eps_levels` with `cache` (a
+    `FixedPointCache`, or None), and the density is extrapolated from the
+    last two: a point converged when both did.  An unconverged point is
+    zero-filled (its last FixedPointError is kept in `failures`) and the grid
+    goes on; any other exception propagates.
 
     A grid cell across a support edge holds a square-root rise that the
     trapezoid rule misweighs by up to ~h^1.5; the cells of `_edge_cells` are
-    split into EDGE_SPLIT sub-cells, solved in batches (at the first eps from
-    the cell's left grid point, then each from its own state) and used only by
-    `mass` and `cdf`, never by the density column or the cache.  `solver`
-    totals the work of every solve: map rows over all ladder rungs, damped
-    half-plane fallbacks, and the largest final residual; cache hits cost none.
+    split into EDGE_SPLIT sub-cells, whose points go through `_eps_levels`
+    too, without the cache and started from the cell's left grid point, for
+    `mass` and `cdf` only.  `solver` totals the work of every solve: map rows
+    over all ladder rungs, damped half-plane fallbacks, and the largest final
+    residual; cache hits cost none.
     """
     if lam_max <= lam_min:
         raise ValueError("need lam_max > lam_min")
     eps_schedule = DEFAULT_EPS_SCHEDULE
     grid = np.linspace(lam_min, lam_max, points)
-    atom = problem.atom_mass()
-    fresh: list = []  # the result of every solve this call made, in order: a state or a FixedPointError
-
-    def im_m(state: FixedPointState) -> float:
-        m = stieltjes_from_state(problem, state)
-        if atom > 0.0:
-            m = m + atom / state.z  # remove the analytic origin atom
-        return m.imag
-
-    im_parts = np.full((len(eps_schedule), points), np.nan)
-    prev_states: list = [None] * points
-    first_states: list = []
-    errors: dict = {}  # grid index -> (eps, text) of its last FixedPointError
-    for ei, eps in enumerate(eps_schedule):
-        zs = [complex(lam, eps) for lam in grid]
-        found = [cache.get(z) if cache is not None else None for z in zs]
-        states = list(found)
-        batch = [gi for gi in range(points) if found[gi] is None and prev_states[gi] is not None]
-        for gi, result in zip(batch, solve_paths(problem, [[zs[gi]] for gi in batch], [prev_states[gi] for gi in batch])):
-            states[gi] = result
-        # the rest in lockstep segments: step j solves point j of every segment, from its left neighbour or a ladder
-        for j in range(SEGMENT_POINTS):
-            todo = [gi for gi in range(j, points, SEGMENT_POINTS) if states[gi] is None]
-            starts = [states[gi - 1] if j and isinstance(states[gi - 1], FixedPointState) else None for gi in todo]
-            paths = [[zs[gi]] if start is not None else ladder(zs[gi]) for gi, start in zip(todo, starts)]
-            for gi, result in zip(todo, solve_paths(problem, paths, starts)):
-                states[gi] = result
-        for gi, state in enumerate(states):
-            if found[gi] is None:
-                fresh.append(state)
-            if isinstance(state, FixedPointError):
-                errors[gi] = (eps, str(state))
-                continue
-            if found[gi] is None and cache is not None:
-                cache.put(state)
-            prev_states[gi] = state
-            im_parts[ei, gi] = im_m(state)
-        if ei == 0:
-            first_states = list(prev_states)
-
-    converged = ~np.isnan(im_parts[-1]) & ~np.isnan(im_parts[-2])
-    density = np.where(converged, _extrapolate(im_parts, eps_schedule), 0.0)
+    im_parts, first_states, errors, fresh = _eps_levels(problem, grid, [None] * points, cache)
+    rho = _extrapolate(im_parts, eps_schedule)  # NaN where either of the last two levels failed
+    converged = ~np.isnan(rho)
+    density = np.where(converged, rho, 0.0)
     if np.nanmin(density) < -1e-2:
         raise RuntimeError(f"strongly negative extrapolated density {np.nanmin(density):.3e}")
     density = np.clip(density, 0.0, None)
@@ -203,19 +208,12 @@ def density_grid(
     # sub-points in the cells at support edges, for the mass and the CDF only
     cells = np.array(_edge_cells(grid, density, converged), dtype=int)
     sub_grid = (grid[cells, None] + np.diff(grid)[cells, None] * np.arange(1, EDGE_SPLIT) / EDGE_SPLIT).ravel()
-    sub_states = [first_states[c] for c in np.repeat(cells, EDGE_SPLIT - 1)]
-    sub_im = np.full((len(eps_schedule), len(sub_grid)), np.nan)
-    for ei, eps in enumerate(eps_schedule):
-        live = [i for i, state in enumerate(sub_states) if state is not None]
-        results = solve_paths(problem, [[complex(sub_grid[i], eps)] for i in live], [sub_states[i] for i in live])
-        for i, result in zip(live, results):
-            fresh.append(result)
-            sub_states[i] = None if isinstance(result, FixedPointError) else result
-            if sub_states[i] is not None:
-                sub_im[ei, i] = im_m(result)
-    solved = ~np.isnan(sub_im).any(axis=0)
+    sub_starts = [first_states[c] for c in np.repeat(cells, EDGE_SPLIT - 1)]
+    sub_im, _, _, sub_fresh = _eps_levels(problem, sub_grid, sub_starts, None)
+    sub_rho = _extrapolate(sub_im, eps_schedule)
+    solved = ~np.isnan(sub_rho)
     mass_grid = np.concatenate([grid, sub_grid[solved]])
-    mass_density = np.concatenate([density, np.clip(_extrapolate(sub_im[:, solved], eps_schedule), 0.0, None)])
+    mass_density = np.concatenate([density, np.clip(sub_rho[solved], 0.0, None)])
     order = np.argsort(mass_grid, kind="stable")
 
     return DensityCurve(
@@ -223,13 +221,13 @@ def density_grid(
         density=density,
         eps_schedule=eps_schedule,
         converged=converged,
-        atom_mass=atom,
+        atom_mass=problem.atom_mass(),
         im_levels=im_parts / np.pi,
         failures=[{"lambda": float(grid[gi]), "eps": eps, "reason": text}
                   for gi, (eps, text) in sorted(errors.items()) if not converged[gi]],
         mass_grid=mass_grid[order],
         mass_density=mass_density[order],
-        solver=solver_totals(fresh),
+        solver=solver_totals(fresh + sub_fresh),
     )
 
 

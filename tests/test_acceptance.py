@@ -18,6 +18,7 @@ for non-odd activations such as ReLU, an effect the spiked description
 excludes by assumption and that no sample size removes.
 """
 import dataclasses
+import inspect
 import time
 
 import numpy as np
@@ -39,6 +40,7 @@ FIG1_D, FIG1_P, FIG1_N = 1365, 2048, 1092  # beta = 1.5, alpha = 0.8
 FIG2_ETA = 2.0          # the caption's gamma = 0.5 is unbound; chosen so the
                         # vocabulary signal is resolvable at p = 2048
 FIG2_N0_MULT = 30       # controls the d/n0 row heating in the Fig.-2 runs
+STEP_CHUNK = inspect.signature(sim.gradient_step).parameters["chunk"].default
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
@@ -52,17 +54,34 @@ def fig1_config(eta_tilde=3.3, seed=11, n0=None):
     )
 
 
-def train_once(config, seed_index):
-    """The gradient-step half of `sim.run_experiment`, on the same stream: returns (W0, W1, layer, w_star)."""
+def train_vocabularies(config, seed_index, vocabs):
+    """The gradient-step half of `sim.run_experiment` for each vocabulary, on one stream: [(W0, W1, layer, w_star)].
+
+    Each vocabulary draws its layer from the same stream position.  The draw spans the same stretch of the
+    stream whatever the vocabulary (checked), so w*, W0, X0 and y0, and with them the label gradient, are
+    the same for every vocabulary: the gradient is computed once, and W1 is formed as `sim.gradient_step`
+    forms it, bit for bit.
+    """
     sigma, link = config.activation_spec(), config.link_spec()
     rng = make_rng(config.seed, seed_index)
     w_star = rng.standard_normal(config.d)
     w_star /= np.linalg.norm(w_star)
     W0 = sim.sample_first_layer(config.p, config.d, rng)
-    layer = sample_second_layer(config.p, config.vocab, rng)
+    at_layer, layers, after = rng.bit_generator.state, [], set()
+    for vocab in vocabs:
+        rng.bit_generator.state = at_layer
+        layers.append(sample_second_layer(config.p, vocab, rng))
+        after.add(repr(rng.bit_generator.state))
+    assert len(after) == 1, "the layer draws of the vocabularies end at different stream positions"
     X0, y0, _ = sim.sample_data(config.n0, config.d, w_star, link, rng)
-    W1 = sim.gradient_step(W0, layer.a0, X0, y0, config.eta, sigma)
-    return W0, W1, layer, w_star
+    grad = sim.label_gradient(W0, X0, y0, sigma, STEP_CHUNK)
+    scale = config.eta / (config.n0 * np.sqrt(config.p))
+    return [(W0, W0 + scale * layer.a0[:, None] * grad, layer, w_star) for layer in layers]
+
+
+def train_once(config, seed_index):
+    """`train_vocabularies` for the config's own vocabulary: returns (W0, W1, layer, w_star)."""
+    return train_vocabularies(config, seed_index, [config.vocab])[0]
 
 
 def evaluate_pretrained(config, seed_index, pretrained):
@@ -76,7 +95,7 @@ def evaluate_pretrained(config, seed_index, pretrained):
     X, y, _ = sim.sample_data(config.n, config.d, w_star, link, rng)
     a_hat = sim.ridge_fit(sim.features(W1, X, sigma), y, config.lam)
     err, _ = sim.empirical_generror(a_hat, W1, link, w_star, sigma, rng)
-    tau = sim.empirical_tau(a_hat, layer.groups, W0 @ w_star, W0, sigma, config.spike_vocabulary())
+    tau = sim.empirical_tau(a_hat, layer.groups, W0 @ w_star, W0, de.problem_from_config(config))
     return err, tau.tau0
 
 
@@ -107,8 +126,7 @@ def test_criterion_1_spike_approximation_decay():
                 activation="tanh", link="sin", vocab=VOCAB_K1,
             )
             W0, W1, layer, w_star = train_once(cfg, 0)
-            sigma, link = cfg.activation_spec(), cfg.link_spec()
-            Wt = sim.spiked_approximation(W0, layer.a0, cfg.eta, w_star, sigma.first_coeff(), link.first_coeff())
+            Wt = W0 + np.outer(cfg.spike_vocabulary()[layer.groups], w_star)  # the surrogate of `sim.run_experiment`
             vals.append(sim.spike_deviation(W1, Wt))
             defl.append(np.linalg.svd(W1 - Wt, compute_uv=False)[1])
         means.append(float(np.mean(vals)))
@@ -267,31 +285,31 @@ def fig2_results():
     """Theory and 5-seed simulations for the Fig.-2 sweep (shared across tests).
 
     The trained first layer is reused across alpha within a (vocabulary, seed)
-    cell: its law does not depend on the ridge sample count.
+    cell: its law does not depend on the ridge sample count.  The three
+    vocabularies of a seed share one data draw and label gradient
+    (`train_vocabularies`).
     """
     t0 = time.time()
     alphas = (0.5, 1.0, 2.0, 4.0)
-    out = {}
-    for tag, voc in (("k1", VOCAB_K1), ("k2", VOCAB_K2), ("k4", VOCAB_K4)):
-        theory, sims, tau0_pairs = {}, {a: [] for a in alphas}, {a: [] for a in alphas}
+    vocabs = {"k1": VOCAB_K1, "k2": VOCAB_K2, "k4": VOCAB_K4}
+    out = {tag: {"theory": {}, "sims": {a: [] for a in alphas}, "tau0": {a: [] for a in alphas}} for tag in vocabs}
+    for tag, voc in vocabs.items():
         for a in alphas:
             cfg = ExperimentConfig(
                 d=FIG1_D, p=FIG1_P, n=int(a * FIG1_D), eta_tilde=FIG2_ETA, lam=0.01, seed=40,
                 activation="relu", link="tanh", vocab=voc, n0=FIG2_N0_MULT * FIG1_D,
             )
-            theory[a] = ge.asymptotic_generror(de.problem_from_config(cfg), cfg.lam)
-        for s in range(5):
-            base = ExperimentConfig(
-                d=FIG1_D, p=FIG1_P, n=FIG1_D, eta_tilde=FIG2_ETA, lam=0.01, seed=40 + s,
-                activation="relu", link="tanh", vocab=voc, n0=FIG2_N0_MULT * FIG1_D,
-            )
-            pre = train_once(base, 0)
+            out[tag]["theory"][a] = ge.asymptotic_generror(de.problem_from_config(cfg), cfg.lam)
+    for s in range(5):
+        base = ExperimentConfig(
+            d=FIG1_D, p=FIG1_P, n=FIG1_D, eta_tilde=FIG2_ETA, lam=0.01, seed=40 + s,
+            activation="relu", link="tanh", vocab=VOCAB_K1, n0=FIG2_N0_MULT * FIG1_D,
+        )
+        for (tag, voc), pre in zip(vocabs.items(), train_vocabularies(base, 0, list(vocabs.values()))):
             for a in alphas:
-                cfg = dataclasses.replace(base, n=int(a * FIG1_D))
-                err, tau0 = evaluate_pretrained(cfg, 0, pre)
-                sims[a].append(err)
-                tau0_pairs[a].append(tau0)
-        out[tag] = {"theory": theory, "sims": sims, "tau0": tau0_pairs}
+                err, tau0 = evaluate_pretrained(dataclasses.replace(base, vocab=voc, n=int(a * FIG1_D)), 0, pre)
+                out[tag]["sims"][a].append(err)
+                out[tag]["tau0"][a].append(tau0)
     out["alphas"] = alphas
     out["elapsed"] = time.time() - t0
     return out

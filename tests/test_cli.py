@@ -86,6 +86,19 @@ def test_seeds_and_jobs_below_one_exit_2(config_path, tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag", ["--tol-ks", "--tol-generror"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_compare_tolerance_not_finite_and_positive_exits_2(config_path, tmp_path, capsys, monkeypatch, flag, value):
+    # a tolerance the check can never miss (inf) or never meet (nan, <= 0) is a usage error, found before any work
+    def no_work(*args, **kwargs):
+        raise AssertionError("compare ran the simulation")
+
+    monkeypatch.setattr(cli, "_run_seeds", no_work)
+    assert run("compare", config_path, "--seeds", 1, flag, value, "--out", tmp_path / "o") == cli.EXIT_USAGE
+    assert f"argument {flag}: must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_eig_csv_without_spectrum_exits_2(config_path, tmp_path, capsys):
     # without --spectrum there are no eigenvalues to write, so the flag would do nothing
     assert run("simulate", config_path, "--eig-csv", "--out", tmp_path / "o") == cli.EXIT_USAGE

@@ -52,16 +52,16 @@ def test_schur_symmetry_fig2_config():
 
 def test_lambda_kappa_trivial_and_realizable():
     prob = de.build_problem(get_activation("identity"), get_link("identity"), [0.0], [1.0], alpha=2.0, beta=1.0)
-    null = TauSet(tau0=np.zeros(1), tau1=np.zeros(1), tau2=0.0, tau3=0.0, provenance="asymptotic")
+    null = TauSet(tau0=np.zeros(1), tau1=np.zeros(1), tau2=0.0, tau3=0.0)
     assert abs(ge.expected_lambda(null, prob) - 1.0) < 1e-12  # E[g(kappa)^2] = E[kappa^2] for the identity link
     # realizable linear fit: tau1 = 1, tau2 = 1 cancel exactly; error 0
-    fit = TauSet(tau0=np.zeros(1), tau1=np.ones(1), tau2=1.0, tau3=0.0, provenance="asymptotic")
+    fit = TauSet(tau0=np.zeros(1), tau1=np.ones(1), tau2=1.0, tau3=0.0)
     assert abs(ge.expected_lambda(fit, prob)) < 1e-12
 
 
 def test_null_predictor_expected_lambda():
     prob = problem(link="sin")
-    null = TauSet(tau0=np.zeros(2), tau1=np.zeros(2), tau2=0.0, tau3=0.0, provenance="asymptotic")
+    null = TauSet(tau0=np.zeros(2), tau1=np.zeros(2), tau2=0.0, tau3=0.0)
     assert abs(ge.expected_lambda(null, prob) - prob.kappa_w @ prob.g**2) < 1e-12
 
 

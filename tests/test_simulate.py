@@ -3,7 +3,8 @@ import pytest
 
 from oracles import bulk_covariance_diagnostic, empirical_stieltjes
 from spikedrf import simulate as sim
-from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng
+from spikedrf.detequiv import build_problem
+from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng, sample_second_layer
 from spikedrf.quadrature import cached_rule
 
 
@@ -69,6 +70,19 @@ def test_gradient_step_chunking_invariant():
     assert np.max(np.abs(full - chunked)) < 1e-12
 
 
+def test_gradient_step_is_the_scaled_label_gradient():
+    # n0 = 40 spans three chunks of 16 rows
+    rng = make_rng(6)
+    W0 = sim.sample_first_layer(12, 9, rng)
+    a0 = rng.standard_normal(12) / np.sqrt(12)
+    X0 = rng.standard_normal((40, 9))
+    y0 = rng.standard_normal(40)
+    relu = get_activation("relu")
+    step = sim.gradient_step(W0, a0, X0, y0, 1.7, relu, chunk=16)
+    expected = W0 + 1.7 / (40 * np.sqrt(12)) * a0[:, None] * sim.label_gradient(W0, X0, y0, relu, 16)
+    assert np.array_equal(step, expected)
+
+
 def test_gradient_step_is_zero_for_zero_labels():
     # the step is taken against the labels alone: with y == 0 the layer does not move
     rng = make_rng(4)
@@ -80,17 +94,25 @@ def test_gradient_step_is_zero_for_zero_labels():
 
 
 def test_spiked_approximation_cases():
-    rng = make_rng(5)
-    W0 = sim.sample_first_layer(10, 7, rng)
-    a0 = rng.standard_normal(10) / np.sqrt(10)
-    w = unit_vector(7, rng)
+    # the surrogate W0 + u w*^T with the config's spike law u_j = spike_vocabulary[g(j)], as in run_experiment
+    def surrogate(activation, link):
+        cfg = ExperimentConfig(
+            d=7, p=10, n=5, eta_tilde=0.4, lam=0.1, seed=5, activation=activation, link=link,
+            vocab=VocabularySpec(zeta=(1.0, -2.0), pi=(0.5, 0.5)),
+        )
+        rng = make_rng(5)
+        W0 = sim.sample_first_layer(cfg.p, cfg.d, rng)
+        layer = sample_second_layer(cfg.p, cfg.vocab, rng)
+        w = unit_vector(cfg.d, rng)
+        return cfg, W0, layer, w, W0 + np.outer(cfg.spike_vocabulary()[layer.groups], w)
+
     # c1 = 0 activation (pure second Hermite mode) leaves W unchanged
-    h2 = get_activation("hermite2")
-    assert abs(h2.first_coeff()) < 1e-12
-    assert np.allclose(sim.spiked_approximation(W0, a0, 4.0, w, h2.first_coeff(), 1.0), W0, atol=1e-15)
-    # identity activation and link: u = eta a0 / sqrt(p) exactly
-    Wt = sim.spiked_approximation(W0, a0, 4.0, w, 1.0, 1.0)
-    assert np.max(np.abs(Wt - (W0 + np.outer(4.0 * a0 / np.sqrt(10), w)))) < 1e-14
+    assert abs(get_activation("hermite2").first_coeff()) < 1e-12
+    _, W0, _, _, Wt = surrogate("hermite2", "identity")
+    assert np.allclose(Wt, W0, atol=1e-15)
+    # identity activation and link: u = eta a0 / sqrt(p), the scale of one gradient step
+    cfg, W0, layer, w, Wt = surrogate("identity", "identity")
+    assert np.max(np.abs(Wt - (W0 + np.outer(cfg.eta * layer.a0 / np.sqrt(cfg.p), w)))) < 1e-14
 
 
 def test_spike_directions_concentrate_on_target():
@@ -226,14 +248,15 @@ def test_empirical_tau_trivial_and_oracle():
     groups = np.zeros(p, dtype=int)
     sigma = get_activation("tanh")
     zeta_u = np.array([0.7])
-    zero = sim.empirical_tau(np.zeros(p), groups, theta, W, sigma, zeta_u)
+    problem = build_problem(sigma, get_link("sin"), zeta_u, [1.0], alpha=1.0, beta=p / d)
+    zero = sim.empirical_tau(np.zeros(p), groups, theta, W, problem)
     assert np.all(zero.tau0 == 0) and np.all(zero.tau1 == 0) and zero.tau2 == 0 and zero.tau3 == 0
     # normalization: group-sum a / sqrt(p) = 1
     a_unit = np.full(p, np.sqrt(p) / p)
-    assert abs(sim.empirical_tau(a_unit, groups, theta, W, sigma, zeta_u).tau0[0] - 1.0) < 1e-12
+    assert abs(sim.empirical_tau(a_unit, groups, theta, W, problem).tau0[0] - 1.0) < 1e-12
     # tau2 against an O(p^2) double loop
     a = rng.standard_normal(p)
-    tau = sim.empirical_tau(a, groups, theta, W, sigma, zeta_u)
+    tau = sim.empirical_tau(a, groups, theta, W, problem)
     rule = cached_rule(201)
     from spikedrf.quadrature import shifted_coeffs
 
@@ -279,12 +302,12 @@ def test_bulk_covariance_diagnostic_trivials():
 
 
 def test_run_experiment_deterministic(tiny_config):
-    r1 = sim.run_experiment(tiny_config, 0, compute_spectrum=True, compute_spike_deviation=True)
-    r2 = sim.run_experiment(tiny_config, 0, compute_spectrum=True, compute_spike_deviation=True)
+    r1 = sim.run_experiment(tiny_config, 0, compute_spectrum=True)
+    r2 = sim.run_experiment(tiny_config, 0, compute_spectrum=True)
     assert r1.gen_error == r2.gen_error and r1.gen_error_stderr == r2.gen_error_stderr
     assert np.array_equal(r1.tau.tau0, r2.tau.tau0) and np.array_equal(r1.tau.tau1, r2.tau.tau1)
     assert r1.tau.tau2 == r2.tau.tau2 and r1.tau.tau3 == r2.tau.tau3
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)
-    assert r1.spike_dev is not None and r1.spike_dev == r2.spike_dev
+    assert np.isfinite(r1.spike_dev) and r1.spike_dev == r2.spike_dev
     r3 = sim.run_experiment(tiny_config, 1)
     assert r3.gen_error != r1.gen_error

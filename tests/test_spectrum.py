@@ -54,6 +54,32 @@ def test_density_mass_without_atom():
     assert abs(curve.mass - 1.0) < 1e-3
 
 
+def test_edge_sub_point_retries_after_a_failed_first_level(monkeypatch):
+    # the edge cells of the config above (3 cells, 21 sub-points) go through the grid's eps-level routine: a
+    # sub-point whose first-level solve fails is retried at the next level, and still counts in the mass
+    prob = rf_problem(alpha=2.5, beta=0.8, activation="relu")
+    clean = sp.density_grid(prob, 1e-3, 9.0, 500)
+    sub = np.setdiff1d(clean.mass_grid, clean.grid)
+    assert len(sub) == 3 * (sp.EDGE_SPLIT - 1)
+    target = complex(sub[len(sub) // 2], sp.DEFAULT_EPS_SCHEDULE[0])
+    solve, hits = sp.solve_paths, []
+
+    def failing_once(problem, paths, starts):
+        results = solve(problem, paths, starts)
+        for i, path in enumerate(paths):
+            if path[-1] == target and not hits:
+                hits.append(i)
+                results[i] = de.NonConvergenceError("forced")
+        return results
+
+    monkeypatch.setattr(sp, "solve_paths", failing_once)
+    curve = sp.density_grid(prob, 1e-3, 9.0, 500)
+    assert len(hits) == 1
+    assert np.array_equal(curve.mass_grid, clean.mass_grid)
+    assert np.max(np.abs(curve.mass_density - clean.mass_density)) <= 1e-8
+    assert abs(curve.mass - clean.mass) <= 1e-9
+
+
 def damped_levels(prob, grid, eps_schedule):
     """Im m / pi (atom removed) of the damped-Picard oracle at every eps level, swept along the grid.
 

@@ -25,6 +25,12 @@ on an instance, and a class name as a call of its `__init__`.  An allowed
 parameter whose reason names a `bench/` file must still be set there: passed
 by keyword to the function, or both named in string constants.
 
+Nor may src/ give such a parameter only one constant: each call gives it
+the literal it passes, or the default when it leaves it out, and a call that
+passes anything else (a name, an expression, a parameter passed on) gives a
+varying value.  A parameter with one value is a constant, not an option.
+This check shares ALLOWED_PARAMS with the one above.
+
 No module in `src/` or `tests/` imports a name it does not use (names in
 `__all__` and `from __future__` imports are exempt).
 """
@@ -126,12 +132,12 @@ ALLOWED_PARAMS = {
 
 
 def _parameters(fn: ast.FunctionDef, method: bool):
-    """(positional parameter names, less self/cls for a method; every parameter name; names of those with a default)."""
+    """(positional parameter names, less self/cls for a method; every parameter name; {name: default} of those with one)."""
     args = fn.args
     positional = [a.arg for a in args.posonlyargs + args.args]
-    defaulted = positional[len(positional) - len(args.defaults):]
-    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-    return positional[int(method):], positional + [a.arg for a in args.kwonlyargs], defaulted
+    defaults = dict(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    defaults.update({a.arg: d for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None})
+    return positional[int(method):], positional + [a.arg for a in args.kwonlyargs], defaults
 
 
 def _passed_on(expr: ast.expr, scope: dict):
@@ -139,23 +145,28 @@ def _passed_on(expr: ast.expr, scope: dict):
     return scope.get(expr.id) if isinstance(expr, ast.Name) else None
 
 
-def unset_parameters(src: Path) -> dict:
-    """{"module.function(param)": file:line} of every defaulted parameter that no call in src/ gives a value."""
-    defs = {}  # name a call uses -> [(key, positional parameters)]; a class name calls its __init__
-    lines = {}  # "key(param)" -> file:line, defaulted parameters only
-    calls = []  # (call node, {name: "key(param)"} of the parameters of its enclosing functions)
+def parameter_calls(src: Path) -> tuple:
+    """({"module.function(param)": (file:line, default)} of every defaulted parameter, [(passed, scope)]).
+
+    One (passed, scope) per call in src/ and definition it matches: `passed` maps each "key(param)" of the
+    definition to the expression the call gives it, or None when the call leaves it out; `scope` maps the
+    parameter names of the call's enclosing functions to their "key(param)".
+    """
+    defs = {}  # name a call uses -> [(key, positional parameters, every parameter)]; a class name calls its __init__
+    defaulted = {}  # "key(param)" -> (file:line, default expression)
+    calls = []  # (call node, scope)
 
     def visit(node, path, qual, scope, in_class):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
                 visit(child, path, qual + [child.name], scope, True)
             elif isinstance(child, ast.FunctionDef):
-                positional, names, defaulted = _parameters(child, in_class)
+                positional, names, defaults = _parameters(child, in_class)
                 key = f"{path.stem}.{'.'.join(qual + [child.name])}"
                 defs.setdefault(qual[-1] if in_class and child.name == "__init__" else child.name, []).append(
-                    (key, positional)
+                    (key, positional, names)
                 )
-                lines.update({f"{key}({name})": f"{path.name}:{child.lineno}" for name in defaulted})
+                defaulted.update({f"{key}({n})": (f"{path.name}:{child.lineno}", d) for n, d in defaults.items()})
                 visit(child, path, qual + [child.name], {**scope, **{n: f"{key}({n})" for n in names}}, False)
             else:
                 if isinstance(child, ast.Call):
@@ -165,17 +176,26 @@ def unset_parameters(src: Path) -> dict:
     for path in sorted(src.glob("*.py")):
         visit(ast.parse(path.read_text()), path, [], {}, False)
 
-    edges = []  # (target "key(param)", the enclosing parameter it only passes on, or None for a value of its own)
+    uses = []
     for call, scope in calls:
         name = call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", None)
-        for key, positional in defs.get(name, ()):
+        for key, positional, names in defs.get(name, ()):
+            passed = dict.fromkeys((f"{key}({n})" for n in names))
             for i, arg in enumerate(call.args[:len(positional)]):
                 if isinstance(arg, ast.Starred):  # fills every positional from here on
-                    edges += [(f"{key}({p})", None) for p in positional[i:]]
+                    passed.update(dict.fromkeys((f"{key}({p})" for p in positional[i:]), arg))
                     break
-                edges.append((f"{key}({positional[i]})", _passed_on(arg, scope)))
-            edges += [(f"{key}({kw.arg})", _passed_on(kw.value, scope)) for kw in call.keywords if kw.arg is not None]
+                passed[f"{key}({positional[i]})"] = arg
+            passed.update({f"{key}({kw.arg})": kw.value for kw in call.keywords if kw.arg is not None})
+            uses.append((passed, scope))
+    return defaulted, uses
 
+
+def unset_parameters(src: Path) -> dict:
+    """{"module.function(param)": file:line} of every defaulted parameter that no call in src/ gives a value."""
+    defaulted, uses = parameter_calls(src)
+    # (target "key(param)", the enclosing parameter it only passes on, or None for a value of its own)
+    edges = [(target, _passed_on(expr, scope)) for passed, scope in uses for target, expr in passed.items() if expr]
     given, grew = set(), True
     while grew:
         grew = False
@@ -183,7 +203,7 @@ def unset_parameters(src: Path) -> dict:
             if target not in given and (source is None or source in given):
                 given.add(target)
                 grew = True
-    return {param: where for param, where in lines.items() if param not in given}
+    return {param: where for param, (where, _) in defaulted.items() if param not in given}
 
 
 def test_every_src_option_is_set_in_src():
@@ -193,6 +213,33 @@ def test_every_src_option_is_set_in_src():
     assert set(unset) == set(ALLOWED_PARAMS), (
         f"allow-listed parameters now get a value in src/; drop them from ALLOWED_PARAMS: {set(ALLOWED_PARAMS) - set(unset)}"
     )
+
+
+def one_valued_parameters(src: Path) -> dict:
+    """{"module.function(param)": file:line} of every defaulted parameter that src/ only ever gives one constant.
+
+    A call gives the literal it passes, or the default when it leaves the parameter out; a call that passes
+    anything but a literal (a name, an expression, a parameter passed on) gives a varying value.
+    """
+    defaulted, uses = parameter_calls(src)
+    values = {param: set() for param in defaulted}
+    for passed, _ in uses:
+        for param, expr in passed.items():
+            if param not in values:
+                continue
+            default = defaulted[param][1]
+            expr = default if expr is None else expr
+            try:
+                values[param].add(repr(ast.literal_eval(expr)))
+            except ValueError:  # a default is one value whatever it is; anything else a call passes varies
+                values[param].add(ast.dump(expr) if expr is default else None)
+    return {param: defaulted[param][0] for param, seen in values.items() if len(seen) <= 1 and None not in seen}
+
+
+def test_no_src_option_has_one_value():
+    one_valued = one_valued_parameters(SRC)
+    extra = {name: where for name, where in one_valued.items() if name not in ALLOWED_PARAMS}
+    assert not extra, f"parameters that every call in src/ gives the same constant (make them constants): {extra}"
 
 
 def sets_by_name(path: Path, function: str, param: str) -> bool:

@@ -48,7 +48,7 @@ one row.  Every result carries its SolveStats: map rows over all rungs, and
 the half-plane fallbacks.  On z < 0 each b_q is a Stieltjes-type transform of
 mass pi_q beta, so 0 < b_q <= pi_q beta / |z| (Bai & Silverstein 2010), and a
 converged root outside ends its row with UnphysicalRootError: a cold start
-directly at z = -lambda, or too coarse a path, converges to one with b_q < 0.
+directly at z = -lambda, or too coarse a path, can converge to one with b_q < 0.
 A tilted problem (rho != 0) is not a covariance resolvent, and is not checked.
 """
 from __future__ import annotations
@@ -70,7 +70,6 @@ LADDER_REAL_FACTOR = 0.3  # rung ratio of the ladder along the negative real axi
 CERTIFICATE_SLACK = 4 * np.finfo(float).eps  # relative slack of the bound b_q <= pi_q beta / |z|, attained at alpha = 0
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10_000  # map rows a row may spend before NonConvergenceError
-MAP_ROW_BLOCK = 64  # batch rows per block of the map
 ANDERSON_MEMORY = 5  # iterate and residual differences each row keeps
 ANDERSON_MIXING = 0.5  # weight of the residual in the step, and the damping of the fallback step
 ANDERSON_TIKHONOV = 1e-12  # ridge on each least-squares Gram matrix, relative to its largest diagonal entry
@@ -140,6 +139,11 @@ class DetEquivProblem:
     def cbar(self) -> np.ndarray:
         """E_kappa[c1 c1^T], the rho1 perturbation kernel."""
         return self.c1.T @ (self.c1 * self.kappa_w[:, None])
+
+    @functools.cached_property
+    def c1c1(self) -> np.ndarray:
+        """(m, k*k) table of c1_q c1_q' on the kappa nodes, complex as the states it contracts."""
+        return (self.c1[:, :, None] * self.c1[:, None, :]).reshape(len(self.c1), -1).astype(complex)
 
     @functools.cached_property
     def rbar(self) -> np.ndarray:
@@ -280,12 +284,14 @@ def _effective(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray):
 def _kernels(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray, b: np.ndarray):
     """(V_eff, nu_eff, L, psi, chi, wd) of a batch of states (V (B,k,k), nu (B,k), b (B,k)).
 
-    chi and wd = kappa_w / (1 + chi) are (B, m), on the kappa nodes.
+    chi and wd = kappa_w / (1 + chi) are (B, m), on the kappa nodes.  The
+    quadratic form c1^T psi c1 is each row's own (1, k*k) @ (k*k, m) product
+    with the `c1c1` table.
     """
     V_eff, nu_eff = _effective(problem, V, nu)
     L = _solve_L(V_eff, b)
     psi = _diag_embed(b) - L * (b[:, :, None] * b[:, None, :])
-    quad = np.einsum("mq,bqr,mr->bm", problem.c1, psi, problem.c1)
+    quad = (psi.reshape(len(b), 1, -1) @ problem.c1c1.T)[:, 0]
     chi = (quad + (problem.resid @ b[:, :, None])[:, :, 0]) / problem.beta
     wd = problem.kappa_w / (1.0 + chi)
     return V_eff, nu_eff, L, psi, chi, wd
@@ -296,21 +302,14 @@ def fixed_point_map(problem: DetEquivProblem, z: np.ndarray, V: np.ndarray, nu: 
 
     z (B,), V (B,k,k), nu (B,k), b (B,k); returns (V', nu', b') of the same
     shapes.  Rows never mix: every row gets the arithmetic of a batch of one,
-    bit for bit.  A row whose state is non-finite comes back non-finite.
-    Rows go through in blocks of MAP_ROW_BLOCK, which bounds the (rows, m)
-    and (rows, m, k) intermediates on the kappa nodes.
+    bit for bit, because each average over the kappa nodes is the row's own
+    stacked product with the `c1c1` or the residual table (one GEMM over the
+    batch is not batch-invariant in BLAS).  A row whose state is non-finite
+    comes back non-finite.  The largest intermediates are (B, m).
     """
-    if len(z) <= MAP_ROW_BLOCK:
-        return _map_rows(problem, z, V, nu, b)
-    offsets = range(0, len(z), MAP_ROW_BLOCK)
-    parts = [_map_rows(problem, *(a[i:i + MAP_ROW_BLOCK] for a in (z, V, nu, b))) for i in offsets]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-
-def _map_rows(problem: DetEquivProblem, z: np.ndarray, V: np.ndarray, nu: np.ndarray, b: np.ndarray):
     wd = _kernels(problem, V, nu, b)[-1]
     sf = problem.sample_factor
-    V_new = sf * (problem.c1.T @ (problem.c1 * wd[:, :, None]))
+    V_new = sf * (wd[:, None, :] @ problem.c1c1)[:, 0].reshape(V.shape)
     nu_new = sf * (problem.resid.T @ wd[:, :, None])[:, :, 0]
     V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new)
     L_new = _solve_L(V_new_eff, b)

@@ -87,11 +87,11 @@ def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState, pri
     V_eff, _ = _effective(problem, V, nu)
     L = _solve_L(V_eff, b)
     psi = np.diag(b) - L * np.outer(b, b)
-    quad = np.einsum("mq,qr,mr->m", problem.c1, psi, problem.c1)
+    quad = (psi.reshape(1, -1) @ problem.c1c1.T)[0]
     chi = (quad + problem.resid @ b) / problem.beta
     wd = problem.kappa_w / (1.0 + chi)
     sf = problem.alpha if printed else problem.sample_factor
-    V_new = sf * (problem.c1.T @ (problem.c1 * wd[:, None]))
+    V_new = sf * (wd[None, :] @ problem.c1c1)[0].reshape(V.shape)
     nu_new = sf * (problem.resid.T @ wd)
     V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new)
     L_new = _solve_L(V_new_eff, b)

@@ -335,13 +335,35 @@ BATCH_PROBLEMS = pytest.mark.parametrize(
 @BATCH_PROBLEMS
 def test_batched_map_is_bit_identical_to_the_scalar_map(prob):
     zs, starts = warm_batch(prob)
-    zs, starts = zs * 3, starts * 3  # more rows than one block of the map
-    assert len(zs) > de.MAP_ROW_BLOCK
+    zs, starts = zs * 3, starts * 3
+    assert len(zs) == 120
     V, nu, b = (np.stack([getattr(s, name) for s in starts]) for name in ("V", "nu", "b"))
     rows = zip(*de.fixed_point_map(prob, np.array(zs), V, nu, b))
     for z, start, got in zip(zs, starts, rows):
         want = scalar_fixed_point_map(prob, de.FixedPointState(z, start.V, start.nu, start.b))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@BATCH_PROBLEMS
+def test_map_row_does_not_depend_on_its_batch_size(prob):
+    zs, starts = warm_batch(prob)
+    zs, starts = np.array(zs * 10), starts * 10
+    assert len(zs) == 400
+    V, nu, b = (np.stack([getattr(s, name) for s in starts]) for name in ("V", "nu", "b"))
+    full = de.fixed_point_map(prob, zs, V, nu, b)
+    for size in (1, 63, 64, 65):
+        part = de.fixed_point_map(prob, zs[:size], V[:size], nu[:size], b[:size])
+        assert all(np.array_equal(p, f[:size]) for p, f in zip(part, full))
+
+
+def test_c1c1_is_the_table_of_c1_products():
+    prob = small_problem(k=2)
+    m, k = prob.c1.shape
+    assert prob.c1c1.shape == (m, k * k) and prob.c1c1.dtype == complex
+    for q in range(k):
+        for r in range(k):
+            assert np.array_equal(prob.c1c1[:, q * k + r], prob.c1[:, q] * prob.c1[:, r])
+    assert np.array_equal(prob.c1c1, (prob.c1[:, :, None] * prob.c1[:, None, :]).reshape(m, k * k))
 
 
 @BATCH_PROBLEMS
@@ -408,11 +430,21 @@ def test_ladder_on_the_negative_real_axis():
     assert [p.real for p in de.ladder(complex(-0.01, 0.02))] == [-0.01] * len(de.ladder(complex(-0.01, 0.02)))
 
 
+def assert_certified_or_rejected(result):
+    """A solve at z < 0 ends in a state inside the Stieltjes bounds or in UnphysicalRootError, never in b <= 0."""
+    assert isinstance(result, (de.FixedPointState, de.UnphysicalRootError))
+    if isinstance(result, de.FixedPointState):
+        assert not result.b.imag.any() and np.all(result.b.real > 0)
+
+
 def test_certificate_rejects_a_direct_cold_root_at_minus_lambda():
-    # Fig.-2, k=1, alpha=2: a cold start directly at z = -lambda converges, to b = -84.2 (m = -56.1)
+    # Fig.-2, k=1, alpha=2: which root a cold start directly at z = -lambda reaches hangs on rounding, and
+    # the unphysical one is b = -84.2 (m = -56.1): a start inside its basin converges to it, and is rejected
     prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_K1)).with_alpha(2.0)
     z = complex(-FIG2["lam"], 0.0)
-    direct = de.solve_batch(prob, [z], [de._cold_state(prob, z)])[0]
+    assert_certified_or_rejected(de.solve_batch(prob, [z], [de._cold_state(prob, z)])[0])
+    basin = de.FixedPointState(z, np.zeros((1, 1), complex), np.zeros(1, complex), np.array([-84.0 + 0j]))
+    direct = de.solve_batch(prob, [z], [basin])[0]
     assert isinstance(direct, de.UnphysicalRootError) and direct.stats.rows > 0
     assert "b=[-84.22" in str(direct)
     # the real-axis ladder reaches the Stieltjes root, inside 0 < b <= pi beta / lambda = 150
@@ -421,10 +453,14 @@ def test_certificate_rejects_a_direct_cold_root_at_minus_lambda():
 
 
 def test_certificate_rejects_the_root_of_a_coarse_real_path():
-    # Fig.-2, k=4, alpha=1: the path -10, -1, -0.01 converges to b = (-17.5, -1.77, -2.58, -1.24)
+    # Fig.-2, k=4, alpha=1: the path -10, -1, -0.01 can converge to b = (-17.5, -1.77, -2.58, -1.24), as a
+    # start inside that root's basin does
     prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_K4)).with_alpha(1.0)
     z = complex(-FIG2["lam"], 0.0)
-    coarse = de.solve_paths(prob, [[complex(-10.0, 0.0), complex(-1.0, 0.0), z]], [None])[0]
+    assert_certified_or_rejected(de.solve_paths(prob, [[complex(-10.0, 0.0), complex(-1.0, 0.0), z]], [None])[0])
+    b = np.array([-17.5, -1.8, -2.6, -1.2], complex)
+    basin = de.FixedPointState(z, np.full((4, 4), -0.1 + 0j), np.zeros(4, complex), b)
+    coarse = de.solve_paths(prob, [[z]], [basin])[0]
     assert isinstance(coarse, de.UnphysicalRootError) and "b=[-17.49" in str(coarse)
     # the ladder's root, against the bound (105, 15, 15, 15)
     assert de.solve_fixed_point(prob, z).b.real == pytest.approx([43.62, 5.68, 6.22, 4.865], abs=5e-3)

@@ -181,8 +181,8 @@ def test_sweep_states_keep_the_stieltjes_bounds(vocab, monkeypatch):
 
 
 def test_rejected_warm_root_falls_back_to_the_ladder(monkeypatch):
-    # at alpha = 2 the warm start is replaced by a cold start directly at z = -lambda, whose root (b = -84.2)
-    # the engine rejects: that alpha comes down the real-axis ladder instead, to the same root
+    # at alpha = 2 the warm start is replaced by a start inside the basin of the unphysical root b = -84.2,
+    # which the engine rejects: that alpha comes down the real-axis ladder instead, to the same root
     base = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_VOCABS["k1"]))
     alphas, lam = [1.5, 2.0, 2.5], FIG2["lam"]
     clean, _ = ge.tau_sweep(base, alphas, lam)
@@ -190,7 +190,7 @@ def test_rejected_warm_root_falls_back_to_the_ladder(monkeypatch):
 
     def misled(problem, z, warm_start=None):
         if warm_start is not None and problem.alpha == 2.0 and problem.rho == (0.0, 0.0):
-            warm_start = de._cold_state(problem, z)
+            warm_start = de.FixedPointState(z, np.zeros((1, 1), complex), np.zeros(1, complex), np.array([-84.0 + 0j]))
         return solve(problem, z, warm_start=warm_start)
 
     monkeypatch.setattr(ge, "solve_fixed_point", misled)

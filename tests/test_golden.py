@@ -32,13 +32,13 @@ COMMANDS = {
 
 GOLDEN = {
     "k1": {
-        "theory_spectrum.csv": "39f7abcaaf1c0652a10debd4663c02011fbadcc7091d4c80ff4b772fabe10435",
-        "theory_generror.csv": "aa43f010a655bdab2c00f5ffd77ab6a38798f3f4ff73b4fd680a78c7891f7eba",
+        "theory_spectrum.csv": "1a95222c4644e529b09cc30264cfc57603e3f1cfe5ce677a743d2903cc148954",
+        "theory_generror.csv": "0e29ea0b8bce058398e85de937c1f1cca9fe2453452361e4fc5dfa628c1d94c1",
         "run_seed000.json": "8d69cef0739820f9b3b53c66177d5ee75c237660841a976bb7ad2535f76951c5",
     },
     "k2": {
-        "theory_spectrum.csv": "d23f32d21c260f9f4b449b3a8ac6f692b9b4af4c5f5d3ad8dc4e28204fe8af01",
-        "theory_generror.csv": "2d781b447f452b604c53813b196ad0352d3c38125a71302b354599bbc18cebe3",
+        "theory_spectrum.csv": "6254d0f4f3c4e5a873f42f9f3ad837cbde43b68fa6a0ef204377cdb8993ce14c",
+        "theory_generror.csv": "ce496c2f752e19e6f0738960f39b4d3dab090f2a7b4dcd6acf4cabbc72a409b7",
         "run_seed000.json": "e6eeb4624759913c9aee6941396692627d5da815e07a274f7ce53fb3be24a6af",
     },
 }

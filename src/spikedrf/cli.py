@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +139,7 @@ def _simulate_one(args):
 def _run_seeds(config: ExperimentConfig, seeds: int, compute_spectrum: bool, jobs: int):
     tasks = [(config.to_dict(), i, compute_spectrum) for i in range(seeds)]
     if jobs > 1 and seeds > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_simulate_one, tasks))
     else:

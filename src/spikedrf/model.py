@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List
 
 import numpy as np
-from scipy.special import erf as _erf
 
 from .quadrature import DEFAULT_INNER_NODES, cached_rule
 
@@ -96,6 +95,11 @@ def register_activation(spec: ActivationSpec) -> ActivationSpec:
 def register_link(spec: LinkSpec) -> LinkSpec:
     LINKS[spec.name] = spec
     return spec
+
+
+def _erf(x):
+    from scipy.special import erf  # the one activation that needs scipy; imported on first use
+    return erf(x)
 
 
 register_activation(ActivationSpec("relu", lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(float), kink_points=(0.0,)))

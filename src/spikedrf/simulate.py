@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .detequiv import DetEquivProblem, problem_from_config
 from .model import ActivationSpec, ExperimentConfig, LinkSpec, make_rng, sample_second_layer
@@ -144,6 +143,7 @@ def ridge_fit(phi: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """
     if lam <= 0:
         raise ValueError(f"ridge penalty must be > 0, got {lam}")
+    import scipy.linalg  # imported here, so that the theory commands never load scipy
     n, p = phi.shape
     try:
         if p <= n:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +34,28 @@ def config_path(tmp_path):
 
 def run(*argv):
     return cli.main([str(a) for a in argv])
+
+
+IMPORT_PROBE = """
+import json, sys
+from spikedrf import cli
+loaded = lambda: sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+after_import = loaded()
+config, out = sys.argv[1:]
+assert cli.main(["theory-spectrum", config, "--grid", "0.02:2.0:20", "--out", out + "/spectrum"]) == cli.EXIT_OK
+assert cli.main(["theory-generror", config, "--alpha-sweep", "0.5:2:3", "--out", out + "/generror"]) == cli.EXIT_OK
+print(json.dumps({"after_import": after_import, "after_theory": loaded()}))
+"""
+
+
+def test_theory_commands_load_no_scipy(config_path, tmp_path):
+    # scipy costs a fresh CLI call more start-up than a theory command's work; only the
+    # simulation's ridge solve and the erf activation import it, on first use
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(config_path), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"after_import": [], "after_theory": []}
 
 
 def test_missing_config_exits_2(tmp_path, capsys):

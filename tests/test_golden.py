@@ -2,10 +2,12 @@
 
 Refactors of the coefficient tables, the kernel derivation and the solver must
 leave every artifact byte-identical; a change of the numerics re-pins them and
-records the old and new hashes with its largest difference per column.  The hashes were captured with numpy 2.4
-and scipy 1.17 on x86-64 OpenBLAS; a different BLAS or numpy may round the
-last bit differently, in which case recapture them from a known-good tree
-with `python tests/test_golden.py` (it prints the table below).
+records the old and new hashes with its largest difference per column.  The
+hashes were captured with numpy 2.4 on x86-64 OpenBLAS (the quadrature rules
+and every theory number come from numpy; scipy 1.17 solves the simulation's
+ridge); a different BLAS or numpy may round the last bit differently, in which
+case recapture them from a known-good tree with `python tests/test_golden.py`
+(it prints the table below).
 `manifest.json` is excluded because it holds timestamps.
 """
 import contextlib
@@ -32,14 +34,14 @@ COMMANDS = {
 
 GOLDEN = {
     "k1": {
-        "theory_spectrum.csv": "1a95222c4644e529b09cc30264cfc57603e3f1cfe5ce677a743d2903cc148954",
-        "theory_generror.csv": "0e29ea0b8bce058398e85de937c1f1cca9fe2453452361e4fc5dfa628c1d94c1",
-        "run_seed000.json": "8d69cef0739820f9b3b53c66177d5ee75c237660841a976bb7ad2535f76951c5",
+        "theory_spectrum.csv": "78dc809f909053d6168fb34e59e4743214e0885b9a753cacea390ddff027e838",
+        "theory_generror.csv": "072ef1383fee67ee977f7c7313476ace6420c424b83613db44eb546263b94fd6",
+        "run_seed000.json": "6e0a4ce8278ee9daaf4c85cd78c811ab3e4dc620fb088f2bce01040615331fc8",
     },
     "k2": {
-        "theory_spectrum.csv": "6254d0f4f3c4e5a873f42f9f3ad837cbde43b68fa6a0ef204377cdb8993ce14c",
-        "theory_generror.csv": "ce496c2f752e19e6f0738960f39b4d3dab090f2a7b4dcd6acf4cabbc72a409b7",
-        "run_seed000.json": "e6eeb4624759913c9aee6941396692627d5da815e07a274f7ce53fb3be24a6af",
+        "theory_spectrum.csv": "bafffb3a5187da2b73e6d79d0544f18301213d81ced467a3cd8ba5ba163e81fe",
+        "theory_generror.csv": "23f3e8a7363f6a7344b1eb2e1653455ca6be93ccbe635af2504b3c329f4e6e12",
+        "run_seed000.json": "5051d423f4c310293df9326ddfccf996b743577c6d82c7b6a09de6a10a07f164",
     },
 }
 

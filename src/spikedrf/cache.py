@@ -7,12 +7,15 @@ shape a converged state (`SOLVER_SETTINGS`: the ladder, the tolerance, the
 Anderson memory, mixing and ridge, the density grid's segment length) and the
 package version; so a rerun of the same theory under another seed or n0
 reuses the file, and a changed theory or solver never reads a stale state.
-Density grid reruns hit it for every point.  A writer killed mid-line leaves
-a torn line; loading skips (and counts) every line that is not a record (an
-object with a string `key` and an object `state`), and the next write starts
-on a fresh line; `get` drops (and counts) a record that does not decode to a
-state of the problem's shapes.  Only the density grid (Im z > 0) uses the
-cache: states on z < 0 are never cached, nor the real ladder's settings.
+Density grid reruns hit it for every point.  A record's `state` is the
+hex text of one little-endian complex128 vector [z, V (row-major), nu, b,
+residual], k*k + 2k + 2 numbers that round-trip every bit.  A writer killed
+mid-line leaves a torn line; loading skips (and counts) every line that is
+not a record (an object with a string `key` and a `state`), and the next
+write starts on a fresh line; `get` drops (and counts) a record whose state
+is not hex text of the problem's length.  Only the density grid (Im z > 0)
+uses the cache: states on z < 0 are never cached, nor the real ladder's
+settings.
 Every output artifact embeds the config hash it was produced from.
 """
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from . import detequiv, spectrum
 from .detequiv import DetEquivProblem, FixedPointState
 
-_VERSION = "spikedrf-0.3.1"  # bumped by every change of the solver's algorithm, which the constants do not show
+_VERSION = "spikedrf-0.3.2"  # bumped by every change of the record, or of the solver's algorithm that the constants do not show
 # the (module, constant) pairs that shape a converged state, read when a digest is taken
 SOLVER_SETTINGS = [(detequiv, name) for name in (
     "LADDER_TOP", "LADDER_FACTOR", "LADDER_FLOOR", "DEFAULT_TOL", "ANDERSON_MEMORY", "ANDERSON_MIXING", "ANDERSON_TIKHONOV",
@@ -70,7 +73,7 @@ class FixedPointCache:
                         rec = json.loads(line)
                     except json.JSONDecodeError:
                         rec = None
-                    if isinstance(rec, dict) and isinstance(rec.get("key"), str) and isinstance(rec.get("state"), dict):
+                    if isinstance(rec, dict) and isinstance(rec.get("key"), str) and "state" in rec:
                         self._entries[rec["key"]] = rec["state"]
                     else:
                         self.torn_lines += 1
@@ -82,12 +85,13 @@ class FixedPointCache:
         key, k = self._key(complex(z)), self.k
         if key in self._entries:
             try:
-                state = FixedPointState.from_json_dict(self._entries[key])
-                if (state.V.shape, state.nu.shape, state.b.shape) == ((k, k), (k,), (k,)):
-                    self.hits += 1
-                    return state
-            except (KeyError, IndexError, TypeError, ValueError):
-                pass
+                x = np.frombuffer(bytes.fromhex(self._entries[key]), "<c16")
+            except (TypeError, ValueError):  # not hex text, or not whole complex128 numbers
+                x = np.empty(0)
+            if x.size == k * k + 2 * k + 2:
+                self.hits += 1
+                return FixedPointState(z=complex(x[0]), V=x[1:k * k + 1].reshape(k, k), nu=x[k * k + 1:-k - 1],
+                                       b=x[-k - 1:-1], residual=float(x[-1].real))
             del self._entries[key]  # not a state of this problem: the point is solved again
             self.torn_lines += 1
         self.misses += 1
@@ -97,7 +101,7 @@ class FixedPointCache:
         key = self._key(complex(state.z))
         if key in self._entries:
             return
-        rec = state.to_json_dict()
+        rec = np.concatenate([[state.z], np.ravel(state.V), state.nu, state.b, [state.residual]]).astype("<c16").tobytes().hex()
         self._entries[key] = rec
         with self.path.open("a") as fh:
             if self._open_line:

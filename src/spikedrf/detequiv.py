@@ -219,34 +219,7 @@ class FixedPointState:
     nu: np.ndarray
     b: np.ndarray
     residual: float = np.inf
-    stats: SolveStats = SolveStats()  # not serialized: a state read from the cache cost no work
-
-    def to_json_dict(self) -> dict:
-        def c2l(a):
-            a = np.asarray(a)
-            return np.stack([a.real, a.imag], axis=-1).tolist()
-
-        return {
-            "z": [self.z.real, self.z.imag],
-            "V": c2l(self.V),
-            "nu": c2l(self.nu),
-            "b": c2l(self.b),
-            "residual": self.residual,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "FixedPointState":
-        def l2c(x):
-            arr = np.asarray(x, dtype=float)
-            return arr[..., 0] + 1j * arr[..., 1]
-
-        return cls(
-            z=complex(data["z"][0], data["z"][1]),
-            V=l2c(data["V"]),
-            nu=l2c(data["nu"]),
-            b=l2c(data["b"]),
-            residual=float(data["residual"]),
-        )
+    stats: SolveStats = SolveStats()  # not cached: a state read from the cache cost no work
 
 
 def _solve_L(V_eff: np.ndarray, b: np.ndarray) -> np.ndarray:

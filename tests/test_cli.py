@@ -205,7 +205,7 @@ def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
     # lines whose key carries a rho pair (the older format) are never served
     records = [json.loads(line) for line in cache.read_text().splitlines()]
     cache.write_text("".join(
-        json.dumps({"key": rec["key"] + "|0.000000000000e+00|0.000000000000e+00", "state": {**rec["state"], "rho": [0.0, 0.0]}}) + "\n"
+        json.dumps({"key": rec["key"] + "|0.000000000000e+00|0.000000000000e+00", "state": rec["state"]}) + "\n"
         for rec in records
     ))
     assert spectrum_run("older_format")[1]["cache_hits"] == 0
@@ -324,13 +324,16 @@ def test_torn_cache_line_is_skipped(config_path, tmp_path):
     # a writer killed mid-line loses its point; a line that parses but is not a record loses none
     cases = [("torn", whole[:-40], (1, 1), (1, 0)), ("keyonly", whole + b'{"key": "zz"}\n', (1, 0), (1, 0)),
              ("numkey", whole + b'{"key": 3, "state": {}}\n', (1, 0), (1, 0)), ("list", whole + b"[1, 2]\n", (1, 0), (1, 0))]
-    # a record whose state does not decode to the problem's shapes is dropped and its point solved again;
-    # the rerun reads the record appended then, which shadows the bad one
+    # a record whose state is not hex text of k*k + 2k + 2 complex128 numbers is dropped and its point solved
+    # again; the rerun reads the record appended then, which shadows the bad one
     first, rest = whole.split(b"\n", 1)
     record = json.loads(first)
     state = record["state"]
-    for case, bad in (("empty", {}), ("no_b", {n: v for n, v in state.items() if n != "b"}),
-                      ("short_z", {**state, "z": state["z"][:1]}), ("long_b", {**state, "b": state["b"] * 2})):
+    x = np.frombuffer(bytes.fromhex(state), "<c16")  # k = 1: [z, V, nu, b, residual]
+    pairs = {name: [[v.real, v.imag]] for name, v in zip(("V", "nu", "b"), x[1:4])}
+    older = {"z": [x[0].real, x[0].imag], **pairs, "residual": x[4].real}  # the float-list object state before hex
+    for case, bad in (("empty", ""), ("not_hex", "not hex"), ("one_short", state[:-32]),
+                      ("one_long", state + state[:32]), ("older_object", older)):
         cases.append((case, json.dumps({"key": record["key"], "state": bad}).encode() + b"\n" + rest, (1, 1), (0, 0)))
     for case, text, *expected in cases:
         cache.write_bytes(text)

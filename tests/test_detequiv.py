@@ -1,4 +1,3 @@
-import json
 import re
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from oracles import assemble_ge, bulk_kernels, conjugate, empirical_stieltjes, scalar_fixed_point_map
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
+from spikedrf.cache import FixedPointCache
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng
 from spikedrf.quadrature import hermite_tables
 
@@ -201,11 +201,14 @@ def test_rejects_lower_half_plane():
         de.solve_fixed_point(prob, complex(-0.5, -0.3))
 
 
-def test_state_serialization_roundtrip():
-    prob = small_problem()
-    st = de.solve_fixed_point(prob.perturbed((1e-4, 0.0)), complex(-0.7, 0.2))
-    back = de.FixedPointState.from_json_dict(json.loads(json.dumps(st.to_json_dict())))
-    assert back.z == st.z
+def test_cache_roundtrip_keeps_every_bit(tmp_path):
+    # k = 2 with a rho perturbation and z off both axes: a full 2x2 V goes through the hex record and back
+    prob = small_problem().perturbed((1e-4, 0.0))
+    st = de.solve_fixed_point(prob, complex(-0.7, 0.2))
+    assert st.V.shape == (2, 2) and np.all(st.V != 0)
+    FixedPointCache(tmp_path / "cache.jsonl", prob).put(st)
+    back = FixedPointCache(tmp_path / "cache.jsonl", prob).get(st.z)
+    assert back is not None and back.z == st.z
     assert np.array_equal(back.V, st.V) and np.array_equal(back.nu, st.nu) and np.array_equal(back.b, st.b)
     assert back.residual == st.residual
 

@@ -6,6 +6,8 @@ deterministic-equivalent fixed point, and compares bulk spectra and test
 errors between the two.
 """
 
+__version__ = "0.3.2"  # the package's version, which every run manifest records
+
 from .model import ExperimentConfig, VocabularySpec, validate_config
 from .detequiv import DetEquivProblem, FixedPointState, problem_from_config, solve_fixed_point
 from .generror import asymptotic_generror, asymptotic_tau

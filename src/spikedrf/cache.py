@@ -5,18 +5,20 @@ covers everything the fixed-point map reads (alpha, beta, rho, pi, the
 kappa weights, the c1 and residual tables) plus the solver settings that
 shape a converged state (`SOLVER_SETTINGS`: the ladder, the tolerance, the
 Anderson memory, mixing and ridge, the density grid's segment length) and the
-package version; so a rerun of the same theory under another seed or n0
-reuses the file, and a changed theory or solver never reads a stale state.
-Density grid reruns hit it for every point.  A record's `state` is the
+record's version `_VERSION`; so a rerun of the same theory under another seed
+or n0 reuses the file, and a changed theory or solver never reads a stale
+state.  Density grid reruns hit it for every point.  A record's `state` is the
 hex text of one little-endian complex128 vector [z, V (row-major), nu, b,
-residual], k*k + 2k + 2 numbers that round-trip every bit.  A writer killed
-mid-line leaves a torn line; loading skips (and counts) every line that is
-not a record (an object with a string `key` and a `state`), and the next
+residual], k*k + 2k + 2 numbers that round-trip every bit.  A file may hold
+the records of several problems; loading keeps only this problem's.  A writer
+killed mid-line leaves a torn line; loading skips (and counts) every line that
+is not a record (an object with a string `key` and a `state`), and the next
 write starts on a fresh line; `get` drops (and counts) a record whose state
 is not hex text of the problem's length.  Only the density grid (Im z > 0)
 uses the cache: states on z < 0 are never cached, nor the real ladder's
 settings.
-Every output artifact embeds the config hash it was produced from.
+Every output artifact embeds the config hash it was produced from, and every
+manifest the package's `__version__`.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import detequiv, spectrum
+from . import __version__, detequiv, spectrum
 from .detequiv import DetEquivProblem, FixedPointState
 
 _VERSION = "spikedrf-0.3.2"  # bumped by every change of the record, or of the solver's algorithm that the constants do not show
@@ -63,6 +65,7 @@ class FixedPointCache:
         self._open_line = False  # the file ends without a newline
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
+            prefix = self.digest + "|"
             with self.path.open() as fh:
                 for line in fh:
                     self._open_line = not line.endswith("\n")
@@ -73,10 +76,10 @@ class FixedPointCache:
                         rec = json.loads(line)
                     except json.JSONDecodeError:
                         rec = None
-                    if isinstance(rec, dict) and isinstance(rec.get("key"), str) and "state" in rec:
-                        self._entries[rec["key"]] = rec["state"]
-                    else:
+                    if not (isinstance(rec, dict) and isinstance(rec.get("key"), str) and "state" in rec):
                         self.torn_lines += 1
+                    elif rec["key"].startswith(prefix):  # another problem's record stays in the file, unloaded
+                        self._entries[rec["key"]] = rec["state"]
 
     def _key(self, z: complex) -> str:
         return f"{self.digest}|{z.real:.12e}|{z.imag:.12e}"
@@ -117,7 +120,7 @@ class RunManifest:
     config_hash: str
     command: str
     outputs: list = field(default_factory=list)
-    version: str = _VERSION
+    version: str = __version__
     started: float = field(default_factory=time.time)
     extra: dict = field(default_factory=dict)
 

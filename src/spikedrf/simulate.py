@@ -12,6 +12,11 @@ tau2/tau3 read the perturbation kernels of the theory's `DetEquivProblem`.
 features stay inside it, and the centered bulk is built only when the
 spectrum is asked for.
 
+Memory: X0 and the drawn test points are held whole; beyond them the
+gradient step keeps one reused (chunk, p) buffer and the Monte Carlo test
+error one `ROW_BLOCK`-row block of features, so no temporary grows with n0
+or with the test points times p.
+
 All randomness flows from a counter-based generator, so identical seeds give
 bit-identical runs regardless of thread schedule.
 """
@@ -25,6 +30,9 @@ from .detequiv import DetEquivProblem, problem_from_config
 from .model import ActivationSpec, ExperimentConfig, LinkSpec, make_rng, sample_second_layer
 
 DEFAULT_TEST_POINTS = 10_000
+# rows per elementwise block in the gradient step and the test error: a (ROW_BLOCK, p) temporary is
+# 16 MB at p = 2048, small next to a step's chunk buffer, and 16 blocks per chunk add no visible call overhead
+ROW_BLOCK = 1024
 
 
 class SimulationError(RuntimeError):
@@ -65,19 +73,31 @@ def gradient_step(
     spike W0 + u w*^T (u proportional to a0) the theory describes.  The residual leaves out the init
     output f(x_mu; W0, a0): for E[sigma] != 0 and a non-centered second layer its O(1) mean shrinks
     every row, an effect outside the spiked description; for odd activations it is O(1/sqrt(d))
-    (see README).  `label_gradient` works in batches of `chunk` rows.
+    (see README).  `label_gradient` works in batches of `chunk` rows, through one reused
+    (min(chunk, n0), p) buffer.
     """
     n0, p = X0.shape[0], W0.shape[0]
     return W0 + eta / (n0 * np.sqrt(p)) * a0[:, None] * label_gradient(W0, X0, y0, sigma, chunk)
 
 
 def label_gradient(W0: np.ndarray, X0: np.ndarray, y0: np.ndarray, sigma: ActivationSpec, chunk: int) -> np.ndarray:
-    """sum_mu y_mu sigma'(W0 x_mu) x_mu^T, accumulated over batches of `chunk` rows to keep memory flat."""
+    """sum_mu y_mu sigma'(W0 x_mu) x_mu^T, accumulated over batches of `chunk` rows to keep memory flat.
+
+    One (min(chunk, n0), p) buffer serves every batch: it takes the batch's pre-activation, which is
+    overwritten by sigma'(.) * y0 in blocks of `ROW_BLOCK` rows, and then enters the batch's product
+    with X0.  Alive beyond the inputs: the buffer, one block's sigma' and one (p, d) product.
+    """
     n0 = X0.shape[0]
     grad = np.zeros_like(W0)
+    buf = np.empty((min(chunk, n0), W0.shape[0]))
     for start in range(0, n0, chunk):
         sl = slice(start, min(start + chunk, n0))
-        grad += (sigma.deriv(X0[sl] @ W0.T) * y0[sl, None]).T @ X0[sl]
+        pre = np.matmul(X0[sl], W0.T, out=buf[:sl.stop - start])
+        for b in range(0, len(pre), ROW_BLOCK):
+            blk = pre[b:b + ROW_BLOCK]
+            blk[...] = sigma.deriv(blk)
+            blk *= y0[sl][b:b + ROW_BLOCK, None]
+        grad += pre.T @ X0[sl]
     return grad
 
 
@@ -167,9 +187,16 @@ def empirical_generror(
     sigma: ActivationSpec,
     rng: np.random.Generator,
 ):
-    """Monte Carlo estimate of E[(y_new - f(x_new))^2] over DEFAULT_TEST_POINTS fresh samples, with its standard error."""
+    """Monte Carlo estimate of E[(y_new - f(x_new))^2] over DEFAULT_TEST_POINTS fresh samples, with its standard error.
+
+    The test points are drawn at once; the predictions are formed `ROW_BLOCK` rows at a time, so
+    beyond the drawn points only one block of features and the prediction vector are alive.
+    """
     X, y, _ = sample_data(DEFAULT_TEST_POINTS, W1.shape[1], w_star, link, rng)
-    resid = (y - sigma.fn(X @ W1.T) @ a_hat / np.sqrt(len(a_hat))) ** 2
+    pred = np.empty(DEFAULT_TEST_POINTS)
+    for b in range(0, DEFAULT_TEST_POINTS, ROW_BLOCK):
+        pred[b:b + ROW_BLOCK] = sigma.fn(X[b:b + ROW_BLOCK] @ W1.T) @ a_hat
+    resid = (y - pred / np.sqrt(len(a_hat))) ** 2
     return float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(DEFAULT_TEST_POINTS))
 
 

@@ -6,8 +6,9 @@ engine replaced, the conjugate of a state (the solution at the conjugate
 point, since the equations have real coefficients), the exact rho-derivatives
 tau2 and tau3 by the implicit function theorem, the dense
 (k+1+p)-square inverse of the deterministic equivalent, the empirical
-Stieltjes transform, the support edges of a density curve, and the
-bulk-weight covariance diagnostic.
+Stieltjes transform, the support edges of a density curve, the
+bulk-weight covariance diagnostic, and the label gradient with fresh
+per-chunk temporaries.
 """
 from __future__ import annotations
 
@@ -282,3 +283,14 @@ def bulk_covariance_diagnostic(
     e_g2 = float(rule.weights @ link.fn(rule.nodes) ** 2)
     predicted = 1.0 + sig_gt1 * eta_tilde**2 * (1.0 / alpha0) * e_g2
     return empirical, predicted
+
+
+def label_gradient_unbuffered(W0: np.ndarray, X0: np.ndarray, y0: np.ndarray, sigma: ActivationSpec,
+                              chunk: int) -> np.ndarray:
+    """sum over batches of `chunk` rows of (sigma'(X0 W0^T) * y0)^T X0, each batch's temporaries allocated afresh."""
+    n0 = X0.shape[0]
+    grad = np.zeros_like(W0)
+    for start in range(0, n0, chunk):
+        sl = slice(start, min(start + chunk, n0))
+        grad += (sigma.deriv(X0[sl] @ W0.T) * y0[sl, None]).T @ X0[sl]
+    return grad

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import spikedrf
 from spikedrf import cli, detequiv, generror, simulate, spectrum
 from spikedrf.detequiv import FixedPointError
 
+REPO = Path(__file__).resolve().parents[1]
 TINY = {
     "d": 60,
     "p": 90,
@@ -173,6 +175,13 @@ def test_theory_spectrum_rows_and_cache(config_path, tmp_path):
     assert m2["solver"]["map_rows"] == 0 and m2["solver"]["solves"] == 0
 
 
+def test_manifest_version_is_the_package_version(config_path, tmp_path):
+    # the manifest records the package's version, which pyproject.toml reads; the cache record has its own
+    assert run("theory-spectrum", config_path, "--grid", "0.02:2.0:5", "--out", tmp_path / "t") == 0
+    assert json.loads((tmp_path / "t" / "manifest.json").read_text())["version"] == spikedrf.__version__
+    assert 'version = {attr = "spikedrf.__version__"}' in (REPO / "pyproject.toml").read_text()
+
+
 def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
     cache = tmp_path / "cache.jsonl"
 
@@ -196,7 +205,7 @@ def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, value)
             assert spectrum_run(f"other_{name}")[1]["cache_hits"] == 0
-    # nor states of another package version, which a change of the solver algorithm bumps
+    # nor states of another record version, which a change of the record or the solver algorithm bumps
     with monkeypatch.context() as patch:
         patch.setattr("spikedrf.cache._VERSION", "spikedrf-0.1.0")
         assert spectrum_run("older_version")[1]["cache_hits"] == 0

@@ -213,6 +213,26 @@ def test_cache_roundtrip_keeps_every_bit(tmp_path):
     assert back.residual == st.residual
 
 
+def test_cache_loads_only_its_own_problems_records(tmp_path):
+    # one file, two problems: each cache loads its own records, counts the other's as neither torn nor served
+    path = tmp_path / "cache.jsonl"
+    prob, other = small_problem(), small_problem(alpha=0.8)
+    z1, z2 = complex(-0.7, 0.2), complex(0.4, 0.3)
+    FixedPointCache(path, other).put(de.solve_fixed_point(other, z1))
+    FixedPointCache(path, other).put(de.solve_fixed_point(other, z2))
+    FixedPointCache(path, prob).put(de.solve_fixed_point(prob, z1))
+    cache = FixedPointCache(path, prob)
+    assert len(cache._entries) == 1 and cache.torn_lines == 0
+    assert cache.get(z1) is not None and cache.get(z2) is None
+    assert (cache.hits, cache.misses) == (1, 1)
+    cache.put(de.solve_fixed_point(prob, z2))
+    assert len(path.read_text().splitlines()) == 4
+    reloaded, other_cache = FixedPointCache(path, prob), FixedPointCache(path, other)
+    assert len(reloaded._entries) == 2 and len(other_cache._entries) == 2
+    assert all(c.get(z) is not None for c in (reloaded, other_cache) for z in (z1, z2))
+    assert (reloaded.hits, reloaded.misses, reloaded.torn_lines) == (2, 0, 0)
+
+
 def test_nonconvergence_reported(monkeypatch):
     prob = small_problem()
     monkeypatch.setattr(de, "MAX_ITER", 2)

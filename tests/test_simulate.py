@@ -1,7 +1,10 @@
+import inspect
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import bulk_covariance_diagnostic, empirical_stieltjes
+from oracles import bulk_covariance_diagnostic, empirical_stieltjes, label_gradient_unbuffered
 from spikedrf import simulate as sim
 from spikedrf.detequiv import build_problem
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng, sample_second_layer
@@ -81,6 +84,56 @@ def test_gradient_step_is_the_scaled_label_gradient():
     step = sim.gradient_step(W0, a0, X0, y0, 1.7, relu, chunk=16)
     expected = W0 + 1.7 / (40 * np.sqrt(12)) * a0[:, None] * sim.label_gradient(W0, X0, y0, relu, 16)
     assert np.array_equal(step, expected)
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "hermite3", "identity"])
+def test_label_gradient_is_bit_equal_to_fresh_chunk_temporaries(activation):
+    # three chunks; each full chunk ends in a block shorter than ROW_BLOCK, and so does the last chunk
+    chunk = 2 * sim.ROW_BLOCK + 300
+    n0 = 2 * chunk + 500
+    rng = make_rng(12)
+    W0 = sim.sample_first_layer(24, 10, rng)
+    X0 = rng.standard_normal((n0, 10))
+    y0 = rng.standard_normal(n0)
+    sigma = get_activation(activation)
+    assert np.array_equal(sim.label_gradient(W0, X0, y0, sigma, chunk),
+                          label_gradient_unbuffered(W0, X0, y0, sigma, chunk))
+
+
+def traced_peak(fn, *args):
+    """(result, peak bytes that numpy and Python allocate during fn(*args))."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_label_gradient_memory_is_one_chunk_buffer():
+    # beyond its inputs the step holds one (chunk, p) buffer, a few (ROW_BLOCK, p) blocks and (p, d) products
+    chunk = inspect.signature(sim.gradient_step).parameters["chunk"].default
+    p, d, n0 = 32, 8, 2 * chunk + 700
+    rng = make_rng(13)
+    W0 = sim.sample_first_layer(p, d, rng)
+    X0 = rng.standard_normal((n0, d))
+    y0 = rng.standard_normal(n0)
+    for activation in ("relu", "tanh"):
+        _, peak = traced_peak(sim.label_gradient, W0, X0, y0, get_activation(activation), chunk)
+        assert peak <= 8 * (chunk * p + 4 * sim.ROW_BLOCK * p + 3 * p * d), activation
+
+
+def test_empirical_generror_memory_does_not_scale_with_test_points_times_p(monkeypatch):
+    # beyond the drawn test points: a few (ROW_BLOCK, p) blocks and a few length-N vectors, never an (N, p) array
+    rng = make_rng(14)
+    d, p = 8, 512
+    w = unit_vector(d, rng)
+    W1 = sim.sample_first_layer(p, d, rng)
+    a_hat = rng.standard_normal(p)
+    for n_test in (sim.DEFAULT_TEST_POINTS, 2 * sim.DEFAULT_TEST_POINTS):
+        monkeypatch.setattr(sim, "DEFAULT_TEST_POINTS", n_test)
+        _, peak = traced_peak(sim.empirical_generror, a_hat, W1, get_link("sin"), w, get_activation("relu"), rng)
+        assert peak - 8 * n_test * d <= 8 * (3 * sim.ROW_BLOCK * p + 16 * n_test), n_test
 
 
 def test_gradient_step_is_zero_for_zero_labels():
@@ -228,6 +281,20 @@ def test_empirical_generror_null_predictor_and_scaling(monkeypatch):
     monkeypatch.setattr(sim, "DEFAULT_TEST_POINTS", 160_000)
     err2, se2 = sim.empirical_generror(np.zeros(p), W1, link, w, sigma, make_rng(10, 2))
     assert se2 < 0.65 * se  # roughly halves
+
+
+def test_empirical_generror_is_bit_equal_to_the_one_shot_expression():
+    # DEFAULT_TEST_POINTS is not a multiple of ROW_BLOCK, so the last block is short
+    rng = make_rng(15)
+    d, p = 20, 40
+    w = unit_vector(d, rng)
+    W1 = sim.sample_first_layer(p, d, rng)
+    a_hat = rng.standard_normal(p)
+    sigma, link = get_activation("tanh"), get_link("sin")
+    X, y, _ = sim.sample_data(sim.DEFAULT_TEST_POINTS, d, w, link, make_rng(15, 1))
+    resid = (y - sigma.fn(X @ W1.T) @ a_hat / np.sqrt(p)) ** 2
+    expected = (float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(sim.DEFAULT_TEST_POINTS)))
+    assert sim.empirical_generror(a_hat, W1, link, w, sigma, make_rng(15, 1)) == expected
 
 
 def test_empirical_generror_realizable_linear():

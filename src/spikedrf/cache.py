@@ -33,7 +33,7 @@ import numpy as np
 from . import __version__, detequiv, spectrum
 from .detequiv import DetEquivProblem, FixedPointState
 
-_VERSION = "spikedrf-0.3.2"  # bumped by every change of the record, or of the solver's algorithm that the constants do not show
+_VERSION = "spikedrf-0.3.3"  # bumped by every change of the record, or of the solver's algorithm that the constants do not show
 # the (module, constant) pairs that shape a converged state, read when a digest is taken
 SOLVER_SETTINGS = [(detequiv, name) for name in (
     "LADDER_TOP", "LADDER_FACTOR", "LADDER_FLOOR", "DEFAULT_TOL", "ANDERSON_MEMORY", "ANDERSON_MIXING", "ANDERSON_TIKHONOV",

@@ -211,6 +211,7 @@ def cmd_theory_spectrum(args) -> int:
     manifest.extra["unconverged"] = int(np.sum(~curve.converged))
     manifest.extra["unconverged_reasons"] = curve.failures
     manifest.extra["solver"] = curve.solver
+    manifest.extra["extrapolation_gap"] = curve.extrapolation_gap
     if cache:
         manifest.extra["cache_hits"] = cache.hits
         manifest.extra["cache_misses"] = cache.misses
@@ -312,6 +313,7 @@ def cmd_compare(args) -> int:
             too_many = unconverged > MAX_UNCONVERGED_FRAC * pts
             check = {"name": "spectrum_ks", "value": ks, "tol": args.tol_ks, "unconverged": unconverged,
                      "unconverged_reasons": curve.failures[:REPORTED_REASONS],
+                     "extrapolation_gap": curve.extrapolation_gap,
                      "passed": bool(ks < args.tol_ks) and not too_many}
             if too_many:
                 check["reason"] = f"{unconverged} of {pts} theory grid points unconverged (bound {MAX_UNCONVERGED_FRAC:.0%})"

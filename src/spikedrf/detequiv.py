@@ -43,12 +43,14 @@ only when the extrapolated iterate leaves the Stieltjes half-plane
 (Im z > 0 but some Im b_q < 0), where the other root of the equations lies.
 `solve_paths` continues every row of a batch along its own path of z values
 (Allgower & Georg 2003): a cold solve takes the `ladder` (in Im z, or along
-z < 0), a warm start is a path of length one; `solve_fixed_point` is it with
-one row.  Every result carries its SolveStats: map rows over all rungs, and
-the half-plane fallbacks.  On z < 0 each b_q is a Stieltjes-type transform of
-mass pi_q beta, so 0 < b_q <= pi_q beta / |z| (Bai & Silverstein 2010), and a
-converged root outside ends its row with UnphysicalRootError: a cold start
-directly at z = -lambda, or too coarse a path, can converge to one with b_q < 0.
+z < 0, both by the rung ratio LADDER_FACTOR: 6 points from Im z = 10 down
+to 1e-2), a warm start is a path of length one; `solve_fixed_point` is it
+with one row.  Every result carries its SolveStats: map rows over all
+rungs, and the half-plane fallbacks.  On z < 0 each b_q is a Stieltjes-type
+transform of mass pi_q beta, so 0 < b_q <= pi_q beta / |z| (Bai &
+Silverstein 2010), and a converged root outside ends its row with
+UnphysicalRootError: a cold start directly at z = -lambda, or too coarse a
+path, can converge to one with b_q < 0.
 A tilted problem (rho != 0) is not a covariance resolvent, and is not checked.
 """
 from __future__ import annotations
@@ -64,9 +66,8 @@ from .model import ActivationSpec, ExperimentConfig, LinkSpec
 from .quadrature import DEFAULT_OUTER_NODES, cached_rule, hermite_tables
 
 LADDER_TOP = 10.0
-LADDER_FACTOR = 0.7
+LADDER_FACTOR = 0.3  # rung ratio of both ladders, in Im z and along the negative real axis
 LADDER_FLOOR = 5e-2  # below this the final hop lands on the exact target
-LADDER_REAL_FACTOR = 0.3  # rung ratio of the ladder along the negative real axis
 CERTIFICATE_SLACK = 4 * np.finfo(float).eps  # relative slack of the bound b_q <= pi_q beta / |z|, attained at alpha = 0
 DEFAULT_TOL = 1e-10
 MAX_ITER = 10_000  # map rows a row may spend before NonConvergenceError
@@ -416,16 +417,16 @@ def _certified(problem: DetEquivProblem, state: FixedPointState):
 
 
 def ladder(z: complex) -> list:
-    """Path to z: on z < 0 from -LADDER_TOP by LADDER_REAL_FACTOR, else Im z from LADDER_TOP by LADDER_FACTOR
-    while above LADDER_FLOOR; then z."""
+    """Path to z by LADDER_FACTOR per rung: on z < 0 from -LADDER_TOP, else Im z from LADDER_TOP while above
+    LADDER_FLOOR; then z."""
     if z.imag >= LADDER_TOP or abs(z) >= LADDER_TOP:
         return [z]
     real = z.imag == 0.0 and z.real < 0.0
-    factor, stop = (LADDER_REAL_FACTOR, -z.real) if real else (LADDER_FACTOR, max(z.imag, LADDER_FLOOR))
+    stop = -z.real if real else max(z.imag, LADDER_FLOOR)
     path, step = [], LADDER_TOP
     while step > stop:
         path.append(complex(-step, 0.0) if real else complex(z.real, step))
-        step *= factor
+        step *= LADDER_FACTOR
     return path + [z]
 
 

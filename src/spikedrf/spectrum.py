@@ -5,7 +5,9 @@ eps schedule and Richardson-extrapolating the last two levels (the Poisson
 smoothing bias is linear in eps in the bulk).  The first eps level is solved
 in lockstep segments of the grid, each point warm-started from its left
 neighbour; every finer level is one batched solve, each point warm-started
-from its own state at the previous eps.  When p > n
+from its own state: at the second level its state at the first, and from
+the third level on the eps secant through its states at the two previous
+levels.  When p > n
 the bulk covariance has an exact atom of mass 1 - alpha/beta at zero; its
 Stieltjes contribution -atom/z is removed analytically before inversion,
 since numerical inversion next to an atom is hopeless.  The bulk mass and
@@ -42,6 +44,7 @@ EDGE_RATIO = 0.01  # a cell is an edge cell when the density at one end is below
 EDGE_MASS = 1e-3  # a cell is steep when width * density change exceeds this mass
 EDGE_SPLIT = 8  # sub-cells per refined cell
 SEGMENT_POINTS = 20  # points per lockstep segment of an eps level (see `_eps_levels`)
+GAP_BOUND = 1e-3  # extrapolation gap above which `DensityCurve.extrapolation_gap` counts a grid point
 
 
 def stieltjes(problem: DetEquivProblem, z: complex) -> complex:
@@ -73,6 +76,21 @@ class DensityCurve:
     def total_mass(self) -> float:
         return self.mass + self.atom_mass
 
+    @property
+    def extrapolation_gap(self) -> dict:
+        """Error estimate of the density, report only: {"max", "above", "bound"}.
+
+        Per grid point, the gap between the Richardson extrapolants of the last
+        three eps levels taken in pairs, (1, 2) and (2, 3) for the default
+        schedule; the density is the second.  "max" is the largest gap over the
+        points where all three levels converged (None if there is none), and
+        "above" counts the points whose gap exceeds "bound" = GAP_BOUND.
+        """
+        levels, eps = self.im_levels, self.eps_schedule
+        gap = np.abs(_extrapolate(levels, eps) - _extrapolate(levels[:-1], eps[:-1]))
+        gap = gap[~np.isnan(gap)]
+        return {"max": float(gap.max()) if gap.size else None, "above": int(np.sum(gap > GAP_BOUND)), "bound": GAP_BOUND}
+
     def cdf(self, x: np.ndarray, left_limit: bool = False) -> np.ndarray:
         """Theory CDF at points x: origin atom plus integrated bulk density.
 
@@ -86,10 +104,10 @@ class DensityCurve:
         return atom + vals
 
 
-def _extrapolate(im_parts: np.ndarray, eps_schedule: tuple) -> np.ndarray:
+def _extrapolate(levels: np.ndarray, eps_schedule: tuple) -> np.ndarray:
     """Density from Im m / pi at the last two eps levels: linear two-point Richardson in eps."""
     e1, e2 = eps_schedule[-2], eps_schedule[-1]
-    rho1, rho2 = im_parts[-2] / np.pi, im_parts[-1] / np.pi
+    rho1, rho2 = levels[-2], levels[-1]
     return rho2 + (rho2 - rho1) * e2 / (e1 - e2)
 
 
@@ -113,22 +131,30 @@ def _edge_cells(grid: np.ndarray, density: np.ndarray, converged: np.ndarray) ->
 
 
 def _eps_levels(problem: DetEquivProblem, lams: np.ndarray, starts: list, cache) -> tuple:
-    """(Im m per eps level and point, first-level states, {point: (eps, text) of its last error}, every solve's result).
+    """(Im m / pi per eps level and point, first-level states, {point: (eps, text) of its last error}, every solve's result).
 
     At each level of DEFAULT_EPS_SCHEDULE, largest first, the points that
     miss the cache and have a state (their entry of `starts` at the first
     level, then their state at the last level they converged) are solved in
-    one batch, each warm-started from it.  The rest go in lockstep segments of
-    SEGMENT_POINTS consecutive points, a layout fixed by the number of points
-    alone: step j solves point j of every segment in one `solve_paths` call,
-    each from its left neighbour in the segment, or down the `ladder` when it
-    is a head or its neighbour has no state.  So no state depends on which
-    points the cache served.  `cache`, if given (any object with `get(z)`
-    returning a state or None and `put(state)`), is read before each level
-    and gets the level's new states in order.  A failed solve leaves NaN at
-    its level.  Im m has the analytic origin atom removed.
+    one batch, each warm-started from it.  From the third level on, a point
+    that converged at both previous levels eps1 > eps2 starts instead at the
+    secant X2 + (X2 - X1)(eps - eps2)/(eps2 - eps1) through those two states
+    (`_eps_secant`; 1.5 X2 - 0.5 X1 for the default schedule), a free
+    predictor along eps (Allgower & Georg 2003); a start that is not a
+    converged state of its own, such as a sub-point's first-level start,
+    does not count.  The rest go in lockstep segments of SEGMENT_POINTS
+    consecutive points, a layout fixed by the number of points alone: step j
+    solves point j of every segment in one `solve_paths` call, each from its
+    left neighbour in the segment, or down the `ladder` when it is a head or
+    its neighbour has no state.  A cached state has the bits of a solved one,
+    so no state depends on which points the cache served.  `cache`, if given
+    (any object with `get(z)` returning a state or None and `put(state)`), is
+    read before each level and gets the level's new states in order.  A
+    failed solve leaves NaN at its level.  Im m has the analytic origin atom
+    removed.
 
-    Segment heads take the ladder because a cold start at small Im z is not
+    Segment heads take the ladder (6 points down to eps = 1e-2 at
+    LADDER_FACTOR = 0.3) because a cold start at small Im z is not
     safe: it can converge to a non-physical root.  With the hermite2
     activation, one spike value 1, alpha=0.3 and beta=3, a cold row at
     z = 2.1181 + 0.01i ends at b = -1.476 + 0.001i where the ladder gives
@@ -136,9 +162,9 @@ def _eps_levels(problem: DetEquivProblem, lams: np.ndarray, starts: list, cache)
     check can certify a cold root.
     """
     atom = problem.atom_mass()
-    im_parts = np.full((len(DEFAULT_EPS_SCHEDULE), len(lams)), np.nan)
+    levels = np.full((len(DEFAULT_EPS_SCHEDULE), len(lams)), np.nan)
     prev_states = list(starts)
-    first_states: list = []
+    own: list = []  # per finished level, each point's state converged there, or None
     errors: dict = {}
     fresh: list = []  # the result of every solve, in order: a state or a FixedPointError
     for ei, eps in enumerate(DEFAULT_EPS_SCHEDULE):
@@ -146,7 +172,12 @@ def _eps_levels(problem: DetEquivProblem, lams: np.ndarray, starts: list, cache)
         found = [cache.get(z) if cache is not None else None for z in zs]
         states = list(found)
         batch = [i for i in range(len(zs)) if found[i] is None and prev_states[i] is not None]
-        for i, result in zip(batch, solve_paths(problem, [[zs[i]] for i in batch], [prev_states[i] for i in batch])):
+        batch_starts = [prev_states[i] for i in batch]
+        if ei >= 2:
+            e1, e2 = DEFAULT_EPS_SCHEDULE[ei - 2:ei]
+            batch_starts = [_eps_secant(own[-2][i], own[-1][i], (eps - e2) / (e2 - e1), start)
+                            for i, start in zip(batch, batch_starts)]
+        for i, result in zip(batch, solve_paths(problem, [[zs[i]] for i in batch], batch_starts)):
             states[i] = result
         for j in range(SEGMENT_POINTS):
             todo = [i for i in range(j, len(zs), SEGMENT_POINTS) if states[i] is None]
@@ -154,6 +185,7 @@ def _eps_levels(problem: DetEquivProblem, lams: np.ndarray, starts: list, cache)
             paths = [[zs[i]] if start is not None else ladder(zs[i]) for i, start in zip(todo, heads)]
             for i, result in zip(todo, solve_paths(problem, paths, heads)):
                 states[i] = result
+        own.append([None] * len(zs))
         for i, state in enumerate(states):
             if found[i] is None:
                 fresh.append(state)
@@ -162,12 +194,20 @@ def _eps_levels(problem: DetEquivProblem, lams: np.ndarray, starts: list, cache)
                 continue
             if found[i] is None and cache is not None:
                 cache.put(state)
-            prev_states[i] = state
+            prev_states[i] = own[-1][i] = state
             m = stieltjes_from_state(problem, state)
-            im_parts[ei, i] = (m + atom / state.z).imag if atom > 0.0 else m.imag
-        if ei == 0:
-            first_states = list(prev_states)
-    return im_parts, first_states, errors, fresh
+            levels[ei, i] = ((m + atom / state.z).imag if atom > 0.0 else m.imag) / np.pi
+    return levels, own[0], errors, fresh
+
+
+def _eps_secant(x1, x2, t: float, last: FixedPointState) -> FixedPointState:
+    """The start X2 + t (X2 - X1) from a point's converged states x1, x2 at the two previous eps levels.
+
+    t is (eps - eps2) / (eps2 - eps1).  Without both states, the start is the point's `last` state.
+    """
+    if x1 is None or x2 is None:
+        return last
+    return FixedPointState(last.z, *(a2 + t * (a2 - a1) for a1, a2 in ((x1.V, x2.V), (x1.nu, x2.nu), (x1.b, x2.b))))
 
 
 def density_grid(
@@ -197,8 +237,8 @@ def density_grid(
         raise ValueError("need lam_max > lam_min")
     eps_schedule = DEFAULT_EPS_SCHEDULE
     grid = np.linspace(lam_min, lam_max, points)
-    im_parts, first_states, errors, fresh = _eps_levels(problem, grid, [None] * points, cache)
-    rho = _extrapolate(im_parts, eps_schedule)  # NaN where either of the last two levels failed
+    im_levels, first_states, errors, fresh = _eps_levels(problem, grid, [None] * points, cache)
+    rho = _extrapolate(im_levels, eps_schedule)  # NaN where either of the last two levels failed
     converged = ~np.isnan(rho)
     density = np.where(converged, rho, 0.0)
     if np.nanmin(density) < -1e-2:
@@ -209,8 +249,8 @@ def density_grid(
     cells = np.array(_edge_cells(grid, density, converged), dtype=int)
     sub_grid = (grid[cells, None] + np.diff(grid)[cells, None] * np.arange(1, EDGE_SPLIT) / EDGE_SPLIT).ravel()
     sub_starts = [first_states[c] for c in np.repeat(cells, EDGE_SPLIT - 1)]
-    sub_im, _, _, sub_fresh = _eps_levels(problem, sub_grid, sub_starts, None)
-    sub_rho = _extrapolate(sub_im, eps_schedule)
+    sub_levels, _, _, sub_fresh = _eps_levels(problem, sub_grid, sub_starts, None)
+    sub_rho = _extrapolate(sub_levels, eps_schedule)
     solved = ~np.isnan(sub_rho)
     mass_grid = np.concatenate([grid, sub_grid[solved]])
     mass_density = np.concatenate([density, np.clip(sub_rho[solved], 0.0, None)])
@@ -222,7 +262,7 @@ def density_grid(
         eps_schedule=eps_schedule,
         converged=converged,
         atom_mass=problem.atom_mass(),
-        im_levels=im_parts / np.pi,
+        im_levels=im_levels,
         failures=[{"lambda": float(grid[gi]), "eps": eps, "reason": text}
                   for gi, (eps, text) in sorted(errors.items()) if not converged[gi]],
         mass_grid=mass_grid[order],

@@ -446,8 +446,8 @@ def test_ladder_on_the_negative_real_axis():
     path = de.ladder(z)
     assert path[0] == -de.LADDER_TOP and path[-1] == z and not any(p.imag for p in path)
     ratios = [b.real / a.real for a, b in zip(path[:-2], path[1:-1])]
-    assert ratios == pytest.approx([de.LADDER_REAL_FACTOR] * len(ratios), rel=1e-12)
-    assert path[-2].real < z.real < de.LADDER_REAL_FACTOR * path[-2].real  # the last hop is shorter than a rung
+    assert ratios == pytest.approx([de.LADDER_FACTOR] * len(ratios), rel=1e-12)
+    assert path[-2].real < z.real < de.LADDER_FACTOR * path[-2].real  # the last hop is shorter than a rung
     assert de.ladder(complex(-20.0, 0.0)) == [complex(-20.0, 0.0)]
     # above the axis the ladder still comes down in Im z at the target's Re z
     assert [p.real for p in de.ladder(complex(-0.01, 0.02))] == [-0.01] * len(de.ladder(complex(-0.01, 0.02)))

@@ -34,12 +34,12 @@ COMMANDS = {
 
 GOLDEN = {
     "k1": {
-        "theory_spectrum.csv": "78dc809f909053d6168fb34e59e4743214e0885b9a753cacea390ddff027e838",
+        "theory_spectrum.csv": "0becfbe2f41ab78ee92ed31793c99ca8a6936ca0673d8251426c0d615d9cadaf",
         "theory_generror.csv": "072ef1383fee67ee977f7c7313476ace6420c424b83613db44eb546263b94fd6",
         "run_seed000.json": "6e0a4ce8278ee9daaf4c85cd78c811ab3e4dc620fb088f2bce01040615331fc8",
     },
     "k2": {
-        "theory_spectrum.csv": "bafffb3a5187da2b73e6d79d0544f18301213d81ced467a3cd8ba5ba163e81fe",
+        "theory_spectrum.csv": "22a2e43bc3bc95d393f20276f655744190000709e0301d8e266cf8c0c918a580",
         "theory_generror.csv": "23f3e8a7363f6a7344b1eb2e1653455ca6be93ccbe635af2504b3c329f4e6e12",
         "run_seed000.json": "5051d423f4c310293df9326ddfccf996b743577c6d82c7b6a09de6a10a07f164",
     },

@@ -80,6 +80,74 @@ def test_edge_sub_point_retries_after_a_failed_first_level(monkeypatch):
     assert abs(curve.mass - clean.mass) <= 1e-9
 
 
+def recorded_solves(monkeypatch, fail=None):
+    """Record (paths, starts, results) of every `solve_paths` call of the spectrum; a solve ending at the
+    z `fail` gives a NonConvergenceError instead."""
+    solve, calls = sp.solve_paths, []
+
+    def recorded(problem, paths, starts):
+        results = solve(problem, paths, starts)
+        for i, path in enumerate(paths):
+            if path[-1] == fail:
+                results[i] = de.NonConvergenceError("forced")
+        calls.append((paths, starts, results))
+        return results
+
+    monkeypatch.setattr(sp, "solve_paths", recorded)
+    return calls
+
+
+def secant(x1, x2):
+    """The third level's start X2 + t (X2 - X1), t = (eps3 - eps2) / (eps2 - eps1), as (V, nu, b)."""
+    e1, e2, e3 = sp.DEFAULT_EPS_SCHEDULE
+    t = (e3 - e2) / (e2 - e1)
+    return tuple(a2 + t * (a2 - a1) for a1, a2 in ((x1.V, x2.V), (x1.nu, x2.nu), (x1.b, x2.b)))
+
+
+def third_level_starts(calls, lams):
+    """{lambda: (start, its own converged states at the first two levels)} of the batched third-level solves."""
+    e1, e2, e3 = sp.DEFAULT_EPS_SCHEDULE
+    own = {}
+    for paths, _, results in calls:
+        for path, result in zip(paths, results):
+            if isinstance(result, de.FixedPointState):
+                own[path[-1]] = result
+    batch = [(path[-1].real, start) for paths, starts, _ in calls for path, start in zip(paths, starts)
+             if path == [complex(path[-1].real, e3)] and start is not None and path[-1].real in lams]
+    return {lam: (start, own.get(complex(lam, e1)), own.get(complex(lam, e2))) for lam, start in batch}
+
+
+def test_third_level_starts_at_the_eps_secant(monkeypatch):
+    prob = rf_problem()
+    calls = recorded_solves(monkeypatch)
+    curve = sp.density_grid(prob, 0.5, 1.5, 40)
+    assert np.all(curve.converged)
+    starts = third_level_starts(calls, set(curve.grid))
+    assert len(starts) == 40
+    for start, x1, x2 in starts.values():
+        V, nu, b = secant(x1, x2)
+        assert np.array_equal(start.V, V) and np.array_equal(start.nu, nu) and np.array_equal(start.b, b)
+
+
+def test_point_without_a_first_level_state_starts_the_third_from_its_second(monkeypatch):
+    # an edge sub-point whose first-level solve fails gets its second level from the cell's left grid
+    # point's state: that start is not a state of its own, so its third level starts from its second
+    prob = rf_problem(alpha=2.5, beta=0.8, activation="relu")
+    clean = sp.density_grid(prob, 1e-3, 9.0, 500)
+    sub = np.setdiff1d(clean.mass_grid, clean.grid)
+    target = sub[len(sub) // 2]
+    calls = recorded_solves(monkeypatch, fail=complex(target, sp.DEFAULT_EPS_SCHEDULE[0]))
+    curve = sp.density_grid(prob, 1e-3, 9.0, 500)
+    assert np.array_equal(curve.mass_grid, clean.mass_grid)
+    starts = third_level_starts(calls, set(sub))
+    assert len(starts) == len(sub)
+    start, x1, x2 = starts.pop(target)
+    assert x1 is None and start is x2
+    for start, x1, x2 in starts.values():
+        V, nu, b = secant(x1, x2)
+        assert np.array_equal(start.b, b) and not np.array_equal(start.b, x2.b)
+
+
 def damped_levels(prob, grid, eps_schedule):
     """Im m / pi (atom removed) of the damped-Picard oracle at every eps level, swept along the grid.
 
@@ -130,6 +198,30 @@ def test_cold_batch_row_reaches_the_non_physical_root():
     assert de.solve_fixed_point(prob, z).b[0] == pytest.approx(-1.404 + 0.170j, abs=5e-3)
 
 
+def test_coarse_head_ladder_stays_on_the_physical_branch(monkeypatch):
+    # the config of the test above, where a cold start at small Im z lands on the spurious root: the segment
+    # heads come down the ladder at LADDER_FACTOR = 0.3, in 6 points to the first eps, and the whole grid
+    # stays on the branch that the damped-Picard oracle follows
+    prob = de.build_problem(get_activation("hermite2"), get_link("sin"), [1.0], [1.0], alpha=0.3, beta=3.0)
+    calls = recorded_solves(monkeypatch)
+    curve = sp.density_grid(prob, 0.001, 6.0, 400)
+    assert np.all(curve.converged)
+    heads = [path for paths, _, _ in calls for path in paths if len(path) > 1]
+    assert len(heads) == 400 // sp.SEGMENT_POINTS and all(len(path) == 6 for path in heads)
+    eps = np.array(curve.eps_schedule)[:, None]
+    im_m = curve.im_levels + curve.atom_mass * eps / (np.pi * (curve.grid**2 + eps**2))  # atom added back
+    assert np.all(im_m >= 0.0)
+    near = np.flatnonzero(np.abs(curve.grid - 2.1181) < 0.1)
+    oracle = damped_levels(prob, curve.grid[near], curve.eps_schedule)
+    assert np.max(np.abs(curve.im_levels[:, near] - oracle)) <= 1e-8
+
+
+def richardson_gap(curve):
+    """Per grid point, |extrapolant of eps levels (2, 3) - extrapolant of levels (1, 2)|, from `im_levels`."""
+    (r1, r2, r3), (e1, e2, e3) = curve.im_levels, curve.eps_schedule
+    return np.abs((r3 + (r3 - r2) * e3 / (e2 - e3)) - (r2 + (r2 - r1) * e2 / (e1 - e2)))
+
+
 def test_mp_density_against_closed_form():
     # c1 = 0 activation: bulk is exactly MP with ratio gamma = alpha/beta
     gamma = 0.5
@@ -145,6 +237,32 @@ def test_mp_density_against_closed_form():
     edges = support_edges(curve, threshold=1e-3)
     assert len(edges) == 1
     assert abs(edges[0][0] - lo) < 0.05 and abs(edges[0][1] - hi) < 0.05
+    # the gap between the two Richardson extrapolants is tiny in the bulk, and at least the true error at every
+    # point more than two grid cells from a support edge; it is largest (1.6e-2) next to the lower edge, where
+    # the eps bias of the square-root rise is not linear
+    gap = richardson_gap(curve)
+    assert curve.extrapolation_gap == {"max": gap.max(), "above": np.sum(gap > 1e-3), "bound": 1e-3}
+    bulk = (grid > lo + 0.1) & (grid < hi - 0.1)
+    assert np.median(gap) < 1e-5 and gap[bulk].max() < 5e-4
+    near_edge = np.minimum(np.abs(grid - lo), np.abs(grid - hi))
+    assert np.all(near_edge[gap > sp.GAP_BOUND] < 0.06)
+    far = near_edge > 2 * (grid[1] - grid[0])
+    assert np.all(np.abs(curve.density - mp)[far] <= gap[far])
+
+
+def test_manifest_and_compare_report_the_extrapolation_gap(tmp_path):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(TINY))
+    grid = ("--grid", "0.02:2.0:60")
+    assert cli.main(["theory-spectrum", str(config), *grid, "--out", str(tmp_path / "ts")]) == cli.EXIT_OK
+    curve = sp.density_grid(de.problem_from_config(ExperimentConfig.from_dict(TINY)), 0.02, 2.0, 60)
+    gap = richardson_gap(curve)
+    report = {"max": float(gap.max()), "above": int(np.sum(gap > 1e-3)), "bound": 1e-3}
+    assert json.loads((tmp_path / "ts" / "manifest.json").read_text())["extrapolation_gap"] == report
+    argv = ["compare", str(config), "--seeds", "1", *grid, "--out", str(tmp_path / "cmp"), "--tol-ks", "1.0"]
+    assert cli.main(argv + ["--tol-generror", "1e9"]) == cli.EXIT_OK
+    checks = {c["name"]: c for c in json.loads((tmp_path / "cmp" / "summary.json").read_text())["checks"]}
+    assert checks["spectrum_ks"]["extrapolation_gap"] == report
 
 
 def test_support_edges_and_width():

@@ -47,11 +47,8 @@ ALLOWED = set()
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
-# Dataclass fields that nothing in src/ reads yet, each with the reason it stays.
-ALLOWED_FIELDS = {
-    # tests compare each eps level with the damped oracle; ROADMAP item 9 gives it a reader
-    "DensityCurve.im_levels",
-}
+# Dataclass fields that nothing in src/ reads yet, each with the reason it stays: none.
+ALLOWED_FIELDS = set()
 
 
 def definitions_and_references(src: Path):

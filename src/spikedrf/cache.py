@@ -1,4 +1,4 @@
-"""Fixed-point cache and run manifests.
+"""Fixed-point cache.
 
 The cache is a JSON-lines file keyed by (problem digest, z).  The digest
 covers everything the fixed-point map reads (alpha, beta, rho, pi, the
@@ -17,20 +17,16 @@ write starts on a fresh line; `get` drops (and counts) a record whose state
 is not hex text of the problem's length.  Only the density grid (Im z > 0)
 uses the cache: states on z < 0 are never cached, nor the real ladder's
 settings.
-Every output artifact embeds the config hash it was produced from, and every
-manifest the package's `__version__`.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, detequiv, spectrum
+from . import detequiv, spectrum
 from .detequiv import DetEquivProblem, FixedPointState
 
 _VERSION = "spikedrf-0.3.3"  # bumped by every change of the record, or of the solver's algorithm that the constants do not show
@@ -111,27 +107,3 @@ class FixedPointCache:
                 fh.write("\n")
                 self._open_line = False
             fh.write(json.dumps({"key": key, "state": rec}) + "\n")
-
-
-@dataclass
-class RunManifest:
-    """What produced which artifacts; written next to every output set."""
-
-    config_hash: str
-    command: str
-    outputs: list = field(default_factory=list)
-    version: str = __version__
-    started: float = field(default_factory=time.time)
-    extra: dict = field(default_factory=dict)
-
-    def write(self, path: Path | str) -> None:
-        payload = {
-            "config_hash": self.config_hash,
-            "command": self.command,
-            "version": self.version,
-            "started": self.started,
-            "finished": time.time(),
-            "outputs": [str(o) for o in self.outputs],
-            **self.extra,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -3,20 +3,24 @@
 Exit codes are a stable contract: 0 success, 1 tolerance failure in a
 comparison, 2 usage or configuration error, 3 unexpected crash (traceback on
 stderr).  All randomness flows from the config seed; plotting is out of
-scope, every artifact is JSON or CSV.
+scope, every artifact is JSON or CSV.  Every output artifact embeds the
+config hash it was produced from, and every run manifest the package's
+`__version__`.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+import time
 import traceback
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import detequiv, generror, simulate, spectrum
-from .cache import FixedPointCache, RunManifest
+from . import __version__, detequiv, generror, simulate, spectrum
+from .cache import FixedPointCache
 from .model import ConfigError, ExperimentConfig, validate_config
 
 DEFAULT_KS_TOL = 0.03
@@ -34,6 +38,30 @@ EXIT_CRASH = 3
 
 class UsageError(Exception):
     pass
+
+
+@dataclass
+class RunManifest:
+    """What produced which artifacts; written next to every output set."""
+
+    config_hash: str
+    command: str
+    outputs: list = field(default_factory=list)
+    version: str = __version__
+    started: float = field(default_factory=time.time)
+    extra: dict = field(default_factory=dict)
+
+    def write(self, path: Path | str) -> None:
+        payload = {
+            "config_hash": self.config_hash,
+            "command": self.command,
+            "version": self.version,
+            "started": self.started,
+            "finished": time.time(),
+            "outputs": [str(o) for o in self.outputs],
+            **self.extra,
+        }
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _load_config(path: str) -> ExperimentConfig:

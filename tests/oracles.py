@@ -1,14 +1,15 @@
 """Reference implementations and paper formulas that only the suite uses.
 
-Scalar forms of the vectorized quadrature routines, the one-state form of
-the batched fixed-point map, the damped Picard iteration that the Anderson
-engine replaced, the conjugate of a state (the solution at the conjugate
-point, since the equations have real coefficients), the exact rho-derivatives
-tau2 and tau3 by the implicit function theorem, the dense
-(k+1+p)-square inverse of the deterministic equivalent, the empirical
-Stieltjes transform, the support edges of a density curve, the
-bulk-weight covariance diagnostic, and the label gradient with fresh
-per-chunk temporaries.
+The generic order-L Hermite coefficients and the second moment, each with
+its own evaluation of sigma (the package builds only orders 0 and 1, in one
+pass), and their scalar forms; the one-state form of the batched fixed-point
+map, the damped Picard iteration that the Anderson engine replaced, the
+conjugate of a state (the solution at the conjugate point, since the
+equations have real coefficients), the exact rho-derivatives tau2 and tau3 by
+the implicit function theorem, the dense (k+1+p)-square inverse of the
+deterministic equivalent, the empirical Stieltjes transform, the support edges
+of a density curve, the bulk-weight covariance diagnostic, and the label
+gradient with fresh per-chunk temporaries.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from typing import Callable
 
 import numpy as np
 
+from spikedrf import quadrature
 from spikedrf.detequiv import (
     DEFAULT_TOL,
     DetEquivProblem,
@@ -30,15 +32,57 @@ from spikedrf.detequiv import (
 )
 from spikedrf.generror import _variance_kernel_inverse
 from spikedrf.model import ActivationSpec, LinkSpec
-from spikedrf.quadrature import (
-    QuadratureError,
-    cached_rule,
-    hermite_basis,
-    shifted_coeffs,
-    shifted_second_moment,
-)
+from spikedrf.quadrature import QuadratureError, cached_rule
 from spikedrf.simulate import gradient_step
 from spikedrf.spectrum import DensityCurve
+
+
+def hermite_basis(x: np.ndarray, max_order: int) -> np.ndarray:
+    """Matrix H with H[i, l] = h_l(x_i) for the orthonormal h_l, l = 0..max_order.
+
+    Three-term recurrence: sqrt(l+1) h_{l+1}(x) = x h_l(x) - sqrt(l) h_{l-1}(x).
+    """
+    if max_order < 0:
+        raise ValueError("max_order must be >= 0")
+    x = np.asarray(x, dtype=float)
+    out = np.empty(x.shape + (max_order + 1,), dtype=float)
+    out[..., 0] = 1.0
+    if max_order >= 1:
+        out[..., 1] = x
+    for ell in range(1, max_order):
+        out[..., ell + 1] = (x * out[..., ell] - np.sqrt(ell) * out[..., ell - 1]) / np.sqrt(ell + 1.0)
+    return out
+
+
+def _shifted_values(sigma: Callable[[np.ndarray], np.ndarray], shifts) -> tuple:
+    """(inner rule, sigma(nodes + shift) for each shift), on the rule `quadrature.DEFAULT_INNER_NODES` names now."""
+    rule = cached_rule(quadrature.DEFAULT_INNER_NODES)
+    shifts = np.atleast_1d(np.asarray(shifts, dtype=float))
+    vals = sigma(rule.nodes[None, :] + shifts[:, None])  # (n_shift, n_nodes)
+    if not np.all(np.isfinite(vals)):
+        raise QuadratureError("activation produced non-finite values on the quadrature nodes")
+    return rule, vals
+
+
+def shifted_coeffs(sigma: Callable[[np.ndarray], np.ndarray], shifts, max_order: int) -> np.ndarray:
+    """Coefficients c_l(shift) = E_z[sigma(z + shift) h_l(z)], l = 0..max_order, shape (len(shifts), max_order + 1)."""
+    rule, vals = _shifted_values(sigma, shifts)
+    return (vals * rule.weights[None, :]) @ hermite_basis(rule.nodes, max_order)
+
+
+def shifted_second_moment(sigma: Callable[[np.ndarray], np.ndarray], shifts) -> np.ndarray:
+    """E_z[sigma(z + shift)^2] for each shift, on the inner rule."""
+    rule, vals = _shifted_values(sigma, shifts)
+    return (vals * vals) @ rule.weights
+
+
+def parseval_residual(sigma: Callable[[np.ndarray], np.ndarray], shifts) -> np.ndarray:
+    """Order->=2 Hermite mass E[sigma^2] - c0^2 - c1^2 for each shift, with the package's sign check and clip."""
+    c = shifted_coeffs(sigma, shifts, 1)
+    r = shifted_second_moment(sigma, shifts) - c[..., 0] ** 2 - c[..., 1] ** 2
+    if np.min(r) < -1e-10:
+        raise QuadratureError(f"negative residual second moment {np.min(r):.3e}; quadrature failure")
+    return np.clip(r, 0.0, None)
 
 
 def hermite_polynomial(order: int, x) -> np.ndarray | float:
@@ -68,13 +112,7 @@ def residual_second_moment(
     zeta: float,
 ) -> float:
     """Order->=2 Hermite mass of sigma(. + kappa*zeta), by Parseval difference."""
-    shift = np.array([kappa * zeta], dtype=float)
-    c = shifted_coeffs(sigma, shift, 1)[0]
-    m2 = shifted_second_moment(sigma, shift)[0]
-    r = float(m2 - c[0] ** 2 - c[1] ** 2)
-    if r < -1e-10:
-        raise QuadratureError(f"negative residual second moment {r:.3e}; quadrature failure")
-    return max(r, 0.0)
+    return float(parseval_residual(sigma, [kappa * zeta])[0])
 
 
 def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState, printed: bool = False) -> tuple:

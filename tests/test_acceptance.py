@@ -24,13 +24,20 @@ import time
 import numpy as np
 import pytest
 
-from oracles import assemble_ge, bulk_covariance_diagnostic, damped_fixed_point, empirical_stieltjes, support_width
+from oracles import (
+    assemble_ge,
+    bulk_covariance_diagnostic,
+    damped_fixed_point,
+    empirical_stieltjes,
+    shifted_second_moment,
+    support_width,
+)
 from spikedrf import detequiv as de
 from spikedrf import generror as ge
 from spikedrf import simulate as sim
 from spikedrf import spectrum as sp
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng, sample_second_layer
-from spikedrf.quadrature import residual_table, shifted_coeffs, shifted_second_moment
+from spikedrf.quadrature import hermite_tables
 
 VOCAB_K1 = VocabularySpec((1.0,), (1.0,))
 VOCAB_K2 = VocabularySpec((1.0, -1.0), (0.9, 0.1))
@@ -456,10 +463,9 @@ def test_criterion_7_invariant_suite():
     for name in ("tanh", "relu", "erf"):
         f = get_activation(name).fn
         shifts = pairs[:, 0] * pairs[:, 1]
-        c = shifted_coeffs(f, shifts, 1)
-        r = residual_table(f, shifts)
+        c0, c1, r = (table[:, 0] for table in hermite_tables(f, shifts, [1.0]))
         m2 = shifted_second_moment(f, shifts)
-        worst = max(worst, float(np.max(np.abs(c[:, 0] ** 2 + c[:, 1] ** 2 + r - m2))))
+        worst = max(worst, float(np.max(np.abs(c0**2 + c1**2 + r - m2))))
     checks["parseval"] = worst < 1e-8
 
     # fixed-point uniqueness from two cold starts at Im z = 10

@@ -56,6 +56,8 @@ def traced_cli_run(tmp_path, *argv) -> dict:
 def test_tracer_counts_a_one_alpha_generror_run(tmp_path):
     metrics = traced_cli_run(tmp_path, "theory-generror")
     assert metrics["generror.perturbed_solves"] == 4
+    # one k=1 table build: shifted_coeffs and residual_table, each reached through the attribute the tracer patches
+    assert metrics["quadrature.calls"] == 2
     assert metrics["detequiv.cold_solves"] == 1 and metrics["detequiv.map_calls"] > 0
 
 

@@ -34,14 +34,14 @@ COMMANDS = {
 
 GOLDEN = {
     "k1": {
-        "theory_spectrum.csv": "0becfbe2f41ab78ee92ed31793c99ca8a6936ca0673d8251426c0d615d9cadaf",
-        "theory_generror.csv": "072ef1383fee67ee977f7c7313476ace6420c424b83613db44eb546263b94fd6",
-        "run_seed000.json": "6e0a4ce8278ee9daaf4c85cd78c811ab3e4dc620fb088f2bce01040615331fc8",
+        "theory_spectrum.csv": "0dec45f6623ce696880c1f62578d0e879ab458a4710878abbd0b039b5c4221ef",
+        "theory_generror.csv": "715c175aef44ea9f87db1169e9b3d143ff5d1271b03b609335c5a125ae3dc144",
+        "run_seed000.json": "261ae00af4fa697671aea337c0f76623d0dc31acc584f3a6611b843fbdcbcba6",
     },
     "k2": {
-        "theory_spectrum.csv": "22a2e43bc3bc95d393f20276f655744190000709e0301d8e266cf8c0c918a580",
-        "theory_generror.csv": "23f3e8a7363f6a7344b1eb2e1653455ca6be93ccbe635af2504b3c329f4e6e12",
-        "run_seed000.json": "5051d423f4c310293df9326ddfccf996b743577c6d82c7b6a09de6a10a07f164",
+        "theory_spectrum.csv": "02d56a93fe7092a732fe3984e88baf4e80a819ef218a1df4ffd0f9d05b56a0b0",
+        "theory_generror.csv": "7b944272fc5776ba3e7f9695e6564297b2df76d6a479dbfeb751e6400963982b",
+        "run_seed000.json": "f2038d7aa3bd8dbcfb2787a65e463a4a40929af0ae5682cfba6dcd680a3ebbd0",
     },
 }
 

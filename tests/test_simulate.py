@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bulk_covariance_diagnostic, empirical_stieltjes, label_gradient_unbuffered
+from oracles import bulk_covariance_diagnostic, empirical_stieltjes, label_gradient_unbuffered, shifted_coeffs
 from spikedrf import simulate as sim
 from spikedrf.detequiv import build_problem
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng, sample_second_layer
@@ -211,8 +211,6 @@ def test_extended_features_centering_and_symmetries():
 
 def test_group_mean_approaches_shifted_coefficient():
     # phi_bar ~ c0(kappa, zeta_u) with O(1/sqrt(d)) error, decreasing over widths
-    from spikedrf.quadrature import shifted_coeffs
-
     link = get_link("sin")
     sigma = get_activation("tanh")
     errs = []
@@ -325,8 +323,6 @@ def test_empirical_tau_trivial_and_oracle():
     a = rng.standard_normal(p)
     tau = sim.empirical_tau(a, groups, theta, W, problem)
     rule = cached_rule(201)
-    from spikedrf.quadrature import shifted_coeffs
-
     c1 = shifted_coeffs(sigma.fn, rule.nodes * zeta_u[0], 1)[:, 1]
     cbar = float(rule.weights @ c1**2)
     loop = 0.0

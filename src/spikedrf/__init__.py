@@ -10,8 +10,8 @@ __version__ = "0.3.2"  # the package's version, which every run manifest records
 
 from .model import ExperimentConfig, VocabularySpec, validate_config
 from .detequiv import DetEquivProblem, FixedPointState, problem_from_config, solve_fixed_point
-from .generror import asymptotic_generror, asymptotic_tau
-from .spectrum import DensityCurve, density_grid, stieltjes
+from .generror import asymptotic_tau
+from .spectrum import DensityCurve, density_grid
 
 __all__ = [
     "ExperimentConfig",
@@ -21,9 +21,7 @@ __all__ = [
     "FixedPointState",
     "problem_from_config",
     "solve_fixed_point",
-    "asymptotic_generror",
     "asymptotic_tau",
     "DensityCurve",
     "density_grid",
-    "stieltjes",
 ]

@@ -4,7 +4,8 @@ The cache is a JSON-lines file keyed by (problem digest, z).  The digest
 covers everything the fixed-point map reads (alpha, beta, rho, pi, the
 kappa weights, the c1 and residual tables) plus the solver settings that
 shape a converged state (`SOLVER_SETTINGS`: the ladder, the tolerance, the
-Anderson memory, mixing and ridge, the density grid's segment length) and the
+Anderson memory, mixing and ridge, the density grid's segment length and eps
+schedule, whose later levels start from the earlier levels' states) and the
 record's version `_VERSION`; so a rerun of the same theory under another seed
 or n0 reuses the file, and a changed theory or solver never reads a stale
 state.  Density grid reruns hit it for every point.  A record's `state` is the
@@ -33,7 +34,7 @@ _VERSION = "spikedrf-0.3.3"  # bumped by every change of the record, or of the s
 # the (module, constant) pairs that shape a converged state, read when a digest is taken
 SOLVER_SETTINGS = [(detequiv, name) for name in (
     "LADDER_TOP", "LADDER_FACTOR", "LADDER_FLOOR", "DEFAULT_TOL", "ANDERSON_MEMORY", "ANDERSON_MIXING", "ANDERSON_TIKHONOV",
-)] + [(spectrum, "SEGMENT_POINTS")]
+)] + [(spectrum, "SEGMENT_POINTS"), (spectrum, "DEFAULT_EPS_SCHEDULE")]
 
 
 def _problem_digest(problem: DetEquivProblem) -> str:

@@ -1,5 +1,9 @@
 """Command-line front end: simulations, theory solves, and comparison reports.
 
+`simulate`, `theory-spectrum` and `theory-generror` are one step each, and
+`compare` runs those steps, so its directory holds what they write and record.
+Every artifact is written through `RunManifest.add`, which lists it.
+
 Exit codes are a stable contract: 0 success, 1 tolerance failure in a
 comparison, 2 usage or configuration error, 3 unexpected crash (traceback on
 stderr).  All randomness flows from the config seed; plotting is out of
@@ -42,8 +46,9 @@ class UsageError(Exception):
 
 @dataclass
 class RunManifest:
-    """What produced which artifacts; written next to every output set."""
+    """What produced which artifacts of the output directory `out`; written there as manifest.json."""
 
+    out: Path
     config_hash: str
     command: str
     outputs: list = field(default_factory=list)
@@ -51,17 +56,24 @@ class RunManifest:
     started: float = field(default_factory=time.time)
     extra: dict = field(default_factory=dict)
 
-    def write(self, path: Path | str) -> None:
+    def add(self, name: str, text: str) -> Path:
+        """Write the artifact `name` into the output directory and list it."""
+        path = self.out / name
+        path.write_text(text)
+        self.outputs.append(str(path))
+        return path
+
+    def write(self) -> None:
         payload = {
             "config_hash": self.config_hash,
             "command": self.command,
             "version": self.version,
             "started": self.started,
             "finished": time.time(),
-            "outputs": [str(o) for o in self.outputs],
+            "outputs": self.outputs,
             **self.extra,
         }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+        (self.out / "manifest.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -111,25 +123,28 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _parse_grid(spec: str):
+def _three_numbers(text: str, form: str) -> tuple:
+    """(float, float, int) from `text` in the colon-separated `form`."""
     try:
-        lo, hi, pts = spec.split(":")
-        lo, hi, pts = float(lo), float(hi), int(pts)
-    except ValueError as exc:
-        raise UsageError(f"bad grid spec {spec!r}; expected min:max:points") from exc
+        lo, hi, count = text.split(":")
+        return float(lo), float(hi), int(count)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected {form}, got {text!r}") from None
+
+
+def _grid(text: str) -> tuple:
+    """A density grid min:max:points: finite max > min, points >= 2."""
+    lo, hi, pts = _three_numbers(text, "min:max:points")
     if not np.isfinite([lo, hi]).all() or hi <= lo or pts < 2:
-        raise UsageError(f"bad grid spec {spec!r}; need finite max > min and points >= 2")
+        raise argparse.ArgumentTypeError(f"need finite max > min and points >= 2, got {text!r}")
     return lo, hi, pts
 
 
-def _parse_sweep(spec: str) -> np.ndarray:
-    try:
-        lo, hi, count = spec.split(":")
-        lo, hi, count = float(lo), float(hi), int(count)
-    except ValueError as exc:
-        raise UsageError(f"bad sweep spec {spec!r}; expected start:stop:count") from exc
+def _sweep(text: str) -> np.ndarray:
+    """An alpha sweep start:stop:count, with finite stop >= start > 0 and count >= 1."""
+    lo, hi, count = _three_numbers(text, "start:stop:count")
     if not np.isfinite([lo, hi]).all() or count < 1 or hi < lo or lo <= 0:
-        raise UsageError(f"bad sweep spec {spec!r}; need finite stop >= start > 0 and count >= 1")
+        raise argparse.ArgumentTypeError(f"need finite stop >= start > 0 and count >= 1, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -176,35 +191,34 @@ def _run_seeds(config: ExperimentConfig, seeds: int, compute_spectrum: bool, job
     return results
 
 
-def cmd_simulate(args) -> int:
-    if args.eig_csv and not args.spectrum:
-        raise UsageError("--eig-csv writes the eigenvalues that --spectrum computes; pass --spectrum too")
-    config = _load_config(args.config)
-    manifest = RunManifest(config_hash=config.config_hash(), command="simulate")
-    out = _output_dir(args.out)
-    results = _run_seeds(config, args.seeds, args.spectrum, args.jobs)
+def _simulation_step(manifest: RunManifest, config, seeds: int, compute_spectrum: bool, eig_csv: bool, jobs: int):
+    """The seeds' results, written as run_seedNNN.json, with `eig_csv` eigenvalues_seedNNN.csv, and aggregate.json."""
+    results = _run_seeds(config, seeds, compute_spectrum, jobs)
     for res in results:
-        path = out / f"run_seed{res['seed_index']:03d}.json"
-        path.write_text(json.dumps(res, indent=2) + "\n")
-        manifest.outputs.append(path)
-        if args.eig_csv:
-            csv_path = out / f"eigenvalues_seed{res['seed_index']:03d}.csv"
-            csv_path.write_text("\n".join(f"{v!r}" for v in res["eigenvalues"]) + "\n")
-            manifest.outputs.append(csv_path)
+        manifest.add(f"run_seed{res['seed_index']:03d}.json", json.dumps(res, indent=2) + "\n")
+        if eig_csv:
+            manifest.add(f"eigenvalues_seed{res['seed_index']:03d}.csv", "\n".join(f"{v!r}" for v in res["eigenvalues"]) + "\n")
     mean, stderr = _mean_stderr([r["gen_error"]["mean"] for r in results])
     pooled = [v for r in results if r["eigenvalues"] for v in r["eigenvalues"]]
     aggregate = {
-        "config_hash": config.config_hash(),
-        "seeds": args.seeds,
+        "config_hash": manifest.config_hash,
+        "seeds": seeds,
         "gen_error": {"mean": mean, "stderr": stderr},
         "spike_deviation_mean": float(np.mean([r["spike_deviation"] for r in results])),
         "pooled_eigenvalue_count": len(pooled),
     }
-    agg_path = out / "aggregate.json"
-    agg_path.write_text(json.dumps(aggregate, indent=2) + "\n")
-    manifest.outputs.append(agg_path)
-    manifest.write(out / "manifest.json")
-    print(f"wrote {len(results)} run artifacts to {out}")
+    manifest.add("aggregate.json", json.dumps(aggregate, indent=2) + "\n")
+    return results
+
+
+def cmd_simulate(args) -> int:
+    if args.eig_csv and not args.spectrum:
+        raise UsageError("--eig-csv writes the eigenvalues that --spectrum computes; pass --spectrum too")
+    config = _load_config(args.config)
+    manifest = RunManifest(_output_dir(args.out), config.config_hash(), "simulate")
+    results = _simulation_step(manifest, config, args.seeds, args.spectrum, args.eig_csv, args.jobs)
+    manifest.write()
+    print(f"wrote {len(results)} run artifacts to {manifest.out}")
     return EXIT_OK
 
 
@@ -213,39 +227,37 @@ def cmd_simulate(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def _spectrum_csv(path: Path, curve: spectrum.DensityCurve, config_hash: str) -> None:
+def _spectrum_csv(curve: spectrum.DensityCurve, config_hash: str) -> str:
     header = json.dumps({"config_hash": config_hash, "eps_schedule": list(curve.eps_schedule), "atom_mass": curve.atom_mass})
     lines = [f"# {header}", "lambda,density,eps_used,converged"]
     eps_used = float(curve.eps_schedule[-1])
     for lam, rho, conv in zip(curve.grid, curve.density, curve.converged):
         lines.append(f"{float(lam)!r},{float(rho)!r},{eps_used!r},{int(conv)}")
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _spectrum_step(manifest: RunManifest, problem, grid: tuple, cache, record: dict) -> spectrum.DensityCurve:
+    """The density on `grid`, written as theory_spectrum.csv; `record` gets its convergence and solver fields."""
+    curve = spectrum.density_grid(problem, *grid, cache=cache)
+    manifest.add("theory_spectrum.csv", _spectrum_csv(curve, manifest.config_hash))
+    record.update(unconverged=int(np.sum(~curve.converged)), unconverged_reasons=curve.failures,
+                  solver=curve.solver, extrapolation_gap=curve.extrapolation_gap)
+    return curve
 
 
 def cmd_theory_spectrum(args) -> int:
     config = _load_config(args.config)
-    lo, hi, pts = _parse_grid(args.grid)
-    manifest = RunManifest(config_hash=config.config_hash(), command="theory-spectrum")
     problem = detequiv.problem_from_config(config)
     try:
         cache = FixedPointCache(args.cache, problem) if args.cache else None
     except OSError as exc:
         raise UsageError(f"cannot open cache {args.cache}: {exc.strerror or exc}") from exc
-    out = _output_dir(args.out)
-    curve = spectrum.density_grid(problem, lo, hi, pts, cache=cache)
-    csv_path = out / "theory_spectrum.csv"
-    _spectrum_csv(csv_path, curve, config.config_hash())
-    manifest.outputs.append(csv_path)
-    manifest.extra["unconverged"] = int(np.sum(~curve.converged))
-    manifest.extra["unconverged_reasons"] = curve.failures
-    manifest.extra["solver"] = curve.solver
-    manifest.extra["extrapolation_gap"] = curve.extrapolation_gap
+    manifest = RunManifest(_output_dir(args.out), config.config_hash(), "theory-spectrum")
+    curve = _spectrum_step(manifest, problem, args.grid, cache, manifest.extra)
     if cache:
-        manifest.extra["cache_hits"] = cache.hits
-        manifest.extra["cache_misses"] = cache.misses
-        manifest.extra["cache_torn_lines"] = cache.torn_lines
-    manifest.write(out / "manifest.json")
-    print(f"wrote {csv_path} ({pts} rows); bulk mass {curve.mass:.4f} + atom {curve.atom_mass:.4f}")
+        manifest.extra.update(cache_hits=cache.hits, cache_misses=cache.misses, cache_torn_lines=cache.torn_lines)
+    manifest.write()
+    print(f"wrote {manifest.outputs[-1]} ({args.grid[2]} rows); bulk mass {curve.mass:.4f} + atom {curve.atom_mass:.4f}")
     return EXIT_OK
 
 
@@ -254,7 +266,7 @@ def _cell(value) -> str:
     return "" if value is None else repr(float(value))
 
 
-def _sweep_csv(path: Path, rows: list, config_hash: str) -> None:
+def _sweep_csv(rows: list, config_hash: str) -> str:
     k = len(rows[0]["tau0"])
     tau0_cols = ",".join(f"tau0_{q+1}" for q in range(k))
     tau1_cols = ",".join(f"tau1_{q+1}" for q in range(k))
@@ -266,15 +278,15 @@ def _sweep_csv(path: Path, rows: list, config_hash: str) -> None:
         cells = [row["alpha"], row["theory"], row.get("sim_mean"), row.get("sim_stderr")]
         cells += row["tau0"] + row["tau1"] + [row["tau2"], row["tau3"]]
         lines.append(",".join(_cell(v) for v in cells))
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _theory_rows(problem: detequiv.DetEquivProblem, alphas, lam: float) -> tuple:
-    """(one CSV row per alpha, the solver summary, one {"alpha", "reason"} per failed alpha), by `generror.tau_sweep`.
+def _theory_rows(problem: detequiv.DetEquivProblem, alphas, lam: float, record: dict) -> list:
+    """One CSV row per alpha, by `generror.tau_sweep`; `record` gets the solver summary and the failed alphas.
 
-    A failed alpha's row has empty theory and tau cells.
+    A failed alpha's row has empty theory and tau cells, and one {"alpha", "reason"} in `unconverged_reasons`.
     """
-    points, solver = generror.tau_sweep(problem, alphas, lam)
+    points, record["solver"] = generror.tau_sweep(problem, alphas, lam)
     rows, failures = [], []
     for problem, tau in points:
         row = {"alpha": problem.alpha, "theory": None, "tau0": [None] * problem.k, "tau1": [None] * problem.k,
@@ -285,23 +297,20 @@ def _theory_rows(problem: detequiv.DetEquivProblem, alphas, lam: float) -> tuple
             row.update(theory=generror.expected_lambda(tau, problem), tau0=tau.tau0.tolist(), tau1=tau.tau1.tolist(),
                        tau2=tau.tau2, tau3=tau.tau3)
         rows.append(row)
-    return rows, solver, failures
+    record.update(unconverged=len(failures), unconverged_reasons=failures)
+    return rows
 
 
 def cmd_theory_generror(args) -> int:
     config = _load_config(args.config)
-    alphas = _parse_sweep(args.alpha_sweep) if args.alpha_sweep else np.array([config.alpha])
-    manifest = RunManifest(config_hash=config.config_hash(), command="theory-generror")
-    out = _output_dir(args.out)
-    rows, manifest.extra["solver"], failures = _theory_rows(detequiv.problem_from_config(config), alphas, config.lam)
-    csv_path = out / "theory_generror.csv"
-    _sweep_csv(csv_path, rows, config.config_hash())
-    manifest.outputs.append(csv_path)
-    manifest.extra["unconverged"] = len(failures)
-    manifest.extra["unconverged_reasons"] = failures
-    manifest.write(out / "manifest.json")
-    unconverged = f"; {len(failures)} of {len(rows)} alphas unconverged" if failures else ""
-    print(f"wrote {csv_path} ({len(rows)} rows){unconverged}")
+    alphas = np.array([config.alpha]) if args.alpha_sweep is None else args.alpha_sweep
+    problem = detequiv.problem_from_config(config)
+    manifest = RunManifest(_output_dir(args.out), config.config_hash(), "theory-generror")
+    rows = _theory_rows(problem, alphas, config.lam, manifest.extra)
+    csv_path = manifest.add("theory_generror.csv", _sweep_csv(rows, manifest.config_hash))
+    manifest.write()
+    failed = manifest.extra["unconverged"]
+    print(f"wrote {csv_path} ({len(rows)} rows)" + (f"; {failed} of {len(rows)} alphas unconverged" if failed else ""))
     return EXIT_OK
 
 
@@ -311,52 +320,52 @@ def cmd_theory_generror(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """The simulation step with spectra, then the spectrum step on its pooled eigenvalues and the generror step.
+
+    The manifest keeps the two theory steps' fields as its `spectrum` and `generror` blocks.  On top come the
+    pooled eigenvalues.csv, generror_compare.csv (the theory row beside the simulation's mean) and summary.json.
+    """
     config = _load_config(args.config)
-    grid = _parse_grid(args.grid) if args.grid else None
-    out = _output_dir(args.out)
+    manifest = RunManifest(_output_dir(args.out), config.config_hash(), "compare")
     checks = []
-    manifest = RunManifest(config_hash=config.config_hash(), command="compare")
 
     # each half records a RuntimeError (SimulationError, FixedPointError, a failed numerical check of the
     # theory) as a failed check and lets the other halves run; any other exception is a crash (exit 3)
     sim_results = None
     try:
-        sim_results = _run_seeds(config, args.seeds, compute_spectrum=True, jobs=args.jobs)
+        sim_results = _simulation_step(manifest, config, args.seeds, True, False, args.jobs)
         pooled = np.array([v for r in sim_results for v in r["eigenvalues"]])
-        eig_path = out / "eigenvalues.csv"
-        eig_path.write_text("\n".join(f"{v!r}" for v in pooled) + "\n")
-        manifest.outputs.append(eig_path)
+        manifest.add("eigenvalues.csv", "\n".join(f"{v!r}" for v in pooled) + "\n")
     except RuntimeError as exc:
         checks.append({"name": "simulation", "error": str(exc), "passed": False})
 
     if sim_results is not None:
         problem = detequiv.problem_from_config(config)
         try:
-            lo, hi, pts = grid or spectrum.auto_grid(pooled)
-            curve = spectrum.density_grid(problem, lo, hi, pts)
-            _spectrum_csv(out / "theory_spectrum.csv", curve, config.config_hash())
-            manifest.outputs.append(out / "theory_spectrum.csv")
+            grid = args.grid or spectrum.auto_grid(pooled)
+            record = manifest.extra["spectrum"] = {}
+            curve = _spectrum_step(manifest, problem, grid, None, record)
             ks = spectrum.ks_distance(pooled, curve)
-            unconverged = int(np.sum(~curve.converged))
-            too_many = unconverged > MAX_UNCONVERGED_FRAC * pts
+            unconverged = record["unconverged"]
+            too_many = unconverged > MAX_UNCONVERGED_FRAC * grid[2]
             check = {"name": "spectrum_ks", "value": ks, "tol": args.tol_ks, "unconverged": unconverged,
-                     "unconverged_reasons": curve.failures[:REPORTED_REASONS],
-                     "extrapolation_gap": curve.extrapolation_gap,
+                     "unconverged_reasons": record["unconverged_reasons"][:REPORTED_REASONS],
+                     "extrapolation_gap": record["extrapolation_gap"],
                      "passed": bool(ks < args.tol_ks) and not too_many}
             if too_many:
-                check["reason"] = f"{unconverged} of {pts} theory grid points unconverged (bound {MAX_UNCONVERGED_FRAC:.0%})"
+                check["reason"] = f"{unconverged} of {grid[2]} theory grid points unconverged (bound {MAX_UNCONVERGED_FRAC:.0%})"
             checks.append(check)
         except RuntimeError as exc:
             checks.append({"name": "spectrum_ks", "error": str(exc), "passed": False})
 
         try:
-            (row,), _, failures = _theory_rows(problem, [config.alpha], config.lam)
-            if failures:
-                checks.append({"name": "generror_rel_gap", "error": failures[0]["reason"], "passed": False})
+            record = manifest.extra["generror"] = {}
+            (row,) = _theory_rows(problem, [config.alpha], config.lam, record)
+            if record["unconverged_reasons"]:
+                checks.append({"name": "generror_rel_gap", "error": record["unconverged_reasons"][0]["reason"], "passed": False})
             else:
                 row["sim_mean"], row["sim_stderr"] = _mean_stderr([r["gen_error"]["mean"] for r in sim_results])
-                _sweep_csv(out / "generror_compare.csv", [row], config.config_hash())
-                manifest.outputs.append(out / "generror_compare.csv")
+                manifest.add("generror_compare.csv", _sweep_csv([row], manifest.config_hash))
                 gap = abs(row["theory"] - row["sim_mean"]) / row["sim_mean"]
                 checks.append({"name": "generror_rel_gap", "value": gap, "tol": args.tol_generror,
                                "passed": bool(gap < args.tol_generror)})
@@ -364,10 +373,9 @@ def cmd_compare(args) -> int:
             checks.append({"name": "generror_rel_gap", "error": str(exc), "passed": False})
 
     passed = bool(checks) and all(c["passed"] for c in checks)
-    summary = {"config_hash": config.config_hash(), "passed": passed, "checks": checks}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-    manifest.outputs.append(out / "summary.json")
-    manifest.write(out / "manifest.json")
+    summary = {"config_hash": manifest.config_hash, "passed": passed, "checks": checks}
+    manifest.add("summary.json", json.dumps(summary, indent=2) + "\n")
+    manifest.write()
     for c in checks:
         tail = f"value={c.get('value', float('nan')):.5g} tol={c.get('tol')}" if "value" in c else c.get("error", "")
         print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']} {tail} {c.get('reason', '')}".rstrip())
@@ -394,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     ts = sub.add_parser("theory-spectrum", help="deterministic bulk density on a grid")
     ts.add_argument("config")
-    ts.add_argument("--grid", required=True, help="min:max:points")
+    ts.add_argument("--grid", type=_grid, required=True, help="min:max:points")
     ts.add_argument("--out", default="out")
     ts.add_argument("--cache", default=None, help="fixed-point cache path (JSONL)")
     ts.set_defaults(func=cmd_theory_spectrum)
 
     tg = sub.add_parser("theory-generror", help="asymptotic test error (optionally over an alpha sweep)")
     tg.add_argument("config")
-    tg.add_argument("--alpha-sweep", default=None, help="start:stop:count")
+    tg.add_argument("--alpha-sweep", type=_sweep, default=None, help="start:stop:count")
     tg.add_argument("--out", default="out")
     tg.set_defaults(func=cmd_theory_generror)
 
@@ -409,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("config")
     cp.add_argument("--seeds", type=_positive_int, default=3)
     cp.add_argument("--out", default="out")
-    cp.add_argument("--grid", default=None, help="density grid min:max:points (default: auto from eigenvalues)")
+    cp.add_argument("--grid", type=_grid, default=None, help="density grid min:max:points (default: auto from eigenvalues)")
     cp.add_argument("--tol-ks", type=_tolerance, default=DEFAULT_KS_TOL)
     cp.add_argument("--tol-generror", type=_tolerance, default=DEFAULT_GENERROR_TOL)
     cp.add_argument("--jobs", type=_positive_int, default=1)

@@ -167,8 +167,3 @@ def expected_lambda(tau: TauSet, problem: DetEquivProblem) -> float:
     mean_part = problem.g - problem.c0 @ tau.tau0 - problem.kappa * (problem.c1 @ tau.tau1)
     spike_var = problem.c1 @ tau.tau1
     return float(problem.kappa_w @ (mean_part**2 - spike_var**2)) + tau.tau2 + tau.tau3
-
-
-def asymptotic_generror(problem: DetEquivProblem, lam: float) -> float:
-    """Deterministic test-error prediction: fixed point at -lambda, tau, then E[Lambda]."""
-    return expected_lambda(asymptotic_tau(problem, lam), problem)

@@ -214,8 +214,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
             object.__setattr__(self, name, value)
         for name, key in (("eta_tilde", "eta_tilde"), ("lam", "lambda")):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{key} must be finite, got {getattr(self, name)}")
+            value = _real(key, getattr(self, name))
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         get_activation(self.activation)
         get_link(self.link)
 
@@ -275,9 +277,9 @@ class ExperimentConfig:
             d=data["d"],
             p=data["p"],
             n=data["n"],
-            n0=_integer("n0", data["n0"]) if "n0" in data else None,
-            eta_tilde=_real("eta_tilde", data["eta_tilde"]),
-            lam=_real("lambda", data["lambda"]),
+            n0=_integer("n0", data["n0"]) if "n0" in data else None,  # an explicit null is an error, not the default
+            eta_tilde=data["eta_tilde"],
+            lam=data["lambda"],
             seed=data["seed"],
             activation=str(data["activation"]),
             link=str(data["link"]),

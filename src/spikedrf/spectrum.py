@@ -32,7 +32,6 @@ from .detequiv import (
     FixedPointError,
     FixedPointState,
     ladder,
-    solve_fixed_point,
     solve_paths,
     solver_totals,
     stieltjes_from_state,
@@ -45,11 +44,6 @@ EDGE_MASS = 1e-3  # a cell is steep when width * density change exceeds this mas
 EDGE_SPLIT = 8  # sub-cells per refined cell
 SEGMENT_POINTS = 20  # points per lockstep segment of an eps level (see `_eps_levels`)
 GAP_BOUND = 1e-3  # extrapolation gap above which `DensityCurve.extrapolation_gap` counts a grid point
-
-
-def stieltjes(problem: DetEquivProblem, z: complex) -> complex:
-    """m(z) of the bulk feature covariance from a converged fixed point."""
-    return stieltjes_from_state(problem, solve_fixed_point(problem, z))
 
 
 @dataclass

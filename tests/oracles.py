@@ -7,9 +7,11 @@ map, the damped Picard iteration that the Anderson engine replaced, the
 conjugate of a state (the solution at the conjugate point, since the
 equations have real coefficients), the exact rho-derivatives tau2 and tau3 by
 the implicit function theorem, the dense (k+1+p)-square inverse of the
-deterministic equivalent, the empirical Stieltjes transform, the support edges
-of a density curve, the bulk-weight covariance diagnostic, and the label
-gradient with fresh per-chunk temporaries.
+deterministic equivalent, the Stieltjes transform and the test-error
+prediction at a single point, each from a fresh solve, the empirical
+Stieltjes transform, the support edges of a density curve, the bulk-weight
+covariance diagnostic, and the label gradient with fresh per-chunk
+temporaries.
 """
 from __future__ import annotations
 
@@ -29,8 +31,10 @@ from spikedrf.detequiv import (
     _solve_L,
     blocks,
     fixed_point_map,
+    solve_fixed_point,
+    stieltjes_from_state,
 )
-from spikedrf.generror import _variance_kernel_inverse
+from spikedrf.generror import _variance_kernel_inverse, asymptotic_tau, expected_lambda
 from spikedrf.model import ActivationSpec, LinkSpec
 from spikedrf.quadrature import QuadratureError, cached_rule
 from spikedrf.simulate import gradient_step
@@ -252,6 +256,16 @@ def assemble_ge(problem: DetEquivProblem, state: FixedPointState, theta: np.ndar
     U[np.arange(p), groups] = theta
     M[k + 1 :, k + 1 :] = np.diag(bulk_diag_inv[groups]) + (U @ K @ U.T).astype(complex)
     return np.linalg.inv(M)
+
+
+def stieltjes(problem: DetEquivProblem, z: complex) -> complex:
+    """m(z) of the bulk feature covariance from a fresh solve at z."""
+    return stieltjes_from_state(problem, solve_fixed_point(problem, z))
+
+
+def asymptotic_generror(problem: DetEquivProblem, lam: float) -> float:
+    """Deterministic test-error prediction at one lambda: fixed point at -lambda, tau, then E[Lambda]."""
+    return expected_lambda(asymptotic_tau(problem, lam), problem)
 
 
 def empirical_stieltjes(eigs: np.ndarray, z: complex) -> complex:

@@ -26,6 +26,7 @@ import pytest
 
 from oracles import (
     assemble_ge,
+    asymptotic_generror,
     bulk_covariance_diagnostic,
     damped_fixed_point,
     empirical_stieltjes,
@@ -306,7 +307,7 @@ def fig2_results():
                 d=FIG1_D, p=FIG1_P, n=int(a * FIG1_D), eta_tilde=FIG2_ETA, lam=0.01, seed=40,
                 activation="relu", link="tanh", vocab=voc, n0=FIG2_N0_MULT * FIG1_D,
             )
-            out[tag]["theory"][a] = ge.asymptotic_generror(de.problem_from_config(cfg), cfg.lam)
+            out[tag]["theory"][a] = asymptotic_generror(de.problem_from_config(cfg), cfg.lam)
     for s in range(5):
         base = ExperimentConfig(
             d=FIG1_D, p=FIG1_P, n=FIG1_D, eta_tilde=FIG2_ETA, lam=0.01, seed=40 + s,
@@ -493,7 +494,7 @@ def test_criterion_7_invariant_suite():
         de.stieltjes_from_state(prob, de.solve_fixed_point(prob, zq))
         - de.stieltjes_from_state(split, de.solve_fixed_point(split, zq))
     )
-    e_gap = abs(ge.asymptotic_generror(prob, 0.05) - ge.asymptotic_generror(split, 0.05))
+    e_gap = abs(asymptotic_generror(prob, 0.05) - asymptotic_generror(split, 0.05))
     checks["vocab_split"] = m_gap < 1e-6 and e_gap < 1e-6
 
     # density mass (atom accounted analytically)

@@ -205,6 +205,13 @@ def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, value)
             assert spectrum_run(f"other_{name}")[1]["cache_hits"] == 0
+    # nor states under another eps schedule, whose second and later levels start from the earlier levels' states;
+    # the density they give is the uncached one under that schedule
+    with monkeypatch.context() as patch:
+        patch.setattr(spectrum, "DEFAULT_EPS_SCHEDULE", (1e-2, 4e-3, 2.5e-3))
+        rescheduled, manifest = spectrum_run("other_schedule")
+        assert manifest["cache_hits"] == 0
+        assert rescheduled == spectrum_run("other_schedule_uncached", cached=False)[0]
     # nor states of another record version, which a change of the record or the solver algorithm bumps
     with monkeypatch.context() as patch:
         patch.setattr("spikedrf.cache._VERSION", "spikedrf-0.1.0")
@@ -220,18 +227,43 @@ def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
     assert spectrum_run("older_format")[1]["cache_hits"] == 0
 
 
-def test_theory_spectrum_bad_grid(config_path, tmp_path):
-    for grid in ("2:1:50", "junk", "nan:1:5", "0:inf:5", "-inf:1:5"):
+def test_theory_spectrum_bad_grid(config_path, tmp_path, capsys):
+    for grid in ("2:1:50", "junk", "nan:1:5", "0:inf:5", "-inf:1:5", "0:1:1"):
         assert run("theory-spectrum", config_path, "--grid", grid, "--out", tmp_path / "x") == cli.EXIT_USAGE, grid
+        assert "argument --grid: " in capsys.readouterr().err, grid
         assert not (tmp_path / "x").exists()
 
 
-def test_compare_bad_grid_exits_2_before_any_work(config_path, tmp_path):
+def test_compare_bad_grid_exits_2_before_any_work(config_path, tmp_path, capsys):
     assert run("compare", config_path, "--grid", "junk", "--out", tmp_path / "cmp") == cli.EXIT_USAGE
+    assert "argument --grid: expected min:max:points" in capsys.readouterr().err
     assert not (tmp_path / "cmp").exists()
 
 
-def test_theory_generror_sweep(config_path, tmp_path, monkeypatch):
+def test_compare_runs_the_steps_of_the_other_commands(config_path, tmp_path):
+    # compare's directory holds the simulate step's artifacts as that command writes them, and its manifest
+    # the fields of the theory-spectrum and theory-generror manifests
+    grid = ("--grid", "0.02:2.0:20")
+    loose = ("--tol-ks", 1, "--tol-generror", 1e9)  # the checks are not under test here
+    assert run("compare", config_path, "--seeds", 2, *grid, *loose, "--out", tmp_path / "cmp") == cli.EXIT_OK
+    assert run("simulate", config_path, "--seeds", 2, "--spectrum", "--out", tmp_path / "sim") == cli.EXIT_OK
+    assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / "ts") == cli.EXIT_OK
+    assert run("theory-generror", config_path, "--out", tmp_path / "tg") == cli.EXIT_OK
+    for name in ("run_seed000.json", "run_seed001.json", "aggregate.json"):
+        assert (tmp_path / "cmp" / name).read_bytes() == (tmp_path / "sim" / name).read_bytes(), name
+    manifest = json.loads((tmp_path / "cmp" / "manifest.json").read_text())
+    spectrum_manifest = json.loads((tmp_path / "ts" / "manifest.json").read_text())
+    generror_manifest = json.loads((tmp_path / "tg" / "manifest.json").read_text())
+    assert manifest["spectrum"] == {key: spectrum_manifest[key]
+                                    for key in ("unconverged", "unconverged_reasons", "solver", "extrapolation_gap")}
+    assert manifest["generror"] == {key: generror_manifest[key] for key in ("solver", "unconverged", "unconverged_reasons")}
+    listed = [Path(path).name for path in manifest["outputs"]]
+    assert listed == ["run_seed000.json", "run_seed001.json", "aggregate.json", "eigenvalues.csv",
+                      "theory_spectrum.csv", "generror_compare.csv", "summary.json"]
+    assert sorted(path.name for path in (tmp_path / "cmp").iterdir()) == sorted(listed + ["manifest.json"])
+
+
+def test_theory_generror_sweep(config_path, tmp_path, monkeypatch, capsys):
     rows = [0]
     fixed_point_map = detequiv.fixed_point_map
 
@@ -254,8 +286,10 @@ def test_theory_generror_sweep(config_path, tmp_path, monkeypatch):
     assert "tau0_1" in header and "tau2" in header
     alphas = [float(l.split(",")[0]) for l in lines[2:]]
     assert alphas == pytest.approx(list(np.linspace(0.5, 4, 8)))
-    for sweep in ("4:0.5:8", "-1:1:3", "0:1:2", "nan:1:2", "0.5:inf:2"):
+    capsys.readouterr()
+    for sweep in ("4:0.5:8", "-1:1:3", "0:1:2", "nan:1:2", "0.5:inf:2", "0.5:2:0", "junk"):
         assert run("theory-generror", config_path, "--alpha-sweep", sweep, "--out", tmp_path / "bad") == cli.EXIT_USAGE, sweep
+        assert "argument --alpha-sweep: " in capsys.readouterr().err, sweep
         assert not (tmp_path / "bad").exists()
 
 

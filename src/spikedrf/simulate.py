@@ -12,27 +12,34 @@ tau2/tau3 read the perturbation kernels of the theory's `DetEquivProblem`.
 features stay inside it, and the centered bulk is built only when the
 spectrum is asked for.
 
-Memory: X0 and the drawn test points are held whole; beyond them the
-gradient step keeps one reused (chunk, p) buffer and the Monte Carlo test
-error one `ROW_BLOCK`-row block of features, so no temporary grows with n0
-or with the test points times p.
+Memory: X0 is held whole; beyond it the gradient step keeps one reused
+(chunk, p) buffer, so no temporary grows with n0.  The test error is exact
+and draws nothing: it holds the unit rows of W1, (p, quadrature nodes)
+tables and one (GRAM_ROWS, p) tile of the row correlations and its power,
+so its memory is linear in p.
 
 All randomness flows from a counter-based generator, so identical seeds give
 bit-identical runs regardless of thread schedule.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detequiv import DetEquivProblem, problem_from_config
 from .model import ActivationSpec, ExperimentConfig, LinkSpec, make_rng, sample_second_layer
+from .quadrature import split_rule
 
-DEFAULT_TEST_POINTS = 10_000
-# rows per elementwise block in the gradient step and the test error: a (ROW_BLOCK, p) temporary is
-# 16 MB at p = 2048, small next to a step's chunk buffer, and 16 blocks per chunk add no visible call overhead
+# rows per elementwise block in the gradient step: a (ROW_BLOCK, p) temporary is 16 MB at p = 2048, small
+# next to a step's chunk buffer, and 16 blocks per chunk add no visible call overhead
 ROW_BLOCK = 1024
+# rows per tile of the row correlations in the test error: a (64, 2048) tile and its power stay in L2 through
+# the series; 1024-row tiles made the correlations and their series 1.8x slower at p = 2048
+GRAM_ROWS = 64
+# each Hermite series of the test error stops at the order L with rho^L <= SERIES_TOL
+SERIES_TOL = 1e-12
 
 
 class SimulationError(RuntimeError):
@@ -185,19 +192,60 @@ def empirical_generror(
     link: LinkSpec,
     w_star: np.ndarray,
     sigma: ActivationSpec,
-    rng: np.random.Generator,
-):
-    """Monte Carlo estimate of E[(y_new - f(x_new))^2] over DEFAULT_TEST_POINTS fresh samples, with its standard error.
+) -> float:
+    """Exact test error E_x[(g(kappa) - f(x))^2] of the network (W1, a_hat) over x ~ N(0, I_d): no sampling.
 
-    The test points are drawn at once; the predictions are formed `ROW_BLOCK` rows at a time, so
-    beyond the drawn points only one block of features and the prediction vector are alive.
+    With s_j = ||w_j||, r_j = w_j^T w* / s_j, R the correlation matrix of the rows of W1, and c_l(s), g_l the
+    orthonormal Hermite coefficients of sigma(s .) and of g, the error is
+
+        E[g^2] - (2/sqrt(p)) sum_j a_j sum_l g_l c_l(s_j) r_j^l + (1/p) sum_jj' a_j a_j' K_jj',
+
+    with K_jj = E[sigma(s_j z)^2] and, by Mehler's formula, K_jj' = sum_l c_l(s_j) c_l(s_j') R_jj'^l off the
+    diagonal (O'Donnell 2014, ch. 11).  Every expectation is taken on `quadrature.split_rule`, so sigma may
+    have a kink at 0 and nowhere else.  The cross series stops at the order L with rho^L <= SERIES_TOL for
+    rho = max |r_j|, and the series of each `GRAM_ROWS`-row tile of R at the one for rho = the tile's largest
+    |R_jj'|: by Cauchy-Schwarz a tail is at most rho^L times the norms of its two coefficient vectors.  A
+    correlation whose L is beyond the orders the rule integrates exactly is a SimulationError.
     """
-    X, y, _ = sample_data(DEFAULT_TEST_POINTS, W1.shape[1], w_star, link, rng)
-    pred = np.empty(DEFAULT_TEST_POINTS)
-    for b in range(0, DEFAULT_TEST_POINTS, ROW_BLOCK):
-        pred[b:b + ROW_BLOCK] = sigma.fn(X[b:b + ROW_BLOCK] @ W1.T) @ a_hat
-    resid = (y - pred / np.sqrt(len(a_hat))) ** 2
-    return float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(DEFAULT_TEST_POINTS))
+    if any(kink != 0.0 for kink in sigma.kink_points):
+        raise SimulationError(f"activation '{sigma.name}' has a kink away from 0: {sigma.kink_points}")
+    rule = split_rule()
+    max_order = rule.basis.shape[1] - 1
+    p = len(a_hat)
+    s = np.linalg.norm(W1, axis=1)
+    unit = W1 / s[:, None]
+    r = unit @ w_star
+
+    vals = sigma.fn(s[:, None] * rule.nodes[None, :])  # sigma(s_j z) on the nodes, (p, nodes)
+    ac = a_hat[:, None] * ((vals * rule.weights) @ rule.basis)  # a_j c_l(s_j)
+    g_vals = link.fn(rule.nodes)
+    g = (g_vals * rule.weights) @ rule.basis
+    order = _series_order(np.max(np.abs(r)), max_order)
+    cross = np.sum(ac[:, :order + 1] * g[:order + 1] * r[:, None] ** np.arange(order + 1))
+
+    # the diagonal exactly, then the pairs j < j', each counted twice: order 0 here, the rest tile by tile
+    quad = (a_hat * a_hat) @ ((vals * vals) @ rule.weights) + ac[:, 0].sum() ** 2 - ac[:, 0] @ ac[:, 0]
+    for start in range(0, p, GRAM_ROWS):
+        rows = slice(start, min(start + GRAM_ROWS, p))
+        corr = unit[rows] @ unit[start:].T
+        corr[np.tril_indices(len(corr))] = 0.0
+        power = np.ones_like(corr)
+        for ell in range(1, _series_order(np.max(np.abs(corr)), max_order) + 1):
+            power *= corr
+            quad += 2.0 * (ac[rows, ell] @ (power @ ac[start:, ell]))
+    return float((g_vals * g_vals) @ rule.weights - 2.0 * cross / math.sqrt(p) + quad / p)
+
+
+def _series_order(rho: float, max_order: int) -> int:
+    """The smallest order L with rho^L <= SERIES_TOL; a SimulationError if it exceeds `max_order`."""
+    if rho == 0.0:
+        return 0
+    if rho < 1.0:
+        order = math.ceil(math.log(SERIES_TOL) / math.log(rho))
+        if order <= max_order:
+            return order
+    raise SimulationError(f"correlation {rho:.6g} needs a Hermite series beyond order {max_order}, "
+                          "the highest the test error's quadrature rule integrates exactly")
 
 
 @dataclass
@@ -275,10 +323,9 @@ def bulk_spectrum(phi_tilde: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RunResult:
-    """The observables of one seed: test error, order parameters, bulk spectrum, spike deviation."""
+    """The observables of one seed: exact test error, order parameters, bulk spectrum, spike deviation."""
 
     gen_error: float
-    gen_error_stderr: float
     tau: TauSet
     spike_dev: float
     eigenvalues: np.ndarray | None = None
@@ -307,8 +354,8 @@ def run_experiment(
     eigs = bulk_spectrum(extended_features(phi, layer.group_sizes)[1]) if compute_spectrum else None
     a_hat = ridge_fit(phi, y, config.lam)
 
-    err, stderr = empirical_generror(a_hat, W1, link, w_star, sigma, rng)
+    err = empirical_generror(a_hat, W1, link, w_star, sigma)
     tau = empirical_tau(a_hat, layer.groups, W0 @ w_star, W0, problem_from_config(config))
     # the surrogate W0 + u w*^T with the theory's spike law u_j = spike_vocabulary[g(j)]
     dev = spike_deviation(W1, W0 + np.outer(config.spike_vocabulary()[layer.groups], w_star))
-    return RunResult(gen_error=err, gen_error_stderr=stderr, tau=tau, spike_dev=dev, eigenvalues=eigs)
+    return RunResult(gen_error=err, tau=tau, spike_dev=dev, eigenvalues=eigs)

@@ -10,8 +10,9 @@ the implicit function theorem, the dense (k+1+p)-square inverse of the
 deterministic equivalent, the Stieltjes transform and the test-error
 prediction at a single point, each from a fresh solve, the empirical
 Stieltjes transform, the support edges of a density curve, the bulk-weight
-covariance diagnostic, and the label gradient with fresh per-chunk
-temporaries.
+covariance diagnostic, the label gradient with fresh per-chunk
+temporaries, and the Monte Carlo test error that the exact one replaced,
+with a run that reports both.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from spikedrf import quadrature
+from spikedrf import quadrature, simulate
 from spikedrf.detequiv import (
     DEFAULT_TOL,
     DetEquivProblem,
@@ -36,26 +37,11 @@ from spikedrf.detequiv import (
 )
 from spikedrf.generror import _variance_kernel_inverse, asymptotic_tau, expected_lambda
 from spikedrf.model import ActivationSpec, LinkSpec
-from spikedrf.quadrature import QuadratureError, cached_rule
-from spikedrf.simulate import gradient_step
+from spikedrf.quadrature import QuadratureError, cached_rule, hermite_basis
+from spikedrf.simulate import ROW_BLOCK, gradient_step, sample_data
 from spikedrf.spectrum import DensityCurve
 
-
-def hermite_basis(x: np.ndarray, max_order: int) -> np.ndarray:
-    """Matrix H with H[i, l] = h_l(x_i) for the orthonormal h_l, l = 0..max_order.
-
-    Three-term recurrence: sqrt(l+1) h_{l+1}(x) = x h_l(x) - sqrt(l) h_{l-1}(x).
-    """
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape + (max_order + 1,), dtype=float)
-    out[..., 0] = 1.0
-    if max_order >= 1:
-        out[..., 1] = x
-    for ell in range(1, max_order):
-        out[..., ell + 1] = (x * out[..., ell] - np.sqrt(ell) * out[..., ell - 1]) / np.sqrt(ell + 1.0)
-    return out
+DEFAULT_TEST_POINTS = 10_000
 
 
 def _shifted_values(sigma: Callable[[np.ndarray], np.ndarray], shifts) -> tuple:
@@ -346,3 +332,49 @@ def label_gradient_unbuffered(W0: np.ndarray, X0: np.ndarray, y0: np.ndarray, si
         sl = slice(start, min(start + chunk, n0))
         grad += (sigma.deriv(X0[sl] @ W0.T) * y0[sl, None]).T @ X0[sl]
     return grad
+
+
+def monte_carlo_generror(
+    a_hat: np.ndarray,
+    W1: np.ndarray,
+    link: LinkSpec,
+    w_star: np.ndarray,
+    sigma: ActivationSpec,
+    rng: np.random.Generator,
+):
+    """Monte Carlo estimate of E[(y_new - f(x_new))^2] over DEFAULT_TEST_POINTS fresh samples, with its standard error.
+
+    The test points are drawn at once; the predictions are formed `ROW_BLOCK` rows at a time, so
+    beyond the drawn points only one block of features and the prediction vector are alive.
+    """
+    X, y, _ = sample_data(DEFAULT_TEST_POINTS, W1.shape[1], w_star, link, rng)
+    pred = np.empty(DEFAULT_TEST_POINTS)
+    for b in range(0, DEFAULT_TEST_POINTS, ROW_BLOCK):
+        pred[b:b + ROW_BLOCK] = sigma.fn(X[b:b + ROW_BLOCK] @ W1.T) @ a_hat
+    resid = (y - pred / np.sqrt(len(a_hat))) ** 2
+    return float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(DEFAULT_TEST_POINTS))
+
+
+def run_with_monte_carlo(monkeypatch, config, seed_index: int) -> tuple:
+    """(`simulate.run_experiment`'s result, the Monte Carlo (error, SE) of the network it trained).
+
+    The network is the one whose exact test error the run takes.  The Monte Carlo draws from the run's own
+    generator after the run: the exact error draws nothing and nothing after it draws, so these are the
+    test points the run drew when its test error was a Monte Carlo.
+    """
+    captured = {}
+    make_rng, exact = simulate.make_rng, simulate.empirical_generror
+
+    def recording_rng(*args):
+        captured["rng"] = make_rng(*args)
+        return captured["rng"]
+
+    def recording_error(*args):
+        captured["network"] = args
+        return exact(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(simulate, "make_rng", recording_rng)
+        patch.setattr(simulate, "empirical_generror", recording_error)
+        result = simulate.run_experiment(config, seed_index)
+    return result, monte_carlo_generror(*captured["network"], captured["rng"])

@@ -30,6 +30,7 @@ from oracles import (
     bulk_covariance_diagnostic,
     damped_fixed_point,
     empirical_stieltjes,
+    run_with_monte_carlo,
     shifted_second_moment,
     support_width,
 )
@@ -102,7 +103,7 @@ def evaluate_pretrained(config, seed_index, pretrained):
     rng = make_rng(config.seed, 1_000_000 + seed_index)
     X, y, _ = sim.sample_data(config.n, config.d, w_star, link, rng)
     a_hat = sim.ridge_fit(sim.features(W1, X, sigma), y, config.lam)
-    err, _ = sim.empirical_generror(a_hat, W1, link, w_star, sigma, rng)
+    err = sim.empirical_generror(a_hat, W1, link, w_star, sigma)
     tau = sim.empirical_tau(a_hat, layer.groups, W0 @ w_star, W0, de.problem_from_config(config))
     return err, tau.tau0
 
@@ -410,9 +411,13 @@ def test_criterion_5b_five_percent_everywhere(fig2_results):
 # --------------------------------------------------------------------------- #
 
 
-def test_criterion_6_plugin_consistency():
+def test_criterion_6_plugin_consistency(monkeypatch):
     """E_kappa[Lambda(tau_hat)] vs the Monte Carlo error of the same network,
-    three configurations, 3 seeds each, within 3 combined standard errors."""
+    three configurations, 3 seeds each, within 3 combined standard errors.
+
+    The report adds the gap to the run's exact error in seed-only standard
+    errors: 4.2 on tanh/sin k=1, where the trained layer's deviation from the
+    spiked surrogate, which tau_hat does not see, outgrows the seed spread."""
     t0 = time.time()
     configs = [
         (
@@ -435,15 +440,19 @@ def test_criterion_6_plugin_consistency():
     details = []
     for name, cfg in configs:
         prob = de.problem_from_config(cfg)
-        diffs, ses = [], []
+        diffs, ses, exact_diffs = [], [], []
         for s in range(3):
-            res = sim.run_experiment(cfg, s)
-            diffs.append(ge.expected_lambda(res.tau, prob) - res.gen_error)
-            ses.append(res.gen_error_stderr)
+            res, (mc_error, mc_se) = run_with_monte_carlo(monkeypatch, cfg, s)
+            plugin = ge.expected_lambda(res.tau, prob)
+            diffs.append(plugin - mc_error)
+            ses.append(mc_se)
+            exact_diffs.append(plugin - res.gen_error)
         mean_diff = float(np.mean(diffs))
         se_comb = float(np.sqrt(np.mean(ses) ** 2 / len(diffs) + np.var(diffs, ddof=1) / len(diffs)))
         ok &= abs(mean_diff) < 3 * se_comb
-        details.append(f"{name}: {mean_diff:+.4f} ({abs(mean_diff) / se_comb:.2f} SE)")
+        exact_se = float(np.std(exact_diffs, ddof=1) / np.sqrt(len(exact_diffs)))
+        details.append(f"{name}: {mean_diff:+.4f} ({abs(mean_diff) / se_comb:.2f} SE; exact "
+                       f"{np.mean(exact_diffs):+.4f}, {abs(np.mean(exact_diffs)) / exact_se:.2f} seed-only SE)")
     report("6", ok, "; ".join(details) + f" [{time.time() - t0:.0f}s]")
     assert ok
 

@@ -261,6 +261,17 @@ def test_compare_runs_the_steps_of_the_other_commands(config_path, tmp_path):
     assert listed == ["run_seed000.json", "run_seed001.json", "aggregate.json", "eigenvalues.csv",
                       "theory_spectrum.csv", "generror_compare.csv", "summary.json"]
     assert sorted(path.name for path in (tmp_path / "cmp").iterdir()) == sorted(listed + ["manifest.json"])
+    # the pooled eigenvalues are one plain float per line, those of the run files in seed order
+    pooled = [float(line) for line in (tmp_path / "cmp" / "eigenvalues.csv").read_text().splitlines()]
+    runs = [json.loads((tmp_path / "cmp" / f"run_seed{i:03d}.json").read_text()) for i in range(2)]
+    assert pooled == runs[0]["eigenvalues"] + runs[1]["eigenvalues"]
+    # the generror check carries the theory value and each seed's test error with their spread
+    (check,) = [c for c in json.loads((tmp_path / "cmp" / "summary.json").read_text())["checks"]
+                if c["name"] == "generror_rel_gap"]
+    errors = [r["gen_error"]["mean"] for r in runs]
+    assert check["seed_errors"] == errors and check["seed_spread"] == float(np.std(errors, ddof=1))
+    theory = float((tmp_path / "tg" / "theory_generror.csv").read_text().splitlines()[2].split(",")[1])
+    assert check["theory"] == theory and check["value"] == abs(theory - np.mean(errors)) / np.mean(errors)
 
 
 def test_theory_generror_sweep(config_path, tmp_path, monkeypatch, capsys):

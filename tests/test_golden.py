@@ -36,12 +36,12 @@ GOLDEN = {
     "k1": {
         "theory_spectrum.csv": "0dec45f6623ce696880c1f62578d0e879ab458a4710878abbd0b039b5c4221ef",
         "theory_generror.csv": "715c175aef44ea9f87db1169e9b3d143ff5d1271b03b609335c5a125ae3dc144",
-        "run_seed000.json": "261ae00af4fa697671aea337c0f76623d0dc31acc584f3a6611b843fbdcbcba6",
+        "run_seed000.json": "26716f5a7b2aba84e62c2087ef2270b4db5d17c6d18ed6885269b4d803b1211c",
     },
     "k2": {
         "theory_spectrum.csv": "02d56a93fe7092a732fe3984e88baf4e80a819ef218a1df4ffd0f9d05b56a0b0",
         "theory_generror.csv": "7b944272fc5776ba3e7f9695e6564297b2df76d6a479dbfeb751e6400963982b",
-        "run_seed000.json": "f2038d7aa3bd8dbcfb2787a65e463a4a40929af0ae5682cfba6dcd680a3ebbd0",
+        "run_seed000.json": "69db7b3d57a9ba9b544277ca799ea59271104cbe99f846bb94dceee5a01e1cff",
     },
 }
 

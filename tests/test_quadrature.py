@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    hermite_basis,
     hermite_polynomial,
     parseval_residual,
     residual_second_moment,
@@ -16,7 +15,7 @@ from oracles import (
 )
 from spikedrf import quadrature
 from spikedrf.model import ACTIVATIONS, get_activation
-from spikedrf.quadrature import QuadratureError, cached_rule, gauss_hermite_rule, hermite_tables
+from spikedrf.quadrature import QuadratureError, cached_rule, gauss_hermite_rule, hermite_basis, hermite_tables
 
 
 def test_rule_normalization_and_moments():

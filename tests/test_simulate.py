@@ -4,11 +4,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import bulk_covariance_diagnostic, empirical_stieltjes, label_gradient_unbuffered, shifted_coeffs
+from oracles import (
+    DEFAULT_TEST_POINTS,
+    bulk_covariance_diagnostic,
+    empirical_stieltjes,
+    label_gradient_unbuffered,
+    monte_carlo_generror,
+    shifted_coeffs,
+)
+from spikedrf import quadrature
 from spikedrf import simulate as sim
 from spikedrf.detequiv import build_problem
-from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng, sample_second_layer
-from spikedrf.quadrature import cached_rule
+from spikedrf.model import (
+    ActivationSpec,
+    ExperimentConfig,
+    LinkSpec,
+    VocabularySpec,
+    get_activation,
+    get_link,
+    make_rng,
+    sample_second_layer,
+)
+from spikedrf.quadrature import cached_rule, split_rule
 
 
 def unit_vector(d, rng):
@@ -123,17 +140,22 @@ def test_label_gradient_memory_is_one_chunk_buffer():
         assert peak <= 8 * (chunk * p + 4 * sim.ROW_BLOCK * p + 3 * p * d), activation
 
 
-def test_empirical_generror_memory_does_not_scale_with_test_points_times_p(monkeypatch):
-    # beyond the drawn test points: a few (ROW_BLOCK, p) blocks and a few length-N vectors, never an (N, p) array
-    rng = make_rng(14)
-    d, p = 8, 512
+def spiked_network(activation, p=240, d=60, spike=1.0, seed=16):
+    """(a_hat, W1, w_star, sigma): rows W0_j + spike w*, W0 uniform on the sphere, a random readout of size ~1."""
+    rng = make_rng(seed)
     w = unit_vector(d, rng)
-    W1 = sim.sample_first_layer(p, d, rng)
-    a_hat = rng.standard_normal(p)
-    for n_test in (sim.DEFAULT_TEST_POINTS, 2 * sim.DEFAULT_TEST_POINTS):
-        monkeypatch.setattr(sim, "DEFAULT_TEST_POINTS", n_test)
-        _, peak = traced_peak(sim.empirical_generror, a_hat, W1, get_link("sin"), w, get_activation("relu"), rng)
-        assert peak - 8 * n_test * d <= 8 * (3 * sim.ROW_BLOCK * p + 16 * n_test), n_test
+    W1 = sim.sample_first_layer(p, d, rng) + spike * w
+    return rng.standard_normal(p), W1, w, get_activation(activation)
+
+
+def test_empirical_generror_memory_is_linear_in_p():
+    # beyond its inputs: (p, nodes) tables of sigma and its coefficients and one (GRAM_ROWS, p) tile, never (p, p)
+    split_rule()  # built once per process, outside the trace
+    peaks = []
+    for p in (512, 1024):
+        a_hat, W1, w, sigma = spiked_network("relu", p=p, d=64, spike=0.3)
+        peaks.append(traced_peak(sim.empirical_generror, a_hat, W1, get_link("sin"), w, sigma)[1])
+    assert peaks[1] <= 2 * peaks[0], peaks
 
 
 def test_gradient_step_is_zero_for_zero_labels():
@@ -263,25 +285,18 @@ def test_ridge_primal_dual_agreement_and_optimality():
     assert np.linalg.norm(grad) < 1e-8 * (1 + np.linalg.norm(a_dual))
 
 
-def test_empirical_generror_null_predictor_and_scaling(monkeypatch):
-    rng = make_rng(10)
-    d, p = 30, 12
-    w = unit_vector(d, rng)
-    W1 = sim.sample_first_layer(p, d, rng)
-    sigma, link = get_activation("tanh"), get_link("sin")
-    # null predictor: error = E[sin^2] = (1 - e^-2)/2, oracle by quadrature
-    rule = cached_rule(127)
-    oracle = float(rule.weights @ np.sin(rule.nodes) ** 2)
-    assert abs(oracle - (1 - np.exp(-2)) / 2) < 1e-12
-    monkeypatch.setattr(sim, "DEFAULT_TEST_POINTS", 40_000)
-    err, se = sim.empirical_generror(np.zeros(p), W1, link, w, sigma, make_rng(10, 1))
-    assert abs(err - oracle) < 3 * se
-    monkeypatch.setattr(sim, "DEFAULT_TEST_POINTS", 160_000)
-    err2, se2 = sim.empirical_generror(np.zeros(p), W1, link, w, sigma, make_rng(10, 2))
-    assert se2 < 0.65 * se  # roughly halves
+def test_empirical_generror_null_predictor_and_scaling():
+    a_hat, W1, w, sigma = spiked_network("tanh")
+    link = get_link("sin")
+    # null predictor: error = E[sin^2] = (1 - e^-2)/2
+    assert abs(sim.empirical_generror(np.zeros(len(a_hat)), W1, link, w, sigma) - (1 - np.exp(-2)) / 2) < 1e-14
+    # the error is E[g^2] - 2 t B + t^2 Q in the readout's scale t: E(2a) from E(0), E(a) and E(-a)
+    e0, e_plus, e_minus = (sim.empirical_generror(t * a_hat, W1, link, w, sigma) for t in (0.0, 1.0, -1.0))
+    quad, lin = (e_plus + e_minus) / 2 - e0, (e_minus - e_plus) / 4
+    assert sim.empirical_generror(2 * a_hat, W1, link, w, sigma) == pytest.approx(e0 - 4 * lin + 4 * quad, rel=1e-12)
 
 
-def test_empirical_generror_is_bit_equal_to_the_one_shot_expression():
+def test_monte_carlo_oracle_is_bit_equal_to_the_one_shot_expression():
     # DEFAULT_TEST_POINTS is not a multiple of ROW_BLOCK, so the last block is short
     rng = make_rng(15)
     d, p = 20, 40
@@ -289,10 +304,63 @@ def test_empirical_generror_is_bit_equal_to_the_one_shot_expression():
     W1 = sim.sample_first_layer(p, d, rng)
     a_hat = rng.standard_normal(p)
     sigma, link = get_activation("tanh"), get_link("sin")
-    X, y, _ = sim.sample_data(sim.DEFAULT_TEST_POINTS, d, w, link, make_rng(15, 1))
+    X, y, _ = sim.sample_data(DEFAULT_TEST_POINTS, d, w, link, make_rng(15, 1))
     resid = (y - sigma.fn(X @ W1.T) @ a_hat / np.sqrt(p)) ** 2
-    expected = (float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(sim.DEFAULT_TEST_POINTS)))
-    assert sim.empirical_generror(a_hat, W1, link, w, sigma, make_rng(15, 1)) == expected
+    expected = (float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(DEFAULT_TEST_POINTS)))
+    assert monte_carlo_generror(a_hat, W1, link, w, sigma, make_rng(15, 1)) == expected
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "erf"])
+def test_empirical_generror_within_3_se_of_50_monte_carlo_draws(activation):
+    a_hat, W1, w, sigma = spiked_network(activation)
+    link = get_link("sin")
+    draws = [monte_carlo_generror(a_hat, W1, link, w, sigma, make_rng(17, i))[0] for i in range(50)]
+    exact = sim.empirical_generror(a_hat, W1, link, w, sigma)
+    assert abs(exact - np.mean(draws)) < 3 * np.std(draws, ddof=1) / np.sqrt(len(draws))
+
+
+def arccos_kernel(s, t, rho):
+    """E[relu(s z) relu(t z')] for standard normals of correlation rho (Cho & Saul 2009)."""
+    rho = np.clip(rho, -1.0, 1.0)
+    return s * t / (2 * np.pi) * (np.sqrt(1 - rho * rho) + (np.pi - np.arccos(rho)) * rho)
+
+
+def arcsin_kernel(s, t, rho):
+    """E[erf(s z) erf(t z')] for standard normals of correlation rho."""
+    return 2 / np.pi * np.arcsin(2 * s * t * rho / np.sqrt((1 + 2 * s * s) * (1 + 2 * t * t)))
+
+
+@pytest.mark.parametrize("activation, kernel", [("relu", arccos_kernel), ("erf", arcsin_kernel)])
+def test_empirical_generror_matches_the_closed_form_kernels(activation, kernel):
+    # the link is the activation itself, so the cross term is the same kernel at scales (1, s_j), correlation r_j
+    a_hat, W1, w, sigma = spiked_network(activation)
+    p = len(a_hat)
+    s = np.linalg.norm(W1, axis=1)
+    unit = W1 / s[:, None]
+    K = kernel(s[:, None], s[None, :], unit @ unit.T)
+    np.fill_diagonal(K, kernel(s, s, np.ones(p)))
+    closed = kernel(1.0, 1.0, 1.0) - 2 * a_hat @ kernel(1.0, s, unit @ w) / np.sqrt(p) + a_hat @ K @ a_hat / p
+    exact = sim.empirical_generror(a_hat, W1, LinkSpec(activation, sigma.fn), w, sigma)
+    assert abs(exact - closed) <= 1e-10 * closed
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+def test_empirical_generror_does_not_move_when_the_rule_doubles(activation, monkeypatch):
+    a_hat, W1, w, sigma = spiked_network(activation)
+    before = sim.empirical_generror(a_hat, W1, get_link("sin"), w, sigma)
+    monkeypatch.setattr(quadrature, "SPLIT_NODES", 2 * quadrature.SPLIT_NODES)
+    assert abs(sim.empirical_generror(a_hat, W1, get_link("sin"), w, sigma) - before) <= 1e-12
+
+
+def test_empirical_generror_refuses_what_its_rule_cannot_integrate():
+    a_hat, W1, w, sigma = spiked_network("relu")
+    shifted = ActivationSpec("shifted_relu", lambda x: np.maximum(x - 0.5, 0.0), lambda x: (x > 0.5).astype(float), (0.5,))
+    with pytest.raises(sim.SimulationError, match="kink away from 0"):
+        sim.empirical_generror(a_hat, W1, get_link("sin"), w, shifted)
+    # two rows at correlation 0.99 need order ~2750, beyond the exact orders of the rule
+    W1[1] = 0.99 * W1[0] / np.linalg.norm(W1[0]) + np.sqrt(1 - 0.99**2) * unit_vector(W1.shape[1], make_rng(18))
+    with pytest.raises(sim.SimulationError, match="correlation 0.99"):
+        sim.empirical_generror(a_hat, W1, get_link("sin"), w, sigma)
 
 
 def test_empirical_generror_realizable_linear():
@@ -369,7 +437,7 @@ def test_bulk_covariance_diagnostic_trivials():
 def test_run_experiment_deterministic(tiny_config):
     r1 = sim.run_experiment(tiny_config, 0, compute_spectrum=True)
     r2 = sim.run_experiment(tiny_config, 0, compute_spectrum=True)
-    assert r1.gen_error == r2.gen_error and r1.gen_error_stderr == r2.gen_error_stderr
+    assert r1.gen_error == r2.gen_error
     assert np.array_equal(r1.tau.tau0, r2.tau.tau0) and np.array_equal(r1.tau.tau1, r2.tau.tau1)
     assert r1.tau.tau2 == r2.tau.tau2 and r1.tau.tau3 == r2.tau.tau3
     assert np.array_equal(r1.eigenvalues, r2.eigenvalues)

@@ -31,6 +31,10 @@ needs Hermite coefficients up to order ~200 of activations with a kink at 0,
 where a Gauss-Hermite rule converges slowly.  `split_rule` is a Gauss-Legendre
 rule on each side of the kink, with the Gaussian density in its weights, and
 carries the Hermite basis up to the highest order it integrates exactly.
+Those orders reach correlations up to ~0.88; `correlated_expectation` takes
+E[f(a z1) g(b z2)] at any correlation in [-1, 1] as a two-dimensional
+integral, with a Gauss-Legendre rule on each sector between the rays where
+z1 or z2 vanishes.
 """
 from __future__ import annotations
 
@@ -47,11 +51,19 @@ DEFAULT_OUTER_NODES = 201
 RESCALE_EVERY = 16
 # `split_rule`: SPLIT_NODES Gauss-Legendre nodes on each of [-SPLIT_WIDTH, 0] and [0, SPLIT_WIDTH].  The width
 # bounds the exact orders, since h_l oscillates out to |z| ~ sqrt(4l + 2): this rule integrates h_0..h_215
-# exactly, enough for every correlation up to 0.879 (see `simulate.empirical_generror`)
+# exactly, enough for the series of every correlation up to 0.879 (see `simulate.empirical_generror`)
 SPLIT_NODES = 256
 SPLIT_WIDTH = 32.0
 # an order is integrated exactly when the rule's Gram matrix of h_0..h_order is the identity to this
 GRAM_TOL = 1e-12
+# `correlated_expectation`: BIVARIATE_NODES Gauss-Legendre nodes in the angle on each of the four sectors and in
+# the radius on [0, BIVARIATE_RADIUS], beyond which the Gaussian mass is e^-72.  64 x 64 is within 3e-14 relative
+# of the closed forms (relu, erf, sin) and of a 160 x 240 rule for every built-in activation and link at scales
+# up to 4; 48 x 64 leaves 6e-14, 32 x 64 4e-10
+BIVARIATE_NODES = 64
+BIVARIATE_RADIUS = 12.0
+# pairs per batch of `correlated_expectation`: 32 pairs x 4 sectors x 64 x 64 nodes are 4 MB per temporary
+BIVARIATE_BATCH = 32
 
 
 class QuadratureError(ValueError):
@@ -194,3 +206,36 @@ def hermite_tables(
         c0[:, q], c1[:, q] = c[:, 0], c[:, 1]
         resid[:, q] = residual_table(vals, c)
     return c0, c1, resid
+
+
+def correlated_expectation(f, g, a, b, corr) -> np.ndarray:
+    """E[f(a z1) g(b z2)] for standard normals z1, z2 of correlation `corr`, elementwise over a, b and corr.
+
+    f and g may have a kink at 0 and nowhere else.  In polar coordinates of the whitened pair, z1 = r cos(t) and
+    z2 = r cos(t - alpha) with alpha = arccos(corr), under the density r exp(-r^2/2) / (2 pi).  The rays where z1
+    or z2 vanishes cut the circle into four sectors, of widths alpha, pi - alpha, alpha and pi - alpha, on each of
+    which f and g are smooth in t and in r; a Gauss-Legendre product rule on each sector therefore converges fast
+    at every correlation, +-1 included, where the Mehler series needs ~27.6 / (1 - |corr|) terms for 1e-12.
+    """
+    from numpy.polynomial.legendre import leggauss  # 4 ms to import, so not at start-up
+
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(corr))
+    a, b, corr = (np.broadcast_to(np.asarray(v, dtype=float), shape).ravel() for v in (a, b, corr))
+    x, w = leggauss(BIVARIATE_NODES)
+    frac, frac_w = (x + 1.0) / 2.0, w / 2.0
+    r = BIVARIATE_RADIUS * frac
+    r_w = BIVARIATE_RADIUS * frac_w * r * np.exp(-r * r / 2.0) / (2.0 * math.pi)
+    alpha = np.arccos(np.clip(corr, -1.0, 1.0))
+    starts = np.stack([np.full_like(alpha, math.pi / 2), math.pi / 2 + alpha,
+                       np.full_like(alpha, 1.5 * math.pi), 1.5 * math.pi + alpha], axis=1)
+    widths = np.stack([alpha, math.pi - alpha, alpha, math.pi - alpha], axis=1)
+    out = np.empty(len(alpha))
+    for start in range(0, len(out), BIVARIATE_BATCH):
+        sl = slice(start, start + BIVARIATE_BATCH)
+        t = (starts[sl, :, None] + widths[sl, :, None] * frac).reshape(len(alpha[sl]), -1)  # (pairs, 4 sectors x nodes)
+        t_w = (widths[sl, :, None] * frac_w).reshape(len(t), -1)
+        z1 = np.cos(t)[:, :, None] * r
+        z2 = np.cos(t - alpha[sl, None])[:, :, None] * r
+        vals = f(a[sl, None, None] * z1) * g(b[sl, None, None] * z2)
+        out[sl] = np.einsum("pt,ptr,r->p", t_w, vals, r_w)
+    return out.reshape(shape)

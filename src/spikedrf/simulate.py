@@ -16,7 +16,8 @@ Memory: X0 is held whole; beyond it the gradient step keeps one reused
 (chunk, p) buffer, so no temporary grows with n0.  The test error is exact
 and draws nothing: it holds the unit rows of W1, (p, quadrature nodes)
 tables and one (GRAM_ROWS, p) tile of the row correlations and its power,
-so its memory is linear in p.
+plus, for a tile's pairs beyond the series' reach, their indices and one
+fixed-size batch of the two-dimensional rule, so its memory is linear in p.
 
 All randomness flows from a counter-based generator, so identical seeds give
 bit-identical runs regardless of thread schedule.
@@ -30,7 +31,7 @@ import numpy as np
 
 from .detequiv import DetEquivProblem, problem_from_config
 from .model import ActivationSpec, ExperimentConfig, LinkSpec, make_rng, sample_second_layer
-from .quadrature import split_rule
+from .quadrature import correlated_expectation, split_rule
 
 # rows per elementwise block in the gradient step: a (ROW_BLOCK, p) temporary is 16 MB at p = 2048, small
 # next to a step's chunk buffer, and 16 blocks per chunk add no visible call overhead
@@ -205,12 +206,15 @@ def empirical_generror(
     have a kink at 0 and nowhere else.  The cross series stops at the order L with rho^L <= SERIES_TOL for
     rho = max |r_j|, and the series of each `GRAM_ROWS`-row tile of R at the one for rho = the tile's largest
     |R_jj'|: by Cauchy-Schwarz a tail is at most rho^L times the norms of its two coefficient vectors.  A
-    correlation whose L is beyond the orders the rule integrates exactly is a SimulationError.
+    correlation beyond the reach of the rule's orders (rho^L > SERIES_TOL at its last order, rho > ~0.88) leaves
+    the series: its term, E[sigma(s_j z) g(z')] or K_jj', is the two-dimensional integral
+    `quadrature.correlated_expectation`, at a cost per such pair or row.
     """
     if any(kink != 0.0 for kink in sigma.kink_points):
         raise SimulationError(f"activation '{sigma.name}' has a kink away from 0: {sigma.kink_points}")
     rule = split_rule()
     max_order = rule.basis.shape[1] - 1
+    reach = SERIES_TOL ** (1.0 / max_order)  # the largest correlation whose series ends within the rule's orders
     p = len(a_hat)
     s = np.linalg.norm(W1, axis=1)
     unit = W1 / s[:, None]
@@ -220,8 +224,11 @@ def empirical_generror(
     ac = a_hat[:, None] * ((vals * rule.weights) @ rule.basis)  # a_j c_l(s_j)
     g_vals = link.fn(rule.nodes)
     g = (g_vals * rule.weights) @ rule.basis
-    order = _series_order(np.max(np.abs(r)), max_order)
-    cross = np.sum(ac[:, :order + 1] * g[:order + 1] * r[:, None] ** np.arange(order + 1))
+    far = np.abs(r) > reach
+    order = _series_order(np.max(np.abs(r[~far]), initial=0.0), max_order)
+    cross = np.sum(ac[~far, :order + 1] * g[:order + 1] * r[~far, None] ** np.arange(order + 1))
+    if far.any():
+        cross += a_hat[far] @ correlated_expectation(sigma.fn, link.fn, s[far], 1.0, r[far])
 
     # the diagonal exactly, then the pairs j < j', each counted twice: order 0 here, the rest tile by tile
     quad = (a_hat * a_hat) @ ((vals * vals) @ rule.weights) + ac[:, 0].sum() ** 2 - ac[:, 0] @ ac[:, 0]
@@ -229,6 +236,13 @@ def empirical_generror(
         rows = slice(start, min(start + GRAM_ROWS, p))
         corr = unit[rows] @ unit[start:].T
         corr[np.tril_indices(len(corr))] = 0.0
+        far = np.abs(corr) > reach
+        if far.any():  # K_jj' of these pairs, less the order-0 term counted above
+            i, k = np.nonzero(far)
+            i, k = i + start, k + start
+            kern = correlated_expectation(sigma.fn, sigma.fn, s[i], s[k], corr[far])
+            quad += 2.0 * ((a_hat[i] * a_hat[k]) @ kern - ac[i, 0] @ ac[k, 0])
+            corr[far] = 0.0
         power = np.ones_like(corr)
         for ell in range(1, _series_order(np.max(np.abs(corr)), max_order) + 1):
             power *= corr
@@ -237,15 +251,10 @@ def empirical_generror(
 
 
 def _series_order(rho: float, max_order: int) -> int:
-    """The smallest order L with rho^L <= SERIES_TOL; a SimulationError if it exceeds `max_order`."""
+    """The smallest order L with rho^L <= SERIES_TOL, at most `max_order` (which a rho within reach needs at most)."""
     if rho == 0.0:
         return 0
-    if rho < 1.0:
-        order = math.ceil(math.log(SERIES_TOL) / math.log(rho))
-        if order <= max_order:
-            return order
-    raise SimulationError(f"correlation {rho:.6g} needs a Hermite series beyond order {max_order}, "
-                          "the highest the test error's quadrature rule integrates exactly")
+    return min(max_order, math.ceil(math.log(SERIES_TOL) / math.log(rho)))
 
 
 @dataclass

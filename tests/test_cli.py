@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spikedrf
-from spikedrf import cli, detequiv, generror, simulate, spectrum
+from spikedrf import cli, detequiv, generror, quadrature, simulate, spectrum
 from spikedrf.detequiv import FixedPointError
 
 REPO = Path(__file__).resolve().parents[1]
@@ -150,6 +150,24 @@ def test_simulate_artifacts_and_determinism(config_path, tmp_path):
     assert len(run0["eigenvalues"]) == TINY["p"]
     manifest = json.loads((out1 / "manifest.json").read_text())
     assert manifest["command"] == "simulate" and manifest["outputs"]
+
+
+def test_simulate_takes_correlations_beyond_the_series_reach(tmp_path, monkeypatch):
+    # at d = 8 a few hundred row pairs of W1 are correlated beyond the split rule's orders (up to 0.98); the exact
+    # error takes them by the two-dimensional rule instead of refusing the network
+    sizes = []
+
+    def counted(f, g, a, b, corr):
+        sizes.append(np.size(corr))
+        return quadrature.correlated_expectation(f, g, a, b, corr)
+
+    monkeypatch.setattr(simulate, "correlated_expectation", counted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**TINY, "d": 8, "p": 512, "n": 400}))
+    assert run("simulate", path, "--out", tmp_path / "out") == 0
+    gen_error = json.loads((tmp_path / "out" / "run_seed000.json").read_text())["gen_error"]
+    assert np.isfinite(gen_error["mean"]) and gen_error["mean"] > 0 and gen_error["stderr"] == 0.0
+    assert sum(sizes) > 100
 
 
 def test_theory_spectrum_rows_and_cache(config_path, tmp_path):

@@ -14,8 +14,16 @@ from oracles import (
     shifted_second_moment,
 )
 from spikedrf import quadrature
-from spikedrf.model import ACTIVATIONS, get_activation
-from spikedrf.quadrature import QuadratureError, cached_rule, gauss_hermite_rule, hermite_basis, hermite_tables
+from spikedrf.model import ACTIVATIONS, get_activation, get_link
+from spikedrf.quadrature import (
+    QuadratureError,
+    cached_rule,
+    correlated_expectation,
+    gauss_hermite_rule,
+    hermite_basis,
+    hermite_tables,
+    split_rule,
+)
 
 
 def test_rule_normalization_and_moments():
@@ -183,6 +191,32 @@ def test_node_doubling_stability(monkeypatch):
             c1 = shifted_coeffs(tanh.fn, outer.nodes * 0.8, 1)[:, 1]
             vals.append(float(outer.weights @ (c1**2 / (1.0 + 0.3 * outer.nodes**2 / (1 + outer.nodes**2)))))
         assert abs(vals[0] - vals[1]) < 1e-9
+
+
+def test_correlated_expectation_matches_closed_forms_at_every_correlation():
+    # relu (arc-cosine), erf (arcsine) and sin kernels, from anticorrelated to identical pairs
+    corr = np.array([-1.0, -0.999999, -0.93, -0.3, 0.0, 0.5, 0.88, 0.95, 0.9999, 1.0])
+    s, t = np.linspace(0.3, 4.0, len(corr)), np.linspace(3.5, 0.5, len(corr))
+    alpha = np.arccos(corr)
+    cases = {
+        "relu": s * t / (2 * np.pi) * (np.sin(alpha) + (np.pi - alpha) * corr),
+        "erf": 2 / np.pi * np.arcsin(2 * s * t * corr / np.sqrt((1 + 2 * s * s) * (1 + 2 * t * t))),
+        "sin": np.exp(-(s * s + t * t) / 2) * np.sinh(s * t * corr),
+    }
+    for name, closed in cases.items():
+        f = get_activation(name).fn
+        assert np.max(np.abs(correlated_expectation(f, f, s, t, corr) - closed)) <= 1e-13 * max(1.0, np.max(closed)), name
+
+
+def test_correlated_expectation_is_the_mehler_series_within_its_reach():
+    # where the series on the split rule converges (|corr| <= 0.85, 215 orders), the two-dimensional rule agrees
+    rule = split_rule()
+    sigma, link = get_activation("tanh").fn, get_link("sign_smooth").fn
+    corr, s = np.array([-0.85, -0.4, 0.2, 0.7, 0.85]), np.array([0.5, 1.0, 2.0, 3.0, 1.5])
+    c = (sigma(s[:, None] * rule.nodes) * rule.weights) @ rule.basis
+    g = (link(rule.nodes) * rule.weights) @ rule.basis
+    series = np.sum(c * g * corr[:, None] ** np.arange(rule.basis.shape[1]), axis=1)
+    assert np.max(np.abs(correlated_expectation(sigma, link, s, 1.0, corr) - series)) <= 1e-13
 
 
 def test_hermite_tables_match_per_entry_evaluation():

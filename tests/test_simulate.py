@@ -148,6 +148,20 @@ def spiked_network(activation, p=240, d=60, spike=1.0, seed=16):
     return rng.standard_normal(p), W1, w, get_activation(activation)
 
 
+def far_network(activation):
+    """`spiked_network` at d = 4, with rows at correlation exactly 1 and -1 and a row along w*.
+
+    In four dimensions thousands of row pairs and dozens of rows are correlated beyond the reach of the split
+    rule's orders, so every kind of term of the exact error leaves the series.
+    """
+    a_hat, W1, w, sigma = spiked_network(activation, d=4)
+    W1[3], W1[5], W1[6] = 1.7 * W1[2], -W1[4], 2.0 * w
+    reach = sim.SERIES_TOL ** (1.0 / (split_rule().basis.shape[1] - 1))
+    unit = W1 / np.linalg.norm(W1, axis=1, keepdims=True)
+    assert np.sum(np.abs(np.triu(unit @ unit.T, 1)) > reach) > 1000 and np.sum(np.abs(unit @ w) > reach) > 10
+    return a_hat, W1, w, sigma
+
+
 def test_empirical_generror_memory_is_linear_in_p():
     # beyond its inputs: (p, nodes) tables of sigma and its coefficients and one (GRAM_ROWS, p) tile, never (p, p)
     split_rule()  # built once per process, outside the trace
@@ -310,9 +324,10 @@ def test_monte_carlo_oracle_is_bit_equal_to_the_one_shot_expression():
     assert monte_carlo_generror(a_hat, W1, link, w, sigma, make_rng(15, 1)) == expected
 
 
+@pytest.mark.parametrize("network", [spiked_network, far_network])
 @pytest.mark.parametrize("activation", ["relu", "tanh", "erf"])
-def test_empirical_generror_within_3_se_of_50_monte_carlo_draws(activation):
-    a_hat, W1, w, sigma = spiked_network(activation)
+def test_empirical_generror_within_3_se_of_50_monte_carlo_draws(activation, network):
+    a_hat, W1, w, sigma = network(activation)
     link = get_link("sin")
     draws = [monte_carlo_generror(a_hat, W1, link, w, sigma, make_rng(17, i))[0] for i in range(50)]
     exact = sim.empirical_generror(a_hat, W1, link, w, sigma)
@@ -330,10 +345,11 @@ def arcsin_kernel(s, t, rho):
     return 2 / np.pi * np.arcsin(2 * s * t * rho / np.sqrt((1 + 2 * s * s) * (1 + 2 * t * t)))
 
 
+@pytest.mark.parametrize("network", [spiked_network, far_network])
 @pytest.mark.parametrize("activation, kernel", [("relu", arccos_kernel), ("erf", arcsin_kernel)])
-def test_empirical_generror_matches_the_closed_form_kernels(activation, kernel):
+def test_empirical_generror_matches_the_closed_form_kernels(activation, kernel, network):
     # the link is the activation itself, so the cross term is the same kernel at scales (1, s_j), correlation r_j
-    a_hat, W1, w, sigma = spiked_network(activation)
+    a_hat, W1, w, sigma = network(activation)
     p = len(a_hat)
     s = np.linalg.norm(W1, axis=1)
     unit = W1 / s[:, None]
@@ -344,11 +360,12 @@ def test_empirical_generror_matches_the_closed_form_kernels(activation, kernel):
     assert abs(exact - closed) <= 1e-10 * closed
 
 
+@pytest.mark.parametrize("network, nodes", [(spiked_network, "SPLIT_NODES"), (far_network, "BIVARIATE_NODES")])
 @pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_empirical_generror_does_not_move_when_the_rule_doubles(activation, monkeypatch):
-    a_hat, W1, w, sigma = spiked_network(activation)
+def test_empirical_generror_does_not_move_when_the_rule_doubles(activation, network, nodes, monkeypatch):
+    a_hat, W1, w, sigma = network(activation)
     before = sim.empirical_generror(a_hat, W1, get_link("sin"), w, sigma)
-    monkeypatch.setattr(quadrature, "SPLIT_NODES", 2 * quadrature.SPLIT_NODES)
+    monkeypatch.setattr(quadrature, nodes, 2 * getattr(quadrature, nodes))
     assert abs(sim.empirical_generror(a_hat, W1, get_link("sin"), w, sigma) - before) <= 1e-12
 
 
@@ -357,10 +374,6 @@ def test_empirical_generror_refuses_what_its_rule_cannot_integrate():
     shifted = ActivationSpec("shifted_relu", lambda x: np.maximum(x - 0.5, 0.0), lambda x: (x > 0.5).astype(float), (0.5,))
     with pytest.raises(sim.SimulationError, match="kink away from 0"):
         sim.empirical_generror(a_hat, W1, get_link("sin"), w, shifted)
-    # two rows at correlation 0.99 need order ~2750, beyond the exact orders of the rule
-    W1[1] = 0.99 * W1[0] / np.linalg.norm(W1[0]) + np.sqrt(1 - 0.99**2) * unit_vector(W1.shape[1], make_rng(18))
-    with pytest.raises(sim.SimulationError, match="correlation 0.99"):
-        sim.empirical_generror(a_hat, W1, get_link("sin"), w, sigma)
 
 
 def test_empirical_generror_realizable_linear():

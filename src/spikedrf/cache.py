@@ -2,22 +2,23 @@
 
 The cache is a JSON-lines file keyed by (problem digest, z).  The digest
 covers everything the fixed-point map reads (alpha, beta, rho, pi, the
-kappa weights, the c1 and residual tables) plus the solver settings that
-shape a converged state (`SOLVER_SETTINGS`: the ladder, the tolerance, the
-Anderson memory, mixing and ridge, the density grid's segment length and eps
-schedule, whose later levels start from the earlier levels' states) and the
-record's version `_VERSION`; so a rerun of the same theory under another seed
-or n0 reuses the file, and a changed theory or solver never reads a stale
-state.  Density grid reruns hit it for every point.  A record's `state` is the
-hex text of one little-endian complex128 vector [z, V (row-major), nu, b,
-residual], k*k + 2k + 2 numbers that round-trip every bit.  A file may hold
-the records of several problems; loading keeps only this problem's.  A writer
-killed mid-line leaves a torn line; loading skips (and counts) every line that
-is not a record (an object with a string `key` and a `state`), and the next
-write starts on a fresh line; `get` drops (and counts) a record whose state
-is not hex text of the problem's length.  Only the density grid (Im z > 0)
-uses the cache: states on z < 0 are never cached, nor the real ladder's
-settings.
+kappa weights, the c1 and residual tables) and everything else that shapes
+a converged state: the source of `detequiv`, `spectrum` and this module (the
+solver, the density grid's eps levels, whose later levels start from the
+earlier levels' states, and the record format), and the values of every
+upper-case constant of `detequiv` and `spectrum` as the process sees them.
+So a rerun of the same theory under another seed or n0 reuses the file, and
+a changed theory, solver or record never reads a stale state, with no list
+of settings or version to keep by hand.  Density grid reruns hit it for
+every point.  A record's `state` is the hex text of one little-endian
+complex128 vector [z, V (row-major), nu, b, residual], k*k + 2k + 2 numbers
+that round-trip every bit.  A file may hold the records of several problems;
+loading keeps only this problem's.  A writer killed mid-line leaves a torn
+line; loading skips (and counts) every line that is not a record (an object
+with a string `key` and a `state`), and the next write starts on a fresh
+line; `get` drops (and counts) a record whose state is not hex text of the
+problem's length.  Only the density grid (Im z > 0) uses the cache: states
+on z < 0 are never cached, nor the real ladder's settings.
 """
 from __future__ import annotations
 
@@ -30,19 +31,16 @@ import numpy as np
 from . import detequiv, spectrum
 from .detequiv import DetEquivProblem, FixedPointState
 
-_VERSION = "spikedrf-0.3.3"  # bumped by every change of the record, or of the solver's algorithm that the constants do not show
-# the (module, constant) pairs that shape a converged state, read when a digest is taken
-SOLVER_SETTINGS = [(detequiv, name) for name in (
-    "LADDER_TOP", "LADDER_FACTOR", "LADDER_FLOOR", "DEFAULT_TOL", "ANDERSON_MEMORY", "ANDERSON_MIXING", "ANDERSON_TIKHONOV",
-)] + [(spectrum, "SEGMENT_POINTS"), (spectrum, "DEFAULT_EPS_SCHEDULE")]
-
 
 def _problem_digest(problem: DetEquivProblem) -> str:
-    """Digest of the theory content the fixed-point map reads, plus the solver settings."""
+    """Digest of the theory content the fixed-point map reads, the solver's source and its constants."""
     h = hashlib.sha256()
-    settings = [_VERSION] + [getattr(module, name) for module, name in SOLVER_SETTINGS]
+    for source in (detequiv.__file__, spectrum.__file__, __file__):
+        h.update(Path(source).read_bytes())
+    constants = sorted((name, repr(value)) for module in (detequiv, spectrum)
+                       for name, value in vars(module).items() if name.isupper())
     scalars = [problem.alpha, problem.beta, list(problem.rho), list(problem.c1.shape)]
-    h.update(json.dumps(settings + scalars).encode())
+    h.update(json.dumps([constants, scalars]).encode())
     for arr in (problem.pi, problem.kappa_w, problem.c1, problem.resid):
         h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
     return h.hexdigest()[:16]

@@ -191,13 +191,11 @@ def _run_seeds(config: ExperimentConfig, seeds: int, compute_spectrum: bool, job
     return results
 
 
-def _simulation_step(manifest: RunManifest, config, seeds: int, compute_spectrum: bool, eig_csv: bool, jobs: int):
-    """The seeds' results, written as run_seedNNN.json, with `eig_csv` eigenvalues_seedNNN.csv, and aggregate.json."""
+def _simulation_step(manifest: RunManifest, config, seeds: int, compute_spectrum: bool, jobs: int):
+    """The seeds' results, written as run_seedNNN.json, and aggregate.json."""
     results = _run_seeds(config, seeds, compute_spectrum, jobs)
     for res in results:
         manifest.add(f"run_seed{res['seed_index']:03d}.json", json.dumps(res, indent=2) + "\n")
-        if eig_csv:
-            manifest.add(f"eigenvalues_seed{res['seed_index']:03d}.csv", "\n".join(f"{v!r}" for v in res["eigenvalues"]) + "\n")
     mean, stderr = _mean_stderr([r["gen_error"]["mean"] for r in results])
     pooled = [v for r in results if r["eigenvalues"] for v in r["eigenvalues"]]
     aggregate = {
@@ -212,11 +210,9 @@ def _simulation_step(manifest: RunManifest, config, seeds: int, compute_spectrum
 
 
 def cmd_simulate(args) -> int:
-    if args.eig_csv and not args.spectrum:
-        raise UsageError("--eig-csv writes the eigenvalues that --spectrum computes; pass --spectrum too")
     config = _load_config(args.config)
     manifest = RunManifest(_output_dir(args.out), config.config_hash(), "simulate")
-    results = _simulation_step(manifest, config, args.seeds, args.spectrum, args.eig_csv, args.jobs)
+    results = _simulation_step(manifest, config, args.seeds, args.spectrum, args.jobs)
     manifest.write()
     print(f"wrote {len(results)} run artifacts to {manifest.out}")
     return EXIT_OK
@@ -335,7 +331,7 @@ def cmd_compare(args) -> int:
     # theory) as a failed check and lets the other halves run; any other exception is a crash (exit 3)
     sim_results = None
     try:
-        sim_results = _simulation_step(manifest, config, args.seeds, True, False, args.jobs)
+        sim_results = _simulation_step(manifest, config, args.seeds, True, args.jobs)
         pooled = np.array([v for r in sim_results for v in r["eigenvalues"]])
         manifest.add("eigenvalues.csv", "\n".join(f"{v!r}" for v in pooled.tolist()) + "\n")
     except RuntimeError as exc:
@@ -401,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--seeds", type=_positive_int, default=1)
     sim.add_argument("--out", default="out")
     sim.add_argument("--spectrum", action="store_true", help="also record bulk eigenvalues")
-    sim.add_argument("--eig-csv", action="store_true", help="also write the eigenvalues as CSV, one per line (needs --spectrum)")
     sim.add_argument("--jobs", type=_positive_int, default=1)
     sim.set_defaults(func=cmd_simulate)
 

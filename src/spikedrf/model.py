@@ -83,41 +83,28 @@ class LinkSpec(_GaussianMoments):
 
 _SQRT6 = math.sqrt(6.0)
 
-ACTIVATIONS: Dict[str, ActivationSpec] = {}
-LINKS: Dict[str, LinkSpec] = {}
-
-
-def register_activation(spec: ActivationSpec) -> ActivationSpec:
-    ACTIVATIONS[spec.name] = spec
-    return spec
-
-
-def register_link(spec: LinkSpec) -> LinkSpec:
-    LINKS[spec.name] = spec
-    return spec
-
 
 def _erf(x):
     from scipy.special import erf  # the one activation that needs scipy; imported on first use
     return erf(x)
 
 
-register_activation(ActivationSpec("relu", lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(float), kink_points=(0.0,)))
-register_activation(ActivationSpec("erf", _erf, lambda x: 2.0 / np.sqrt(np.pi) * np.exp(-(x**2))))
-register_activation(ActivationSpec("tanh", np.tanh, lambda x: 1.0 / np.cosh(x) ** 2))
-register_activation(ActivationSpec("sin", np.sin, np.cos))
-register_activation(ActivationSpec("identity", lambda x: x, lambda x: np.ones_like(x)))
-register_activation(
-    ActivationSpec("hermite2", lambda x: (x**2 - 1.0) / math.sqrt(2.0), lambda x: x * math.sqrt(2.0))
-)
-register_activation(
-    ActivationSpec("hermite3", lambda x: (x**3 - 3.0 * x) / _SQRT6, lambda x: (3.0 * x**2 - 3.0) / _SQRT6)
-)
-
-register_link(LinkSpec("tanh", np.tanh))
-register_link(LinkSpec("sin", np.sin))
-register_link(LinkSpec("sign_smooth", lambda x: np.tanh(5.0 * x)))
-register_link(LinkSpec("identity", lambda x: x))
+# the catalogues, by name; a new activation or link is one more entry
+ACTIVATIONS: Dict[str, ActivationSpec] = {spec.name: spec for spec in (
+    ActivationSpec("relu", lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(float), kink_points=(0.0,)),
+    ActivationSpec("erf", _erf, lambda x: 2.0 / np.sqrt(np.pi) * np.exp(-(x**2))),
+    ActivationSpec("tanh", np.tanh, lambda x: 1.0 / np.cosh(x) ** 2),
+    ActivationSpec("sin", np.sin, np.cos),
+    ActivationSpec("identity", lambda x: x, lambda x: np.ones_like(x)),
+    ActivationSpec("hermite2", lambda x: (x**2 - 1.0) / math.sqrt(2.0), lambda x: x * math.sqrt(2.0)),
+    ActivationSpec("hermite3", lambda x: (x**3 - 3.0 * x) / _SQRT6, lambda x: (3.0 * x**2 - 3.0) / _SQRT6),
+)}
+LINKS: Dict[str, LinkSpec] = {spec.name: spec for spec in (
+    LinkSpec("tanh", np.tanh),
+    LinkSpec("sin", np.sin),
+    LinkSpec("sign_smooth", lambda x: np.tanh(5.0 * x)),
+    LinkSpec("identity", lambda x: x),
+)}
 
 
 def get_activation(name: str) -> ActivationSpec:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spikedrf
+from spikedrf import cache as fixed_point_cache
 from spikedrf import cli, detequiv, generror, quadrature, simulate, spectrum
 from spikedrf.detequiv import FixedPointError
 
@@ -127,10 +128,10 @@ def test_compare_tolerance_not_finite_and_positive_exits_2(config_path, tmp_path
     assert not (tmp_path / "o").exists()
 
 
-def test_eig_csv_without_spectrum_exits_2(config_path, tmp_path, capsys):
-    # without --spectrum there are no eigenvalues to write, so the flag would do nothing
-    assert run("simulate", config_path, "--eig-csv", "--out", tmp_path / "o") == cli.EXIT_USAGE
-    assert "--spectrum" in capsys.readouterr().err
+def test_eig_csv_is_an_unknown_option(config_path, tmp_path, capsys):
+    # each seed's eigenvalues are in its run_seedNNN.json; there is no second copy to ask for
+    assert run("simulate", config_path, "--spectrum", "--eig-csv", "--out", tmp_path / "o") == cli.EXIT_USAGE
+    assert "unrecognized arguments: --eig-csv" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -140,9 +141,9 @@ def test_usage_error_on_bad_subcommand(config_path, tmp_path):
 
 def test_simulate_artifacts_and_determinism(config_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert run("simulate", config_path, "--seeds", 2, "--out", out1, "--spectrum", "--eig-csv") == 0
-    assert run("simulate", config_path, "--seeds", 2, "--out", out2, "--spectrum", "--eig-csv") == 0
-    for name in ("run_seed000.json", "run_seed001.json", "aggregate.json", "eigenvalues_seed000.csv"):
+    assert run("simulate", config_path, "--seeds", 2, "--out", out1, "--spectrum") == 0
+    assert run("simulate", config_path, "--seeds", 2, "--out", out2, "--spectrum") == 0
+    for name in ("run_seed000.json", "run_seed001.json", "aggregate.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     run0 = json.loads((out1 / "run_seed000.json").read_text())
     assert set(run0) == {"seed_index", "config_hash", "config", "gen_error", "tau", "spike_deviation", "eigenvalues"}
@@ -194,7 +195,7 @@ def test_theory_spectrum_rows_and_cache(config_path, tmp_path):
 
 
 def test_manifest_version_is_the_package_version(config_path, tmp_path):
-    # the manifest records the package's version, which pyproject.toml reads; the cache record has its own
+    # the manifest records the package's version, which pyproject.toml reads
     assert run("theory-spectrum", config_path, "--grid", "0.02:2.0:5", "--out", tmp_path / "t") == 0
     assert json.loads((tmp_path / "t" / "manifest.json").read_text())["version"] == spikedrf.__version__
     assert 'version = {attr = "spikedrf.__version__"}' in (REPO / "pyproject.toml").read_text()
@@ -216,10 +217,12 @@ def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
     reseeded, manifest = spectrum_run("reseeded", seed=TINY["seed"] + 1)
     assert manifest["cache_hits"] == 20 * 3 and manifest["cache_misses"] == 0
     assert reseeded == spectrum_run("reseeded_uncached", cached=False, seed=TINY["seed"] + 1)[0]
-    # states of another solver are never served: each Anderson constant and the segment length enter the digest
+    # states of another solver are never served: each upper-case constant of detequiv and spectrum enters the
+    # digest, the edge refinement's too
     for module, name, value in ((detequiv, "ANDERSON_MEMORY", detequiv.ANDERSON_MEMORY - 1),
                                 (detequiv, "ANDERSON_MIXING", 0.4),
-                                (spectrum, "SEGMENT_POINTS", spectrum.SEGMENT_POINTS // 2)):
+                                (spectrum, "SEGMENT_POINTS", spectrum.SEGMENT_POINTS // 2),
+                                (spectrum, "EDGE_SPLIT", spectrum.EDGE_SPLIT // 2)):
         with monkeypatch.context() as patch:
             patch.setattr(module, name, value)
             assert spectrum_run(f"other_{name}")[1]["cache_hits"] == 0
@@ -230,10 +233,18 @@ def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
         rescheduled, manifest = spectrum_run("other_schedule")
         assert manifest["cache_hits"] == 0
         assert rescheduled == spectrum_run("other_schedule_uncached", cached=False)[0]
-    # nor states of another record version, which a change of the record or the solver algorithm bumps
-    with monkeypatch.context() as patch:
-        patch.setattr("spikedrf.cache._VERSION", "spikedrf-0.1.0")
-        assert spectrum_run("older_version")[1]["cache_hits"] == 0
+    # nor states of another solver algorithm or record format: the source of detequiv, spectrum and cache enters
+    for module in (detequiv, spectrum, fixed_point_cache):
+        name = module.__name__.rsplit(".", 1)[-1]
+        edited = tmp_path / f"{name}.py"
+        edited.write_bytes(Path(module.__file__).read_bytes() + b"# edited\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "__file__", str(edited))
+            assert spectrum_run(f"edited_{name}")[1]["cache_hits"] == 0
+    # and the unchanged code still serves every point, with the uncached CSV
+    rerun, manifest = spectrum_run("rerun")
+    assert manifest["cache_hits"] == 20 * 3 and manifest["cache_misses"] == 0
+    assert rerun == spectrum_run("rerun_uncached", cached=False)[0]
     # n moves alpha, so nothing may be served
     assert spectrum_run("larger_n", n=TINY["n"] + 12)[1]["cache_hits"] == 0
     # lines whose key carries a rho pair (the older format) are never served

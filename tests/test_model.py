@@ -5,14 +5,13 @@ import pytest
 
 from spikedrf.model import (
     ACTIVATIONS,
+    LINKS,
     ConfigError,
     ExperimentConfig,
     LinkSpec,
     VocabularySpec,
     default_n0,
-    get_activation,
     make_rng,
-    register_link,
     sample_second_layer,
     validate_config,
 )
@@ -140,8 +139,8 @@ def test_nonpositive_lambda_fails_for_theory():
     assert validate_config(fig2_config(lam=0.0), for_theory=False).valid
 
 
-def test_square_link_warns_no_spike():
-    register_link(LinkSpec("square", lambda x: x**2))
+def test_square_link_warns_no_spike(monkeypatch):
+    monkeypatch.setitem(LINKS, "square", LinkSpec("square", lambda x: x**2))
     report = validate_config(fig2_config(link="square"))
     assert report.valid
     assert any("E[g'] = 0" in w for w in report.warnings)
@@ -149,8 +148,8 @@ def test_square_link_warns_no_spike():
 
 
 def test_derivatives_validate_against_finite_differences():
-    for name in ("relu", "erf", "tanh", "sin", "identity", "hermite3"):
-        get_activation(name).validate_derivative()
+    for spec in ACTIVATIONS.values():
+        spec.validate_derivative()
 
 
 def test_vanishing_activation_spike_warns():

@@ -180,17 +180,30 @@ def test_parseval_all_builtins_random_pairs():
             assert np.max(np.abs(np.sum(coeffs**2, axis=1) - m2)) < 5e-8
 
 
-def test_node_doubling_stability(monkeypatch):
-    # doubling either rule's node count moves kernel-style integrals by < 1e-9
-    tanh = get_activation("tanh")
+RELU_KINK = (
+    "the inner Gauss-Hermite rule misses relu's kink at z = -kappa*zeta: from 127 to 254 inner nodes on "
+    "kappa in [-3, 3], c0, c1 and r move by 3.2e-3, 1.5e-3 and 2.6e-3 (the smooth activations by <= 1.3e-13), "
+    "and from 201 to 402 outer nodes the kernel integral moves by 1.9e-5; the closed forms would be exact"
+)
+
+
+@pytest.mark.parametrize("name", [pytest.param(name, marks=pytest.mark.xfail(strict=True, reason=RELU_KINK))
+                                  if name == "relu" else name for name in ACTIVATIONS])
+def test_node_doubling_stability(monkeypatch, name):
+    # doubling the inner rule's node count moves the tables by < 1e-9, and doubling either count moves
+    # kernel-style integrals by < 1e-9
+    sigma = ACTIVATIONS[name].fn
+    kappa = np.linspace(-3.0, 3.0, 61)
     outer_a, outer_b = cached_rule(201), cached_rule(402)
+    tables, integrals = [], []
     for inner_n in (127, 254):
         monkeypatch.setattr(quadrature, "DEFAULT_INNER_NODES", inner_n)
-        vals = []
+        tables.append(np.array(hermite_tables(sigma, kappa, [1.0])))
         for outer in (outer_a, outer_b):
-            c1 = shifted_coeffs(tanh.fn, outer.nodes * 0.8, 1)[:, 1]
-            vals.append(float(outer.weights @ (c1**2 / (1.0 + 0.3 * outer.nodes**2 / (1 + outer.nodes**2)))))
-        assert abs(vals[0] - vals[1]) < 1e-9
+            c1 = hermite_tables(sigma, outer.nodes, [0.8])[1][:, 0]
+            integrals.append(float(outer.weights @ (c1**2 / (1.0 + 0.3 * outer.nodes**2 / (1 + outer.nodes**2)))))
+    assert np.max(np.abs(tables[0] - tables[1])) < 1e-9
+    assert np.ptp(integrals) < 1e-9
 
 
 def test_correlated_expectation_matches_closed_forms_at_every_correlation():

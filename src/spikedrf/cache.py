@@ -61,7 +61,7 @@ class FixedPointCache:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
             prefix = self.digest + "|"
-            with self.path.open() as fh:
+            with self.path.open(encoding="utf-8", errors="replace") as fh:  # a line of bad bytes is one torn line
                 for line in fh:
                     self._open_line = not line.endswith("\n")
                     line = line.strip()

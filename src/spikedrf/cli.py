@@ -184,11 +184,8 @@ def _run_seeds(config: ExperimentConfig, seeds: int, compute_spectrum: bool, job
     if jobs > 1 and seeds > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_simulate_one, tasks))
-    else:
-        results = [_simulate_one(t) for t in tasks]
-    results.sort(key=lambda r: r["seed_index"])  # deterministic output ordering
-    return results
+            return list(pool.map(_simulate_one, tasks))  # in seed order: map yields in task order
+    return [_simulate_one(t) for t in tasks]
 
 
 def _simulation_step(manifest: RunManifest, config, seeds: int, compute_spectrum: bool, jobs: int):

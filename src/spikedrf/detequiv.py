@@ -151,11 +151,6 @@ class DetEquivProblem:
         """E_kappa[r], the rho2 perturbation kernel."""
         return self.resid.T @ self.kappa_w
 
-    @property
-    def iota(self) -> np.ndarray:
-        """(m, k+1) array of (g(kappa), c0(kappa, zeta_1), ..., c0(kappa, zeta_k))."""
-        return np.concatenate([self.g[:, None], self.c0], axis=1)
-
     def with_alpha(self, alpha: float) -> "DetEquivProblem":
         return dataclasses.replace(self, alpha=float(alpha))
 
@@ -487,31 +482,25 @@ def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> co
 
 
 # --------------------------------------------------------------------------- #
-# derived kernels
+# Schur block
 # --------------------------------------------------------------------------- #
 
 
-@dataclass
-class DerivedKernels:
-    """Kernels derived from a converged state: psi, S, the data-averaged blocks.
+def schur_block(problem: DetEquivProblem, state: FixedPointState) -> tuple:
+    """Complex (C^{-1}, H, A21t): the (k+1)-square Schur block of the equivalent resolvent at state.z.
 
-    A11 is (k+1)x(k+1) over (label, mean_1..mean_k); A21t is the reduced
-    k x (k+1) cross block (one row per vocabulary entry).
+    C^{-1} = A11 - z I - A21t^T H A21t with H = (psi^{-1} + (alpha/beta) S)^{-1},
+    solved once without forming psi^{-1}.  Index 0 of the k+1 is the label,
+    1..k the group means: A11 is the data average of iota iota^T, iota(kappa) =
+    (g(kappa), c0(kappa, zeta_1), ..., c0(kappa, zeta_k)); A21t is the reduced
+    k x (k+1) cross block (one row per vocabulary entry); S = E_kappa[(kappa^2
+    - 1) c1 c1^T / (1 + chi)].
     """
-
-    psi: np.ndarray
-    S: np.ndarray
-    A11: np.ndarray
-    A21t: np.ndarray
-
-
-def blocks(problem: DetEquivProblem, state: FixedPointState) -> DerivedKernels:
-    """Assemble the derived kernels of a converged state."""
     _, _, _, psi, _, wd = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None]))
     sf = problem.sample_factor
-    iota = problem.iota
+    iota = np.concatenate([problem.g[:, None], problem.c0], axis=1)
     A11 = sf * (iota.T @ (iota * wd[:, None]))
     A21t = sf * np.einsum("m,m,mq,mj->qj", wd, problem.kappa, problem.c1, iota)
     S = problem.c1.T @ (problem.c1 * ((problem.kappa**2 - 1.0) * wd)[:, None])
-    return DerivedKernels(psi=psi, S=S, A11=A11, A21t=A21t)
-
+    H = np.linalg.solve(np.eye(problem.k, dtype=complex) + psi @ (sf * S), psi)
+    return A11 - state.z * np.eye(problem.k + 1) - A21t.T @ H @ A21t, H, A21t

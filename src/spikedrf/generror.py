@@ -1,6 +1,7 @@
 """Asymptotic test error of the ridge readout from the deterministic equivalent.
 
-At z = -lambda the (k+1)-dimensional Schur block of the equivalent resolvent,
+At z = -lambda the (k+1)-dimensional Schur block of the equivalent resolvent
+(`detequiv.schur_block`),
 
     C^{-1} = A11 + lambda I - A21t^T (psi^{-1} + (alpha/beta) S)^{-1} A21t,
 
@@ -30,12 +31,11 @@ from __future__ import annotations
 import numpy as np
 
 from .detequiv import (
-    DerivedKernels,
     DetEquivProblem,
     FixedPointError,
     FixedPointState,
     UnphysicalRootError,
-    blocks,
+    schur_block,
     solve_fixed_point,
     solver_totals,
 )
@@ -44,23 +44,13 @@ from .simulate import TauSet
 DEFAULT_RHO_STEP = 1e-4
 
 
-def _variance_kernel_inverse(problem: DetEquivProblem, kern: DerivedKernels) -> np.ndarray:
-    """H = (psi^{-1} + sf*S)^{-1}, computed without forming psi^{-1}."""
-    sf = problem.sample_factor
-    Sp = sf * kern.S
-    k = problem.k
-    return np.linalg.solve(np.eye(k, dtype=complex) + kern.psi @ Sp, kern.psi)
-
-
-def schur_C_inverse(problem: DetEquivProblem, state: FixedPointState, kern: DerivedKernels | None = None) -> np.ndarray:
-    """The real symmetric (k+1)-square Schur block C^{-1} at state.z: index 0 is the label row, 1..k the group means."""
-    kern = kern or blocks(problem, state)
-    H = _variance_kernel_inverse(problem, kern)
-    A21t = kern.A21t.astype(complex)
-    Cinv = kern.A11 - state.z * np.eye(problem.k + 1) - A21t.T @ H @ A21t
+def schur_C_inverse(problem: DetEquivProblem, state: FixedPointState) -> tuple:
+    """(C^{-1}, H A21t) at state.z: the `schur_block`, real and symmetrised (index 0 the label row, 1..k the group
+    means), and the complex map that takes [1; -tau0] to tau1."""
+    Cinv, H, A21t = schur_block(problem, state)
     if np.max(np.abs(Cinv.imag)) > 1e-8 * max(1.0, np.max(np.abs(Cinv.real))):
         raise RuntimeError(f"Schur block at z={state.z} is not real; max imag {np.max(np.abs(Cinv.imag)):.3e}")
-    return 0.5 * (Cinv.real + Cinv.real.T)
+    return 0.5 * (Cinv.real + Cinv.real.T), H @ A21t
 
 
 def tau0(Cinv: np.ndarray, lam: float) -> np.ndarray:
@@ -82,14 +72,6 @@ def tau0(Cinv: np.ndarray, lam: float) -> np.ndarray:
     return np.linalg.lstsq(M, rhs, rcond=None)[0]
 
 
-def tau1(problem: DetEquivProblem, kern: DerivedKernels, tau0_vec: np.ndarray) -> np.ndarray:
-    """Target-direction coefficients (psi^{-1} + sf*S)^{-1} A21t [1; -tau0]."""
-    H = _variance_kernel_inverse(problem, kern)
-    r = np.concatenate([[1.0], -tau0_vec]).astype(complex)
-    out = H @ kern.A21t.astype(complex) @ r
-    return out.real
-
-
 def tau2_tau3(
     problem: DetEquivProblem,
     tau0_vec: np.ndarray,
@@ -100,21 +82,14 @@ def tau2_tau3(
 
     Warm-starts every perturbed solve from the unperturbed solution; `spent`, when given, gets each state.
     """
-    r = np.concatenate([[1.0], -tau0_vec])
-
-    def quad_form(rho) -> float:
+    h, r, forms = DEFAULT_RHO_STEP, np.concatenate([[1.0], -tau0_vec]), []
+    for rho in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
         perturbed = problem.perturbed(rho)
         state = solve_fixed_point(perturbed, base_state.z, warm_start=base_state)
         if spent is not None:
             spent.append(state)
-        return float(r @ schur_C_inverse(perturbed, state) @ r)
-
-    def derivative(h: float, which: int) -> float:
-        plus = quad_form((h, 0.0) if which == 0 else (0.0, h))
-        minus = quad_form((-h, 0.0) if which == 0 else (0.0, -h))
-        return (plus - minus) / (2 * h)
-
-    return derivative(DEFAULT_RHO_STEP, 0), derivative(DEFAULT_RHO_STEP, 1)
+        forms.append(float(r @ schur_C_inverse(perturbed, state)[0] @ r))
+    return (forms[0] - forms[1]) / (2 * h), (forms[2] - forms[3]) / (2 * h)
 
 
 def asymptotic_tau(problem: DetEquivProblem, lam: float, state: FixedPointState | None = None,
@@ -123,11 +98,10 @@ def asymptotic_tau(problem: DetEquivProblem, lam: float, state: FixedPointState 
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
     state = state or solve_fixed_point(problem, complex(-lam, 0.0))
-    kern = blocks(problem, state)
-    t0 = tau0(schur_C_inverse(problem, state, kern), lam)
-    t1 = tau1(problem, kern, t0)
+    Cinv, to_tau1 = schur_C_inverse(problem, state)
+    t0 = tau0(Cinv, lam)
     t2, t3 = tau2_tau3(problem, t0, state, spent)
-    return TauSet(tau0=t0, tau1=t1, tau2=t2, tau3=t3)
+    return TauSet(tau0=t0, tau1=(to_tau1 @ np.concatenate([[1.0], -t0])).real, tau2=t2, tau3=t3)
 
 
 def tau_sweep(problem: DetEquivProblem, alphas, lam: float) -> tuple:

@@ -5,7 +5,8 @@ its own evaluation of sigma (the package builds only orders 0 and 1, in one
 pass), and their scalar forms; the one-state form of the batched fixed-point
 map, the damped Picard iteration that the Anderson engine replaced, the
 conjugate of a state (the solution at the conjugate point, since the
-equations have real coefficients), the exact rho-derivatives tau2 and tau3 by
+equations have real coefficients), the kernel blocks of a state that the
+Schur block is built from, the exact rho-derivatives tau2 and tau3 by
 the implicit function theorem, the dense (k+1+p)-square inverse of the
 deterministic equivalent, the Stieltjes transform and the test-error
 prediction at a single point, each from a fresh solve, the empirical
@@ -17,7 +18,7 @@ with a run that reports both.
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,12 +31,12 @@ from spikedrf.detequiv import (
     _effective,
     _kernels,
     _solve_L,
-    blocks,
     fixed_point_map,
+    schur_block,
     solve_fixed_point,
     stieltjes_from_state,
 )
-from spikedrf.generror import _variance_kernel_inverse, asymptotic_tau, expected_lambda
+from spikedrf.generror import asymptotic_tau, expected_lambda
 from spikedrf.model import ActivationSpec, LinkSpec
 from spikedrf.quadrature import QuadratureError, cached_rule, hermite_basis
 from spikedrf.simulate import ROW_BLOCK, gradient_step, sample_data
@@ -176,6 +177,26 @@ def bulk_kernels(problem: DetEquivProblem, state: FixedPointState) -> tuple:
     return np.diag(L) + nu_eff - state.z, chi
 
 
+class Blocks(NamedTuple):
+    """The kernels of a state that the Schur block is built from, on index 0 = label, 1..k = group means."""
+
+    psi: np.ndarray  # diag(b) - L o (b b^T)
+    S: np.ndarray  # E_kappa[(kappa^2 - 1) c1 c1^T / (1 + chi)]
+    A11: np.ndarray  # (alpha/beta) E_kappa[iota iota^T / (1 + chi)], iota = (g, c0_1, ..., c0_k)
+    A21t: np.ndarray  # (alpha/beta) E_kappa[kappa c1 iota^T / (1 + chi)], one row per vocabulary entry
+
+
+def blocks(problem: DetEquivProblem, state: FixedPointState) -> Blocks:
+    """The `Blocks` of a state, each averaged entry by entry from its definition over the kappa nodes."""
+    _, _, _, psi, chi, _ = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None]))
+    w = problem.kappa_w / (1.0 + chi)
+    iota = np.column_stack([problem.g, problem.c0])
+    sf = problem.sample_factor
+    return Blocks(psi=psi, S=np.einsum("m,mq,mr->qr", (problem.kappa**2 - 1.0) * w, problem.c1, problem.c1),
+                  A11=sf * np.einsum("m,mi,mj->ij", w, iota, iota),
+                  A21t=sf * np.einsum("m,mq,mj->qj", problem.kappa * w, problem.c1, iota))
+
+
 def conjugate(state: FixedPointState) -> FixedPointState:
     """The state at conj(z): every order parameter conjugated."""
     return FixedPointState(
@@ -213,8 +234,7 @@ def exact_tau2_tau3(problem: DetEquivProblem, tau0: np.ndarray, state: FixedPoin
     for rho in ((1j * h, 0.0), (0.0, 1j * h)):
         tilted = dataclasses.replace(problem, rho=rho)
         dX = np.linalg.solve(np.eye(n) - J, mapped(tilted, x[None]).imag[0] / h)
-        kern = blocks(tilted, FixedPointState(state.z, *(a[0] for a in split((x + 1j * h * dX)[None]))))
-        Cinv = kern.A11 - state.z * np.eye(k + 1) - kern.A21t.T @ _variance_kernel_inverse(tilted, kern) @ kern.A21t
+        Cinv = schur_block(tilted, FixedPointState(state.z, *(a[0] for a in split((x + 1j * h * dX)[None]))))[0]
         out.append(float((r @ Cinv @ r).imag / h))
     return tuple(out)
 

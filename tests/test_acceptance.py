@@ -516,7 +516,7 @@ def test_criterion_7_invariant_suite():
     # rho-derivative step halving
     lam = 0.05
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
-    tau0_vec = ge.tau0(ge.schur_C_inverse(prob, state), lam)
+    tau0_vec = ge.tau0(ge.schur_C_inverse(prob, state)[0], lam)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ge, "DEFAULT_RHO_STEP", 1e-4)
         a2, a3 = ge.tau2_tau3(prob, tau0_vec, state)

@@ -142,7 +142,8 @@ def test_usage_error_on_bad_subcommand(config_path, tmp_path):
 def test_simulate_artifacts_and_determinism(config_path, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert run("simulate", config_path, "--seeds", 2, "--out", out1, "--spectrum") == 0
-    assert run("simulate", config_path, "--seeds", 2, "--out", out2, "--spectrum") == 0
+    # the rerun takes the two seeds in two worker processes, which hand back their results in seed order
+    assert run("simulate", config_path, "--seeds", 2, "--out", out2, "--spectrum", "--jobs", 2) == 0
     for name in ("run_seed000.json", "run_seed001.json", "aggregate.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
     run0 = json.loads((out1 / "run_seed000.json").read_text())
@@ -404,9 +405,10 @@ def test_torn_cache_line_is_skipped(config_path, tmp_path):
     cold = (tmp_path / "cold" / "theory_spectrum.csv").read_bytes()
     whole = cache.read_bytes()
     # (case, cache text, (torn lines, misses) of a run on it, the same of the rerun after it):
-    # a writer killed mid-line loses its point; a line that parses but is not a record loses none
+    # a writer killed mid-line loses its point; a whole line that is not a record (not even UTF-8) loses none
     cases = [("torn", whole[:-40], (1, 1), (1, 0)), ("keyonly", whole + b'{"key": "zz"}\n', (1, 0), (1, 0)),
-             ("numkey", whole + b'{"key": 3, "state": {}}\n', (1, 0), (1, 0)), ("list", whole + b"[1, 2]\n", (1, 0), (1, 0))]
+             ("numkey", whole + b'{"key": 3, "state": {}}\n', (1, 0), (1, 0)), ("list", whole + b"[1, 2]\n", (1, 0), (1, 0)),
+             ("not_utf8", whole + b"\xff\xfe\x00garbage\n", (1, 0), (1, 0))]
     # a record whose state is not hex text of k*k + 2k + 2 complex128 numbers is dropped and its point solved
     # again; the rerun reads the record appended then, which shadows the bad one
     first, rest = whole.split(b"\n", 1)
@@ -476,7 +478,10 @@ def test_crash_exits_3(config_path, tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "module, work, exc, rc",
     [(spectrum, "density_grid", ZeroDivisionError, cli.EXIT_CRASH),
-     (generror, "asymptotic_tau", FixedPointError, cli.EXIT_TOLERANCE)],
+     (generror, "asymptotic_tau", FixedPointError, cli.EXIT_TOLERANCE),
+     (simulate, "run_experiment", simulate.SimulationError, cli.EXIT_TOLERANCE),
+     (spectrum, "density_grid", RuntimeError, cli.EXIT_TOLERANCE),
+     (generror, "asymptotic_tau", RuntimeError, cli.EXIT_TOLERANCE)],  # escapes tau_sweep, which keeps FixedPointErrors
 )
 def test_compare_records_runtime_errors_and_crashes_on_others(module, work, exc, rc, config_path, tmp_path,
                                                               monkeypatch, capsys):
@@ -488,8 +493,22 @@ def test_compare_records_runtime_errors_and_crashes_on_others(module, work, exc,
     out, err = capsys.readouterr()
     if rc == cli.EXIT_CRASH:
         assert "Traceback" in err and "ZeroDivisionError: injected" in err
-    else:
-        assert "FAIL generror_rel_gap injected" in out
+        return
+    failed = {simulate: "simulation", spectrum: "spectrum_ks", generror: "generror_rel_gap"}[module]
+    assert f"FAIL {failed} injected" in out and "Traceback" not in err
+    checks = {c["name"]: c for c in json.loads((tmp_path / "cmp" / "summary.json").read_text())["checks"]}
+    assert checks.pop(failed) == {"name": failed, "error": "injected", "passed": False}
+    # the other theory half still runs; neither runs without the simulation it is compared against
+    assert set(checks) == (set() if module is simulate else {"spectrum_ks", "generror_rel_gap"} - {failed})
+
+
+def test_vocabulary_entry_without_neurons_is_a_config_error(tmp_path, capsys):
+    # at p = 2 the entry of weight 0.001 draws no neuron
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY, "p": 2, "vocab": {"zeta": [1, -1], "pi": [0.999, 0.001]}}))
+    assert run("compare", path, "--seeds", 1, "--out", tmp_path / "cmp") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error:" in err and "drew zero neurons" in err and "Traceback" not in err
 
 
 def test_compare_records_a_rejected_root(config_path, tmp_path, monkeypatch):

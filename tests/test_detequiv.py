@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import assemble_ge, bulk_kernels, conjugate, empirical_stieltjes, scalar_fixed_point_map
+from oracles import assemble_ge, blocks, bulk_kernels, conjugate, empirical_stieltjes, scalar_fixed_point_map
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
 from spikedrf.cache import FixedPointCache
@@ -258,13 +258,13 @@ def test_blocks_structure():
 
     zero_link_prob = dataclasses.replace(zero_link_prob, g=np.zeros_like(zero_link_prob.g))
     st = de.solve_fixed_point(zero_link_prob, complex(-0.5, 0.0))
-    kern = de.blocks(zero_link_prob, st)
+    kern = blocks(zero_link_prob, st)
     assert np.max(np.abs(kern.A11[0, :])) < 1e-14
     assert np.max(np.abs(kern.A11[:, 0])) < 1e-14
 
     ident = de.build_problem(get_activation("identity"), get_link("sin"), [0.3], [1.0], alpha=1.2, beta=0.9)
     st_i = de.solve_fixed_point(ident, complex(-0.6, 0.0))
-    kern_i = de.blocks(ident, st_i)
+    kern_i = blocks(ident, st_i)
     _, chi = bulk_kernels(ident, st_i)
     direct = ident.kappa_w @ ((ident.kappa**2 - 1.0) / (1.0 + chi))
     assert abs(kern_i.S[0, 0] - direct) < 1e-12
@@ -274,10 +274,22 @@ def test_blocks_structure():
     assert abs(chi[0] - manual) < 1e-12
 
 
+@pytest.mark.parametrize("z", [complex(-0.4, 0.0), complex(0.7, 0.3)])
+def test_schur_block_is_the_printed_formula(z):
+    # schur_block solves H once without forming psi^{-1}; the printed form inverts psi and then psi^{-1} + sf*S
+    prob = small_problem()
+    st = de.solve_fixed_point(prob, z)
+    Cinv, H, A21t = de.schur_block(prob, st)
+    kern = blocks(prob, st)
+    printed_H = np.linalg.inv(np.linalg.inv(kern.psi) + prob.sample_factor * kern.S)
+    assert np.max(np.abs(Cinv - (kern.A11 - z * np.eye(3) - kern.A21t.T @ printed_H @ kern.A21t))) <= 1e-10
+    assert np.max(np.abs(H - printed_H)) <= 1e-10 and np.max(np.abs(A21t - kern.A21t)) <= 1e-10
+
+
 def test_a11_positive_semidefinite_at_negative_real():
     prob = small_problem()
     st = de.solve_fixed_point(prob, complex(-0.3, 0.0))
-    kern = de.blocks(prob, st)
+    kern = blocks(prob, st)
     eigs = np.linalg.eigvalsh(kern.A11.real)
     assert eigs.min() >= -1e-10
 
@@ -286,7 +298,7 @@ def test_assemble_ge_toy_cases():
     prob = de.build_problem(get_activation("tanh"), get_link("sin"), [0.4], [1.0], alpha=0.9, beta=1.3)
     z = complex(-0.6, 0.25)
     st = de.solve_fixed_point(prob, z)
-    kern = de.blocks(prob, st)
+    kern = blocks(prob, st)
     p = 8
     groups = np.zeros(p, dtype=int)
     # theta = 0: block-diagonal inverse in closed form

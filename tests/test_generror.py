@@ -17,11 +17,10 @@ def test_alpha_zero_schur_is_ridge_identity():
     prob = problem(alpha=0.0)
     lam = 0.3
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
-    Cinv = ge.schur_C_inverse(prob, state)
+    Cinv, to_tau1 = ge.schur_C_inverse(prob, state)
     assert np.max(np.abs(Cinv - lam * np.eye(3))) < 1e-10
     assert np.max(np.abs(ge.tau0(Cinv, lam))) < 1e-10
-    t1 = ge.tau1(prob, de.blocks(prob, state), np.zeros(2))
-    assert np.max(np.abs(t1)) < 1e-12
+    assert np.max(np.abs(to_tau1)) < 1e-12  # no cross block at alpha = 0: tau1 = 0 whatever tau0
     t2, t3 = ge.tau2_tau3(prob, np.zeros(2), state)
     assert abs(t2) < 1e-8 and abs(t3) < 1e-8
 
@@ -32,7 +31,7 @@ def test_zero_link_label_row():
     prob = dataclasses.replace(problem(), g=np.zeros(len(problem().g)))
     lam = 0.2
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
-    Cinv = ge.schur_C_inverse(prob, state)
+    Cinv = ge.schur_C_inverse(prob, state)[0]
     # with g = 0 the label row collapses to lambda on the diagonal, 0 off
     assert abs(Cinv[0, 0] - lam) < 1e-12
     assert np.max(np.abs(Cinv[0, 1:])) < 1e-12
@@ -46,7 +45,7 @@ def test_schur_symmetry_fig2_config():
     )
     prob = de.problem_from_config(cfg)
     state = de.solve_fixed_point(prob, complex(-cfg.lam, 0.0))
-    Cinv = ge.schur_C_inverse(prob, state)
+    Cinv = ge.schur_C_inverse(prob, state)[0]
     assert np.max(np.abs(Cinv - Cinv.T)) < 1e-10
 
 
@@ -69,7 +68,7 @@ def test_rho_derivative_step_controls(monkeypatch):
     prob = problem()
     lam = 0.05
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
-    t0 = ge.tau0(ge.schur_C_inverse(prob, state), lam)
+    t0 = ge.tau0(ge.schur_C_inverse(prob, state)[0], lam)
     monkeypatch.setattr(ge, "DEFAULT_RHO_STEP", 1e-4)
     a2, a3 = ge.tau2_tau3(prob, t0, state)
     monkeypatch.setattr(ge, "DEFAULT_RHO_STEP", 5e-5)
@@ -86,7 +85,7 @@ def test_ridge_kills_fit_when_means_vanish():
     assert all(np.diff(errs) > -1e-10)  # monotone toward the null
     assert abs(errs[-1] - prob.kappa_w @ prob.g**2) < 1e-3
     state = de.solve_fixed_point(prob, complex(-1e3, 0.0))
-    t0 = ge.tau0(ge.schur_C_inverse(prob, state), 1e3)
+    t0 = ge.tau0(ge.schur_C_inverse(prob, state)[0], 1e3)
     assert np.max(np.abs(t0)) < 1e-8
 
 
@@ -247,7 +246,7 @@ def test_rho_difference_converges_to_the_exact_derivative(monkeypatch):
     prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_VOCABS["k1"])).with_alpha(0.5)
     lam = FIG2["lam"]
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
-    t0 = ge.tau0(ge.schur_C_inverse(prob, state), lam)
+    t0 = ge.tau0(ge.schur_C_inverse(prob, state)[0], lam)
     exact2, exact3 = exact_tau2_tau3(prob, t0, state)
     at_default = ge.tau2_tau3(prob, t0, state)
 

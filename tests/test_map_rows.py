@@ -87,7 +87,7 @@ def test_cold_solve_at_minus_lambda_rows(alpha, rows, monkeypatch):
         return result
 
     monkeypatch.setattr(ge, "solve_fixed_point", recorded)
-    ge.tau2_tau3(prob, ge.tau0(ge.schur_C_inverse(prob, state), FIG2["lam"]), state)
+    ge.tau2_tau3(prob, ge.tau0(ge.schur_C_inverse(prob, state)[0], FIG2["lam"]), state)
     h = ge.DEFAULT_RHO_STEP
     assert sorted(rho for rho, _ in perturbed) == sorted([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
     assert all(spent <= 15 for _, spent in perturbed), perturbed

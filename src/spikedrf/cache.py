@@ -13,7 +13,9 @@ of settings or version to keep by hand.  Density grid reruns hit it for
 every point.  A record's `state` is the hex text of one little-endian
 complex128 vector [z, V (row-major), nu, b, residual], k*k + 2k + 2 numbers
 that round-trip every bit.  A file may hold the records of several problems;
-loading keeps only this problem's.  A writer killed mid-line leaves a torn
+loading keeps only this problem's.  `put` appends its new records in one
+write: the density grid puts each eps level's new states at once, so a killed
+run loses at most the level in flight.  A writer killed mid-line leaves a torn
 line; loading skips (and counts) every line that is not a record (an object
 with a string `key` and a `state`), and the next write starts on a fresh
 line; `get` drops (and counts) a record whose state is not hex text of the
@@ -95,14 +97,17 @@ class FixedPointCache:
         self.misses += 1
         return None
 
-    def put(self, state: FixedPointState) -> None:
-        key = self._key(complex(state.z))
-        if key in self._entries:
-            return
-        rec = np.concatenate([[state.z], np.ravel(state.V), state.nu, state.b, [state.residual]]).astype("<c16").tobytes().hex()
-        self._entries[key] = rec
-        with self.path.open("a") as fh:
-            if self._open_line:
-                fh.write("\n")
-                self._open_line = False
-            fh.write(json.dumps({"key": key, "state": rec}) + "\n")
+    def put(self, *states: FixedPointState) -> None:
+        """Append, in order and in one write, the records of the states not yet held; all held opens no file."""
+        lines = []
+        for state in states:
+            key = self._key(complex(state.z))
+            if key in self._entries:
+                continue
+            rec = np.concatenate([[state.z], np.ravel(state.V), state.nu, state.b, [state.residual]]).astype("<c16").tobytes().hex()
+            self._entries[key] = rec
+            lines.append(json.dumps({"key": key, "state": rec}) + "\n")
+        if lines:
+            with self.path.open("a") as fh:
+                fh.write(("\n" if self._open_line else "") + "".join(lines))
+            self._open_line = False

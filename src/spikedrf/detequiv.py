@@ -476,9 +476,9 @@ def solver_totals(results: list) -> dict:
     }
 
 
-def stieltjes_from_state(problem: DetEquivProblem, state: FixedPointState) -> complex:
-    """m(z) = (1/beta) sum_q b_q(z)."""
-    return complex(1.0 / problem.beta * np.sum(state.b))
+def stieltjes(problem: DetEquivProblem, b: np.ndarray) -> np.ndarray:
+    """m(z) = (1/beta) sum_q b_q(z), for b of shape (..., k): one m per state."""
+    return 1.0 / problem.beta * np.sum(b, axis=-1)
 
 
 # --------------------------------------------------------------------------- #

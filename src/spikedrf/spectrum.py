@@ -34,7 +34,7 @@ from .detequiv import (
     ladder,
     solve_paths,
     solver_totals,
-    stieltjes_from_state,
+    stieltjes,
 )
 
 DEFAULT_EPS_SCHEDULE = (1e-2, 5e-3, 2.5e-3)  # decreasing, at least two levels
@@ -142,8 +142,9 @@ def _eps_levels(problem: DetEquivProblem, lams: np.ndarray, starts: list, cache)
     left neighbour in the segment, or down the `ladder` when it is a head or
     its neighbour has no state.  A cached state has the bits of a solved one,
     so no state depends on which points the cache served.  `cache`, if given
-    (any object with `get(z)` returning a state or None and `put(state)`), is
-    read before each level and gets the level's new states in order.  A
+    (any object with `get(z)` returning a state or None and `put(*states)`),
+    is read per point before each level and gets one `put` per level of that
+    level's new states in grid order, none when all hit.  A
     failed solve leaves NaN at its level.  Im m has the analytic origin atom
     removed.
 
@@ -185,12 +186,16 @@ def _eps_levels(problem: DetEquivProblem, lams: np.ndarray, starts: list, cache)
                 fresh.append(state)
             if isinstance(state, FixedPointError):
                 errors[i] = (eps, str(state))
-                continue
-            if found[i] is None and cache is not None:
-                cache.put(state)
-            prev_states[i] = own[-1][i] = state
-            m = stieltjes_from_state(problem, state)
-            levels[ei, i] = ((m + atom / state.z).imag if atom > 0.0 else m.imag) / np.pi
+            else:
+                prev_states[i] = own[-1][i] = state
+        done = [i for i, state in enumerate(own[-1]) if state is not None]
+        new = [own[-1][i] for i in done if found[i] is None]
+        if new and cache is not None:
+            cache.put(*new)
+        m = stieltjes(problem, np.array([own[-1][i].b for i in done]).reshape(-1, problem.k))
+        if atom > 0.0:  # per state in Python's complex division: numpy's moves last bits
+            m = m + np.array([atom / own[-1][i].z for i in done], dtype=complex)
+        levels[ei, done] = m.imag / np.pi
     return levels, own[0], errors, fresh
 
 

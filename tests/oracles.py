@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from spikedrf import quadrature, simulate
+from spikedrf import detequiv, quadrature, simulate
 from spikedrf.detequiv import (
     DEFAULT_TOL,
     DetEquivProblem,
@@ -34,7 +34,6 @@ from spikedrf.detequiv import (
     fixed_point_map,
     schur_block,
     solve_fixed_point,
-    stieltjes_from_state,
 )
 from spikedrf.generror import asymptotic_tau, expected_lambda
 from spikedrf.model import ActivationSpec, LinkSpec
@@ -266,7 +265,7 @@ def assemble_ge(problem: DetEquivProblem, state: FixedPointState, theta: np.ndar
 
 def stieltjes(problem: DetEquivProblem, z: complex) -> complex:
     """m(z) of the bulk feature covariance from a fresh solve at z."""
-    return stieltjes_from_state(problem, solve_fixed_point(problem, z))
+    return complex(detequiv.stieltjes(problem, solve_fixed_point(problem, z).b))
 
 
 def asymptotic_generror(problem: DetEquivProblem, lam: float) -> float:

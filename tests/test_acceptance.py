@@ -228,13 +228,13 @@ def test_criterion_3_rf_limit_and_normalization_freeze():
     curve = sp.density_grid(prob, min(lo, 5e-3), hi * 1.3, 400)
     ks = sp.ks_distance(eigs, curve)
     t = 1e3
-    tail = abs(de.stieltjes_from_state(prob, de.solve_fixed_point(prob, complex(0, t))) * complex(0, -t) - 1)
+    tail = abs(de.stieltjes(prob, de.solve_fixed_point(prob, complex(0, t)).b) * complex(0, -t) - 1)
     zs = [complex(x, 0.1) for x in np.linspace(0.05, hi, 20)]
     state = None
     sup = 0.0
     for z in zs:
         state = de.solve_fixed_point(prob, z, warm_start=state)
-        sup = max(sup, abs(de.stieltjes_from_state(prob, state) - empirical_stieltjes(eigs, z)))
+        sup = max(sup, abs(de.stieltjes(prob, state.b) - empirical_stieltjes(eigs, z)))
     tail_printed = abs(printed_stieltjes(prob, complex(0, t)) * complex(0, -t) - 1)
     passed = ks < 0.03 and tail < 1e-2 and sup < 0.02 and tail_printed > 0.5
     report(
@@ -502,8 +502,8 @@ def test_criterion_7_invariant_suite():
     )
     zq = complex(-0.5, 0.4)
     m_gap = abs(
-        de.stieltjes_from_state(prob, de.solve_fixed_point(prob, zq))
-        - de.stieltjes_from_state(split, de.solve_fixed_point(split, zq))
+        de.stieltjes(prob, de.solve_fixed_point(prob, zq).b)
+        - de.stieltjes(split, de.solve_fixed_point(split, zq).b)
     )
     e_gap = abs(asymptotic_generror(prob, 0.05) - asymptotic_generror(split, 0.05))
     checks["vocab_split"] = m_gap < 1e-6 and e_gap < 1e-6

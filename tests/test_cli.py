@@ -128,6 +128,17 @@ def test_compare_tolerance_not_finite_and_positive_exits_2(config_path, tmp_path
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("simulate", "--seeds", "two", "expected an integer, got 'two'"),
+    ("compare", "--jobs", "1.5", "expected an integer, got '1.5'"),
+    ("compare", "--tol-ks", "abc", "expected a number, got 'abc'"),
+])
+def test_option_that_is_not_a_number_exits_2(config_path, tmp_path, capsys, command, flag, value, message):
+    assert run(command, config_path, flag, value, "--out", tmp_path / "o") == cli.EXIT_USAGE
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_eig_csv_is_an_unknown_option(config_path, tmp_path, capsys):
     # each seed's eigenvalues are in its run_seedNNN.json; there is no second copy to ask for
     assert run("simulate", config_path, "--spectrum", "--eig-csv", "--out", tmp_path / "o") == cli.EXIT_USAGE

@@ -34,7 +34,7 @@ def test_alpha_zero_closed_form():
     st = de.solve_fixed_point(prob, z)
     assert np.max(np.abs(st.b - prob.pi * prob.beta / (-z))) < 1e-12
     assert np.max(np.abs(st.V)) < 1e-12 and np.max(np.abs(st.nu)) < 1e-12
-    assert abs(de.stieltjes_from_state(prob, st) - (-1 / z)) < 1e-12
+    assert abs(de.stieltjes(prob, st.b) - (-1 / z)) < 1e-12
 
 
 def test_alpha_zero_perturbed_map():
@@ -57,7 +57,7 @@ def test_marchenko_pastur_oracle(monkeypatch):
     for alpha, beta, z in [(0.6, 1.2, complex(-1.0, 0.0)), (2.0, 0.8, complex(-0.7, 0.3)), (1.0, 1.0, complex(0.5, 0.8))]:
         prob = de.build_problem(get_activation("hermite2"), get_link("sin"), [0.0], [1.0], alpha=alpha, beta=beta)
         st = de.solve_fixed_point(prob, z)
-        m = de.stieltjes_from_state(prob, st)
+        m = de.stieltjes(prob, st.b)
         assert abs(m - mp_stieltjes(alpha / beta, z)) < 1e-8
 
 
@@ -72,7 +72,7 @@ def test_identity_activation_matches_eigenvalues():
     eigs = sim.bulk_spectrum(X @ W.T)
     prob = de.build_problem(get_activation("identity"), get_link("sin"), [0.0], [1.0], alpha=n / d, beta=p / d)
     for z in [complex(-0.5, 0.3), complex(0.8, 0.2)]:
-        m_th = de.stieltjes_from_state(prob, de.solve_fixed_point(prob, z))
+        m_th = de.stieltjes(prob, de.solve_fixed_point(prob, z).b)
         assert abs(m_th - empirical_stieltjes(eigs, z)) < 0.03
 
 
@@ -159,7 +159,7 @@ def test_warm_cold_agreement_and_tail():
     assert np.max(np.abs(cold.b - warm.b)) < 1e-8
     # -z m(z) -> 1 along the imaginary axis
     t = 1e3
-    m = de.stieltjes_from_state(prob, de.solve_fixed_point(prob, complex(0, t)))
+    m = de.stieltjes(prob, de.solve_fixed_point(prob, complex(0, t)).b)
     assert abs(m * complex(0, -t) - 1) < 1e-2
 
 
@@ -170,7 +170,7 @@ def test_vocabulary_split_invariance():
         sb = de.solve_fixed_point(base, z)
         ss = de.solve_fixed_point(split, z)
         assert abs(np.sum(sb.b) - np.sum(ss.b)) < 1e-8
-        assert abs(de.stieltjes_from_state(base, sb) - de.stieltjes_from_state(split, ss)) < 1e-8
+        assert abs(de.stieltjes(base, sb.b) - de.stieltjes(split, ss.b)) < 1e-8
 
 
 def test_holomorphy_cauchy_riemann(monkeypatch):
@@ -179,7 +179,7 @@ def test_holomorphy_cauchy_riemann(monkeypatch):
     z0, h = complex(-1.0, 0.5), 1e-5
 
     def m(z):
-        return de.stieltjes_from_state(prob, de.solve_fixed_point(prob, z))
+        return de.stieltjes(prob, de.solve_fixed_point(prob, z).b)
 
     d_re = (m(z0 + h) - m(z0 - h)) / (2 * h)
     d_im = (m(z0 + 1j * h) - m(z0 - 1j * h)) / (2j * h)
@@ -231,6 +231,26 @@ def test_cache_loads_only_its_own_problems_records(tmp_path):
     assert len(reloaded._entries) == 2 and len(other_cache._entries) == 2
     assert all(c.get(z) is not None for c in (reloaded, other_cache) for z in (z1, z2))
     assert (reloaded.hits, reloaded.misses, reloaded.torn_lines) == (2, 0, 0)
+
+
+def test_batched_put_appends_each_new_state_once(tmp_path):
+    # put(*states) writes the bytes of one put per state, held states skipped; a put of held states opens no file
+    path, single = tmp_path / "cache.jsonl", tmp_path / "single.jsonl"
+    prob = small_problem()
+    s1, s2, s3 = (de.solve_fixed_point(prob, z) for z in (complex(-0.7, 0.2), complex(0.4, 0.3), complex(-0.3, 0.5)))
+    cache = FixedPointCache(path, prob)
+    cache.put(s1)
+    cache.put(s2, s1, s3, s2)
+    for state in (s1, s2, s3):
+        FixedPointCache(single, prob).put(state)
+    assert path.read_bytes() == single.read_bytes()
+    cache.path = tmp_path  # a directory: opening it to append would raise
+    cache.put(s3, s1)
+    # a blank line is skipped, not counted as torn
+    lines = single.read_text().splitlines()
+    path.write_text("\n" + "\n".join(lines[:2]) + "\n\n   \n" + lines[2] + "\n")
+    reloaded = FixedPointCache(path, prob)
+    assert reloaded.torn_lines == 0 and len(reloaded._entries) == 3
 
 
 def test_nonconvergence_reported(monkeypatch):
@@ -483,7 +503,7 @@ def test_certificate_rejects_a_direct_cold_root_at_minus_lambda():
     assert isinstance(direct, de.UnphysicalRootError) and direct.stats.rows > 0
     assert "b=[-84.22" in str(direct)
     # the real-axis ladder reaches the Stieltjes root, inside 0 < b <= pi beta / lambda = 150
-    m = de.stieltjes_from_state(prob, de.solve_fixed_point(prob, z))
+    m = de.stieltjes(prob, de.solve_fixed_point(prob, z).b)
     assert m.imag == 0.0 and m.real == pytest.approx(11.98, abs=5e-3)
 
 

@@ -8,6 +8,7 @@ from spikedrf import cli
 from spikedrf import detequiv as de
 from spikedrf import simulate as sim
 from spikedrf import spectrum as sp
+from spikedrf.cache import FixedPointCache
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link
 
 from test_cli import TINY
@@ -163,8 +164,19 @@ def damped_levels(prob, grid, eps_schedule):
         for gi, lam in enumerate(grid):
             z = complex(lam, eps)
             state = damped_fixed_point(prob, z, state)
-            levels[ei, gi] = (de.stieltjes_from_state(prob, state) + prob.atom_mass() / z).imag / np.pi
+            levels[ei, gi] = (de.stieltjes(prob, state.b) + prob.atom_mass() / z).imag / np.pi
     return levels
+
+
+def test_level_readout_has_the_bits_of_each_states_own_stieltjes():
+    # an eps level's Im m / pi is read from one stacked (n, k) array of b, and must keep the bits of the
+    # per-state readout: m of the state's own b, plus the atom term in Python's complex division
+    prob = de.build_problem(get_activation("tanh"), get_link("sin"), [0.6, -0.3], [0.7, 0.3], alpha=0.8, beta=1.5)
+    grid = np.linspace(0.05, 3.0, 25)
+    levels, first, errors, _ = sp._eps_levels(prob, grid, [None] * len(grid), None)
+    assert not errors and prob.atom_mass() > 0
+    per_state = [(complex(de.stieltjes(prob, s.b)) + prob.atom_mass() / s.z).imag / np.pi for s in first]
+    assert np.array_equal(levels[0], per_state)
 
 
 def test_density_grid_stays_on_the_stieltjes_branch():
@@ -409,7 +421,7 @@ def test_partly_cached_grid_is_byte_identical_to_a_cold_run(tmp_path, monkeypatc
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(TINY))
     batch_sizes = []
-    solve_paths = sp.solve_paths
+    solve_paths, put = sp.solve_paths, FixedPointCache.put
 
     def recorded(problem, paths, starts):
         batch_sizes.append(len(paths))
@@ -424,8 +436,14 @@ def test_partly_cached_grid_is_byte_identical_to_a_cold_run(tmp_path, monkeypatc
             return cli.main([*argv, *extra])
 
         assert run("cold") == cli.EXIT_OK
-        assert run("full", "--cache", str(cache)) == cli.EXIT_OK
+        puts = []
+        with monkeypatch.context() as patch:
+            patch.setattr(FixedPointCache, "put", lambda self, *states: puts.append(states) or put(self, *states))
+            assert run("full", "--cache", str(cache)) == cli.EXIT_OK
+        assert [len(states) for states in puts] == [points] * 3  # one append per eps level, of every point
         lines = cache.read_text().splitlines(keepends=True)
+        keys = sorted(json.loads(line)["key"] for line in lines)
+        assert len(keys) == 3 * points and len(set(keys)) == len(keys)
         cache.write_text("".join(lines[::2]))  # every other state, at every eps level
         batch_sizes.clear()
         with monkeypatch.context() as patch:
@@ -437,6 +455,16 @@ def test_partly_cached_grid_is_byte_identical_to_a_cold_run(tmp_path, monkeypatc
         cold = (tmp_path / f"cold{points}" / "theory_spectrum.csv").read_bytes()
         assert (tmp_path / f"full{points}" / "theory_spectrum.csv").read_bytes() == cold
         assert (tmp_path / f"part{points}" / "theory_spectrum.csv").read_bytes() == cold
+        # the partial run appended only the states it solved, and an all-hit rerun appends nothing
+        assert sorted(json.loads(line)["key"] for line in cache.read_text().splitlines()) == keys
+        written = cache.read_bytes()
+        assert run("again", "--cache", str(cache)) == cli.EXIT_OK
+        assert cache.read_bytes() == written
+        assert (tmp_path / f"again{points}" / "theory_spectrum.csv").read_bytes() == cold
+
+
+def test_auto_grid_of_a_sample_without_positive_eigenvalues():
+    assert sp.auto_grid(np.array([0.0, 1e-12, -0.5])) == (1e-3, 1.0, 300)
 
 
 def test_rf_finite_size_overlay_small():

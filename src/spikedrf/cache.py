@@ -1,26 +1,22 @@
 """Fixed-point cache.
 
-The cache is a JSON-lines file keyed by (problem digest, z).  The digest
-covers everything the fixed-point map reads (alpha, beta, rho, pi, the
-kappa weights, the c1 and residual tables) and everything else that shapes
-a converged state: the source of `detequiv`, `spectrum` and this module (the
+The cache is a text file of lines `<digest> <hex>`.  The digest covers
+everything the fixed-point map reads (alpha, beta, rho, pi, the kappa
+weights, the c1 and residual tables) and everything else that shapes a
+converged state: the source of `detequiv`, `spectrum` and this module (the
 solver, the density grid's eps levels, whose later levels start from the
 earlier levels' states, and the record format), and the values of every
 upper-case constant of `detequiv` and `spectrum` as the process sees them.
 So a rerun of the same theory under another seed or n0 reuses the file, and
-a changed theory, solver or record never reads a stale state, with no list
-of settings or version to keep by hand.  Density grid reruns hit it for
-every point.  A record's `state` is the hex text of one little-endian
-complex128 vector [z, V (row-major), nu, b, residual], k*k + 2k + 2 numbers
-that round-trip every bit.  A file may hold the records of several problems;
-loading keeps only this problem's.  `put` appends its new records in one
-write: the density grid puts each eps level's new states at once, so a killed
-run loses at most the level in flight.  A writer killed mid-line leaves a torn
-line; loading skips (and counts) every line that is not a record (an object
-with a string `key` and a `state`), and the next write starts on a fresh
-line; `get` drops (and counts) a record whose state is not hex text of the
-problem's length.  Only the density grid (Im z > 0) uses the cache: states
-on z < 0 are never cached, nor the real ladder's settings.
+a changed theory, solver or record never reads a stale state.  The hex is
+little-endian complex128 records, each one state's [z, V (row-major), nu,
+b, residual], k*k + 2k + 2 numbers that keep every bit; a state is keyed by
+its own z, bit for bit.  Loading decodes only this problem's lines.  Each
+`put` appends one line of its new records, and the density grid puts each
+eps level's new states at once, so a killed run loses at most the level in
+flight.  Loading keeps the whole records of a torn line and counts it, as
+it counts every other line that is not a record line; the next write starts
+on a fresh line.  Only the density grid (Im z > 0) uses the cache.
 """
 from __future__ import annotations
 
@@ -32,6 +28,8 @@ import numpy as np
 
 from . import detequiv, spectrum
 from .detequiv import DetEquivProblem, FixedPointState
+
+_HEX = frozenset("0123456789abcdef")
 
 
 def _problem_digest(problem: DetEquivProblem) -> str:
@@ -49,65 +47,53 @@ def _problem_digest(problem: DetEquivProblem) -> str:
 
 
 class FixedPointCache:
-    """Append-only JSONL store of converged fixed points; `torn_lines` counts skipped lines and dropped records."""
+    """Append-only store of converged fixed points by z; `torn_lines` counts lines that are not whole records."""
 
     def __init__(self, path: Path | str, problem: DetEquivProblem):
         self.path = Path(path)
         self.digest = _problem_digest(problem)
         self.k = problem.k
-        self._entries: dict = {}
-        self.hits = 0
-        self.misses = 0
-        self.torn_lines = 0
+        size = self.k * self.k + 2 * self.k + 2
+        self._entries: dict = {}  # z -> its record
+        self.hits = self.misses = self.torn_lines = 0
         self._open_line = False  # the file ends without a newline
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if self.path.exists():
-            prefix = self.digest + "|"
             with self.path.open(encoding="utf-8", errors="replace") as fh:  # a line of bad bytes is one torn line
                 for line in fh:
                     self._open_line = not line.endswith("\n")
-                    line = line.strip()
-                    if not line:
+                    head, _, text = line.strip().partition(" ")
+                    if head != self.digest:  # blank, or another problem's line, which stays in the file unread
+                        if head and not (len(head) == 16 and _HEX.issuperset(head) and text):
+                            self.torn_lines += 1
                         continue
+                    whole = len(text) - len(text) % (32 * size)
                     try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError:
-                        rec = None
-                    if not (isinstance(rec, dict) and isinstance(rec.get("key"), str) and "state" in rec):
+                        records = np.frombuffer(bytes.fromhex(text[:whole]), "<c16").reshape(-1, size)
+                    except ValueError:  # not hex text
+                        records, whole = np.empty((0, size)), -1
+                    if not whole or whole != len(text):  # no record, or a partial one
                         self.torn_lines += 1
-                    elif rec["key"].startswith(prefix):  # another problem's record stays in the file, unloaded
-                        self._entries[rec["key"]] = rec["state"]
-
-    def _key(self, z: complex) -> str:
-        return f"{self.digest}|{z.real:.12e}|{z.imag:.12e}"
+                    self._entries.update(zip(records[:, 0].tolist(), records))
 
     def get(self, z: complex) -> FixedPointState | None:
-        key, k = self._key(complex(z)), self.k
-        if key in self._entries:
-            try:
-                x = np.frombuffer(bytes.fromhex(self._entries[key]), "<c16")
-            except (TypeError, ValueError):  # not hex text, or not whole complex128 numbers
-                x = np.empty(0)
-            if x.size == k * k + 2 * k + 2:
-                self.hits += 1
-                return FixedPointState(z=complex(x[0]), V=x[1:k * k + 1].reshape(k, k), nu=x[k * k + 1:-k - 1],
-                                       b=x[-k - 1:-1], residual=float(x[-1].real))
-            del self._entries[key]  # not a state of this problem: the point is solved again
-            self.torn_lines += 1
-        self.misses += 1
-        return None
+        x, k = self._entries.get(complex(z)), self.k
+        if x is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        return FixedPointState(z=complex(x[0]), V=x[1:k * k + 1].reshape(k, k), nu=x[k * k + 1:-k - 1],
+                               b=x[-k - 1:-1], residual=float(x[-1].real))
 
     def put(self, *states: FixedPointState) -> None:
-        """Append, in order and in one write, the records of the states not yet held; all held opens no file."""
-        lines = []
+        """Append, in order and as one line, the records of the states not yet held; all held opens no file."""
+        records = []
         for state in states:
-            key = self._key(complex(state.z))
-            if key in self._entries:
-                continue
-            rec = np.concatenate([[state.z], np.ravel(state.V), state.nu, state.b, [state.residual]]).astype("<c16").tobytes().hex()
-            self._entries[key] = rec
-            lines.append(json.dumps({"key": key, "state": rec}) + "\n")
-        if lines:
+            z = complex(state.z)
+            if z not in self._entries:
+                self._entries[z] = x = np.concatenate([[z], np.ravel(state.V), state.nu, state.b, [state.residual]])
+                records.append(x.astype("<c16"))
+        if records:
             with self.path.open("a") as fh:
-                fh.write(("\n" if self._open_line else "") + "".join(lines))
+                fh.write(("\n" if self._open_line else "") + f"{self.digest} {np.concatenate(records).tobytes().hex()}\n")
             self._open_line = False

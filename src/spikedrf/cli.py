@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     ts.add_argument("config")
     ts.add_argument("--grid", type=_grid, required=True, help="min:max:points")
     ts.add_argument("--out", default="out")
-    ts.add_argument("--cache", default=None, help="fixed-point cache path (JSONL)")
+    ts.add_argument("--cache", default=None, help="fixed-point cache file (one line of hex records per eps level)")
     ts.set_defaults(func=cmd_theory_spectrum)
 
     tg = sub.add_parser("theory-generror", help="asymptotic test error (optionally over an alpha sweep)")

@@ -141,7 +141,10 @@ def _eps_levels(problem: DetEquivProblem, lams: np.ndarray, starts: list, cache)
     solves point j of every segment in one `solve_paths` call, each from its
     left neighbour in the segment, or down the `ladder` when it is a head or
     its neighbour has no state.  A cached state has the bits of a solved one,
-    so no state depends on which points the cache served.  `cache`, if given
+    so on a rerun of the same grid no state depends on which points the
+    cache served; a point that another cached grid shares has the state that
+    grid solved, warm-started from that grid's neighbour, which may differ in
+    the last bits from this grid's own solve.  `cache`, if given
     (any object with `get(z)` returning a state or None and `put(*states)`),
     is read per point before each level and gets one `put` per level of that
     level's new states in grid order, none when all hit.  A

@@ -12,6 +12,7 @@ import spikedrf
 from spikedrf import cache as fixed_point_cache
 from spikedrf import cli, detequiv, generror, quadrature, simulate, spectrum
 from spikedrf.detequiv import FixedPointError
+from spikedrf.model import ACTIVATIONS, ActivationSpec
 
 REPO = Path(__file__).resolve().parents[1]
 TINY = {
@@ -96,6 +97,39 @@ def test_malformed_numbers_in_config_exit_2(tmp_path, capsys, command, changes):
     assert run(command, path, "--seeds", 1, "--out", tmp_path / "o") == cli.EXIT_USAGE
     assert "invalid config" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "theory-spectrum", "theory-generror", "compare"])
+@pytest.mark.parametrize("changes, message", [
+    ({"vocab": {"zeta": [1.0, -1.0], "pi": [1.0]}}, "invalid config"),
+    ({"vocab": {"zeta": [], "pi": []}}, "invalid config"),
+    ({"link": None}, "invalid config"),
+    ({"activation": "tanh_bad_derivative"}, "config failed validation"),
+], ids=["unmatched-vocab", "empty-vocab", "missing-key", "bad-derivative"])
+def test_config_that_fails_its_checks_exits_2(tmp_path, capsys, monkeypatch, command, changes, message):
+    # an activation whose derivative disagrees with finite differences, as a user-added catalogue entry would
+    monkeypatch.setitem(ACTIVATIONS, "tanh_bad_derivative", ActivationSpec("tanh_bad_derivative", np.tanh, np.cos))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value for key, value in {**TINY, **changes}.items() if value is not None}))
+    argv = ("--grid", "0.02:2.0:5") if command == "theory-spectrum" else ()
+    assert run(command, path, *argv, "--out", tmp_path / "o") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    reason = {"invalid config": "missing config keys: ['link']" if "link" in changes
+              else "vocabulary needs matching, non-empty zeta and pi lists",
+              "config failed validation": "derivative of activation 'tanh_bad_derivative' disagrees"}[message]
+    assert reason in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_slow_n0_warns_on_stderr(tmp_path, capsys):
+    # n0 = 70 < d^1.05 = 73.5 at d = 60: the run goes on, with a warning that the spike approximation may be loose
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**TINY, "n0": 70}))
+    assert run("theory-spectrum", path, "--grid", "0.02:2.0:5", "--out", tmp_path / "o") == cli.EXIT_OK
+    out, err = capsys.readouterr()
+    assert "warning: n0 = 70 grows slower than d^(1+eps)" in err and "warning" not in out
+    assert (tmp_path / "o" / "theory_spectrum.csv").exists()
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0])
@@ -259,13 +293,43 @@ def test_cache_keyed_by_theory_content(tmp_path, monkeypatch):
     assert rerun == spectrum_run("rerun_uncached", cached=False)[0]
     # n moves alpha, so nothing may be served
     assert spectrum_run("larger_n", n=TINY["n"] + 12)[1]["cache_hits"] == 0
-    # lines whose key carries a rho pair (the older format) are never served
-    records = [json.loads(line) for line in cache.read_text().splitlines()]
-    cache.write_text("".join(
-        json.dumps({"key": rec["key"] + "|0.000000000000e+00|0.000000000000e+00", "state": rec["state"]}) + "\n"
-        for rec in records
-    ))
-    assert spectrum_run("older_format")[1]["cache_hits"] == 0
+    # a file in the JSON-lines format of before, one {"key": "<digest>|<Re z>|<Im z>", "state": <hex>} object per
+    # state, is never served: each line counts as torn
+    digest, text = cache.read_text().splitlines()[0].split(" ")
+    records = [text[i:i + 5 * 32] for i in range(0, len(text), 5 * 32)]  # k = 1: [z, V, nu, b, residual]
+    zs = [complex(np.frombuffer(bytes.fromhex(rec[:32]), "<c16")[0]) for rec in records]
+    cache.write_text("".join(json.dumps({"key": f"{digest}|{z.real:.12e}|{z.imag:.12e}", "state": rec}) + "\n"
+                             for z, rec in zip(zs, records)))
+    manifest = spectrum_run("json_lines")[1]
+    assert manifest["cache_hits"] == 0 and manifest["cache_torn_lines"] == 20
+
+
+def test_cache_serves_a_state_only_at_its_own_z(config_path, tmp_path, monkeypatch):
+    # a grid that starts 1e-14 higher matches the cached grid's z to 13 digits at every point but the shared last
+    # one; only the states of that point, at each eps level, are served, each at the z asked for
+    cache, served, get = tmp_path / "cache.jsonl", [], fixed_point_cache.FixedPointCache.get
+
+    def recorded(self, z):
+        state = get(self, z)
+        served.extend([(complex(z), state.z)] if state is not None else [])
+        return state
+
+    def spectrum_run(name, grid, *cached):
+        assert run("theory-spectrum", config_path, "--grid", grid, "--out", tmp_path / name, *cached) == cli.EXIT_OK
+        return np.loadtxt(tmp_path / name / "theory_spectrum.csv", delimiter=",", skiprows=2)
+
+    spectrum_run("cached", "0.5:2.0:20", "--cache", cache)
+    with monkeypatch.context() as patch:
+        patch.setattr(fixed_point_cache.FixedPointCache, "get", recorded)
+        shifted = spectrum_run("shifted", "0.50000000000001:2.0:20", "--cache", cache)
+    manifest = json.loads((tmp_path / "shifted" / "manifest.json").read_text())
+    assert (manifest["cache_hits"], manifest["cache_misses"]) == (3, 57)
+    assert [asked.real for asked, _ in served] == [2.0] * 3 and all(asked == z for asked, z in served)
+    # every point solved here has the bits of the uncached run; the served one has the state the cached grid
+    # solved from its own neighbour, which may differ in the last bits
+    uncached = spectrum_run("uncached", "0.50000000000001:2.0:20")
+    assert np.array_equal(shifted[:-1], uncached[:-1])
+    np.testing.assert_allclose(shifted[-1], uncached[-1], rtol=0, atol=1e-15)
 
 
 def test_theory_spectrum_bad_grid(config_path, tmp_path, capsys):
@@ -415,22 +479,21 @@ def test_torn_cache_line_is_skipped(config_path, tmp_path):
     assert run("theory-spectrum", config_path, *grid, "--out", tmp_path / "cold") == 0
     cold = (tmp_path / "cold" / "theory_spectrum.csv").read_bytes()
     whole = cache.read_bytes()
+    first, rest = whole.split(b"\n", 1)  # the first eps level: 20 records of [z, V, nu, b, residual] at k = 1
+    digest, text = first.split(b" ")
+    assert len(text) == 20 * 5 * 32 and len(rest.splitlines()) == 2
     # (case, cache text, (torn lines, misses) of a run on it, the same of the rerun after it):
-    # a writer killed mid-line loses its point; a whole line that is not a record (not even UTF-8) loses none
-    cases = [("torn", whole[:-40], (1, 1), (1, 0)), ("keyonly", whole + b'{"key": "zz"}\n', (1, 0), (1, 0)),
-             ("numkey", whole + b'{"key": 3, "state": {}}\n', (1, 0), (1, 0)), ("list", whole + b"[1, 2]\n", (1, 0), (1, 0)),
-             ("not_utf8", whole + b"\xff\xfe\x00garbage\n", (1, 0), (1, 0))]
-    # a record whose state is not hex text of k*k + 2k + 2 complex128 numbers is dropped and its point solved
-    # again; the rerun reads the record appended then, which shadows the bad one
-    first, rest = whole.split(b"\n", 1)
-    record = json.loads(first)
-    state = record["state"]
-    x = np.frombuffer(bytes.fromhex(state), "<c16")  # k = 1: [z, V, nu, b, residual]
-    pairs = {name: [[v.real, v.imag]] for name, v in zip(("V", "nu", "b"), x[1:4])}
-    older = {"z": [x[0].real, x[0].imag], **pairs, "residual": x[4].real}  # the float-list object state before hex
-    for case, bad in (("empty", ""), ("not_hex", "not hex"), ("one_short", state[:-32]),
-                      ("one_long", state + state[:32]), ("older_object", older)):
-        cases.append((case, json.dumps({"key": record["key"], "state": bad}).encode() + b"\n" + rest, (1, 1), (0, 0)))
+    # a writer killed mid-line loses its partial record; a whole line that is not a record line (not even UTF-8,
+    # or the digest alone) loses none; a blank line is neither torn nor lost
+    cases = [("torn", whole[:-40], (1, 1), (1, 0)), ("junk", whole + b"junk\n", (1, 0), (1, 0)),
+             ("json", whole + b'{"key": "zz", "state": ""}\n', (1, 0), (1, 0)), ("list", whole + b"[1, 2]\n", (1, 0), (1, 0)),
+             ("not_utf8", whole + b"\xff\xfe\x00garbage\n", (1, 0), (1, 0)),
+             ("torn_digest", whole + digest[:7] + b"\n", (1, 0), (1, 0)), ("blank", whole + b"\n  \n", (0, 0), (0, 0))]
+    # a line of this problem whose text is not hex, or not a whole number of records, keeps its whole records
+    # and counts once; the points it lost are solved again, and the rerun reads the line appended then
+    for case, bad, lost in (("empty", b"", 20), ("not_hex", b"not hex", 20), ("one_short", text[:-32], 1),
+                            ("one_long", text + text[:32], 0)):
+        cases.append((case, digest + b" " + bad + b"\n" + rest, (1, lost), (1, 0)))
     for case, text, *expected in cases:
         cache.write_bytes(text)
         for name, (torn, misses) in zip((case, f"{case}_mended"), expected):

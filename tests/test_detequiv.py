@@ -234,7 +234,8 @@ def test_cache_loads_only_its_own_problems_records(tmp_path):
 
 
 def test_batched_put_appends_each_new_state_once(tmp_path):
-    # put(*states) writes the bytes of one put per state, held states skipped; a put of held states opens no file
+    # put(*states) appends one line of the records of the states not yet held, in order; a put of held states
+    # opens no file
     path, single = tmp_path / "cache.jsonl", tmp_path / "single.jsonl"
     prob = small_problem()
     s1, s2, s3 = (de.solve_fixed_point(prob, z) for z in (complex(-0.7, 0.2), complex(0.4, 0.3), complex(-0.3, 0.5)))
@@ -243,14 +244,15 @@ def test_batched_put_appends_each_new_state_once(tmp_path):
     cache.put(s2, s1, s3, s2)
     for state in (s1, s2, s3):
         FixedPointCache(single, prob).put(state)
-    assert path.read_bytes() == single.read_bytes()
+    lines, singles = path.read_text().splitlines(), single.read_text().splitlines()
+    assert lines == [singles[0], singles[1] + singles[2].split(" ")[1]]
     cache.path = tmp_path  # a directory: opening it to append would raise
     cache.put(s3, s1)
     # a blank line is skipped, not counted as torn
-    lines = single.read_text().splitlines()
-    path.write_text("\n" + "\n".join(lines[:2]) + "\n\n   \n" + lines[2] + "\n")
+    path.write_text("\n" + "\n".join(singles[:2]) + "\n\n   \n" + singles[2] + "\n")
     reloaded = FixedPointCache(path, prob)
     assert reloaded.torn_lines == 0 and len(reloaded._entries) == 3
+    assert all(reloaded.get(s.z).z == s.z for s in (s1, s2, s3))
 
 
 def test_nonconvergence_reported(monkeypatch):

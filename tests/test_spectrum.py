@@ -417,6 +417,12 @@ def test_batched_level_failure_is_zero_filled_alone(monkeypatch):
     assert "non-finite b" in failure["reason"]
 
 
+def cache_records(path):
+    """The (digest, hex) of each record of a cache file at k = 1, whose records are five complex128 numbers."""
+    return [(digest, text[i:i + 5 * 32]) for digest, text in (line.split(" ") for line in path.read_text().splitlines())
+            for i in range(0, len(text), 5 * 32)]
+
+
 def test_partly_cached_grid_is_byte_identical_to_a_cold_run(tmp_path, monkeypatch):
     config = tmp_path / "tiny.json"
     config.write_text(json.dumps(TINY))
@@ -441,10 +447,11 @@ def test_partly_cached_grid_is_byte_identical_to_a_cold_run(tmp_path, monkeypatc
             patch.setattr(FixedPointCache, "put", lambda self, *states: puts.append(states) or put(self, *states))
             assert run("full", "--cache", str(cache)) == cli.EXIT_OK
         assert [len(states) for states in puts] == [points] * 3  # one append per eps level, of every point
-        lines = cache.read_text().splitlines(keepends=True)
-        keys = sorted(json.loads(line)["key"] for line in lines)
-        assert len(keys) == 3 * points and len(set(keys)) == len(keys)
-        cache.write_text("".join(lines[::2]))  # every other state, at every eps level
+        records = cache_records(cache)
+        assert len(cache.read_text().splitlines()) == 3 and len(records) == 3 * points
+        keys = sorted(rec[:32] for _, rec in records)  # each state's z, bit for bit
+        assert len(set(keys)) == len(keys)
+        cache.write_text("".join(f"{digest} {rec}\n" for digest, rec in records[::2]))  # every other state, at every eps level
         batch_sizes.clear()
         with monkeypatch.context() as patch:
             patch.setattr(sp, "solve_paths", recorded)
@@ -456,7 +463,7 @@ def test_partly_cached_grid_is_byte_identical_to_a_cold_run(tmp_path, monkeypatc
         assert (tmp_path / f"full{points}" / "theory_spectrum.csv").read_bytes() == cold
         assert (tmp_path / f"part{points}" / "theory_spectrum.csv").read_bytes() == cold
         # the partial run appended only the states it solved, and an all-hit rerun appends nothing
-        assert sorted(json.loads(line)["key"] for line in cache.read_text().splitlines()) == keys
+        assert sorted(rec[:32] for _, rec in cache_records(cache)) == keys
         written = cache.read_bytes()
         assert run("again", "--cache", str(cache)) == cli.EXIT_OK
         assert cache.read_bytes() == written

@@ -14,6 +14,7 @@ config hash it was produced from, and every run manifest the package's
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -385,6 +386,7 @@ def cmd_compare(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
+@functools.cache  # one parser per process: parse_args keeps no parsed value in it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spikedrf", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -38,10 +38,12 @@ from spikedrf.detequiv import (
 from spikedrf.generror import asymptotic_tau, expected_lambda
 from spikedrf.model import ActivationSpec, LinkSpec
 from spikedrf.quadrature import QuadratureError, cached_rule, hermite_basis
-from spikedrf.simulate import ROW_BLOCK, gradient_step, sample_data
+from spikedrf.simulate import gradient_step, sample_data
 from spikedrf.spectrum import DensityCurve
 
 DEFAULT_TEST_POINTS = 10_000
+# rows per prediction block of the Monte Carlo test error; the plug-in tests pin its bits
+PREDICTION_ROWS = 1024
 
 
 def _shifted_values(sigma: Callable[[np.ndarray], np.ndarray], shifts) -> tuple:
@@ -363,13 +365,13 @@ def monte_carlo_generror(
 ):
     """Monte Carlo estimate of E[(y_new - f(x_new))^2] over DEFAULT_TEST_POINTS fresh samples, with its standard error.
 
-    The test points are drawn at once; the predictions are formed `ROW_BLOCK` rows at a time, so
+    The test points are drawn at once; the predictions are formed `PREDICTION_ROWS` rows at a time, so
     beyond the drawn points only one block of features and the prediction vector are alive.
     """
     X, y, _ = sample_data(DEFAULT_TEST_POINTS, W1.shape[1], w_star, link, rng)
     pred = np.empty(DEFAULT_TEST_POINTS)
-    for b in range(0, DEFAULT_TEST_POINTS, ROW_BLOCK):
-        pred[b:b + ROW_BLOCK] = sigma.fn(X[b:b + ROW_BLOCK] @ W1.T) @ a_hat
+    for b in range(0, DEFAULT_TEST_POINTS, PREDICTION_ROWS):
+        pred[b:b + PREDICTION_ROWS] = sigma.fn(X[b:b + PREDICTION_ROWS] @ W1.T) @ a_hat
     resid = (y - pred / np.sqrt(len(a_hat))) ** 2
     return float(resid.mean()), float(resid.std(ddof=1) / np.sqrt(DEFAULT_TEST_POINTS))
 

@@ -180,6 +180,33 @@ def test_eig_csv_is_an_unknown_option(config_path, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_one_parser_serves_every_call_and_keeps_no_parsed_value(config_path, tmp_path, monkeypatch, capsys):
+    # the parser is built once per process; what one call parses, even a call that fails, reaches no later call
+    assert cli.build_parser() is cli.build_parser()
+    bad = ("--seeds", 5, "--grid", "0.1:1:4", "--bogus")
+    assert run("compare", config_path, *bad, "--out", tmp_path / "bad") == cli.EXIT_USAGE
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+    assert run("theory-spectrum", config_path, "--grid", "0.02:2.0:20", "--out", tmp_path / "ts") == cli.EXIT_OK
+
+    seen = {}
+    run_seeds, auto_grid = cli._run_seeds, spectrum.auto_grid
+
+    def recorded_seeds(config, seeds, *rest):
+        seen["seeds"] = seeds
+        return run_seeds(config, seeds, *rest)
+
+    def recorded_grid(eigenvalues):  # compare takes the automatic grid only when its grid is None
+        seen["auto_grid"] = True
+        return auto_grid(eigenvalues)
+
+    monkeypatch.setattr(cli, "_run_seeds", recorded_seeds)
+    monkeypatch.setattr(spectrum, "auto_grid", recorded_grid)
+    loose = ("--tol-ks", 1, "--tol-generror", 1e9)  # the checks are not under test here
+    assert run("compare", config_path, *loose, "--out", tmp_path / "cmp") == cli.EXIT_OK
+    assert seen == {"seeds": 3, "auto_grid": True}
+
+
 def test_usage_error_on_bad_subcommand(config_path, tmp_path):
     assert run("frobnicate", config_path) == cli.EXIT_USAGE
 

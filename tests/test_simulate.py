@@ -27,6 +27,8 @@ from spikedrf.model import (
 )
 from spikedrf.quadrature import cached_rule, split_rule
 
+STEP_CHUNK = inspect.signature(sim.gradient_step).parameters["chunk"].default
+
 
 def unit_vector(d, rng):
     w = rng.standard_normal(d)
@@ -79,15 +81,18 @@ def test_gradient_step_matches_scalar_loop():
 
 
 def test_gradient_step_chunking_invariant():
-    rng = make_rng(3)
-    W0 = sim.sample_first_layer(16, 10, rng)
-    a0 = rng.standard_normal(16) / 4.0
-    X0 = rng.standard_normal((200, 10))
-    y0 = rng.standard_normal(200)
+    # n0 = 200 lies inside one default chunk, against chunks of 7 rows; n0 = 3 * STEP_CHUNK + 100 spans four
+    # default chunks, against one chunk of n0 rows
     relu = get_activation("relu")
-    full = sim.gradient_step(W0, a0, X0, y0, 1.3, relu)
-    chunked = sim.gradient_step(W0, a0, X0, y0, 1.3, relu, chunk=7)
-    assert np.max(np.abs(full - chunked)) < 1e-12
+    for n0, chunk in ((200, 7), (3 * STEP_CHUNK + 100, 3 * STEP_CHUNK + 100)):
+        rng = make_rng(3)
+        W0 = sim.sample_first_layer(16, 10, rng)
+        a0 = rng.standard_normal(16) / 4.0
+        X0 = rng.standard_normal((n0, 10))
+        y0 = rng.standard_normal(n0)
+        default = sim.gradient_step(W0, a0, X0, y0, 1.3, relu)
+        chunked = sim.gradient_step(W0, a0, X0, y0, 1.3, relu, chunk=chunk)
+        assert np.max(np.abs(default - chunked)) < 1e-12, n0
 
 
 def test_gradient_step_is_the_scaled_label_gradient():
@@ -105,16 +110,15 @@ def test_gradient_step_is_the_scaled_label_gradient():
 
 @pytest.mark.parametrize("activation", ["relu", "tanh", "hermite3", "identity"])
 def test_label_gradient_is_bit_equal_to_fresh_chunk_temporaries(activation):
-    # three chunks; each full chunk ends in a block shorter than ROW_BLOCK, and so does the last chunk
-    chunk = 2 * sim.ROW_BLOCK + 300
-    n0 = 2 * chunk + 500
+    # three chunks of the default size, the last one short
+    n0 = 2 * STEP_CHUNK + 500
     rng = make_rng(12)
     W0 = sim.sample_first_layer(24, 10, rng)
     X0 = rng.standard_normal((n0, 10))
     y0 = rng.standard_normal(n0)
     sigma = get_activation(activation)
-    assert np.array_equal(sim.label_gradient(W0, X0, y0, sigma, chunk),
-                          label_gradient_unbuffered(W0, X0, y0, sigma, chunk))
+    assert np.array_equal(sim.label_gradient(W0, X0, y0, sigma, STEP_CHUNK),
+                          label_gradient_unbuffered(W0, X0, y0, sigma, STEP_CHUNK))
 
 
 def traced_peak(fn, *args):
@@ -128,16 +132,17 @@ def traced_peak(fn, *args):
 
 
 def test_label_gradient_memory_is_one_chunk_buffer():
-    # beyond its inputs the step holds one (chunk, p) buffer, a few (ROW_BLOCK, p) blocks and (p, d) products
-    chunk = inspect.signature(sim.gradient_step).parameters["chunk"].default
-    p, d, n0 = 32, 8, 2 * chunk + 700
+    # beyond its inputs the step holds one (chunk, p) buffer, at most two (chunk, p) temporaries of sigma'
+    # and (p, d) products; one bound at n0 = 2 and 8 default chunks (plus a short one) shows no growth with n0
+    p, d = 32, 8
     rng = make_rng(13)
     W0 = sim.sample_first_layer(p, d, rng)
-    X0 = rng.standard_normal((n0, d))
-    y0 = rng.standard_normal(n0)
-    for activation in ("relu", "tanh"):
-        _, peak = traced_peak(sim.label_gradient, W0, X0, y0, get_activation(activation), chunk)
-        assert peak <= 8 * (chunk * p + 4 * sim.ROW_BLOCK * p + 3 * p * d), activation
+    for n0 in (2 * STEP_CHUNK + 700, 8 * STEP_CHUNK + 700):
+        X0 = rng.standard_normal((n0, d))
+        y0 = rng.standard_normal(n0)
+        for activation in ("relu", "tanh"):
+            _, peak = traced_peak(sim.label_gradient, W0, X0, y0, get_activation(activation), STEP_CHUNK)
+            assert peak <= 8 * (3 * STEP_CHUNK * p + 3 * p * d), (n0, activation)
 
 
 def spiked_network(activation, p=240, d=60, spike=1.0, seed=16):
@@ -311,7 +316,7 @@ def test_empirical_generror_null_predictor_and_scaling():
 
 
 def test_monte_carlo_oracle_is_bit_equal_to_the_one_shot_expression():
-    # DEFAULT_TEST_POINTS is not a multiple of ROW_BLOCK, so the last block is short
+    # DEFAULT_TEST_POINTS is not a multiple of the oracle's PREDICTION_ROWS, so the last block is short
     rng = make_rng(15)
     d, p = 20, 40
     w = unit_vector(d, rng)

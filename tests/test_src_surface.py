@@ -34,6 +34,12 @@ This check shares ALLOWED_PARAMS with the one above.
 
 No module in `src/` or `tests/` imports a name it does not use (names in
 `__all__` and `from __future__` imports are exempt).
+
+Every module-level upper-case constant in `src/spikedrf` must be read, as a
+name or an attribute, somewhere in `src/spikedrf` outside its own
+assignment: a constant that only tests read belongs in `tests/`.  It matters
+beyond tidiness because the cache digest hashes every upper-case constant of
+`detequiv` and `spectrum`, so a dead one there still changes the digest.
 """
 import ast
 import re
@@ -285,3 +291,29 @@ def unused_imports(path: Path) -> list:
 def test_no_unused_imports():
     unused = [hit for root in (SRC, TESTS) for path in sorted(root.glob("*.py")) for hit in unused_imports(path)]
     assert not unused, f"imported but never used: {unused}"
+
+
+def constants_and_reads(src: Path):
+    """({name: [file:line, ...]} of the module-level upper-case constants, set of names read outside their assignment)."""
+    constants, reads = {}, set()
+    for path in sorted(src.glob("*.py")):
+        body = ast.parse(path.read_text()).body
+        for stmt in body:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+            own = {node.id for target in targets for node in ast.walk(target)
+                   if isinstance(node, ast.Name) and node.id.isupper()}
+            for name in own:
+                constants.setdefault(name, []).append(f"{path.name}:{stmt.lineno}")
+            for node in ast.walk(stmt):
+                if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                    name = node.id if isinstance(node, ast.Name) else node.attr
+                    if name not in own:
+                        reads.add(name)
+    return constants, reads
+
+
+def test_every_src_constant_is_read_in_src():
+    constants, reads = constants_and_reads(SRC)
+    assert constants, "the scan found no constants in src/"
+    unread = {name: where for name, where in constants.items() if name not in reads}
+    assert not unread, f"upper-case constants that nothing in src/ reads (delete them or move them to tests/): {unread}"

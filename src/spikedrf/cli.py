@@ -161,8 +161,7 @@ def _mean_stderr(values: list) -> tuple:
 
 
 def _simulate_one(args):
-    config_dict, seed_index, compute_spectrum = args
-    config = ExperimentConfig.from_dict(config_dict)
+    config, seed_index, compute_spectrum = args
     res = simulate.run_experiment(config, seed_index=seed_index, compute_spectrum=compute_spectrum)
     return {
         "seed_index": seed_index,
@@ -181,7 +180,7 @@ def _simulate_one(args):
 
 
 def _run_seeds(config: ExperimentConfig, seeds: int, compute_spectrum: bool, jobs: int):
-    tasks = [(config.to_dict(), i, compute_spectrum) for i in range(seeds)]
+    tasks = [(config, i, compute_spectrum) for i in range(seeds)]
     if jobs > 1 and seeds > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -207,8 +206,7 @@ def _simulation_step(manifest: RunManifest, config, seeds: int, compute_spectrum
     return results
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+def cmd_simulate(args, config: ExperimentConfig) -> int:
     manifest = RunManifest(_output_dir(args.out), config.config_hash(), "simulate")
     results = _simulation_step(manifest, config, args.seeds, args.spectrum, args.jobs)
     manifest.write()
@@ -239,8 +237,7 @@ def _spectrum_step(manifest: RunManifest, problem, grid: tuple, cache, record: d
     return curve
 
 
-def cmd_theory_spectrum(args) -> int:
-    config = _load_config(args.config)
+def cmd_theory_spectrum(args, config: ExperimentConfig) -> int:
     problem = detequiv.problem_from_config(config)
     try:
         cache = FixedPointCache(args.cache, problem) if args.cache else None
@@ -295,8 +292,7 @@ def _theory_rows(problem: detequiv.DetEquivProblem, alphas, lam: float, record: 
     return rows
 
 
-def cmd_theory_generror(args) -> int:
-    config = _load_config(args.config)
+def cmd_theory_generror(args, config: ExperimentConfig) -> int:
     alphas = np.array([config.alpha]) if args.alpha_sweep is None else args.alpha_sweep
     problem = detequiv.problem_from_config(config)
     manifest = RunManifest(_output_dir(args.out), config.config_hash(), "theory-generror")
@@ -313,7 +309,7 @@ def cmd_theory_generror(args) -> int:
 # --------------------------------------------------------------------------- #
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args, config: ExperimentConfig) -> int:
     """The simulation step with spectra, then the spectrum step on its pooled eigenvalues and the generror step.
 
     The manifest keeps the two theory steps' fields as its `spectrum` and `generror` blocks.  On top come the
@@ -321,7 +317,6 @@ def cmd_compare(args) -> int:
     whose generror check also lists the theory value, each seed's exact test error and their sample standard
     deviation (`seed_spread`, 0.0 for one seed).
     """
-    config = _load_config(args.config)
     manifest = RunManifest(_output_dir(args.out), config.config_hash(), "compare")
     checks = []
 
@@ -431,7 +426,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
+        return args.func(args, _load_config(args.config))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -89,11 +89,24 @@ def _erf(x):
     return erf(x)
 
 
+# tanh' and erf' write into their first temporary: on a (chunk, p) block they allocate one block, not two
+def _tanh_deriv(x):
+    c = np.cosh(x)
+    return np.divide(1.0, np.square(c, out=c), out=c)
+
+
+def _erf_deriv(x):
+    e = np.square(x)
+    np.exp(np.negative(e, out=e), out=e)
+    e *= 2.0 / np.sqrt(np.pi)
+    return e
+
+
 # the catalogues, by name; a new activation or link is one more entry
 ACTIVATIONS: Dict[str, ActivationSpec] = {spec.name: spec for spec in (
     ActivationSpec("relu", lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(float), kink_points=(0.0,)),
-    ActivationSpec("erf", _erf, lambda x: 2.0 / np.sqrt(np.pi) * np.exp(-(x**2))),
-    ActivationSpec("tanh", np.tanh, lambda x: 1.0 / np.cosh(x) ** 2),
+    ActivationSpec("erf", _erf, _erf_deriv),
+    ActivationSpec("tanh", np.tanh, _tanh_deriv),
     ActivationSpec("sin", np.sin, np.cos),
     ActivationSpec("identity", lambda x: x, lambda x: np.ones_like(x)),
     ActivationSpec("hermite2", lambda x: (x**2 - 1.0) / math.sqrt(2.0), lambda x: x * math.sqrt(2.0)),
@@ -110,14 +123,14 @@ LINKS: Dict[str, LinkSpec] = {spec.name: spec for spec in (
 def get_activation(name: str) -> ActivationSpec:
     try:
         return ACTIVATIONS[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: a name that is not hashable, as a JSON array or object
         raise ConfigError(f"unknown activation '{name}'; known: {sorted(ACTIVATIONS)}") from None
 
 
 def get_link(name: str) -> LinkSpec:
     try:
         return LINKS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ConfigError(f"unknown link '{name}'; known: {sorted(LINKS)}") from None
 
 
@@ -173,24 +186,41 @@ def _real(name: str, value) -> float:
     raise ConfigError(f"{name} must be a real number, got {value!r}")
 
 
-_CONFIG_KEYS = {"d", "p", "n", "n0", "eta_tilde", "lambda", "seed", "activation", "link", "vocab"}
-_VOCAB_KEYS = {"zeta", "pi"}
+def _key(name: str) -> str:  # a field's config-file key: its name, but "lambda" for the ridge penalty lam
+    return "lambda" if name == "lam" else name
 
 
-@dataclass(frozen=True)
+def _field_values(cls, data, what: str) -> dict:
+    """`data`'s values by field of the dataclass `cls`; a key is required exactly when its field has no default."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {data!r}")
+    keys = {_key(f.name): f for f in fields(cls)}
+    unknown = set(data) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = {key for key, f in keys.items() if f.default is MISSING} - set(data)
+    if missing:
+        raise ConfigError(f"missing {what} keys: {sorted(missing)}")
+    return {f.name: data[key] for key, f in keys.items() if key in data}
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
-    """All scalar hyperparameters of one run; alpha and beta are derived, never stored."""
+    """All scalar hyperparameters of one run; alpha and beta are derived, never stored.
+
+    The fields are the config file's keys in file order (`lam` is "lambda"); n0, the one with a default, is optional.
+    """
 
     d: int
     p: int
     n: int
+    n0: int | None = None
     eta_tilde: float
     lam: float
     seed: int
     activation: str
     link: str
     vocab: VocabularySpec
-    n0: int | None = None
 
     def __post_init__(self):
         for name, least in (("d", 1), ("p", 1), ("n", 1), ("seed", 0), ("n0", 1)):
@@ -200,10 +230,10 @@ class ExperimentConfig:
             if value < least:
                 raise ConfigError(f"{name} must be >= {least}, got {value}")
             object.__setattr__(self, name, value)
-        for name, key in (("eta_tilde", "eta_tilde"), ("lam", "lambda")):
-            value = _real(key, getattr(self, name))
+        for name in ("eta_tilde", "lam"):
+            value = _real(_key(name), getattr(self, name))
             if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
+                raise ConfigError(f"{_key(name)} must be finite, got {value}")
             object.__setattr__(self, name, value)
         get_activation(self.activation)
         get_link(self.link)
@@ -234,44 +264,18 @@ class ExperimentConfig:
         return (self.eta_tilde / self.beta) * c1 * cstar1 * zeta_a
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "p": self.p,
-            "n": self.n,
-            "n0": self.n0,
-            "eta_tilde": self.eta_tilde,
-            "lambda": self.lam,
-            "seed": self.seed,
-            "activation": self.activation,
-            "link": self.link,
-            "vocab": {"zeta": list(self.vocab.zeta), "pi": list(self.vocab.pi)},
-        }
+        return {_key(name): value for name, value in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        unknown = set(data) - _CONFIG_KEYS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        missing = _CONFIG_KEYS - {"n0"} - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
-        vocab_raw = data["vocab"]
-        unknown_v = set(vocab_raw) - _VOCAB_KEYS
-        if unknown_v:
-            raise ConfigError(f"unknown vocab keys: {sorted(unknown_v)}")
-        vocab = VocabularySpec(zeta=tuple(vocab_raw["zeta"]), pi=tuple(vocab_raw["pi"]))
-        return cls(
-            d=data["d"],
-            p=data["p"],
-            n=data["n"],
-            n0=_integer("n0", data["n0"]) if "n0" in data else None,  # an explicit null is an error, not the default
-            eta_tilde=data["eta_tilde"],
-            lam=data["lambda"],
-            seed=data["seed"],
-            activation=str(data["activation"]),
-            link=str(data["link"]),
-            vocab=vocab,
-        )
+        values = _field_values(cls, data, "config")
+        if "n0" in values:  # an explicit null is an error, not the default
+            values["n0"] = _integer("n0", values["n0"])
+        vocab = _field_values(VocabularySpec, values["vocab"], "vocab")
+        for name, value in vocab.items():
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be an array, got {value!r}")
+        return cls(**{**values, "vocab": VocabularySpec(**vocab)})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -81,7 +81,7 @@ def gradient_step(
     every row, an effect outside the spiked description; for odd activations it is O(1/sqrt(d))
     (see README).  `label_gradient` works in batches of `chunk` rows, through one reused
     (min(chunk, n0), p) buffer and one sigma' temporary of that size.  At the default 1024 rows each
-    is 16 MB at p = 2048, and the step takes the same time as in 16,384-row batches.
+    is 16 MB at p = 2048.
     """
     n0, p = X0.shape[0], W0.shape[0]
     return W0 + eta / (n0 * np.sqrt(p)) * a0[:, None] * label_gradient(W0, X0, y0, sigma, chunk)

@@ -64,7 +64,7 @@ def test_tracer_counts_a_one_alpha_generror_run(tmp_path):
 def test_tracer_counts_a_theory_spectrum_run(tmp_path):
     # the density grid calls the map through solve_paths, without solve_fixed_point; it reads the cache
     # per point (20 points, 3 eps levels) and appends once per eps level with new states
-    argv = ("theory-spectrum", "--grid", "0.02:2.0:20", "--cache", str(tmp_path / "cache.jsonl"))
+    argv = ("theory-spectrum", "--grid", "0.02:2.0:20", "--cache", str(tmp_path / "fixed_point.cache"))
     metrics = traced_cli_run(tmp_path, *argv)
     assert metrics["spectrum.points"] == 20 and metrics["spectrum.unconverged"] == 0
     assert metrics["detequiv.map_calls"] > 0

@@ -55,6 +55,22 @@ def test_unknown_keys_rejected():
         ExperimentConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("data, match", [
+    (3, "config must be a JSON object, got 3"),
+    ([], r"config must be a JSON object, got \[\]"),
+    ({"vocab": None}, "vocab must be a JSON object, got None"),
+    ({"vocab": {"zeta": 1.0, "pi": [1.0]}}, "zeta must be an array, got 1.0"),
+    ({"vocab": {"zeta": [1.0], "pi": "1.0"}}, "pi must be an array, got '1.0'"),
+    ({"vocab": {"pi": [1.0]}}, r"missing vocab keys: \['zeta'\]"),
+])
+def test_malformed_structure_is_a_named_config_error(data, match):
+    # a file or vocab that is not an object, or zeta and pi that are not arrays, fail before any field check
+    if isinstance(data, dict):
+        data = {**fig2_config().to_dict(), **data}
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict(data)
+
+
 def test_n0_default_growth():
     cfg = ExperimentConfig.from_dict({k: v for k, v in fig2_config().to_dict().items() if k != "n0"})
     assert cfg.n0 == default_n0(cfg.d) == int(np.ceil(cfg.d**1.2))

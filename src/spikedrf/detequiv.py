@@ -24,20 +24,20 @@ printed form failing it.
 A perturbation pair rho = (rho1, rho2) tilts the quadratic form by
 rho1 * (E[c1 c1^T])_e o WW^T + rho2 * diag(E[r])_e; inside the equations this
 is exactly V -> V + rho1*Cbar and nu -> nu + rho2*rbar wherever (V, nu) feed
-the W-average.  The perturbation belongs to the theory instance, not to a
-spectral point: `problem.perturbed(rho)` is the tilted problem, and every
-solve, kernel and functional of it sees the tilt.  Derivatives in rho at
-z = -lambda generate the variance-type order parameters of the test-error
-formula.
+the W-average.  The engine carries a tilt per row, as it carries z, so one
+batch may hold rows of different tilts.  `problem.perturbed(rho)` is the
+tilted problem: its Schur block, its solves by `solve_paths` and its cache
+digest read its rho.  Derivatives in rho at z = -lambda generate the
+variance-type order parameters of the test-error formula.
 
 Solver
 ------
-`fixed_point_map` applies the map to a batch of states at once, and
-`solve_batch` is the one engine built on it: type-II Anderson acceleration
-(Anderson 1965; Walker & Ni 2011) with memory ANDERSON_MEMORY and mixing
-ANDERSON_MIXING.  Every row keeps its own history, residual and iteration
-count and leaves the batch when it converges or fails, so a row's result
-does not depend on its batch.  Its one safeguard is the damped step
+`fixed_point_map` applies the map to a batch of states at once, each row
+with its own z and tilt, and `solve_batch` is the one engine built on it:
+type-II Anderson acceleration (Anderson 1965; Walker & Ni 2011) with memory
+ANDERSON_MEMORY and mixing ANDERSON_MIXING.  Every row keeps its own
+history, residual and iteration count and leaves the batch when it
+converges or fails, so a row's result does not depend on its batch.  Its one safeguard is the damped step
 X + mixing (F(X) - X), which also clears the row's history; a row takes it
 only when the extrapolated iterate leaves the Stieltjes half-plane
 (Im z > 0 but some Im b_q < 0), where the other root of the equations lies.
@@ -51,7 +51,7 @@ transform of mass pi_q beta, so 0 < b_q <= pi_q beta / |z| (Bai &
 Silverstein 2010), and a converged root outside ends its row with
 UnphysicalRootError: a cold start directly at z = -lambda, or too coarse a
 path, can converge to one with b_q < 0.
-A tilted problem (rho != 0) is not a covariance resolvent, and is not checked.
+A tilted row (rho != 0) is not a covariance resolvent, and is not checked.
 """
 from __future__ import annotations
 
@@ -243,21 +243,29 @@ def _diag_embed(b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _effective(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray):
-    rho1, rho2 = problem.rho
-    V_eff = V + rho1 * problem.cbar if rho1 else V
-    nu_eff = nu + rho2 * problem.rbar if rho2 else nu
-    return V_eff, nu_eff
+def _effective(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray, rho: np.ndarray):
+    """(V + rho1 cbar, nu + rho2 rbar) per row of a batch, rho (B, 2) the rows' tilts.
+
+    An all-zero column adds nothing, so an untilted batch keeps its arrays, and
+    one count of nonzero tilts tells such a batch at the least cost.
+    """
+    if not np.count_nonzero(rho):
+        return V, nu
+    if rho[:, 0].any():
+        V = V + rho[:, 0, None, None] * problem.cbar
+    if rho[:, 1].any():
+        nu = nu + rho[:, 1, None] * problem.rbar
+    return V, nu
 
 
-def _kernels(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray, b: np.ndarray):
-    """(V_eff, nu_eff, L, psi, chi, wd) of a batch of states (V (B,k,k), nu (B,k), b (B,k)).
+def _kernels(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray, b: np.ndarray, rho: np.ndarray):
+    """(V_eff, nu_eff, L, psi, chi, wd) of a batch of states (V (B,k,k), nu (B,k), b (B,k)) with tilts rho (B,2).
 
     chi and wd = kappa_w / (1 + chi) are (B, m), on the kappa nodes.  The
     quadratic form c1^T psi c1 is each row's own (1, k*k) @ (k*k, m) product
     with the `c1c1` table.
     """
-    V_eff, nu_eff = _effective(problem, V, nu)
+    V_eff, nu_eff = _effective(problem, V, nu, rho)
     L = _solve_L(V_eff, b)
     psi = _diag_embed(b) - L * (b[:, :, None] * b[:, None, :])
     quad = (psi.reshape(len(b), 1, -1) @ problem.c1c1.T)[:, 0]
@@ -266,21 +274,22 @@ def _kernels(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray, b: np.ndar
     return V_eff, nu_eff, L, psi, chi, wd
 
 
-def fixed_point_map(problem: DetEquivProblem, z: np.ndarray, V: np.ndarray, nu: np.ndarray, b: np.ndarray):
+def fixed_point_map(problem: DetEquivProblem, z: np.ndarray, V: np.ndarray, nu: np.ndarray, b: np.ndarray,
+                    rho: np.ndarray):
     """One application of the self-consistent map to a batch of states.
 
-    z (B,), V (B,k,k), nu (B,k), b (B,k); returns (V', nu', b') of the same
-    shapes.  Rows never mix: every row gets the arithmetic of a batch of one,
-    bit for bit, because each average over the kappa nodes is the row's own
-    stacked product with the `c1c1` or the residual table (one GEMM over the
+    z (B,), V (B,k,k), nu (B,k), b (B,k) and the tilts rho (B,2); returns
+    (V', nu', b') of the states' shapes.  Rows never mix: every row gets the
+    arithmetic of a batch of one, bit for bit, because each average over the
+    kappa nodes is the row's own stacked product with the `c1c1` or the residual table (one GEMM over the
     batch is not batch-invariant in BLAS).  A row whose state is non-finite
     comes back non-finite.  The largest intermediates are (B, m).
     """
-    wd = _kernels(problem, V, nu, b)[-1]
+    wd = _kernels(problem, V, nu, b, rho)[-1]
     sf = problem.sample_factor
     V_new = sf * (wd[:, None, :] @ problem.c1c1)[:, 0].reshape(V.shape)
     nu_new = sf * (problem.resid.T @ wd[:, :, None])[:, :, 0]
-    V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new)
+    V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new, rho)
     L_new = _solve_L(V_new_eff, b)
     b_new = problem.pi * problem.beta / (np.diagonal(L_new, axis1=1, axis2=2) + nu_new_eff - z[:, None])
     return V_new, nu_new, b_new
@@ -296,19 +305,21 @@ def solve_batch(
     problem: DetEquivProblem,
     zs: Sequence[complex],
     starts: Sequence[FixedPointState],
+    rhos: Sequence[tuple],
 ) -> list:
-    """Anderson-accelerated iteration of the map at zs[i] from the iterate starts[i], for every i in one batch.
+    """Anderson-accelerated iteration of the map at zs[i] tilted by rhos[i], from the iterate starts[i], per batch row.
 
     This is the one iteration engine: type-II Anderson acceleration (Walker &
     Ni 2011) with memory ANDERSON_MEMORY and mixing ANDERSON_MIXING.  Each row
     keeps its own ring of the last iterate and residual differences, and the
     small least-squares problems of all rows are one stacked solve of their
-    Gram matrices, each with a relative Tikhonov term.  A row takes the damped
-    step X + ANDERSON_MIXING * (F(X) - X) instead, and clears its history,
-    only when the extrapolated iterate leaves the Stieltjes half-plane
-    (Im z > 0 but some Im b_q < 0): without that guard the extrapolation can
-    jump to the non-physical root.  A row converges when its residual falls
-    below DEFAULT_TOL, and leaves the batch then or when its map value turns
+    Gram matrices, each with a relative Tikhonov term.  The tilts rhos are the
+    rows' own, and `problem.rho` is not read.  A row takes the damped step
+    X + ANDERSON_MIXING * (F(X) - X) instead, and clears its history, only
+    when the extrapolated iterate leaves the Stieltjes half-plane (Im z > 0
+    but some Im b_q < 0): without that guard the extrapolation can jump to the
+    non-physical root.  A row converges when its residual falls below
+    DEFAULT_TOL, and leaves the batch then or when its map value turns
     non-finite, so each row ends exactly as it would in a batch of its own.
     Returns, per row, the converged FixedPointState or the FixedPointError
     that ended it (NonConvergenceError after MAX_ITER map rows,
@@ -321,6 +332,7 @@ def solve_batch(
     k = problem.k
     rows = np.arange(len(out))
     z = np.array([complex(s) for s in zs])
+    rho = np.array(rhos, dtype=float)
     # one packed iterate per row, (V, nu, b) flattened, so that the residual and the step are one array each
     X = np.stack([np.concatenate((s.V.ravel(), s.nu, s.b)) for s in starts])
     # per row, rings of the last ANDERSON_MEMORY differences of the damped iterate D = X + mixing*f and of the
@@ -333,7 +345,7 @@ def solve_batch(
     D_prev = f_prev = X
     for it in range(1, MAX_ITER + 1):
         V, nu, b = X[:, :k * k].reshape(-1, k, k), X[:, k * k:k * k + k], X[:, k * k + k:]
-        V1, nu1, b1 = fixed_point_map(problem, z, V, nu, b)
+        V1, nu1, b1 = fixed_point_map(problem, z, V, nu, b, rho)
         f = np.concatenate((V1.reshape(len(rows), -1), nu1, b1), axis=1) - X
         res = np.abs(f).max(axis=1)
         ok = np.isfinite(res)
@@ -345,15 +357,15 @@ def solve_batch(
                 if ok[i]:
                     out[rows[i]] = _certified(problem, FixedPointState(
                         complex(z[i]), V1[i].copy(), nu1[i].copy(), b1[i].copy(), float(res[i]), stats
-                    ))
+                    ), rho[i])
                     continue
                 name = next((n for n, a in (("V", V1), ("nu", nu1), ("b", b1)) if not np.isfinite(a[i]).all()), "step")
                 out[rows[i]] = FixedPointError(
                     f"non-finite {name} in fixed-point map at z={complex(z[i])}; state: b={b[i]}, V={V[i]}"
                 )
                 out[rows[i]].stats = stats
-            rows, z, upper, X, f, res, D_prev, f_prev, dD, dF, pushes, rejections = (
-                a[keep] for a in (rows, z, upper, X, f, res, D_prev, f_prev, dD, dF, pushes, rejections)
+            rows, z, rho, upper, X, f, res, D_prev, f_prev, dD, dF, pushes, rejections = (
+                a[keep] for a in (rows, z, rho, upper, X, f, res, D_prev, f_prev, dD, dF, pushes, rejections)
             )
             if not len(rows):
                 return out
@@ -398,10 +410,10 @@ def _anderson_correction(dD: np.ndarray, dF: np.ndarray, pushes: np.ndarray, f: 
     return (gamma.transpose(0, 2, 1) @ dD)[:, 0]
 
 
-def _certified(problem: DetEquivProblem, state: FixedPointState):
-    """The state, or the UnphysicalRootError of an unperturbed root on z < 0 outside 0 < b_q <= pi_q beta / |z|."""
+def _certified(problem: DetEquivProblem, state: FixedPointState, rho: np.ndarray):
+    """The state, or the UnphysicalRootError of an untilted root on z < 0 outside 0 < b_q <= pi_q beta / |z|."""
     z, b = state.z, state.b
-    if z.imag or z.real >= 0 or any(problem.rho):
+    if z.imag or z.real >= 0 or rho.any():
         return state
     bound = problem.pi * problem.beta / -z.real
     if not b.imag.any() and np.all(b.real > 0) and np.all(b.real <= bound * (1 + CERTIFICATE_SLACK)):
@@ -437,7 +449,9 @@ def solve_paths(problem: DetEquivProblem, paths: Sequence[Sequence[complex]], st
     current = [_cold_state(problem, path[0]) if start is None else start for path, start in zip(paths, starts)]
     for rung in range(max(map(len, paths), default=0)):
         live = [i for i, path in enumerate(paths) if rung < len(path) and isinstance(current[i], FixedPointState)]
-        for i, result in zip(live, solve_batch(problem, [paths[i][rung] for i in live], [current[i] for i in live])):
+        results = solve_batch(problem, [paths[i][rung] for i in live], [current[i] for i in live],
+                              np.tile(problem.rho, (len(live), 1)))
+        for i, result in zip(live, results):
             if rung:
                 result.stats = current[i].stats + result.stats
             current[i] = result
@@ -496,7 +510,8 @@ def schur_block(problem: DetEquivProblem, state: FixedPointState) -> tuple:
     k x (k+1) cross block (one row per vocabulary entry); S = E_kappa[(kappa^2
     - 1) c1 c1^T / (1 + chi)].
     """
-    _, _, _, psi, _, wd = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None]))
+    _, _, _, psi, _, wd = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None],
+                                                  np.array([problem.rho])))
     sf = problem.sample_factor
     iota = np.concatenate([problem.g[:, None], problem.c0], axis=1)
     A11 = sf * (iota.T @ (iota * wd[:, None]))

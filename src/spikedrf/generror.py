@@ -7,15 +7,17 @@ At z = -lambda the (k+1)-dimensional Schur block of the equivalent resolvent
 
 yields the mean order parameters (tau0 from its label/mean rows, tau1 through
 the cross block), while the variance parameters tau2 and tau3 are rho-derivatives
-of C^{-1} at rho = 0, taken by central finite differences: each side solves the
-perturbed problem `problem.perturbed(rho)`, warm-started from the unperturbed
-state.  The central difference truncates at O(h^2): at h = DEFAULT_RHO_STEP
-it is 7-8e-6 relative in tau2 (Fig.-2 configs at alpha = 0.5) against the exact
+of C^{-1} at rho = 0, taken by central finite differences: the four sides are
+solved as one engine batch, a row per tilt warm-started from the unperturbed
+state, and each side's Schur block is that of `problem.perturbed(rho)`.  The
+central difference truncates at O(h^2): at h = DEFAULT_RHO_STEP it is 7-8e-6
+relative in tau2 (Fig.-2 configs at alpha = 0.5) against the exact
 implicit-function-theorem derivative that `tests/oracles.exact_tau2_tau3`
 takes by complex step.  A cold state at z = -lambda comes down the real-axis
 `ladder`, and an alpha sweep (`tau_sweep`) warm-starts each alpha from the
 previous one's state, falling back to the ladder when that fails (a rejected
-root included); an alpha that fails even so is recorded, and the sweep goes on.
+root included); an alpha that fails even so, or whose tilted solves fail, is
+recorded, and the sweep goes on.
 The test error is then the Gaussian average of
 
     Lambda(kappa) = (g(kappa) - sum_q c0(kappa,zeta_q) tau0_q
@@ -36,6 +38,7 @@ from .detequiv import (
     FixedPointState,
     UnphysicalRootError,
     schur_block,
+    solve_batch,
     solve_fixed_point,
     solver_totals,
 )
@@ -80,21 +83,25 @@ def tau2_tau3(
 ):
     """Variance parameters by central finite differences of C^{-1} in rho, with step DEFAULT_RHO_STEP.
 
-    Warm-starts every perturbed solve from the unperturbed solution; `spent`, when given, gets each state.
+    The four tilted solves are one `solve_batch` call, every row warm-started from the unperturbed solution, so
+    each is bit for bit the solve of its perturbed problem alone.  `spent`, when given, gets each tilt's result,
+    a state or a FixedPointError; the first failed tilt in rho order is raised.
     """
-    h, r, forms = DEFAULT_RHO_STEP, np.concatenate([[1.0], -tau0_vec]), []
-    for rho in ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)):
-        perturbed = problem.perturbed(rho)
-        state = solve_fixed_point(perturbed, base_state.z, warm_start=base_state)
-        if spent is not None:
-            spent.append(state)
-        forms.append(float(r @ schur_C_inverse(perturbed, state)[0] @ r))
+    h, r = DEFAULT_RHO_STEP, np.concatenate([[1.0], -tau0_vec])
+    rhos = ((h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h))
+    results = solve_batch(problem, [base_state.z] * len(rhos), [base_state] * len(rhos), rhos)
+    if spent is not None:
+        spent.extend(results)
+    for result in results:
+        if isinstance(result, FixedPointError):
+            raise result
+    forms = [float(r @ schur_C_inverse(problem.perturbed(rho), state)[0] @ r) for rho, state in zip(rhos, results)]
     return (forms[0] - forms[1]) / (2 * h), (forms[2] - forms[3]) / (2 * h)
 
 
 def asymptotic_tau(problem: DetEquivProblem, lam: float, state: FixedPointState | None = None,
                    spent: list | None = None) -> TauSet:
-    """The full TauSet from the state at z = -lambda (solved cold unless given); `spent` gets the perturbed states."""
+    """The full TauSet from the state at z = -lambda (solved cold unless given); `spent` gets the tilted results."""
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
     state = state or solve_fixed_point(problem, complex(-lam, 0.0))
@@ -108,8 +115,9 @@ def tau_sweep(problem: DetEquivProblem, alphas, lam: float) -> tuple:
     """([(problem at alpha, TauSet or FixedPointError)], solver summary): continuation in alpha at z = -lambda.
 
     The first alpha, any whose warm start from the previous alpha fails, and any after a failed alpha takes the
-    real-axis ladder.  An alpha whose ladder or `asymptotic_tau` raises a FixedPointError is recorded with that
-    error, and the sweep goes on; any other exception propagates.
+    real-axis ladder.  An alpha whose ladder raises a FixedPointError is recorded with that error, one whose tilted
+    solves fail with the first failed tilt's error, and the sweep goes on; any other exception propagates.  Every
+    solve's result enters the solver summary once.
     """
     z = complex(-lam, 0.0)
     spent, points, state, fallbacks = [], [], None, 0
@@ -127,7 +135,8 @@ def tau_sweep(problem: DetEquivProblem, alphas, lam: float) -> tuple:
             spent.append(state)
             points.append((at_alpha, asymptotic_tau(at_alpha, lam, state, spent)))
         except FixedPointError as exc:
-            spent.append(exc)
+            if not any(result is exc for result in spent):  # a failed tilt is there already, from tau2_tau3
+                spent.append(exc)
             points.append((at_alpha, exc))
             state = None
     solver = solver_totals(spent)

@@ -28,7 +28,6 @@ from spikedrf.detequiv import (
     DetEquivProblem,
     FixedPointState,
     NonConvergenceError,
-    _effective,
     _kernels,
     _solve_L,
     fixed_point_map,
@@ -107,6 +106,17 @@ def residual_second_moment(
     return float(parseval_residual(sigma, [kappa * zeta])[0])
 
 
+def tilted(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray) -> tuple:
+    """(V + rho1 cbar, nu + rho2 rbar) of one state, rho = problem.rho; a zero component adds nothing."""
+    rho1, rho2 = problem.rho
+    return (V + rho1 * problem.cbar if rho1 else V), (nu + rho2 * problem.rbar if rho2 else nu)
+
+
+def problem_tilts(problem: DetEquivProblem, rows: int) -> np.ndarray:
+    """The (rows, 2) tilts of a batch of `rows` states of the problem, each row tilted by problem.rho."""
+    return np.array([problem.rho] * rows)
+
+
 def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState, printed: bool = False) -> tuple:
     """(V', nu', b') of one state: the map written for a single spectral point, operation for operation.
 
@@ -115,7 +125,7 @@ def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState, pri
     package does not implement; the acceptance suite shows it failing.
     """
     z, V, nu, b = state.z, state.V, state.nu, state.b
-    V_eff, _ = _effective(problem, V, nu)
+    V_eff, _ = tilted(problem, V, nu)
     L = _solve_L(V_eff, b)
     psi = np.diag(b) - L * np.outer(b, b)
     quad = (psi.reshape(1, -1) @ problem.c1c1.T)[0]
@@ -124,7 +134,7 @@ def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState, pri
     sf = problem.alpha if printed else problem.sample_factor
     V_new = sf * (wd[None, :] @ problem.c1c1)[0].reshape(V.shape)
     nu_new = sf * (problem.resid.T @ wd)
-    V_new_eff, nu_new_eff = _effective(problem, V_new, nu_new)
+    V_new_eff, nu_new_eff = tilted(problem, V_new, nu_new)
     L_new = _solve_L(V_new_eff, b)
     if printed:
         M = L_new + np.diag(nu_new_eff) - z * np.eye(problem.k)
@@ -168,13 +178,19 @@ def damped_fixed_point(
     raise NonConvergenceError(f"damped iteration did not converge at z={z} (residual {prev:.3e})")
 
 
+def state_kernels(problem: DetEquivProblem, state: FixedPointState) -> tuple:
+    """(V_eff, nu_eff, L, psi, chi, wd) of one state tilted by problem.rho: `detequiv._kernels` of a batch of one."""
+    batch = (state.V[None], state.nu[None], state.b[None], problem_tilts(problem, 1))
+    return tuple(a[0] for a in _kernels(problem, *batch))
+
+
 def bulk_kernels(problem: DetEquivProblem, state: FixedPointState) -> tuple:
     """(bulk_diag_inv (k,), chi (m,)) of a state, from the package's one kernel derivation.
 
     bulk_diag_inv[q] = L_qq + nu_q - z is the inverse of the within-group bulk
     resolvent entry; chi is chi(kappa) on the outer quadrature nodes.
     """
-    _, nu_eff, L, _, chi, _ = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None]))
+    _, nu_eff, L, _, chi, _ = state_kernels(problem, state)
     return np.diag(L) + nu_eff - state.z, chi
 
 
@@ -189,7 +205,7 @@ class Blocks(NamedTuple):
 
 def blocks(problem: DetEquivProblem, state: FixedPointState) -> Blocks:
     """The `Blocks` of a state, each averaged entry by entry from its definition over the kappa nodes."""
-    _, _, _, psi, chi, _ = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None]))
+    _, _, _, psi, chi, _ = state_kernels(problem, state)
     w = problem.kappa_w / (1.0 + chi)
     iota = np.column_stack([problem.g, problem.c0])
     sf = problem.sample_factor
@@ -226,7 +242,7 @@ def exact_tau2_tau3(problem: DetEquivProblem, tau0: np.ndarray, state: FixedPoin
         return rows[:, :k * k].reshape(-1, k, k), rows[:, k * k:k * k + k], rows[:, k * k + k:]
 
     def mapped(prob, rows):
-        V, nu, b = fixed_point_map(prob, z[:len(rows)], *split(rows))
+        V, nu, b = fixed_point_map(prob, z[:len(rows)], *split(rows), problem_tilts(prob, len(rows)))
         return np.concatenate([V.reshape(len(rows), -1), nu, b], axis=1)
 
     J = mapped(problem, x + 1j * h * np.eye(n)).imag.T / h
@@ -251,7 +267,7 @@ def assemble_ge(problem: DetEquivProblem, state: FixedPointState, theta: np.ndar
     k = problem.k
     p = len(theta)
     sf = problem.sample_factor
-    V_eff, _ = _effective(problem, state.V, state.nu)
+    V_eff, _ = tilted(problem, state.V, state.nu)
     K = V_eff + sf * kern.S
     dim = k + 1 + p
     M = np.zeros((dim, dim), dtype=complex)

@@ -3,12 +3,16 @@ import re
 import numpy as np
 import pytest
 
-from oracles import assemble_ge, blocks, bulk_kernels, conjugate, empirical_stieltjes, scalar_fixed_point_map
+from oracles import (
+    assemble_ge, blocks, bulk_kernels, conjugate, empirical_stieltjes, problem_tilts, scalar_fixed_point_map,
+)
 from spikedrf import detequiv as de
+from spikedrf import generror as ge
 from spikedrf import simulate as sim
 from spikedrf.cache import FixedPointCache
 from spikedrf.model import ExperimentConfig, VocabularySpec, get_activation, get_link, make_rng
 from spikedrf.quadrature import hermite_tables
+from test_golden import TINY, VOCABS
 
 
 def mp_stieltjes(gamma, z):
@@ -395,7 +399,7 @@ def test_batched_map_is_bit_identical_to_the_scalar_map(prob):
     zs, starts = zs * 3, starts * 3
     assert len(zs) == 120
     V, nu, b = (np.stack([getattr(s, name) for s in starts]) for name in ("V", "nu", "b"))
-    rows = zip(*de.fixed_point_map(prob, np.array(zs), V, nu, b))
+    rows = zip(*de.fixed_point_map(prob, np.array(zs), V, nu, b, problem_tilts(prob, len(zs))))
     for z, start, got in zip(zs, starts, rows):
         want = scalar_fixed_point_map(prob, de.FixedPointState(z, start.V, start.nu, start.b))
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -407,9 +411,10 @@ def test_map_row_does_not_depend_on_its_batch_size(prob):
     zs, starts = np.array(zs * 10), starts * 10
     assert len(zs) == 400
     V, nu, b = (np.stack([getattr(s, name) for s in starts]) for name in ("V", "nu", "b"))
-    full = de.fixed_point_map(prob, zs, V, nu, b)
+    rho = problem_tilts(prob, len(zs))
+    full = de.fixed_point_map(prob, zs, V, nu, b, rho)
     for size in (1, 63, 64, 65):
-        part = de.fixed_point_map(prob, zs[:size], V[:size], nu[:size], b[:size])
+        part = de.fixed_point_map(prob, zs[:size], V[:size], nu[:size], b[:size], rho[:size])
         assert all(np.array_equal(p, f[:size]) for p, f in zip(part, full))
 
 
@@ -426,7 +431,7 @@ def test_c1c1_is_the_table_of_c1_products():
 @BATCH_PROBLEMS
 def test_batch_is_bit_identical_to_single_solves(prob):
     zs, starts = warm_batch(prob)
-    batch = de.solve_batch(prob, zs, starts)
+    batch = de.solve_batch(prob, zs, starts, problem_tilts(prob, len(zs)))
     alone = [de.solve_fixed_point(prob, z, warm_start=s) for z, s in zip(zs, starts)]
     for got, want in zip(batch, alone):
         assert_same_state(got, want)
@@ -445,7 +450,8 @@ def test_failing_rows_leave_the_batch_alone(monkeypatch):
     good = starts[poisoned]
     nan_start = de.FixedPointState(z=good.z, V=good.V * np.nan, nu=good.nu, b=good.b)
     monkeypatch.setattr(de, "MAX_ITER", cap)
-    batch = de.solve_batch(prob, zs, [nan_start if i == poisoned else s for i, s in enumerate(starts)])
+    batch = de.solve_batch(prob, zs, [nan_start if i == poisoned else s for i, s in enumerate(starts)],
+                           problem_tilts(prob, len(zs)))
     assert isinstance(batch[poisoned], de.FixedPointError) and "non-finite" in str(batch[poisoned])
     assert isinstance(batch[slow], de.NonConvergenceError) and batch[slow].stats.rows == cap
     for i, (got, want) in enumerate(zip(batch, alone)):
@@ -458,7 +464,7 @@ def test_empty_batch_does_no_work(monkeypatch):
         raise AssertionError("the map ran for an empty batch")
 
     monkeypatch.setattr(de, "fixed_point_map", no_map)
-    assert de.solve_batch(small_problem(), [], []) == []
+    assert de.solve_batch(small_problem(), [], [], []) == []
 
 
 def test_singular_row_of_a_stack_falls_back_alone():
@@ -499,9 +505,9 @@ def test_certificate_rejects_a_direct_cold_root_at_minus_lambda():
     # the unphysical one is b = -84.2 (m = -56.1): a start inside its basin converges to it, and is rejected
     prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_K1)).with_alpha(2.0)
     z = complex(-FIG2["lam"], 0.0)
-    assert_certified_or_rejected(de.solve_batch(prob, [z], [de._cold_state(prob, z)])[0])
+    assert_certified_or_rejected(de.solve_batch(prob, [z], [de._cold_state(prob, z)], [prob.rho])[0])
     basin = de.FixedPointState(z, np.zeros((1, 1), complex), np.zeros(1, complex), np.array([-84.0 + 0j]))
-    direct = de.solve_batch(prob, [z], [basin])[0]
+    direct = de.solve_batch(prob, [z], [basin], [prob.rho])[0]
     assert isinstance(direct, de.UnphysicalRootError) and direct.stats.rows > 0
     assert "b=[-84.22" in str(direct)
     # the real-axis ladder reaches the Stieltjes root, inside 0 < b <= pi beta / lambda = 150
@@ -531,3 +537,39 @@ def test_certificate_accepts_the_attained_bound_at_alpha_zero():
     # a tilted problem is not a covariance resolvent: its root leaves the bound, and the engine does not check it
     state = de.solve_fixed_point(prob.perturbed((-1e-4, 0.0)), complex(-0.3, 0.0))
     assert np.max(state.b.real / (prob.pi * prob.beta / 0.3)) > 1.0 + 1e-6
+    # the check is per row: the tilted row of a batch is not checked, the untilted one is
+    z = complex(-0.3, 0.0)
+    tilted, untilted = de.solve_batch(prob, [z, z], [de._cold_state(prob, z)] * 2, [(-1e-4, 0.0), (0.0, 0.0)])
+    assert np.max(tilted.b.real / (prob.pi * prob.beta / 0.3)) > 1.0 + 1e-6
+    assert np.max(np.abs(untilted.b / (prob.pi * prob.beta / 0.3) - 1.0)) <= de.CERTIFICATE_SLACK
+
+
+def assert_same_bits(a, b):
+    assert a.z == b.z and a.residual == b.residual and a.stats == b.stats
+    assert all(getattr(a, name).tobytes() == getattr(b, name).tobytes() for name in ("V", "nu", "b"))
+
+
+TINY_K2 = ExperimentConfig.from_dict({**TINY, "vocab": VOCABS["k2"]})
+
+
+@pytest.mark.parametrize("config,alpha", [
+    (ExperimentConfig(**FIG2, vocab=FIG2_K1), 0.5), (ExperimentConfig(**FIG2, vocab=FIG2_K1), 4.0),
+    (ExperimentConfig(**FIG2, vocab=FIG2_K4), 0.5), (ExperimentConfig(**FIG2, vocab=FIG2_K4), 4.0),
+    (TINY_K2, TINY_K2.alpha),
+], ids=["fig2-k1-0.5", "fig2-k1-4", "fig2-k4-0.5", "fig2-k4-4", "tiny-k2"])
+def test_tilted_rows_are_their_own_solves(config, alpha):
+    # the four-row batch of tau2_tau3: each row is the warm solve of its perturbed problem alone, bit for bit
+    prob = de.problem_from_config(config).with_alpha(alpha)
+    z, h = complex(-config.lam, 0.0), ge.DEFAULT_RHO_STEP
+    base = de.solve_fixed_point(prob, z)
+    tilts = [(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]
+    for rho, got in zip(tilts, de.solve_batch(prob, [z] * 4, [base] * 4, tilts)):
+        assert_same_bits(got, de.solve_fixed_point(prob.perturbed(rho), z, warm_start=base))
+    # an untilted row is the untilted solve, in a batch of zero tilts and in a batch of tilted rows
+    far = de.solve_fixed_point(prob, 3 * z)
+    want = de.solve_fixed_point(prob, z, warm_start=far)
+    assert want.stats.rows > 5
+    for got in de.solve_batch(prob, [z] * 3, [far] * 3, [(0.0, 0.0)] * 3):
+        assert_same_bits(got, want)
+    mixed = de.solve_batch(prob, [z] * 3, [base, far, base], [tilts[0], (0.0, 0.0), tilts[3]])
+    assert_same_bits(mixed[1], want)

@@ -198,23 +198,30 @@ def test_sweep_states_keep_the_stieltjes_bounds(vocab, monkeypatch):
     base = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_VOCABS[vocab]))
     alphas = np.linspace(0.5, 4.0, 8)
     lam = FIG2["lam"]
-    solves, solve = [], de.solve_fixed_point  # (problem, state) of every solve of the sweep
+    untilted, solve = [], de.solve_fixed_point  # (problem, state) of every solve_fixed_point call of the sweep
+    tilted, tau2_tau3 = [], ge.tau2_tau3  # (problem, result) of every tilted row, as tau2_tau3 puts them in spent
 
     def recorded(problem, z, warm_start=None):
-        solves.append((problem, solve(problem, z, warm_start=warm_start)))
-        return solves[-1][1]
+        untilted.append((problem, solve(problem, z, warm_start=warm_start)))
+        return untilted[-1][1]
+
+    def recorded_tilts(problem, tau0_vec, base_state, spent):
+        before = len(spent)
+        result = tau2_tau3(problem, tau0_vec, base_state, spent)
+        tilted.extend((problem, state) for state in spent[before:])
+        return result
 
     monkeypatch.setattr(ge, "solve_fixed_point", recorded)
+    monkeypatch.setattr(ge, "tau2_tau3", recorded_tilts)
     points, solver = ge.tau_sweep(base, alphas, lam)
     assert solver["fallbacks"]["cold_ladder"] == 0 and solver["rejected_roots"] == 0
-    assert len(solves) == solver["solves"] == 5 * len(alphas)
+    assert len(untilted) + len(tilted) == solver["solves"] == 5 * len(alphas) and len(tilted) == 4 * len(alphas)
     # every state of the sweep, the rho-perturbed ones included, keeps 0 < b_q <= pi_q beta / lambda
-    for problem, state in solves:
+    for problem, state in untilted + tilted:
         assert not state.b.imag.any() and np.all(state.b.real > 0)
         assert np.all(state.b.real <= problem.pi * problem.beta / lam)
     # each alpha's warm-continued state is the root its own real-axis ladder reaches
-    unperturbed = [state for problem, state in solves if problem.rho == (0.0, 0.0)]
-    for (problem, _), state in zip(points, unperturbed):
+    for (problem, _), (_, state) in zip(points, untilted):
         cold = de.solve_fixed_point(problem, complex(-lam, 0.0))
         assert np.max(np.abs(state.b - cold.b)) <= 1e-8 * np.max(np.abs(cold.b))
 
@@ -228,7 +235,7 @@ def test_rejected_warm_root_falls_back_to_the_ladder(monkeypatch):
     solve = de.solve_fixed_point
 
     def misled(problem, z, warm_start=None):
-        if warm_start is not None and problem.alpha == 2.0 and problem.rho == (0.0, 0.0):
+        if warm_start is not None and problem.alpha == 2.0:
             warm_start = de.FixedPointState(z, np.zeros((1, 1), complex), np.zeros(1, complex), np.array([-84.0 + 0j]))
         return solve(problem, z, warm_start=warm_start)
 
@@ -239,6 +246,53 @@ def test_rejected_warm_root_falls_back_to_the_ladder(monkeypatch):
     for (_, got), (_, want) in zip(points, clean):
         assert np.max(np.abs(got.tau0 - want.tau0)) < 1e-8 and np.max(np.abs(got.tau1 - want.tau1)) < 1e-8
         assert got.tau2 == pytest.approx(want.tau2, rel=1e-6) and got.tau3 == pytest.approx(want.tau3, rel=1e-6)
+
+
+def test_failed_tilt_is_recorded_once_and_alone(monkeypatch):
+    # at alpha = 2 the map values of the tilted rows (-h, 0) and (0, h) turn non-finite: that alpha records the
+    # first of them in rho order, every tilt's result counts once in the solver summary, and the other alphas
+    # keep every bit: the one before as in the clean sweep, the one after down the ladder as a sweep's first alpha
+    base = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_VOCABS["k1"]))
+    alphas, lam, h = [1.5, 2.0, 2.5], FIG2["lam"], ge.DEFAULT_RHO_STEP
+    clean, clean_solver = ge.tau_sweep(base, alphas, lam)
+    [(_, last_alone)], _ = ge.tau_sweep(base, alphas[2:], lam)
+    rows, original = [0], de.fixed_point_map
+
+    def poisoned(problem, z, V, nu, b, rho):
+        rows[0] += len(z)
+        V1, nu1, b1 = original(problem, z, V, nu, b, rho)
+        bad = (rho == (-h, 0.0)).all(axis=1) | (rho == (0.0, h)).all(axis=1)
+        return V1, nu1, np.where(bad[:, None] & (problem.alpha == 2.0), np.nan, b1)
+
+    untilted, solve = [], de.solve_fixed_point  # the state of every solve_fixed_point call
+    tilted, tau2_tau3 = [], ge.tau2_tau3  # each alpha's tilt results, as tau2_tau3 puts them in spent
+
+    def recorded(problem, z, warm_start=None):
+        untilted.append(solve(problem, z, warm_start=warm_start))
+        return untilted[-1]
+
+    def recorded_tilts(problem, tau0_vec, base_state, spent):
+        before = len(spent)
+        try:
+            return tau2_tau3(problem, tau0_vec, base_state, spent)
+        finally:
+            tilted.append(spent[before:])
+
+    monkeypatch.setattr(de, "fixed_point_map", poisoned)
+    monkeypatch.setattr(ge, "solve_fixed_point", recorded)
+    monkeypatch.setattr(ge, "tau2_tau3", recorded_tilts)
+    points, solver = ge.tau_sweep(base, alphas, lam)
+    failed = tilted[1]
+    assert [isinstance(r, de.FixedPointError) for r in failed] == [False, True, True, False]
+    assert points[1][1] is failed[1] and "non-finite b" in str(failed[1])
+    for got, want in ((points[0][1], clean[0][1]), (points[2][1], last_alone)):
+        assert np.array_equal(got.tau0, want.tau0) and np.array_equal(got.tau1, want.tau1)
+        assert (got.tau2, got.tau3) == (want.tau2, want.tau3)
+    # 5 results per alpha, none counted twice, and every map row charged to one of them
+    results = untilted + [r for batch in tilted for r in batch]
+    assert solver["solves"] == len(results) == clean_solver["solves"] == 5 * len(alphas)
+    assert solver["map_rows"] == sum(r.stats.rows for r in results) == rows[0]
+    assert solver["fallbacks"]["cold_ladder"] == 0 and solver["rejected_roots"] == 0
 
 
 def test_rho_difference_converges_to_the_exact_derivative(monkeypatch):

@@ -35,9 +35,9 @@ def rows(monkeypatch):
     count = [0]
     original = de.fixed_point_map
 
-    def counted(problem, z, V, nu, b):
+    def counted(problem, z, *state):
         count[0] += len(z)
-        return original(problem, z, V, nu, b)
+        return original(problem, z, *state)
 
     monkeypatch.setattr(de, "fixed_point_map", counted)
     return count
@@ -78,31 +78,32 @@ def test_cold_solve_at_minus_lambda_rows(alpha, rows, monkeypatch):
     state = de.solve_fixed_point(prob, complex(-FIG2["lam"], 0.0))
     assert rows[0] <= 200
     assert state.stats.rows == rows[0]  # the state's own count covers every ladder rung
-    # the four rho-perturbed solves of tau2_tau3, each warm-started from that state
-    perturbed = []
+    # the four rho-tilted solves of tau2_tau3: one engine batch, each row warm-started from that state
+    batches, solve_batch = [], de.solve_batch
 
-    def recorded(problem, z, **kw):
-        result = de.solve_fixed_point(problem, z, **kw)
-        perturbed.append((problem.rho, result.stats.rows))
-        return result
+    def recorded(problem, zs, starts, rhos):
+        batches.append(rhos)
+        return solve_batch(problem, zs, starts, rhos)
 
-    monkeypatch.setattr(ge, "solve_fixed_point", recorded)
-    ge.tau2_tau3(prob, ge.tau0(ge.schur_C_inverse(prob, state)[0], FIG2["lam"]), state)
+    monkeypatch.setattr(ge, "solve_batch", recorded)
+    tilted, before = [], rows[0]
+    ge.tau2_tau3(prob, ge.tau0(ge.schur_C_inverse(prob, state)[0], FIG2["lam"]), state, tilted)
     h = ge.DEFAULT_RHO_STEP
-    assert sorted(rho for rho, _ in perturbed) == sorted([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)])
-    assert all(spent <= 15 for _, spent in perturbed), perturbed
+    [rhos] = batches
+    assert sorted(rhos) == sorted([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]) and len(tilted) == 4
+    assert all(spent.stats.rows <= 15 for spent in tilted), [spent.stats for spent in tilted]
+    assert sum(spent.stats.rows for spent in tilted) == rows[0] - before
 
 
 @pytest.mark.parametrize("vocab", [K1, K4], ids=["k1", "k4"])
 def test_alpha_sweep_rows_at_minus_lambda(vocab, rows, monkeypatch):
     base = de.problem_from_config(ExperimentConfig(**FIG2, vocab=vocab))
-    unperturbed = []  # rows of every solve at z = -lambda, in sweep order
+    unperturbed = []  # rows of every untilted solve at z = -lambda, in sweep order; the tilted ones are batches
     solve = de.solve_fixed_point
 
     def recorded(problem, z, warm_start=None):
         state = solve(problem, z, warm_start=warm_start)
-        if problem.rho == (0.0, 0.0):
-            unperturbed.append(state.stats.rows)
+        unperturbed.append(state.stats.rows)
         return state
 
     monkeypatch.setattr(ge, "solve_fixed_point", recorded)

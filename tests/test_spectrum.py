@@ -204,7 +204,7 @@ def test_cold_batch_row_reaches_the_non_physical_root():
     # half-plane sign check can tell it from the physical one
     prob = de.build_problem(get_activation("hermite2"), get_link("sin"), [1.0], [1.0], alpha=0.3, beta=3.0)
     z = complex(2.1181, 1e-2)
-    cold = de.solve_batch(prob, [z], [de._cold_state(prob, z)])[0]
+    cold = de.solve_batch(prob, [z], [de._cold_state(prob, z)], [prob.rho])[0]
     assert isinstance(cold, de.FixedPointState)
     assert cold.b[0] == pytest.approx(-1.476 + 0.001j, abs=5e-3)
     assert de.solve_fixed_point(prob, z).b[0] == pytest.approx(-1.404 + 0.170j, abs=5e-3)
@@ -361,8 +361,8 @@ def test_failure_inside_a_segment_is_zero_filled_alone(monkeypatch):
     lam = reference.grid[failing]
     original = de.fixed_point_map
 
-    def poisoned(problem, z, V, nu, b):
-        V1, nu1, b1 = original(problem, z, V, nu, b)
+    def poisoned(problem, z, *state):
+        V1, nu1, b1 = original(problem, z, *state)
         hit = (z.real == lam) & np.isin(z.imag, sp.DEFAULT_EPS_SCHEDULE)
         return V1, nu1, np.where(hit[:, None], np.nan, b1)
 
@@ -396,8 +396,8 @@ def test_batched_level_failure_is_zero_filled_alone(monkeypatch):
     batch_sizes = []
     original = de.fixed_point_map
 
-    def poisoned(problem, z, V, nu, b):
-        V1, nu1, b1 = original(problem, z, V, nu, b)
+    def poisoned(problem, z, *state):
+        V1, nu1, b1 = original(problem, z, *state)
         hit = z == target
         if hit.any():
             batch_sizes.append(len(z))

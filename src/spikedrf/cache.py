@@ -1,8 +1,8 @@
 """Fixed-point cache.
 
 The cache is a text file of lines `<digest> <hex>`.  The digest covers
-everything the fixed-point map reads (alpha, beta, rho, pi, the kappa
-weights, the c1 and residual tables) and everything else that shapes a
+everything the fixed-point map reads of the problem (alpha, beta, pi, the
+kappa weights, the c1 and residual tables) and everything else that shapes a
 converged state: the source of `detequiv`, `spectrum` and this module (the
 solver, the density grid's eps levels, whose later levels start from the
 earlier levels' states, and the record format), and the values of every
@@ -16,7 +16,7 @@ its own z, bit for bit.  Loading decodes only this problem's lines.  Each
 eps level's new states at once, so a killed run loses at most the level in
 flight.  Loading keeps the whole records of a torn line and counts it, as
 it counts every other line that is not a record line; the next write starts
-on a fresh line.  Only the density grid (Im z > 0) uses the cache.
+on a fresh line.  Only the density grid's untilted rows (Im z > 0) are cached.
 """
 from __future__ import annotations
 
@@ -33,13 +33,13 @@ _HEX = frozenset("0123456789abcdef")
 
 
 def _problem_digest(problem: DetEquivProblem) -> str:
-    """Digest of the theory content the fixed-point map reads, the solver's source and its constants."""
+    """Digest of the problem content the map reads (the tilt is a row input), the solver's source and constants."""
     h = hashlib.sha256()
     for source in (detequiv.__file__, spectrum.__file__, __file__):
         h.update(Path(source).read_bytes())
     constants = sorted((name, repr(value)) for module in (detequiv, spectrum)
                        for name, value in vars(module).items() if name.isupper())
-    scalars = [problem.alpha, problem.beta, list(problem.rho), list(problem.c1.shape)]
+    scalars = [problem.alpha, problem.beta, list(problem.c1.shape)]
     h.update(json.dumps([constants, scalars]).encode())
     for arr in (problem.pi, problem.kappa_w, problem.c1, problem.resid):
         h.update(np.ascontiguousarray(arr, dtype=float).tobytes())

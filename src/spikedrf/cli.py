@@ -53,7 +53,6 @@ class RunManifest:
     config_hash: str
     command: str
     outputs: list = field(default_factory=list)
-    version: str = __version__
     started: float = field(default_factory=time.time)
     extra: dict = field(default_factory=dict)
 
@@ -68,7 +67,7 @@ class RunManifest:
         payload = {
             "config_hash": self.config_hash,
             "command": self.command,
-            "version": self.version,
+            "version": __version__,
             "started": self.started,
             "finished": time.time(),
             "outputs": self.outputs,

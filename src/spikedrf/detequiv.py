@@ -24,11 +24,10 @@ printed form failing it.
 A perturbation pair rho = (rho1, rho2) tilts the quadratic form by
 rho1 * (E[c1 c1^T])_e o WW^T + rho2 * diag(E[r])_e; inside the equations this
 is exactly V -> V + rho1*Cbar and nu -> nu + rho2*rbar wherever (V, nu) feed
-the W-average.  The engine carries a tilt per row, as it carries z, so one
-batch may hold rows of different tilts.  `problem.perturbed(rho)` is the
-tilted problem: its Schur block, its solves by `solve_paths` and its cache
-digest read its rho.  Derivatives in rho at z = -lambda generate the
-variance-type order parameters of the test-error formula.
+the W-average.  The tilt is a row input only, as z is: `solve_batch` takes
+one per row, `fixed_point_map` and `schur_block` take it as an argument,
+and `solve_paths` solves untilted.  Derivatives in rho at z = -lambda
+generate the variance-type order parameters of the test-error formula.
 
 Solver
 ------
@@ -112,8 +111,6 @@ class DetEquivProblem:
 
     c0/c1/resid have shape (m, k): shifted coefficients and Parseval residual
     of the activation at every outer kappa node, for every vocabulary entry.
-    rho = (rho1, rho2) is the quadratic-form perturbation (see the module
-    docstring); it is (0, 0) except on problems made by `perturbed`.
     """
 
     alpha: float
@@ -125,7 +122,6 @@ class DetEquivProblem:
     c1: np.ndarray
     resid: np.ndarray
     g: np.ndarray
-    rho: tuple = (0.0, 0.0)
 
     @property
     def k(self) -> int:
@@ -153,9 +149,6 @@ class DetEquivProblem:
 
     def with_alpha(self, alpha: float) -> "DetEquivProblem":
         return dataclasses.replace(self, alpha=float(alpha))
-
-    def perturbed(self, rho: tuple) -> "DetEquivProblem":
-        return dataclasses.replace(self, rho=(float(rho[0]), float(rho[1])))
 
     def atom_mass(self) -> float:
         """Mass of the exact zero eigenvalues of the bulk covariance (p > n case)."""
@@ -313,18 +306,16 @@ def solve_batch(
     Ni 2011) with memory ANDERSON_MEMORY and mixing ANDERSON_MIXING.  Each row
     keeps its own ring of the last iterate and residual differences, and the
     small least-squares problems of all rows are one stacked solve of their
-    Gram matrices, each with a relative Tikhonov term.  The tilts rhos are the
-    rows' own, and `problem.rho` is not read.  A row takes the damped step
-    X + ANDERSON_MIXING * (F(X) - X) instead, and clears its history, only
-    when the extrapolated iterate leaves the Stieltjes half-plane (Im z > 0
-    but some Im b_q < 0): without that guard the extrapolation can jump to the
+    Gram matrices, each with a relative Tikhonov term.  A row takes the damped
+    step X + ANDERSON_MIXING * (F(X) - X) instead, and clears its history, only
+    when the extrapolated iterate leaves the Stieltjes half-plane (Im z > 0 but
+    some Im b_q < 0): without that guard the extrapolation can jump to the
     non-physical root.  A row converges when its residual falls below
     DEFAULT_TOL, and leaves the batch then or when its map value turns
     non-finite, so each row ends exactly as it would in a batch of its own.
-    Returns, per row, the converged FixedPointState or the FixedPointError
-    that ended it (NonConvergenceError after MAX_ITER map rows,
-    UnphysicalRootError for a root that `_certified` rejects); either carries
-    the row's SolveStats.
+    Returns, per row, the converged FixedPointState or the FixedPointError that
+    ended it (NonConvergenceError after MAX_ITER map rows, UnphysicalRootError
+    for a root that `_certified` rejects); either carries the row's SolveStats.
     """
     out: list = [None] * len(zs)
     if not out:
@@ -450,7 +441,7 @@ def solve_paths(problem: DetEquivProblem, paths: Sequence[Sequence[complex]], st
     for rung in range(max(map(len, paths), default=0)):
         live = [i for i, path in enumerate(paths) if rung < len(path) and isinstance(current[i], FixedPointState)]
         results = solve_batch(problem, [paths[i][rung] for i in live], [current[i] for i in live],
-                              np.tile(problem.rho, (len(live), 1)))
+                              np.zeros((len(live), 2)))
         for i, result in zip(live, results):
             if rung:
                 result.stats = current[i].stats + result.stats
@@ -500,8 +491,8 @@ def stieltjes(problem: DetEquivProblem, b: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------- #
 
 
-def schur_block(problem: DetEquivProblem, state: FixedPointState) -> tuple:
-    """Complex (C^{-1}, H, A21t): the (k+1)-square Schur block of the equivalent resolvent at state.z.
+def schur_block(problem: DetEquivProblem, state: FixedPointState, rho: tuple) -> tuple:
+    """Complex (C^{-1}, H, A21t): the (k+1)-square Schur block of the equivalent resolvent at state.z, tilted by rho.
 
     C^{-1} = A11 - z I - A21t^T H A21t with H = (psi^{-1} + (alpha/beta) S)^{-1},
     solved once without forming psi^{-1}.  Index 0 of the k+1 is the label,
@@ -511,7 +502,7 @@ def schur_block(problem: DetEquivProblem, state: FixedPointState) -> tuple:
     - 1) c1 c1^T / (1 + chi)].
     """
     _, _, _, psi, _, wd = (a[0] for a in _kernels(problem, state.V[None], state.nu[None], state.b[None],
-                                                  np.array([problem.rho])))
+                                                  np.array([rho])))
     sf = problem.sample_factor
     iota = np.concatenate([problem.g[:, None], problem.c0], axis=1)
     A11 = sf * (iota.T @ (iota * wd[:, None]))

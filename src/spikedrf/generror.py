@@ -6,18 +6,18 @@ At z = -lambda the (k+1)-dimensional Schur block of the equivalent resolvent
     C^{-1} = A11 + lambda I - A21t^T (psi^{-1} + (alpha/beta) S)^{-1} A21t,
 
 yields the mean order parameters (tau0 from its label/mean rows, tau1 through
-the cross block), while the variance parameters tau2 and tau3 are rho-derivatives
-of C^{-1} at rho = 0, taken by central finite differences: the four sides are
-solved as one engine batch, a row per tilt warm-started from the unperturbed
-state, and each side's Schur block is that of `problem.perturbed(rho)`.  The
-central difference truncates at O(h^2): at h = DEFAULT_RHO_STEP it is 7-8e-6
-relative in tau2 (Fig.-2 configs at alpha = 0.5) against the exact
-implicit-function-theorem derivative that `tests/oracles.exact_tau2_tau3`
-takes by complex step.  A cold state at z = -lambda comes down the real-axis
-`ladder`, and an alpha sweep (`tau_sweep`) warm-starts each alpha from the
-previous one's state, falling back to the ladder when that fails (a rejected
-root included); an alpha that fails even so, or whose tilted solves fail, is
-recorded, and the sweep goes on.
+the cross block), while the variance parameters tau2 and tau3 are
+rho-derivatives of C^{-1} at rho = 0, taken by central finite differences: the
+four sides are solved as one engine batch, a row per tilt warm-started from the
+unperturbed state, and each side's Schur block takes that side's tilt (a row
+input only, as in `detequiv`).  The central difference truncates at O(h^2): at
+h = DEFAULT_RHO_STEP it is 7-8e-6 relative in tau2 (Fig.-2 configs at
+alpha = 0.5) against the exact implicit-function-theorem derivative that
+`tests/oracles.exact_tau2_tau3` takes by complex step.  A cold state at
+z = -lambda comes down the real-axis `ladder`, and an alpha sweep (`tau_sweep`)
+warm-starts each alpha from the previous one's state, falling back to the
+ladder when that fails (a rejected root included); an alpha that fails even so,
+or whose tilted solves fail, is recorded, and the sweep goes on.
 The test error is then the Gaussian average of
 
     Lambda(kappa) = (g(kappa) - sum_q c0(kappa,zeta_q) tau0_q
@@ -47,10 +47,10 @@ from .simulate import TauSet
 DEFAULT_RHO_STEP = 1e-4
 
 
-def schur_C_inverse(problem: DetEquivProblem, state: FixedPointState) -> tuple:
-    """(C^{-1}, H A21t) at state.z: the `schur_block`, real and symmetrised (index 0 the label row, 1..k the group
-    means), and the complex map that takes [1; -tau0] to tau1."""
-    Cinv, H, A21t = schur_block(problem, state)
+def schur_C_inverse(problem: DetEquivProblem, state: FixedPointState, rho: tuple) -> tuple:
+    """(C^{-1}, H A21t) at state.z, tilted by rho: the `schur_block`, real and symmetrised (index 0 the label row,
+    1..k the group means), and the complex map that takes [1; -tau0] to tau1."""
+    Cinv, H, A21t = schur_block(problem, state, rho)
     if np.max(np.abs(Cinv.imag)) > 1e-8 * max(1.0, np.max(np.abs(Cinv.real))):
         raise RuntimeError(f"Schur block at z={state.z} is not real; max imag {np.max(np.abs(Cinv.imag)):.3e}")
     return 0.5 * (Cinv.real + Cinv.real.T), H @ A21t
@@ -84,7 +84,7 @@ def tau2_tau3(
     """Variance parameters by central finite differences of C^{-1} in rho, with step DEFAULT_RHO_STEP.
 
     The four tilted solves are one `solve_batch` call, every row warm-started from the unperturbed solution, so
-    each is bit for bit the solve of its perturbed problem alone.  `spent`, when given, gets each tilt's result,
+    each is bit for bit the one-row solve of its tilt.  `spent`, when given, gets each tilt's result,
     a state or a FixedPointError; the first failed tilt in rho order is raised.
     """
     h, r = DEFAULT_RHO_STEP, np.concatenate([[1.0], -tau0_vec])
@@ -95,7 +95,7 @@ def tau2_tau3(
     for result in results:
         if isinstance(result, FixedPointError):
             raise result
-    forms = [float(r @ schur_C_inverse(problem.perturbed(rho), state)[0] @ r) for rho, state in zip(rhos, results)]
+    forms = [float(r @ schur_C_inverse(problem, state, rho)[0] @ r) for rho, state in zip(rhos, results)]
     return (forms[0] - forms[1]) / (2 * h), (forms[2] - forms[3]) / (2 * h)
 
 
@@ -105,7 +105,7 @@ def asymptotic_tau(problem: DetEquivProblem, lam: float, state: FixedPointState 
     if lam <= 0:
         raise ValueError(f"lambda must be > 0, got {lam}")
     state = state or solve_fixed_point(problem, complex(-lam, 0.0))
-    Cinv, to_tau1 = schur_C_inverse(problem, state)
+    Cinv, to_tau1 = schur_C_inverse(problem, state, (0.0, 0.0))
     t0 = tau0(Cinv, lam)
     t2, t3 = tau2_tau3(problem, t0, state, spent)
     return TauSet(tau0=t0, tau1=(to_tau1 @ np.concatenate([[1.0], -t0])).real, tau2=t2, tau3=t3)

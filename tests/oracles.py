@@ -17,7 +17,6 @@ with a run that reports both.
 """
 from __future__ import annotations
 
-import dataclasses
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -106,26 +105,22 @@ def residual_second_moment(
     return float(parseval_residual(sigma, [kappa * zeta])[0])
 
 
-def tilted(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray) -> tuple:
-    """(V + rho1 cbar, nu + rho2 rbar) of one state, rho = problem.rho; a zero component adds nothing."""
-    rho1, rho2 = problem.rho
+def tilted(problem: DetEquivProblem, V: np.ndarray, nu: np.ndarray, rho: tuple) -> tuple:
+    """(V + rho1 cbar, nu + rho2 rbar) of one state tilted by rho = (rho1, rho2); a zero component adds nothing."""
+    rho1, rho2 = rho
     return (V + rho1 * problem.cbar if rho1 else V), (nu + rho2 * problem.rbar if rho2 else nu)
 
 
-def problem_tilts(problem: DetEquivProblem, rows: int) -> np.ndarray:
-    """The (rows, 2) tilts of a batch of `rows` states of the problem, each row tilted by problem.rho."""
-    return np.array([problem.rho] * rows)
-
-
-def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState, printed: bool = False) -> tuple:
-    """(V', nu', b') of one state: the map written for a single spectral point, operation for operation.
+def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState, rho: tuple,
+                           printed: bool = False) -> tuple:
+    """(V', nu', b') of one state tilted by rho: the map written for a single spectral point, operation for operation.
 
     printed=True is the form the literature prints (alpha in place of
     alpha/beta, b from the diagonal of the full k x k inverse), which the
     package does not implement; the acceptance suite shows it failing.
     """
     z, V, nu, b = state.z, state.V, state.nu, state.b
-    V_eff, _ = tilted(problem, V, nu)
+    V_eff, _ = tilted(problem, V, nu, rho)
     L = _solve_L(V_eff, b)
     psi = np.diag(b) - L * np.outer(b, b)
     quad = (psi.reshape(1, -1) @ problem.c1c1.T)[0]
@@ -134,7 +129,7 @@ def scalar_fixed_point_map(problem: DetEquivProblem, state: FixedPointState, pri
     sf = problem.alpha if printed else problem.sample_factor
     V_new = sf * (wd[None, :] @ problem.c1c1)[0].reshape(V.shape)
     nu_new = sf * (problem.resid.T @ wd)
-    V_new_eff, nu_new_eff = tilted(problem, V_new, nu_new)
+    V_new_eff, nu_new_eff = tilted(problem, V_new, nu_new, rho)
     L_new = _solve_L(V_new_eff, b)
     if printed:
         M = L_new + np.diag(nu_new_eff) - z * np.eye(problem.k)
@@ -166,7 +161,7 @@ def damped_fixed_point(
     state = FixedPointState(z, start.V, start.nu, start.b)
     gamma, prev = 0.5, np.inf
     for it in range(1, max_iter + 1):
-        new = scalar_fixed_point_map(problem, state, printed=printed)
+        new = scalar_fixed_point_map(problem, state, (0.0, 0.0), printed=printed)
         step = [a - b for a, b in zip(new, (state.V, state.nu, state.b))]
         res = max(np.abs(a).max() for a in step)
         if res < tol:
@@ -179,8 +174,8 @@ def damped_fixed_point(
 
 
 def state_kernels(problem: DetEquivProblem, state: FixedPointState) -> tuple:
-    """(V_eff, nu_eff, L, psi, chi, wd) of one state tilted by problem.rho: `detequiv._kernels` of a batch of one."""
-    batch = (state.V[None], state.nu[None], state.b[None], problem_tilts(problem, 1))
+    """(V_eff, nu_eff, L, psi, chi, wd) of one untilted state: `detequiv._kernels` of a batch of one."""
+    batch = (state.V[None], state.nu[None], state.b[None], np.zeros((1, 2)))
     return tuple(a[0] for a in _kernels(problem, *batch))
 
 
@@ -241,17 +236,16 @@ def exact_tau2_tau3(problem: DetEquivProblem, tau0: np.ndarray, state: FixedPoin
     def split(rows):
         return rows[:, :k * k].reshape(-1, k, k), rows[:, k * k:k * k + k], rows[:, k * k + k:]
 
-    def mapped(prob, rows):
-        V, nu, b = fixed_point_map(prob, z[:len(rows)], *split(rows), problem_tilts(prob, len(rows)))
+    def mapped(rows, rho):
+        V, nu, b = fixed_point_map(problem, z[:len(rows)], *split(rows), np.tile(rho, (len(rows), 1)))
         return np.concatenate([V.reshape(len(rows), -1), nu, b], axis=1)
 
-    J = mapped(problem, x + 1j * h * np.eye(n)).imag.T / h
+    J = mapped(x + 1j * h * np.eye(n), (0.0, 0.0)).imag.T / h
     r = np.concatenate([[1.0], -tau0])
     out = []
     for rho in ((1j * h, 0.0), (0.0, 1j * h)):
-        tilted = dataclasses.replace(problem, rho=rho)
-        dX = np.linalg.solve(np.eye(n) - J, mapped(tilted, x[None]).imag[0] / h)
-        Cinv = schur_block(tilted, FixedPointState(state.z, *(a[0] for a in split((x + 1j * h * dX)[None]))))[0]
+        dX = np.linalg.solve(np.eye(n) - J, mapped(x[None], rho).imag[0] / h)
+        Cinv = schur_block(problem, FixedPointState(state.z, *(a[0] for a in split((x + 1j * h * dX)[None]))), rho)[0]
         out.append(float((r @ Cinv @ r).imag / h))
     return tuple(out)
 
@@ -267,8 +261,7 @@ def assemble_ge(problem: DetEquivProblem, state: FixedPointState, theta: np.ndar
     k = problem.k
     p = len(theta)
     sf = problem.sample_factor
-    V_eff, _ = tilted(problem, state.V, state.nu)
-    K = V_eff + sf * kern.S
+    K = state.V + sf * kern.S
     dim = k + 1 + p
     M = np.zeros((dim, dim), dtype=complex)
     M[: k + 1, : k + 1] = kern.A11 - state.z * np.eye(k + 1)

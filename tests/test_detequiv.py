@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (
-    assemble_ge, blocks, bulk_kernels, conjugate, empirical_stieltjes, problem_tilts, scalar_fixed_point_map,
+    assemble_ge, blocks, bulk_kernels, conjugate, empirical_stieltjes, scalar_fixed_point_map,
 )
 from spikedrf import detequiv as de
 from spikedrf import generror as ge
@@ -46,7 +46,7 @@ def test_alpha_zero_perturbed_map():
     prob = small_problem(alpha=0.0)
     z = complex(-1.0, 1.0)
     rho = (0.02, 0.05)
-    st = de.solve_fixed_point(prob.perturbed(rho), z)
+    st = de.solve_batch(prob, [z], [de._cold_state(prob, z)], [rho])[0]
     assert np.max(np.abs(st.V)) < 1e-12
     assert np.max(np.abs(st.nu)) < 1e-12  # the rho2 shift enters through nu_eff, not the stored state
     L = de._solve_L(rho[0] * prob.cbar + 0j * prob.cbar, st.b)
@@ -190,14 +190,6 @@ def test_holomorphy_cauchy_riemann(monkeypatch):
     assert abs(d_re - d_im) < 1e-5
 
 
-def test_rho_zero_identical_code_path():
-    prob = small_problem()
-    z = complex(-0.4, 0.0)
-    a = de.solve_fixed_point(prob.perturbed((0.0, 0.0)), z)
-    b = de.solve_fixed_point(prob, z)
-    assert np.array_equal(a.b, b.b) and np.array_equal(a.V, b.V)
-
-
 def test_rejects_lower_half_plane():
     # the lower half-plane is the conjugate of the upper one: callers conjugate a state themselves (oracles.conjugate)
     prob = small_problem()
@@ -206,12 +198,12 @@ def test_rejects_lower_half_plane():
 
 
 def test_cache_roundtrip_keeps_every_bit(tmp_path):
-    # k = 2 with a rho perturbation and z off both axes: a full 2x2 V goes through the hex record and back
-    prob = small_problem().perturbed((1e-4, 0.0))
+    # k = 2 and z off both axes: a full 2x2 V goes through the hex record and back
+    prob = small_problem()
     st = de.solve_fixed_point(prob, complex(-0.7, 0.2))
     assert st.V.shape == (2, 2) and np.all(st.V != 0)
-    FixedPointCache(tmp_path / "cache.jsonl", prob).put(st)
-    back = FixedPointCache(tmp_path / "cache.jsonl", prob).get(st.z)
+    FixedPointCache(tmp_path / "cache.cache", prob).put(st)
+    back = FixedPointCache(tmp_path / "cache.cache", prob).get(st.z)
     assert back is not None and back.z == st.z
     assert np.array_equal(back.V, st.V) and np.array_equal(back.nu, st.nu) and np.array_equal(back.b, st.b)
     assert back.residual == st.residual
@@ -219,7 +211,7 @@ def test_cache_roundtrip_keeps_every_bit(tmp_path):
 
 def test_cache_loads_only_its_own_problems_records(tmp_path):
     # one file, two problems: each cache loads its own records, counts the other's as neither torn nor served
-    path = tmp_path / "cache.jsonl"
+    path = tmp_path / "cache.cache"
     prob, other = small_problem(), small_problem(alpha=0.8)
     z1, z2 = complex(-0.7, 0.2), complex(0.4, 0.3)
     FixedPointCache(path, other).put(de.solve_fixed_point(other, z1))
@@ -240,7 +232,7 @@ def test_cache_loads_only_its_own_problems_records(tmp_path):
 def test_batched_put_appends_each_new_state_once(tmp_path):
     # put(*states) appends one line of the records of the states not yet held, in order; a put of held states
     # opens no file
-    path, single = tmp_path / "cache.jsonl", tmp_path / "single.jsonl"
+    path, single = tmp_path / "cache.cache", tmp_path / "single.cache"
     prob = small_problem()
     s1, s2, s3 = (de.solve_fixed_point(prob, z) for z in (complex(-0.7, 0.2), complex(0.4, 0.3), complex(-0.3, 0.5)))
     cache = FixedPointCache(path, prob)
@@ -305,7 +297,7 @@ def test_schur_block_is_the_printed_formula(z):
     # schur_block solves H once without forming psi^{-1}; the printed form inverts psi and then psi^{-1} + sf*S
     prob = small_problem()
     st = de.solve_fixed_point(prob, z)
-    Cinv, H, A21t = de.schur_block(prob, st)
+    Cinv, H, A21t = de.schur_block(prob, st, (0.0, 0.0))
     kern = blocks(prob, st)
     printed_H = np.linalg.inv(np.linalg.inv(kern.psi) + prob.sample_factor * kern.S)
     assert np.max(np.abs(Cinv - (kern.A11 - z * np.eye(3) - kern.A21t.T @ printed_H @ kern.A21t))) <= 1e-10
@@ -382,36 +374,36 @@ def assert_same_state(a, b):
 
 
 BATCH_PROBLEMS = pytest.mark.parametrize(
-    "prob",
+    "prob,tilt",
     [
-        small_problem(k=1),
-        small_problem(k=2),
-        small_problem(k=2).perturbed((1e-4, 0.0)),
-        small_problem(k=2).perturbed((0.0, -1e-4)),
+        (small_problem(k=1), (0.0, 0.0)),
+        (small_problem(k=2), (0.0, 0.0)),
+        (small_problem(k=2), (1e-4, 0.0)),
+        (small_problem(k=2), (0.0, -1e-4)),
     ],
     ids=["k1", "k2", "k2-perturbed", "k2-perturbed-rho2"],
 )
 
 
 @BATCH_PROBLEMS
-def test_batched_map_is_bit_identical_to_the_scalar_map(prob):
+def test_batched_map_is_bit_identical_to_the_scalar_map(prob, tilt):
     zs, starts = warm_batch(prob)
     zs, starts = zs * 3, starts * 3
     assert len(zs) == 120
     V, nu, b = (np.stack([getattr(s, name) for s in starts]) for name in ("V", "nu", "b"))
-    rows = zip(*de.fixed_point_map(prob, np.array(zs), V, nu, b, problem_tilts(prob, len(zs))))
+    rows = zip(*de.fixed_point_map(prob, np.array(zs), V, nu, b, np.tile(tilt, (len(zs), 1))))
     for z, start, got in zip(zs, starts, rows):
-        want = scalar_fixed_point_map(prob, de.FixedPointState(z, start.V, start.nu, start.b))
+        want = scalar_fixed_point_map(prob, de.FixedPointState(z, start.V, start.nu, start.b), tilt)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 @BATCH_PROBLEMS
-def test_map_row_does_not_depend_on_its_batch_size(prob):
+def test_map_row_does_not_depend_on_its_batch_size(prob, tilt):
     zs, starts = warm_batch(prob)
     zs, starts = np.array(zs * 10), starts * 10
     assert len(zs) == 400
     V, nu, b = (np.stack([getattr(s, name) for s in starts]) for name in ("V", "nu", "b"))
-    rho = problem_tilts(prob, len(zs))
+    rho = np.tile(tilt, (len(zs), 1))
     full = de.fixed_point_map(prob, zs, V, nu, b, rho)
     for size in (1, 63, 64, 65):
         part = de.fixed_point_map(prob, zs[:size], V[:size], nu[:size], b[:size], rho[:size])
@@ -429,10 +421,10 @@ def test_c1c1_is_the_table_of_c1_products():
 
 
 @BATCH_PROBLEMS
-def test_batch_is_bit_identical_to_single_solves(prob):
+def test_batch_is_bit_identical_to_single_solves(prob, tilt):
     zs, starts = warm_batch(prob)
-    batch = de.solve_batch(prob, zs, starts, problem_tilts(prob, len(zs)))
-    alone = [de.solve_fixed_point(prob, z, warm_start=s) for z, s in zip(zs, starts)]
+    batch = de.solve_batch(prob, zs, starts, [tilt] * len(zs))
+    alone = [de.solve_batch(prob, [z], [s], [tilt])[0] for z, s in zip(zs, starts)]
     for got, want in zip(batch, alone):
         assert_same_state(got, want)
     rows = [s.stats.rows for s in alone]
@@ -451,7 +443,7 @@ def test_failing_rows_leave_the_batch_alone(monkeypatch):
     nan_start = de.FixedPointState(z=good.z, V=good.V * np.nan, nu=good.nu, b=good.b)
     monkeypatch.setattr(de, "MAX_ITER", cap)
     batch = de.solve_batch(prob, zs, [nan_start if i == poisoned else s for i, s in enumerate(starts)],
-                           problem_tilts(prob, len(zs)))
+                           [(0.0, 0.0)] * len(zs))
     assert isinstance(batch[poisoned], de.FixedPointError) and "non-finite" in str(batch[poisoned])
     assert isinstance(batch[slow], de.NonConvergenceError) and batch[slow].stats.rows == cap
     for i, (got, want) in enumerate(zip(batch, alone)):
@@ -505,9 +497,9 @@ def test_certificate_rejects_a_direct_cold_root_at_minus_lambda():
     # the unphysical one is b = -84.2 (m = -56.1): a start inside its basin converges to it, and is rejected
     prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_K1)).with_alpha(2.0)
     z = complex(-FIG2["lam"], 0.0)
-    assert_certified_or_rejected(de.solve_batch(prob, [z], [de._cold_state(prob, z)], [prob.rho])[0])
+    assert_certified_or_rejected(de.solve_batch(prob, [z], [de._cold_state(prob, z)], [(0.0, 0.0)])[0])
     basin = de.FixedPointState(z, np.zeros((1, 1), complex), np.zeros(1, complex), np.array([-84.0 + 0j]))
-    direct = de.solve_batch(prob, [z], [basin], [prob.rho])[0]
+    direct = de.solve_batch(prob, [z], [basin], [(0.0, 0.0)])[0]
     assert isinstance(direct, de.UnphysicalRootError) and direct.stats.rows > 0
     assert "b=[-84.22" in str(direct)
     # the real-axis ladder reaches the Stieltjes root, inside 0 < b <= pi beta / lambda = 150
@@ -534,10 +526,8 @@ def test_certificate_accepts_the_attained_bound_at_alpha_zero():
     for lam in (0.01, 0.3, 7.0):
         state = de.solve_fixed_point(prob, complex(-lam, 0.0))
         assert np.max(np.abs(state.b / (prob.pi * prob.beta / lam) - 1.0)) <= de.CERTIFICATE_SLACK
-    # a tilted problem is not a covariance resolvent: its root leaves the bound, and the engine does not check it
-    state = de.solve_fixed_point(prob.perturbed((-1e-4, 0.0)), complex(-0.3, 0.0))
-    assert np.max(state.b.real / (prob.pi * prob.beta / 0.3)) > 1.0 + 1e-6
-    # the check is per row: the tilted row of a batch is not checked, the untilted one is
+    # a tilted row is not a covariance resolvent: its root leaves the bound, and the engine does not check it;
+    # the check is per row, so the untilted row of the same batch is checked
     z = complex(-0.3, 0.0)
     tilted, untilted = de.solve_batch(prob, [z, z], [de._cold_state(prob, z)] * 2, [(-1e-4, 0.0), (0.0, 0.0)])
     assert np.max(tilted.b.real / (prob.pi * prob.beta / 0.3)) > 1.0 + 1e-6
@@ -558,13 +548,13 @@ TINY_K2 = ExperimentConfig.from_dict({**TINY, "vocab": VOCABS["k2"]})
     (TINY_K2, TINY_K2.alpha),
 ], ids=["fig2-k1-0.5", "fig2-k1-4", "fig2-k4-0.5", "fig2-k4-4", "tiny-k2"])
 def test_tilted_rows_are_their_own_solves(config, alpha):
-    # the four-row batch of tau2_tau3: each row is the warm solve of its perturbed problem alone, bit for bit
+    # the four-row batch of tau2_tau3: each row is the warm one-row solve of its tilt, bit for bit
     prob = de.problem_from_config(config).with_alpha(alpha)
     z, h = complex(-config.lam, 0.0), ge.DEFAULT_RHO_STEP
     base = de.solve_fixed_point(prob, z)
     tilts = [(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]
     for rho, got in zip(tilts, de.solve_batch(prob, [z] * 4, [base] * 4, tilts)):
-        assert_same_bits(got, de.solve_fixed_point(prob.perturbed(rho), z, warm_start=base))
+        assert_same_bits(got, de.solve_batch(prob, [z], [base], [rho])[0])
     # an untilted row is the untilted solve, in a batch of zero tilts and in a batch of tilted rows
     far = de.solve_fixed_point(prob, 3 * z)
     want = de.solve_fixed_point(prob, z, warm_start=far)

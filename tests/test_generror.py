@@ -17,7 +17,7 @@ def test_alpha_zero_schur_is_ridge_identity():
     prob = problem(alpha=0.0)
     lam = 0.3
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
-    Cinv, to_tau1 = ge.schur_C_inverse(prob, state)
+    Cinv, to_tau1 = ge.schur_C_inverse(prob, state, (0.0, 0.0))
     assert np.max(np.abs(Cinv - lam * np.eye(3))) < 1e-10
     assert np.max(np.abs(ge.tau0(Cinv, lam))) < 1e-10
     assert np.max(np.abs(to_tau1)) < 1e-12  # no cross block at alpha = 0: tau1 = 0 whatever tau0
@@ -31,7 +31,7 @@ def test_zero_link_label_row():
     prob = dataclasses.replace(problem(), g=np.zeros(len(problem().g)))
     lam = 0.2
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
-    Cinv = ge.schur_C_inverse(prob, state)[0]
+    Cinv = ge.schur_C_inverse(prob, state, (0.0, 0.0))[0]
     # with g = 0 the label row collapses to lambda on the diagonal, 0 off
     assert abs(Cinv[0, 0] - lam) < 1e-12
     assert np.max(np.abs(Cinv[0, 1:])) < 1e-12
@@ -45,7 +45,7 @@ def test_schur_symmetry_fig2_config():
     )
     prob = de.problem_from_config(cfg)
     state = de.solve_fixed_point(prob, complex(-cfg.lam, 0.0))
-    Cinv = ge.schur_C_inverse(prob, state)[0]
+    Cinv = ge.schur_C_inverse(prob, state, (0.0, 0.0))[0]
     assert np.max(np.abs(Cinv - Cinv.T)) < 1e-10
 
 
@@ -68,7 +68,7 @@ def test_rho_derivative_step_controls(monkeypatch):
     prob = problem()
     lam = 0.05
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
-    t0 = ge.tau0(ge.schur_C_inverse(prob, state)[0], lam)
+    t0 = ge.tau0(ge.schur_C_inverse(prob, state, (0.0, 0.0))[0], lam)
     monkeypatch.setattr(ge, "DEFAULT_RHO_STEP", 1e-4)
     a2, a3 = ge.tau2_tau3(prob, t0, state)
     monkeypatch.setattr(ge, "DEFAULT_RHO_STEP", 5e-5)
@@ -85,7 +85,7 @@ def test_ridge_kills_fit_when_means_vanish():
     assert all(np.diff(errs) > -1e-10)  # monotone toward the null
     assert abs(errs[-1] - prob.kappa_w @ prob.g**2) < 1e-3
     state = de.solve_fixed_point(prob, complex(-1e3, 0.0))
-    t0 = ge.tau0(ge.schur_C_inverse(prob, state)[0], 1e3)
+    t0 = ge.tau0(ge.schur_C_inverse(prob, state, (0.0, 0.0))[0], 1e3)
     assert np.max(np.abs(t0)) < 1e-8
 
 
@@ -151,8 +151,10 @@ def test_plugin_consistency_smoke(monkeypatch):
     reason=(
         "the plug-in misses the exact error of the trained layer: plug-in minus exact is +0.0058 to +0.0075 "
         "(+6.0% to +7.5%) per seed, 13.7 seed-only SE.  The plug-in tau reads W0 for theta and tau2, so it "
-        "sees the spiked surrogate W0 + u w*^T, not W1's deviation from it; on the surrogate it holds to "
-        "0.3% (next test).  The Monte Carlo's 1% noise hid the gap (1.84 combined SE)."
+        "sees the spiked surrogate W0 + u w*^T, on which it holds to 0.3% (next test).  W1 is the spiked layer "
+        "along the realized direction w_hat = X0^T y0 / (n0 c1*) instead: W0 + u w_hat^T has W1's exact error "
+        "to 5e-4 per seed, and ||w_hat - w*||^2 follows d E[g^2] / (n0 c1*^2) = 0.0588 (measured 0.0610, next "
+        "test).  The Monte Carlo's 1% noise hid the gap (1.84 combined SE)."
     ),
 )
 def test_plugin_within_3_se_of_the_exact_error_of_w1():
@@ -165,22 +167,42 @@ def test_plugin_within_3_se_of_the_exact_error_of_w1():
 
 
 def test_plugin_matches_the_exact_error_on_the_spiked_surrogate():
-    # the draws of `sim.run_experiment`, with the readout refit on W0 + u w*^T in place of W1
+    # the draws of `sim.run_experiment`, with the readout refit on W0 + u w*^T in place of W1; and W1 itself is
+    # the spiked layer W0 + u w_hat^T along the realized direction w_hat = X0^T y0 / (n0 c1*) of the step's data
     cfg, prob = SMOKE, de.problem_from_config(SMOKE)
     sigma, link = cfg.activation_spec(), cfg.link_spec()
+    c1_star = link.first_coeff()
+    misses = []  # ||w_hat - w*||^2 per seed
     for s in range(3):
         rng = make_rng(cfg.seed, s)
         w_star = rng.standard_normal(cfg.d)
         w_star /= np.linalg.norm(w_star)
         W0 = sim.sample_first_layer(cfg.p, cfg.d, rng)
         layer = sample_second_layer(cfg.p, cfg.vocab, rng)
-        sim.sample_data(cfg.n0, cfg.d, w_star, link, rng)  # the step's data, which the surrogate does not use
+        X0, y0, _ = sim.sample_data(cfg.n0, cfg.d, w_star, link, rng)
+        W1 = sim.gradient_step(W0, layer.a0, X0, y0, cfg.eta, sigma)
+        w_hat = X0.T @ y0 / (cfg.n0 * c1_star)
+        del X0, y0
         X, y, _ = sim.sample_data(cfg.n, cfg.d, w_star, link, rng)
-        W_tilde = W0 + np.outer(cfg.spike_vocabulary()[layer.groups], w_star)
-        a_hat = sim.ridge_fit(sim.features(W_tilde, X, sigma), y, cfg.lam)
-        exact = sim.empirical_generror(a_hat, W_tilde, link, w_star, sigma)
+        u = cfg.spike_vocabulary()[layer.groups]
+        W_tilde, W_realized = W0 + np.outer(u, w_star), W0 + np.outer(u, w_hat)
+
+        def refit(W):
+            a_hat = sim.ridge_fit(sim.features(W, X, sigma), y, cfg.lam)
+            return a_hat, sim.empirical_generror(a_hat, W, link, w_star, sigma)
+
+        a_hat, exact = refit(W_tilde)
         plugin = ge.expected_lambda(sim.empirical_tau(a_hat, layer.groups, W0 @ w_star, W0, prob), prob)
         assert abs(plugin - exact) < 0.01 * exact, (s, plugin, exact)
+        # W1 has the exact error of W0 + u w_hat^T (2.5e-4, 1.7e-4, 0.9e-4 apart), and lies 25x closer to it
+        # than to W0 + u w*^T in operator norm (0.109 against 2.76-2.84)
+        realized, trained = refit(W_realized)[1], refit(W1)[1]
+        assert abs(realized - trained) < 5e-4, (s, realized, trained)
+        assert sim.spike_deviation(W1, W_realized) < sim.spike_deviation(W1, W_tilde) / 10
+        misses.append(np.sum((w_hat - w_star) ** 2))
+    # w_hat - w* is the sampling noise of X0^T y0 / n0: d E[g^2] / (n0 c1*^2) = 0.0588 in squared norm
+    law = cfg.d * (prob.kappa_w @ prob.g**2) / (cfg.n0 * c1_star**2)
+    assert abs(np.mean(misses) / law - 1.0) < 0.1, (np.mean(misses), law)
 
 
 def test_asymptotic_tau_rejects_bad_lambda():
@@ -300,7 +322,7 @@ def test_rho_difference_converges_to_the_exact_derivative(monkeypatch):
     prob = de.problem_from_config(ExperimentConfig(**FIG2, vocab=FIG2_VOCABS["k1"])).with_alpha(0.5)
     lam = FIG2["lam"]
     state = de.solve_fixed_point(prob, complex(-lam, 0.0))
-    t0 = ge.tau0(ge.schur_C_inverse(prob, state)[0], lam)
+    t0 = ge.tau0(ge.schur_C_inverse(prob, state, (0.0, 0.0))[0], lam)
     exact2, exact3 = exact_tau2_tau3(prob, t0, state)
     at_default = ge.tau2_tau3(prob, t0, state)
 

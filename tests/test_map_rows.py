@@ -87,7 +87,7 @@ def test_cold_solve_at_minus_lambda_rows(alpha, rows, monkeypatch):
 
     monkeypatch.setattr(ge, "solve_batch", recorded)
     tilted, before = [], rows[0]
-    ge.tau2_tau3(prob, ge.tau0(ge.schur_C_inverse(prob, state)[0], FIG2["lam"]), state, tilted)
+    ge.tau2_tau3(prob, ge.tau0(ge.schur_C_inverse(prob, state, (0.0, 0.0))[0], FIG2["lam"]), state, tilted)
     h = ge.DEFAULT_RHO_STEP
     [rhos] = batches
     assert sorted(rhos) == sorted([(h, 0.0), (-h, 0.0), (0.0, h), (0.0, -h)]) and len(tilted) == 4

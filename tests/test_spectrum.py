@@ -204,7 +204,7 @@ def test_cold_batch_row_reaches_the_non_physical_root():
     # half-plane sign check can tell it from the physical one
     prob = de.build_problem(get_activation("hermite2"), get_link("sin"), [1.0], [1.0], alpha=0.3, beta=3.0)
     z = complex(2.1181, 1e-2)
-    cold = de.solve_batch(prob, [z], [de._cold_state(prob, z)], [prob.rho])[0]
+    cold = de.solve_batch(prob, [z], [de._cold_state(prob, z)], [(0.0, 0.0)])[0]
     assert isinstance(cold, de.FixedPointState)
     assert cold.b[0] == pytest.approx(-1.476 + 0.001j, abs=5e-3)
     assert de.solve_fixed_point(prob, z).b[0] == pytest.approx(-1.404 + 0.170j, abs=5e-3)
@@ -435,7 +435,7 @@ def test_partly_cached_grid_is_byte_identical_to_a_cold_run(tmp_path, monkeypatc
 
     # one segment, and three segments whose heads are solved together
     for points in (20, 3 * sp.SEGMENT_POINTS):
-        cache = tmp_path / f"cache{points}.jsonl"
+        cache = tmp_path / f"cache{points}.cache"
 
         def run(out, *extra):
             argv = ["theory-spectrum", str(config), "--grid", f"0.02:2.0:{points}", "--out", str(tmp_path / f"{out}{points}")]

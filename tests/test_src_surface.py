@@ -15,6 +15,14 @@ when any unrelated attribute or name in `src/` shares its name (a problem's
 `args.config`), and a container whose fields are all read elsewhere escapes
 even if no caller reads the container.  Such leftovers need a reader's eye.
 
+Every dataclass field with a plain default (any default but a
+`field(default_factory=...)`) must be given a value by some construction in
+`src/spikedrf`: by position, by keyword, by `**` unpacking (which gives every
+field) or by a keyword of `dataclasses.replace`.  A default that no
+construction overrides is a constant, not a field.  A construction is a call
+of the class by name, or of `cls` in one of its methods; `replace` keywords
+match fields by name, whatever the object replaced.
+
 Every parameter with a default, of every function in `src/spikedrf`, must be
 given a value by some call in `src/spikedrf`: an option that only tests set
 is a module constant that they monkeypatch.  A call that only passes on a
@@ -124,6 +132,69 @@ def test_every_dataclass_field_is_read_in_src():
     assert set(unread) == ALLOWED_FIELDS, (
         f"allow-listed fields now have a reader in src/; drop them from ALLOWED_FIELDS: {ALLOWED_FIELDS - set(unread)}"
     )
+
+
+def _plain_default(value) -> bool:
+    """True for a field default other than `field(default_factory=...)`; `field(...)` without `default` has none."""
+    if value is None:
+        return False
+    if isinstance(value, ast.Call) and getattr(value.func, "id", getattr(value.func, "attr", None)) == "field":
+        return any(kw.arg == "default" for kw in value.keywords)
+    return True
+
+
+def unset_dataclass_defaults(src: Path) -> dict:
+    """{"Class.field": file:line} of every dataclass field with a plain default that no construction in src/ sets."""
+    classes = {}  # name -> (names of its bases, [(field, file:line, plain default?)] in class-body order)
+    calls = []  # (call, name of the class whose body encloses it, for `cls(...)`)
+
+    def visit(node, path, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if _is_dataclass(child):
+                    classes[child.name] = ([b.id for b in child.bases if isinstance(b, ast.Name)], [
+                        (stmt.target.id, f"{path.name}:{stmt.lineno}", _plain_default(stmt.value))
+                        for stmt in child.body if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    ])
+                visit(child, path, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                calls.append((child, owner))
+            visit(child, path, owner)
+
+    for path in sorted(src.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, None)
+
+    def fields(name):
+        """The class's fields in `__init__` order: its dataclass bases' first."""
+        bases, own = classes[name]
+        return [f for base in bases if base in classes for f in fields(base)] + [f[0] for f in own]
+
+    given = set()
+    for call, owner in calls:
+        func = call.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name == "replace" and (isinstance(func, ast.Name) or getattr(func.value, "id", None) == "dataclasses"):
+            given.update(f"{cls}.{kw.arg}" for cls in classes for kw in call.keywords if kw.arg in fields(cls))
+            continue
+        name = owner if name == "cls" else name
+        if name not in classes:
+            continue
+        order = fields(name)
+        for i, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):  # fills every positional field from here on
+                given.update(f"{name}.{f}" for f in order[i:])
+                break
+            given.add(f"{name}.{order[i]}")
+        for kw in call.keywords:
+            given.update(f"{name}.{f}" for f in (order if kw.arg is None else [kw.arg]))
+    return {f"{cls}.{field}": where for cls, (_, own) in classes.items() for field, where, plain in own
+            if plain and f"{cls}.{field}" not in given}
+
+
+def test_every_dataclass_default_is_set_in_src():
+    unset = unset_dataclass_defaults(SRC)
+    assert not unset, f"dataclass fields whose plain default no construction in src/ overrides (make them constants): {unset}"
 
 
 # Parameters with a default that no call in src/ gives a value, each with the reason it stays.
